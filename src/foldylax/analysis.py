@@ -92,6 +92,8 @@ class OracleSettings:
     the coupled boundary-integral solver otherwise; 'fl' echoes the
     point-scatterer solution itself (exact zero error, a plumbing check).
     The boundary-integral route refuses problems with M*(L+1)^2 > cap.
+    Its blocks are exact, so quad_order only has to be >= 1; it does not
+    change the result.
     """
 
     kind: str = "auto"

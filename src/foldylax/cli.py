@@ -133,7 +133,8 @@ def _add_oracle_flags(p):
                    help="reference solver (default auto)")
     p.add_argument("--L", type=int, default=12, help="harmonic truncation degree")
     p.add_argument("--quad-order", type=int, default=24,
-                   help="surface quadrature order")
+                   help="surface quadrature order, >= 1 (the BIE oracle's "
+                        "blocks are exact and ignore it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,17 @@ spherical-harmonic basis:
 s_0 -> r and dstar_l -> -1/(2(2l+1)) are checked in the tests, and both
 closed forms are validated against an independently written
 singularity-cancelling Nystrom quadrature). Cross blocks couple disjoint
-spheres through a smooth kernel and are built by product Gauss quadrature.
+spheres and are exact too: the single layer of Y_l'm' on sphere j is an
+outgoing wave about z_j, re-expanded about z_m by the addition theorem
+(P. A. Martin, Multiple Scattering, CUP 2006, ch. 3; Gumerov & Duraiswami,
+Fast Multipole Methods for the Helmholtz Equation in Three Dimensions,
+Elsevier 2004, sec. 3.2),
+
+    A_mj = diag_l(kappa j_l'(kappa r_m) + lambda_m j_l(kappa r_m))
+           (S|R)(z_m - z_j) diag_{l'}(i kappa r_j^2 j_{l'}(kappa r_j)),
+
+with Gaunt coefficients tabulated once per L. The tests check the blocks
+against brute-force product quadrature of the kernel.
 The far field of the solved densities is
 
     Uinf(xhat) = sum_m e^{-i kappa xhat.z_m} 4 pi r_m^2
@@ -35,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as la
@@ -44,8 +55,7 @@ from .errors import (OverlappingSpheres, ResonanceGuard, SeriesNotConverged,
                      SingularSystem)
 from .foldy import FarFieldGrid
 from .geometry import IncidentWave, ScattererCloud
-from .spherical import (SphereQuadrature, harmonic_matrix, n_coeffs,
-                        sphere_quadrature)
+from .spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
@@ -142,47 +152,82 @@ def _per_degree(values_by_l: np.ndarray, L: int) -> np.ndarray:
     return np.repeat(values_by_l, 2 * np.arange(L + 1) + 1)
 
 
-def _incident_coeffs(wave: IncidentWave, center: np.ndarray, radius: float,
-                     lam: complex, L: int) -> np.ndarray:
+def _incident_coeffs(wave: IncidentWave, center: np.ndarray, radial: np.ndarray,
+                     L: int) -> np.ndarray:
     """Harmonic coefficients of -(d/dnu + lambda) e^{i kappa x.theta} on the sphere.
 
     Local expansion about the center: e^{i kappa y.theta} =
-    4 pi sum i^l j_l(kappa|y|) Y_lm(yhat) conj(Y_lm(theta)).
+    4 pi sum i^l j_l(kappa|y|) Y_lm(yhat) conj(Y_lm(theta)); radial[l] is
+    (d/dnu + lambda) j_l(kappa|y|) on the sphere.
     """
-    kappa = wave.kappa
-    ls = np.arange(L + 1)
-    z = kappa * radius
-    j = spherical_jn(ls, z)
-    jp = spherical_jn(ls, z, derivative=True)
-    radial = kappa * jp + lam * j
-    phase = np.exp(1j * kappa * float(center @ wave.theta))
+    phase = np.exp(1j * wave.kappa * float(center @ wave.theta))
     Yt = harmonic_matrix(L, wave.theta.reshape(1, 3))[0]
-    scale = _per_degree(4.0 * np.pi * (1j ** ls) * radial, L)
+    scale = _per_degree(4.0 * np.pi * (1j ** np.arange(L + 1)) * radial, L)
     return -phase * scale * np.conj(Yt)
 
 
-def _coupling_block(kappa: float, lam_m: complex,
-                    center_m, radius_m, center_j, radius_j,
-                    quad: SphereQuadrature, Y: np.ndarray) -> np.ndarray:
-    """Quadrature block mapping harmonic coefficients on sphere j to the
-    projected (d/dnu + lambda_m)-trace on sphere m."""
-    targets = center_m + radius_m * quad.points          # (P, 3)
-    sources = center_j + radius_j * quad.points          # (Q, 3)
-    diff = targets[:, None, :] - sources[None, :, :]
-    rho = np.linalg.norm(diff, axis=-1)
-    ph = np.exp(1j * kappa * rho) / (4.0 * np.pi * rho)
-    cosang = np.einsum("pqi,pi->pq", diff, quad.points) / rho
-    K = (1j * kappa - 1.0 / rho) * ph * cosang + lam_m * ph
-    src = (radius_j**2 * quad.weights)[:, None] * Y      # surface measure on j
-    return Y.conj().T @ ((quad.weights[:, None]) * (K @ src))
+@lru_cache(maxsize=4)
+def _translation_table(L: int):
+    """Sparse map from [h_n(kappa d) Y_n^nu(dhat)] to the flat (S|R) block.
+
+    Entry (lm)*nc + (l'm') of the block is the outgoing-to-regular
+    translation coefficient (S|R)_{lm,l'm'}(d), so that
+
+        h_l'(kappa|d+y|) Y_l'm'(d+y) = sum_lm (S|R)_{lm,l'm'}(d) j_l(kappa|y|) Y_lm(y)
+
+    for |y| < |d|, with (S|R)_{lm,l'm'} = 4 pi sum_n i^(l+n-l') h_n Y_n^(m'-m)
+    G(l'm'; lm; n) and the Gaunt coefficient G = int Y_l'm' conj(Y_lm)
+    conj(Y_n^(m'-m)) dS. The azimuthal integral is 2 pi, so Gauss-Legendre of
+    order 2L+1 in cos(polar) integrates the degree <= 4L polar product
+    exactly. Only entries the selection rules allow are stored, so the rest
+    are exact zeros: h_n grows like (kappa d)^-(n+1), and roundoff in a
+    vanishing coefficient times h_{2L} would swamp the block.
+
+    Returns read-only (harm, vals, starts), sorted by block entry: the block
+    is np.add.reduceat(hY[harm] * vals, starts) for hY indexed n^2 + n + nu.
+    Every block entry has at least one term (n = l + l' is always allowed),
+    so no reduceat segment is empty.
+    """
+    nc, n_max = n_coeffs(L), 2 * L
+    x, w = np.polynomial.legendre.leggauss(n_max + 1)
+    polar = np.zeros((len(x), 3))
+    polar[:, 0], polar[:, 2] = np.sqrt(1.0 - x**2), x
+    P = harmonic_matrix(n_max, polar).real    # Y_n^nu(theta, 0), real
+    ls = _per_degree(np.arange(L + 1), L)
+    ms = np.arange(nc) - ls * (ls + 1)
+    row, col = np.divmod(np.arange(nc * nc), nc)
+    l, lp, nu = ls[row], ls[col], ms[col] - ms[row]
+    entries, harms, vals = [], [], []
+    for n in range(n_max + 1):
+        keep = ((np.abs(l - lp) <= n) & (n <= l + lp) & ((l + lp + n) % 2 == 0)
+                & (np.abs(nu) <= n))
+        idx = np.flatnonzero(keep)
+        harm = n * n + n + nu[idx]
+        gaunt = 2.0 * np.pi * np.einsum("k,kp,kp,kp->p", w, P[:, col[idx]],
+                                        P[:, row[idx]], P[:, harm])
+        # l + n - l' is even, so i^(l+n-l') is real
+        sign = np.where(((l[idx] + n - lp[idx]) // 2) % 2 == 0, 1.0, -1.0)
+        entries.append(idx)
+        harms.append(harm)
+        vals.append(4.0 * np.pi * sign * gaunt)
+    entries = np.concatenate(entries)
+    order = np.argsort(entries, kind="stable")
+    table = (np.concatenate(harms)[order], np.concatenate(vals)[order],
+             np.searchsorted(entries[order], np.arange(nc * nc)))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                  L: int = DEFAULT_L, quad_order: int = DEFAULT_QUAD_ORDER) -> BieSystem:
     """Assemble the coupled boundary-integral system for a sphere cloud.
 
+    Cross blocks are exact (addition theorem), so quad_order does not change
+    the system; it is still validated and kept on the BieSystem.
+
     Raises:
-        ValueError: cloud carries non-spherical obstacles.
+        ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
         OverlappingSpheres: spheres touch or overlap.
         ResonanceGuard: any sphere too large for the wavenumber.
     """
@@ -196,30 +241,46 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                       stacklevel=2)
     M, nc = cloud.M, n_coeffs(L)
     spectra = tuple(sphere_operator_spectra(wave.kappa, float(r), L) for r in cloud.radii)
-    quad = sphere_quadrature(quad_order)
-    Y = harmonic_matrix(L, quad.points)
+    if quad_order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    kappa = wave.kappa
     A = np.zeros((M * nc, M * nc), dtype=complex)
     rhs = np.empty(M * nc, dtype=complex)
-    diag_blocks = []
+    diag_blocks, trace, outgoing = [], [], []
+    ls = np.arange(L + 1)
     for m in range(M):
         lam = complex(cloud.impedances[m])
-        sp = spectra[m]
-        diag_l = (sp.adjoint_double - 0.5) + lam * sp.single_layer
+        r = float(cloud.radii[m])
+        diag_l = (spectra[m].adjoint_double - 0.5) + lam * spectra[m].single_layer
         diag = _per_degree(diag_l, L)
         diag_blocks.append(diag)
         sl = slice(m * nc, (m + 1) * nc)
         A[sl, sl] = np.diag(diag)
-        rhs[sl] = _incident_coeffs(wave, cloud.centers[m], float(cloud.radii[m]), lam, L)
-    for m in range(M):
-        lam = complex(cloud.impedances[m])
-        for j in range(M):
-            if j == m:
-                continue
-            block = _coupling_block(wave.kappa, lam,
-                                    cloud.centers[m], float(cloud.radii[m]),
-                                    cloud.centers[j], float(cloud.radii[j]),
-                                    quad, Y)
-            A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = block
+        z = kappa * r
+        radial = kappa * spherical_jn(ls, z, derivative=True) + lam * spherical_jn(ls, z)
+        rhs[sl] = _incident_coeffs(wave, cloud.centers[m], radial, L)
+        trace.append(_per_degree(radial, L))
+        outgoing.append(_per_degree(1j * kappa * r**2 * spherical_jn(ls, z), L))
+    if M > 1:
+        # Cross blocks as in the module docstring; the translation needs
+        # r_m < |z_m - z_j|, which d_eff > 0 gives.
+        # The pair (j, m) reuses the (m, j) translation: Y_n(-dhat) =
+        # (-1)^n Y_n(dhat) and l + l' + n is even, so (S|R)(-d) = P (S|R)(d) P
+        # with P = diag((-1)^l).
+        harm, vals, starts = _translation_table(L)
+        parity = _per_degree((-1.0) ** ls, L)
+        first, second = np.triu_indices(M, 1)
+        t = cloud.centers[first] - cloud.centers[second]
+        dist = np.linalg.norm(t, axis=1)
+        H = harmonic_matrix(2 * L, t / dist[:, None])
+        H *= np.repeat(_hankel(np.arange(2 * L + 1), kappa * dist[:, None]),
+                       2 * np.arange(2 * L + 1) + 1, axis=1)
+        for m, j, hY in zip(first, second, H):
+            SR = np.add.reduceat(hY[harm] * vals, starts).reshape(nc, nc)
+            A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
+                trace[m][:, None] * SR * outgoing[j][None, :])
+            A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (
+                (parity * trace[j])[:, None] * SR * (parity * outgoing[m])[None, :])
     if np.any(cloud.impedances.imag < 0) and M > 1:
         q = 0.0
         for m in range(M):
@@ -355,63 +416,3 @@ def optical_theorem_residual(evaluate, wave: IncidentWave,
     forward = complex(np.asarray(evaluate(wave.theta.reshape(1, 3))).reshape(()))
     extinction = float(16.0 * np.pi**2 / wave.kappa * forward.imag)
     return OpticalTheoremCheck(scattered=scattered, extinction=extinction)
-
-
-def nystrom_apply(kappa: float, radius: float, density, targets: np.ndarray,
-                  order: int = 40, operator: str = "single") -> np.ndarray:
-    """Independent dense Nystrom evaluation of S or K* on one sphere at the origin.
-
-    Written as a validation oracle for sphere_operator_spectra: the weakly
-    singular kernels are integrated in rotated polar coordinates about each
-    target, where the surface element cancels the singularity exactly:
-
-        S:  (r/4pi) e^{2 i kappa r sin(g/2)} cos(g/2)
-        K*: [i kappa sin(g/2) - 1/(2r)] (r/4pi) e^{2 i kappa r sin(g/2)} cos(g/2)
-
-    with g the polar angle from the target. density maps unit vectors (N,3)
-    to values (N,); targets are unit vectors.
-    """
-    if operator not in ("single", "adjoint"):
-        raise ValueError("operator must be 'single' or 'adjoint'")
-    targets = np.asarray(targets, dtype=float).reshape(-1, 3)
-    u, wu = np.polynomial.legendre.leggauss(order)
-    g = 0.5 * np.pi * (u + 1.0)
-    wg = 0.5 * np.pi * wu
-    n_az = 2 * order
-    az = 2.0 * np.pi * np.arange(n_az) / n_az
-    w_az = 2.0 * np.pi / n_az
-    # local frame points around the north pole, to be rotated onto each target
-    sin_g, cos_g = np.sin(g), np.cos(g)
-    local = np.empty((order, n_az, 3))
-    local[..., 0] = sin_g[:, None] * np.cos(az)[None, :]
-    local[..., 1] = sin_g[:, None] * np.sin(az)[None, :]
-    local[..., 2] = cos_g[:, None]
-    half = g / 2.0
-    radial = np.exp(2j * kappa * radius * np.sin(half)) * np.cos(half) * (radius / (4 * np.pi))
-    if operator == "adjoint":
-        radial = radial * (1j * kappa * np.sin(half) - 1.0 / (2.0 * radius))
-    weight = (radial * wg)[:, None] * w_az  # (order, 1) broadcast over azimuth
-    out = np.empty(len(targets), dtype=complex)
-    for i, xhat in enumerate(targets):
-        R = _rotation_to(xhat)
-        pts = local @ R.T
-        vals = np.asarray(density(pts.reshape(-1, 3)), dtype=complex).reshape(order, n_az)
-        out[i] = np.sum(weight * vals)
-    return out
-
-
-def _rotation_to(xhat: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking e_z to the unit vector xhat (Rodrigues)."""
-    ez = np.array([0.0, 0.0, 1.0])
-    c = float(np.clip(xhat @ ez, -1.0, 1.0))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(ez, xhat)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + s * K + (1 - c) * (K @ K)

@@ -24,11 +24,6 @@ def n_coeffs(L: int) -> int:
     return (L + 1) * (L + 1)
 
 
-def lm_indices(L: int):
-    """Flat (l, m) ordering used for coefficient vectors."""
-    return [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
-
-
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Product quadrature nodes on the unit sphere; weights sum to 4*pi."""
@@ -79,10 +74,3 @@ def harmonic_matrix(L: int, points: np.ndarray) -> np.ndarray:
             cols.append(sph_harm_y(l, m, theta, phi))
     return np.column_stack(cols)
 
-
-def project(L: int, quad: SphereQuadrature, values: np.ndarray,
-            Y: np.ndarray | None = None) -> np.ndarray:
-    """Harmonic coefficients of point values on the quadrature grid."""
-    if Y is None:
-        Y = harmonic_matrix(L, quad.points)
-    return Y.conj().T @ (quad.weights * values)

@@ -138,6 +138,22 @@ class TestSweepCommand:
         assert slope == pytest.approx(3.0, abs=0.4)
         assert "slope=" in capsys.readouterr().out
 
+    def test_coarse_quad_order_keeps_the_rate(self, tmp_path, capsys):
+        """The BIE oracle ignores --quad-order, so q < L+1 cannot alias it."""
+        out = tmp_path / "study.csv"
+        assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,
+                    "--Mmax", 0.2, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 4, "--quad-order", 1, "--out", out]) == 0
+        fit = read_csv(out)[1][5].split(",")
+        assert float(fit[0]) == pytest.approx(2.0, abs=0.05)
+        assert float(fit[2]) >= 0.99
+        assert "slope=" in capsys.readouterr().out
+
+    def test_quad_order_below_one_is_2(self, tmp_path):
+        assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,
+                    "--Mmax", 0.2, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 4, "--quad-order", 0, "--out", tmp_path / "s.csv"]) == 2
+
 
 class TestDeterminism:
     def test_byte_identical_pipeline(self, tmp_path):

@@ -12,6 +12,7 @@ from foldylax import (ResonanceGuard, ScattererCloud, assemble_bie,
 from foldylax.spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
 from conftest import make_cloud, make_wave
+from quadrature_oracles import coupling_block
 
 
 def ref_phi(kappa, x, y):
@@ -106,6 +107,27 @@ class TestCouplingBlock:
             f[p] = dn + lam1 * single_layer_at(x)
         projected = Y.conj().T @ (quad.weights * f)
         assert np.allclose(block[:, idx], projected, atol=1e-7)
+
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    @pytest.mark.parametrize("offset", [[0.0, 1.0, 0.0], [2.0, -1.5, 3.0]],
+                             ids=["close", "far"])
+    def test_addition_theorem_matches_quadrature(self, tilted_wave, L, offset):
+        """Both cross blocks vs q = 40 product quadrature of the kernel.
+
+        The close pair has a gap about one radius and kappa*d = 1, where
+        h_{2L}(kappa d) ~ 1e18 would amplify any roundoff left in a Gaunt
+        coefficient that should vanish."""
+        nc = n_coeffs(L)
+        centers = np.array([[0.0, 0.0, 0.0], offset])
+        radii = np.array([0.35, 0.3])
+        lams = np.array([-1.2 + 0.4j, -0.8 + 0.3j])
+        cloud = ScattererCloud(centers=centers, radii=radii, impedances=lams)
+        A = assemble_bie(cloud, tilted_wave, L=L).matrix
+        for m, j in ((0, 1), (1, 0)):
+            exact = A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc]
+            quad = coupling_block(tilted_wave.kappa, lams[m], centers[m], radii[m],
+                                  centers[j], radii[j], L, 40)
+            assert np.max(np.abs(exact - quad)) <= 1e-12 * np.max(np.abs(quad))
 
     def test_far_separation_decouples(self, wave):
         """Coupling correction decays like the inverse separation."""

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from foldylax import ResonanceGuard, sphere_operator_spectra
-from foldylax.oracle import nystrom_apply
 from foldylax.spherical import harmonic_matrix, sphere_quadrature
+
+from quadrature_oracles import nystrom_apply
 
 
 def ref_jl(l, z):
