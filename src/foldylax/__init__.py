@@ -38,20 +38,13 @@ _EXPORTS = {
     "save_cloud": "io", "load_cloud": "io",
 }
 
-# exceptions are cheap: export them eagerly
-from .errors import (CapacityExceeded, CoincidentCenters, CoincidentPoints,  # noqa: E402
-                     FoldylaxError, GridMismatch, InfeasibleOracle,
-                     MissingRegime, NonUnitDirection, OverlappingSpheres,
-                     RegimeViolation, ResonanceGuard, SeriesNotConverged,
-                     SingularSystem, SphericalPole, ZeroImpedance)
+# exceptions are cheap: export every FoldylaxError subclass eagerly
+from . import errors as _errors  # noqa: E402
 
-__all__ = sorted(set(_EXPORTS) | {
-    "__version__", "FoldylaxError", "RegimeViolation", "CapacityExceeded",
-    "OverlappingSpheres", "CoincidentPoints", "CoincidentCenters",
-    "NonUnitDirection", "ZeroImpedance", "SphericalPole", "SingularSystem",
-    "MissingRegime", "ResonanceGuard", "SeriesNotConverged", "GridMismatch",
-    "InfeasibleOracle",
-})
+_ERRORS = {name: obj for name, obj in vars(_errors).items()
+           if isinstance(obj, type) and issubclass(obj, _errors.FoldylaxError)}
+globals().update(_ERRORS)
+__all__ = sorted(set(_EXPORTS) | set(_ERRORS) | {"__version__"})
 
 
 def __getattr__(name):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InfeasibleOracle
-from .foldy import (FarFieldGrid, Variant, assemble, charge_bound_check,
-                    farfield, invertibility_report, solve)
+from .foldy import (FarFieldGrid, InvertibilityReport, Variant, assemble,
+                    charge_bound_check, farfield, solve)
 from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
 from .kernels import fibonacci_sphere
 from .oracle import assemble_bie, bie_farfield, mie_reference, solve_bie
@@ -202,7 +202,7 @@ class RegimeSweepRow:
     a: float
     M: int
     d_eff: float
-    report: object
+    report: InvertibilityReport
     residual: float
     charge_ratio: float  # max|Q_m| / a^(2-beta)
     charge_bound_ok: bool
@@ -217,11 +217,9 @@ def regime_sweep(template: RegimeParams, a_values, wave: IncidentWave,
     for a in (float(a) for a in a_values):
         regime = dataclasses.replace(template, a=a)
         cloud = generate_grid_cloud(regime, box_side=box_side, jitter=jitter, seed=seed)
-        system = assemble(cloud, wave, variant)
-        report = invertibility_report(system)
-        sol = solve(system)
+        sol = solve(assemble(cloud, wave, variant))
         ratio = float(np.max(np.abs(sol.charges)) / a ** (2.0 - regime.beta))
-        rows.append(RegimeSweepRow(a=a, M=cloud.M, d_eff=cloud.d_eff, report=report,
+        rows.append(RegimeSweepRow(a=a, M=cloud.M, d_eff=cloud.d_eff, report=sol.diagnostics,
                                    residual=sol.residual_inf, charge_ratio=ratio,
                                    charge_bound_ok=charge_bound_check(sol, regime, c_tilde)))
     return rows

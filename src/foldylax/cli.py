@@ -5,7 +5,8 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series), 4 oracle refused as infeasible.
+(singular system, unconverged series), 4 oracle refused as infeasible or
+dense system too large for the memory available.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads. The cap must land in the
 environment before numpy loads, so every heavy import in this module lives
@@ -233,9 +234,7 @@ def _cmd_solve(args) -> int:
     print(f"M={cloud.M} residual={sol.residual_inf:.3e} "
           f"wrote {args.out}_charges.csv {args.out}_farfield.csv")
     if args.check_invertibility:
-        rep = sol.diagnostics
-        if rep is None:
-            rep = foldy.invertibility_report(system)
+        rep = sol.diagnostics or foldy.invertibility_report(system)
         print(f"invertibility: case={rep.applicable_case} "
               f"condition={rep.condition_applicable}")
         print(f"  frobenius_offdiag_real={rep.frobenius_offdiag_real:.6g} "
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     from . import errors
     try:
         return args.handler(args)
-    except errors.InfeasibleOracle as exc:
+    except (errors.InfeasibleOracle, errors.InsufficientMemory) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (errors.SingularSystem, errors.SeriesNotConverged) as exc:

@@ -68,3 +68,7 @@ class GridMismatch(FoldylaxError, ValueError):
 
 class InfeasibleOracle(FoldylaxError, ValueError):
     """Boundary-integral oracle size exceeds the configured cap."""
+
+
+class InsufficientMemory(FoldylaxError, MemoryError):
+    """Dense system would not fit in the memory available."""

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import (CoincidentCenters, MissingRegime, RegimeViolation,
+from .errors import (CoincidentCenters, InsufficientMemory, MissingRegime, RegimeViolation,
                      SingularSystem, SphericalPole, ZeroImpedance)
-from .geometry import IncidentWave, RegimeParams, ScattererCloud
+from .geometry import IncidentWave, RegimeParams, ScattererCloud, pairwise_row_blocks, row_blocks
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 
 RESIDUAL_TOL = 1e-10
@@ -158,9 +158,13 @@ class FarFieldGrid:
         object.__setattr__(self, "values", values)
 
 
-def _pairwise_distances(centers: np.ndarray) -> np.ndarray:
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.linalg.norm(diff, axis=-1)
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvailable:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        return None
 
 
 def assemble(cloud: ScattererCloud, wave: IncidentWave,
@@ -172,6 +176,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             general variant with regime beta == 1.
         CoincidentCenters: two centers numerically coincide.
         ZeroImpedance / SphericalPole: via coefficient().
+        InsufficientMemory: the matrix and its LU copy, 2*16*M^2 bytes, exceed
+            the memory available.
     """
     variant = Variant(variant)
     if wave.kappa * cloud.a_eff >= 1.0:
@@ -187,13 +193,21 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         coeffs[m] = coefficient(cloud.impedances[m], variant,
                                 radius=float(cloud.radii[m]),
                                 area=float(cloud.areas[m])).value
-    dist = _pairwise_distances(cloud.centers)
-    off = ~np.eye(M, dtype=bool)
-    if M > 1 and np.min(dist[off]) < 1e-14:
-        raise CoincidentCenters("two scatterer centers coincide")
-    B = np.zeros((M, M), dtype=complex)
-    if M > 1:
-        B[off] = -np.exp(1j * wave.kappa * dist[off]) / (4.0 * np.pi * dist[off])
+    need, available = 2 * 16 * M * M, _available_bytes()
+    if available is not None and need > available:
+        raise InsufficientMemory(
+            f"M = {M} needs {need / 2**20:.0f} MiB for the matrix and its LU "
+            f"factors; {available / 2**20:.0f} MiB available")
+    B = np.empty((M, M), dtype=complex)
+    for i0, i1, dist in pairwise_row_blocks(cloud.centers):
+        diag = np.diag_indices(i1 - i0)
+        dist[diag] = np.inf
+        if np.min(dist) < 1e-14:
+            raise CoincidentCenters("two scatterer centers coincide")
+        dist[diag] = 1.0  # overwritten below; keeps exp and division finite
+        blk = -np.exp(1j * wave.kappa * dist) / (4.0 * np.pi * dist)
+        B[i0:i1, i0:] = blk
+        B[i0:, i0:i1] = blk.T  # B is symmetric: |z_i - z_j| is, bit for bit
     B[np.diag_indices(M)] = -1.0 / coeffs
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     B.setflags(write=False)
@@ -202,26 +216,33 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
                           cloud=cloud, wave=wave, variant=variant)
 
 
-def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
-    """Dense LU solve with partial pivoting.
-
-    Raises SingularSystem if a pivot underflows 1e-14 * ||B||_inf or the
-    relative infinity-norm residual exceeds 1e-10 (the invertibility report,
-    when a regime is attached, rides along on the exception).
-    """
-    B, rhs = system.matrix, system.rhs
-    diagnostics = (invertibility_report(system) if system.cloud.regime is not None else None)
-    lu, piv = la.lu_factor(B)
-    scale = np.linalg.norm(B, np.inf)
+def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float):
+    """LU solve returning (x, relative inf-norm residual); raises SingularSystem if a
+    pivot underflows PIVOT_REL_TOL * ||A||_inf or the residual exceeds residual_tol."""
+    lu, piv = la.lu_factor(A)
+    scale = max(float(np.abs(A[i0:i1]).sum(axis=1).max()) for i0, i1 in row_blocks(len(A)))
     min_pivot = float(np.min(np.abs(np.diag(lu))))
     if min_pivot <= PIVOT_REL_TOL * scale:
-        raise SingularSystem(
-            f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||B||", diagnostics)
-    charges = la.lu_solve((lu, piv), rhs)
-    residual = float(np.linalg.norm(B @ charges - rhs, np.inf)
-                     / np.linalg.norm(rhs, np.inf))
-    if residual > RESIDUAL_TOL:
-        raise SingularSystem(f"solve residual {residual:g} > {RESIDUAL_TOL:g}", diagnostics)
+        raise SingularSystem(f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||A||")
+    x = la.lu_solve((lu, piv), rhs)
+    residual = float(np.linalg.norm(A @ x - rhs, np.inf)
+                     / max(np.linalg.norm(rhs, np.inf), 1e-300))
+    if residual > residual_tol:
+        raise SingularSystem(f"solve residual {residual:g} > {residual_tol:g}")
+    return x, residual
+
+
+def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
+    """Checked dense LU solve with residual bound RESIDUAL_TOL.
+
+    A regime cloud's invertibility report rides on the solution and on SingularSystem.
+    """
+    diagnostics = (invertibility_report(system) if system.cloud.regime is not None else None)
+    try:
+        charges, residual = _checked_lu_solve(system.matrix, system.rhs, RESIDUAL_TOL)
+    except SingularSystem as exc:
+        exc.diagnostics = diagnostics
+        raise
     charges.setflags(write=False)
     return FoldyLaxSolution(charges=charges, residual_inf=residual,
                             system=system, diagnostics=diagnostics)
@@ -252,7 +273,7 @@ def invertibility_report(system: FoldyLaxSystem,
     regime = regime if regime is not None else system.cloud.regime
     if regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
-    cloud, kappa = system.cloud, system.wave.kappa
+    cloud = system.cloud
     M = cloud.M
     coeffs = system.coefficients
     a, s, t = regime.a, regime.s, regime.t
@@ -268,28 +289,27 @@ def invertibility_report(system: FoldyLaxSystem,
             applicable_case=_sign_case(cloud.impedances), lemma_threshold=0.0,
             remark_gamma_condition=True)
 
-    dist = _pairwise_distances(cloud.centers)
-    off = ~np.eye(M, dtype=bool)
-    re_bn = np.zeros((M, M))
-    re_bn[off] = np.cos(kappa * dist[off]) / (4.0 * np.pi * dist[off])
-    frob = float(np.linalg.norm(re_bn, "fro"))
+    # off the diagonal B = -e^{i kappa d}/(4 pi d): Re B_n = -Re B and
+    # cos(kappa d) = -Re B / |B|, read off B one row block at a time
+    frob2, gamma = 0.0, math.inf
+    for i0, i1 in row_blocks(M):
+        re = system.matrix[i0:i1].real.copy()
+        cos = -re / np.abs(system.matrix[i0:i1])
+        np.fill_diagonal(re[:, i0:], 0.0)
+        np.fill_diagonal(cos[:, i0:], math.inf)
+        frob2, gamma = frob2 + float(np.vdot(re, re)), min(gamma, float(np.min(cos)))
+    frob = math.sqrt(frob2)
 
     d_eff = cloud.d_eff
     threshold = math.sqrt(2.0 * m_hat) / (math.pi * d_eff**exponent)
     max_c2 = float(np.max(np.abs(coeffs)) ** 2)
     case = _sign_case(cloud.impedances)
-    if case == "NegRealLambda":
-        cond_neg = float(np.min(coeffs.real)) / max_c2 > threshold
-        cond_pos = False
-        num = float(np.min(coeffs.real))
-    elif case == "PosRealLambda":
-        cond_pos = float(np.min(-coeffs.real)) / max_c2 > threshold
-        cond_neg = False
-        num = float(np.min(-coeffs.real))
-    else:
-        num = float(np.min(np.abs(coeffs.real)))
-        cond_neg = cond_pos = num / max_c2 > threshold
-    gamma = float(np.min(np.cos(kappa * dist[off])))
+    # numerator min Re(+/-C_m): only the detected sign case's condition can hold;
+    # Mixed flips row signs and gives both booleans the min|Re C_m| verdict
+    sign = {"NegRealLambda": 1.0, "PosRealLambda": -1.0}.get(case)
+    num = float(np.min(sign * coeffs.real if sign else np.abs(coeffs.real)))
+    ok = num / max_c2 > threshold
+    cond_neg, cond_pos = ok and sign != -1.0, ok and sign != 1.0
     remark = None
     if gamma >= 0:
         remark = (5.0 * math.pi / 3.0) * num / max_c2 > gamma / d_eff

@@ -25,6 +25,8 @@ from .errors import CapacityExceeded, OverlappingSpheres, RegimeViolation
 DEFAULT_KAPPA_MAX = 2.0 * np.pi
 _REL_TOL = 1e-12
 THETA_UNIT_TOL = 1e-14
+# pairwise passes take row blocks of about this many pairs: no M x M temporaries
+PAIR_BLOCK = 1 << 17
 
 
 def _finite(x) -> bool:
@@ -182,13 +184,24 @@ class ScattererCloud:
         return 2.0 * float(np.max(self.radii))
 
 
+def row_blocks(n: int):
+    """Row slices (i0, i1) of an n-row pairwise array, about PAIR_BLOCK pairs each."""
+    rows = max(1, PAIR_BLOCK // n)
+    return ((i0, min(i0 + rows, n)) for i0 in range(0, n, rows))
+
+
+def pairwise_row_blocks(centers: np.ndarray):
+    """Yield (i0, i1, dist), dist[k, j - i0] = |z_(i0+k) - z_j| for j >= i0: the upper triangle."""
+    x, y, z = (np.ascontiguousarray(centers[:, k]) for k in range(3))
+    for i0, i1 in row_blocks(len(centers)):
+        dx, dy, dz = (c[i0:i1, None] - c[i0:] for c in (x, y, z))
+        yield i0, i1, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _min_surface_distance(centers: np.ndarray, radii: np.ndarray) -> float:
-    if len(centers) < 2:
-        return math.inf
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1) - radii[:, None] - radii[None, :]
-    iu = np.triu_indices(len(centers), k=1)
-    return float(np.min(dist[iu]))
+    return float(min(np.min(dist - radii[i0:i1, None] - radii[None, i0:], initial=math.inf,
+                            where=np.triu(np.ones(dist.shape, dtype=bool), 1))
+                     for i0, i1, dist in pairwise_row_blocks(centers)))
 
 
 @dataclass(frozen=True)

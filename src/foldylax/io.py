@@ -95,14 +95,20 @@ def load_cloud(path: str) -> ScattererCloud:
     return cloud_from_document(doc)
 
 
-def cloud_from_document(doc: dict) -> ScattererCloud:
-    required = {"version", "centers", "radii", "impedance_re", "impedance_im", "regime"}
-    missing = required - set(doc)
+def _require_keys(doc, keys: str, what: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    missing = set(keys.split()) - set(doc)
     if missing:
-        raise ValueError(f"cloud document missing keys: {sorted(missing)}")
-    regime = None
-    if doc["regime"] is not None:
-        r = doc["regime"]
+        raise ValueError(f"{what} missing keys: {sorted(missing)}")
+
+
+def cloud_from_document(doc: dict) -> ScattererCloud:
+    _require_keys(doc, "version centers radii impedance_re impedance_im regime", "cloud document")
+    regime, r = None, doc["regime"]
+    if r is not None:
+        _require_keys(r, "a s t beta M_max d_min d_max lambda0_re lambda0_im",
+                      "cloud document regime")
         regime = RegimeParams(a=r["a"], s=r["s"], t=r["t"], beta=r["beta"],
                               M_max=r["M_max"], d_min=r["d_min"], d_max=r["d_max"],
                               lambda0=complex(r["lambda0_re"], r["lambda0_im"]))

@@ -48,12 +48,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
-from .errors import (OverlappingSpheres, ResonanceGuard, SeriesNotConverged,
-                     SingularSystem)
-from .foldy import FarFieldGrid
+from .errors import OverlappingSpheres, ResonanceGuard, SeriesNotConverged
+from .foldy import FarFieldGrid, _checked_lu_solve
 from .geometry import IncidentWave, ScattererCloud
 from .spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
@@ -300,18 +298,8 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
 
 
 def solve_bie(system: BieSystem) -> BieSolution:
-    """LU solve of the boundary-integral system; residual must stay <= 1e-9."""
-    A, rhs = system.matrix, system.rhs
-    lu, piv = la.lu_factor(A)
-    scale = np.linalg.norm(A, np.inf)
-    min_pivot = float(np.min(np.abs(np.diag(lu))))
-    if min_pivot <= 1e-14 * scale:
-        raise SingularSystem(f"pivot {min_pivot:g} underflows 1e-14*||A||")
-    x = la.lu_solve((lu, piv), rhs)
-    residual = float(np.linalg.norm(A @ x - rhs, np.inf)
-                     / max(np.linalg.norm(rhs, np.inf), 1e-300))
-    if residual > BIE_RESIDUAL_TOL:
-        raise SingularSystem(f"BIE residual {residual:g} > {BIE_RESIDUAL_TOL:g}")
+    """Checked LU solve of the boundary-integral system; residual must stay <= 1e-9."""
+    x, residual = _checked_lu_solve(system.matrix, system.rhs, BIE_RESIDUAL_TOL)
     nc = n_coeffs(system.L)
     densities = []
     for m in range(system.cloud.M):

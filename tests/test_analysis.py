@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldylax import (FarFieldGrid, GridMismatch, InfeasibleOracle,
-                      OracleSettings, RegimeParams, assemble, convergence_study,
+                      InvertibilityReport, OracleSettings, RegimeParams, assemble, convergence_study,
                       farfield, farfield_error, fit_rate, oracle_farfield,
                       predicted_slope, regime_sweep, solve)
 from foldylax.kernels import fibonacci_sphere
@@ -173,12 +173,19 @@ class TestConvergenceStudy:
 
 
 class TestRegimeSweep:
-    def test_rows_and_diagnostics(self, wave):
+    def test_rows_and_diagnostics(self, wave, monkeypatch):
         rg = RegimeParams(a=0.1, s=2.0, t=1.0, beta=0.0, M_max=1.0,
                           d_min=1.0, d_max=2.0, lambda0=-0.5)
+        from foldylax import foldy
+        calls = []
+        report = foldy.invertibility_report
+        monkeypatch.setattr(foldy, "invertibility_report",
+                            lambda *a, **k: calls.append(1) or report(*a, **k))
         rows = regime_sweep(rg, [0.1, 0.05], wave)
         assert [r.M for r in rows] == [100, 400]
+        assert len(calls) == 2  # one report per row: the solve's own
         for row in rows:
+            assert isinstance(row.report, InvertibilityReport)
             assert row.residual <= 1e-10
             assert row.report.condition_applicable
             assert row.report.frobenius_offdiag_real <= row.report.bound_rhs

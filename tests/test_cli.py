@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -54,6 +55,38 @@ class TestExitCodes:
         assert run(gen_args(cloud)) == 0  # M = 400
         assert run(["compare", cloud, "--oracle", "bie",
                     "--out", tmp_path / "x"]) == 4
+
+    def test_insufficient_memory_is_4(self, tmp_path, monkeypatch, capsys):
+        from foldylax import foldy
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0  # M = 400
+        monkeypatch.setattr(foldy, "_available_bytes", lambda: 1024)
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: M = 400 needs 5 MiB") and "Traceback" not in err
+        assert not (tmp_path / "x_charges.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["regime"].pop("s"), "cloud document regime missing keys: ['s']"),
+        (lambda doc: doc.update(regime=[1, 2]),
+         "cloud document regime must be a JSON object, not list"),
+        (lambda doc: doc.pop("radii"), "cloud document missing keys: ['radii']"),
+    ])
+    def test_malformed_document_is_2(self, tmp_path, capsys, edit, message):
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0
+        doc = json.loads(cloud.read_text())
+        edit(doc)
+        cloud.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_object_document_is_2(self, tmp_path, capsys):
+        cloud = tmp_path / "c.json"
+        cloud.write_text("[[0, 0, 0]]")
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == "error: cloud document must be a JSON object, not list\n"
 
     def test_bad_threads_env_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FOLDYLAX_THREADS", "many")
@@ -181,3 +214,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "foldylax" in capsys.readouterr().out
+
+
+def test_every_error_class_is_exported():
+    import foldylax
+    from foldylax import errors
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.FoldylaxError)}
+    assert "InsufficientMemory" in classes
+    assert classes <= set(foldylax.__all__)
+    assert all(getattr(foldylax, name) is getattr(errors, name) for name in classes)
