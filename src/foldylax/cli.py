@@ -5,8 +5,8 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series), 4 oracle refused as infeasible or
-dense system too large for the memory available.
+(singular system, unconverged series), 4 oracle refused as infeasible, or
+too little memory for the dense matrix or, on the LU path, its LU copy.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads. The cap must land in the
 environment before numpy loads, so every heavy import in this module lives

@@ -16,6 +16,14 @@ The spherical variant folds in the exact static single-layer response of a
 ball (eigenvalue r_m on constants) and carries one extra order of accuracy in
 the obstacle size; it requires true spheres. For M = 1 the solution reduces
 to Q_1 = -C_1 * U^i(z_1).
+
+B is complex symmetric, so its Hermitian part is Re B = diag(Re B_mm) + Re B_n.
+When every Re B_mm has one sign and mu = min|Re B_mm| - ||Re B_n||_F exceeds
+PIVOT_REL_TOL * ||B||_inf, Weyl's inequality makes Re B definite, so
+sigma_min(B) >= mu and GMRES converges (Eisenstat, Elman & Schultz, SIAM J.
+Numer. Anal. 20, 1983). solve() then runs restarted GMRES right-preconditioned
+by -C_m = 1/B_mm in O(M^2) time and memory beyond B. Mixed signs, a small mu,
+or GMRES reaching its iteration cap fall back to the checked dense LU.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 RESIDUAL_TOL = 1e-10
 PIVOT_REL_TOL = 1e-14
 POLE_TOL = 1e-12
+GMRES_TOL = 1e-14  # relative 2-norm residual at which GMRES stops
+GMRES_RESTART = 50
+GMRES_MAXITER = 200  # matrix-vector products before falling back to LU
 
 
 class Variant(str, enum.Enum):
@@ -129,10 +140,14 @@ class InvertibilityReport:
 
 @dataclass(frozen=True)
 class FoldyLaxSolution:
+    """Charges with their relative inf-norm residual; iterations is the GMRES
+    matrix-vector count, None where the dense LU solved the system."""
+
     charges: np.ndarray
     residual_inf: float
     system: FoldyLaxSystem
     diagnostics: InvertibilityReport | None
+    iterations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -167,6 +182,14 @@ def _available_bytes() -> int | None:
         return None
 
 
+def _require_memory(need: int, subject: str, purpose: str):
+    """Raise InsufficientMemory when need bytes exceed MemAvailable."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise InsufficientMemory(f"{subject} needs {need / 2**20:.0f} MiB for {purpose}; "
+                                 f"{available / 2**20:.0f} MiB available")
+
+
 def assemble(cloud: ScattererCloud, wave: IncidentWave,
              variant: Variant | str = Variant.GENERAL) -> FoldyLaxSystem:
     """Build the dense system for a cloud and an incident plane wave.
@@ -176,8 +199,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             general variant with regime beta == 1.
         CoincidentCenters: two centers numerically coincide.
         ZeroImpedance / SphericalPole: via coefficient().
-        InsufficientMemory: the matrix and its LU copy, 2*16*M^2 bytes, exceed
-            the memory available.
+        InsufficientMemory: the matrix, 16*M^2 bytes, exceeds the memory
+            available.
     """
     variant = Variant(variant)
     if wave.kappa * cloud.a_eff >= 1.0:
@@ -193,11 +216,7 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         coeffs[m] = coefficient(cloud.impedances[m], variant,
                                 radius=float(cloud.radii[m]),
                                 area=float(cloud.areas[m])).value
-    need, available = 2 * 16 * M * M, _available_bytes()
-    if available is not None and need > available:
-        raise InsufficientMemory(
-            f"M = {M} needs {need / 2**20:.0f} MiB for the matrix and its LU "
-            f"factors; {available / 2**20:.0f} MiB available")
+    _require_memory(16 * M * M, f"M = {M}", "the matrix")
     B = np.empty((M, M), dtype=complex)
     for i0, i1, dist in pairwise_row_blocks(cloud.centers):
         diag = np.diag_indices(i1 - i0)
@@ -216,36 +235,150 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
                           cloud=cloud, wave=wave, variant=variant)
 
 
-def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float):
-    """LU solve returning (x, relative inf-norm residual); raises SingularSystem if a
-    pivot underflows PIVOT_REL_TOL * ||A||_inf or the residual exceeds residual_tol."""
+def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
+    """||r||_inf / ||rhs||_inf; raises SingularSystem above residual_tol."""
+    residual = float(np.linalg.norm(r, np.inf) / max(np.linalg.norm(rhs, np.inf), 1e-300))
+    if residual > residual_tol:
+        raise SingularSystem(f"solve residual {residual:g} > {residual_tol:g}")
+    return residual
+
+
+def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float,
+                      scale: float | None = None):
+    """LU solve returning (x, relative inf-norm residual).
+
+    scale is ||A||_inf when the caller has it. Raises InsufficientMemory if the
+    LU copy and lu_factor's finiteness mask do not fit in the memory available,
+    SingularSystem if a pivot underflows PIVOT_REL_TOL * ||A||_inf or the
+    residual exceeds residual_tol.
+    """
+    n = len(A)
+    _require_memory(A.nbytes + A.size, f"{n}x{n} system", "its LU factors")
     lu, piv = la.lu_factor(A)
-    scale = max(float(np.abs(A[i0:i1]).sum(axis=1).max()) for i0, i1 in row_blocks(len(A)))
+    if scale is None:
+        scale = max(float(np.abs(A[i0:i1]).sum(axis=1).max()) for i0, i1 in row_blocks(n))
     min_pivot = float(np.min(np.abs(np.diag(lu))))
     if min_pivot <= PIVOT_REL_TOL * scale:
         raise SingularSystem(f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||A||")
     x = la.lu_solve((lu, piv), rhs)
-    residual = float(np.linalg.norm(A @ x - rhs, np.inf)
-                     / max(np.linalg.norm(rhs, np.inf), 1e-300))
-    if residual > residual_tol:
-        raise SingularSystem(f"solve residual {residual:g} > {residual_tol:g}")
-    return x, residual
+    return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
+
+
+def _scan(B: np.ndarray, with_gamma: bool):
+    """One row-block pass over B: (||Re B_n||_F, ||B||_inf, gamma).
+
+    Off the diagonal B = -e^{i kappa d}/(4 pi d), so Re B_n = -Re B and
+    gamma = min cos(kappa d) = min -Re B/|B|; gamma is None unless with_gamma.
+    """
+    frob2, norm_inf, gamma = 0.0, 0.0, math.inf
+    for i0, i1 in row_blocks(len(B)):
+        absb = np.abs(B[i0:i1])
+        norm_inf = max(norm_inf, float(absb.sum(axis=1).max()))
+        re = B[i0:i1].real.copy()
+        if with_gamma:
+            cos = -re / absb
+            np.fill_diagonal(cos[:, i0:], math.inf)
+            gamma = min(gamma, float(np.min(cos)))
+        np.fill_diagonal(re[:, i0:], 0.0)
+        frob2 += float(np.vdot(re, re))
+    return math.sqrt(frob2), norm_inf, (gamma if with_gamma else None)
+
+
+def _definite_margin(B: np.ndarray, frob_offdiag_real: float, norm_inf: float) -> float | None:
+    """mu = min|Re B_mm| - ||Re B_n||_F when every Re B_mm has one sign and
+    mu > PIVOT_REL_TOL * ||B||_inf, else None.
+
+    Re B = (B + B^H)/2 differs from diag(Re B_mm) by Re B_n, whose 2-norm is at
+    most ||Re B_n||_F, so by Weyl's inequality Re B is definite with
+    |x^H B x| >= mu |x|^2, and sigma_min(B) >= mu.
+    """
+    d = B.diagonal().real
+    if not (np.all(d > 0) or np.all(d < 0)):
+        return None
+    mu = float(np.min(np.abs(d))) - frob_offdiag_real
+    return mu if mu > PIVOT_REL_TOL * norm_inf else None
+
+
+def _gmres(B: np.ndarray, rhs: np.ndarray, precond: np.ndarray):
+    """Restarted GMRES for B x = rhs, right-preconditioned by diag(precond).
+
+    Arnoldi with classical Gram-Schmidt; the Hessenberg least squares is
+    kept triangular by Givens rotations. Stops once the true
+    residual rhs - B x falls to GMRES_TOL * ||rhs||_2 and returns (x, that
+    residual, matrix-vector count); returns None after GMRES_MAXITER products.
+    """
+    m = GMRES_RESTART
+    bnorm = float(np.linalg.norm(rhs))
+    x, r = np.zeros(len(rhs), dtype=complex), np.array(rhs, dtype=complex)
+    V = np.empty((m + 1, len(rhs)), dtype=complex)
+    R = np.zeros((m, m), dtype=complex)
+    cs, sn = np.zeros(m), np.zeros(m, dtype=complex)
+    iterations = 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        if beta <= GMRES_TOL * bnorm:
+            return x, r, iterations
+        if iterations >= GMRES_MAXITER:
+            return None
+        V[0] = r / beta
+        g = np.zeros(m + 1, dtype=complex)
+        g[0] = beta
+        for j in range(m):
+            w = B @ (precond * V[j])
+            iterations += 1
+            h = V[:j + 1].conj() @ w
+            w -= h @ V[:j + 1]
+            hn = float(np.linalg.norm(w))
+            for i in range(j):
+                h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                                  -np.conj(sn[i]) * h[i] + cs[i] * h[i + 1])
+            rho = math.hypot(abs(h[j]), hn)
+            cs[j], sn[j] = ((abs(h[j]) / rho, h[j] / abs(h[j]) * hn / rho) if h[j] != 0
+                            else (0.0, 1.0))
+            R[:j, j], R[j, j] = h[:j], cs[j] * h[j] + sn[j] * hn
+            g[j], g[j + 1] = cs[j] * g[j], -np.conj(sn[j]) * g[j]
+            if abs(g[j + 1]) <= GMRES_TOL * bnorm or hn == 0 or iterations >= GMRES_MAXITER:
+                break
+            V[j + 1] = w / hn
+        k = j + 1
+        y = la.solve_triangular(R[:k, :k], g[:k])
+        x += precond * (y @ V[:k])
+        r = rhs - B @ x
 
 
 def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
-    """Checked dense LU solve with residual bound RESIDUAL_TOL.
+    """Certified GMRES, else checked dense LU; residual bound RESIDUAL_TOL.
 
-    A regime cloud's invertibility report rides on the solution and on SingularSystem.
+    One row-block pass over B yields ||Re B_n||_F and ||B||_inf (and the
+    invertibility report of a regime cloud). If every Re B_mm has one sign and
+    mu = min|Re B_mm| - ||Re B_n||_F > PIVOT_REL_TOL * ||B||_inf, then
+    sigma_min(B) >= mu, which takes the place of the LU pivot test, and
+    restarted GMRES preconditioned by -C_m runs to a relative residual of
+    GMRES_TOL; iterations records its matrix-vector count. Otherwise, or when
+    GMRES reaches GMRES_MAXITER, the dense LU solves with its pivot test and
+    iterations is None. Either way the inf-norm residual is checked against
+    RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution
+    and on SingularSystem.
     """
-    diagnostics = (invertibility_report(system) if system.cloud.regime is not None else None)
+    B, regime = system.matrix, system.cloud.regime
+    frob, norm_inf, gamma = _scan(B, with_gamma=regime is not None)
+    diagnostics = _report(system, regime, frob, gamma) if regime is not None else None
     try:
-        charges, residual = _checked_lu_solve(system.matrix, system.rhs, RESIDUAL_TOL)
+        found = None
+        if _definite_margin(B, frob, norm_inf) is not None:
+            found = _gmres(B, system.rhs, 1.0 / B.diagonal())
+        if found is None:
+            charges, residual = _checked_lu_solve(B, system.rhs, RESIDUAL_TOL, norm_inf)
+            iterations = None
+        else:
+            charges, r, iterations = found
+            residual = _relative_residual(r, system.rhs, RESIDUAL_TOL)
     except SingularSystem as exc:
         exc.diagnostics = diagnostics
         raise
     charges.setflags(write=False)
-    return FoldyLaxSolution(charges=charges, residual_inf=residual,
-                            system=system, diagnostics=diagnostics)
+    return FoldyLaxSolution(charges=charges, residual_inf=residual, system=system,
+                            diagnostics=diagnostics, iterations=iterations)
 
 
 def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -> FarFieldGrid:
@@ -273,6 +406,13 @@ def invertibility_report(system: FoldyLaxSystem,
     regime = regime if regime is not None else system.cloud.regime
     if regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
+    frob, _, gamma = _scan(system.matrix, with_gamma=True)
+    return _report(system, regime, frob, gamma)
+
+
+def _report(system: FoldyLaxSystem, regime: RegimeParams, frob: float,
+            gamma: float) -> InvertibilityReport:
+    """The report from ||Re B_n||_F and gamma, as _scan reads them off B."""
     cloud = system.cloud
     M = cloud.M
     coeffs = system.coefficients
@@ -288,17 +428,6 @@ def invertibility_report(system: FoldyLaxSystem,
             condition_negRe=True, condition_posRe=True, gamma=1.0,
             applicable_case=_sign_case(cloud.impedances), lemma_threshold=0.0,
             remark_gamma_condition=True)
-
-    # off the diagonal B = -e^{i kappa d}/(4 pi d): Re B_n = -Re B and
-    # cos(kappa d) = -Re B / |B|, read off B one row block at a time
-    frob2, gamma = 0.0, math.inf
-    for i0, i1 in row_blocks(M):
-        re = system.matrix[i0:i1].real.copy()
-        cos = -re / np.abs(system.matrix[i0:i1])
-        np.fill_diagonal(re[:, i0:], 0.0)
-        np.fill_diagonal(cos[:, i0:], math.inf)
-        frob2, gamma = frob2 + float(np.vdot(re, re)), min(gamma, float(np.min(cos)))
-    frob = math.sqrt(frob2)
 
     d_eff = cloud.d_eff
     threshold = math.sqrt(2.0 * m_hat) / (math.pi * d_eff**exponent)

@@ -12,6 +12,8 @@ Cloud document schema (JSON):
      "regime": null | {"a","s","t","beta","M_max","d_min","d_max",
                        "lambda0_re","lambda0_im"},
      "areas": null | [...]}
+
+Every regime value must be a JSON number; anything else is a ValueError.
 """
 
 from __future__ import annotations
@@ -103,12 +105,18 @@ def _require_keys(doc, keys: str, what: str):
         raise ValueError(f"{what} missing keys: {sorted(missing)}")
 
 
+_REGIME_NUMBERS = "a s t beta M_max d_min d_max lambda0_re lambda0_im"
+
+
 def cloud_from_document(doc: dict) -> ScattererCloud:
     _require_keys(doc, "version centers radii impedance_re impedance_im regime", "cloud document")
     regime, r = None, doc["regime"]
     if r is not None:
-        _require_keys(r, "a s t beta M_max d_min d_max lambda0_re lambda0_im",
-                      "cloud document regime")
+        _require_keys(r, _REGIME_NUMBERS, "cloud document regime")
+        for key in _REGIME_NUMBERS.split():
+            if isinstance(r[key], bool) or not isinstance(r[key], (int, float)):
+                raise ValueError(f"cloud document regime {key!r} must be a JSON number, "
+                                 f"not {json.dumps(r[key])}")
         regime = RegimeParams(a=r["a"], s=r["s"], t=r["t"], beta=r["beta"],
                               M_max=r["M_max"], d_min=r["d_min"], d_max=r["d_max"],
                               lambda0=complex(r["lambda0_re"], r["lambda0_im"]))

@@ -178,12 +178,11 @@ class TestRegimeSweep:
                           d_min=1.0, d_max=2.0, lambda0=-0.5)
         from foldylax import foldy
         calls = []
-        report = foldy.invertibility_report
-        monkeypatch.setattr(foldy, "invertibility_report",
-                            lambda *a, **k: calls.append(1) or report(*a, **k))
+        scan = foldy._scan
+        monkeypatch.setattr(foldy, "_scan", lambda *a, **k: calls.append(1) or scan(*a, **k))
         rows = regime_sweep(rg, [0.1, 0.05], wave)
         assert [r.M for r in rows] == [100, 400]
-        assert len(calls) == 2  # one report per row: the solve's own
+        assert len(calls) == 2  # one pass over B per row: the solve's own
         for row in rows:
             assert isinstance(row.report, InvertibilityReport)
             assert row.residual <= 1e-10

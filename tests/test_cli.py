@@ -63,8 +63,49 @@ class TestExitCodes:
         monkeypatch.setattr(foldy, "_available_bytes", lambda: 1024)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: M = 400 needs 5 MiB") and "Traceback" not in err
+        assert err.startswith("error: M = 400 needs 2 MiB for the matrix") and "Traceback" not in err
         assert not (tmp_path / "x_charges.csv").exists()
+
+    @staticmethod
+    def room_for_the_matrix_only(monkeypatch, m):
+        from foldylax import foldy
+        # B (16 M^2 bytes) fits; its LU copy plus lu_factor's mask (17 M^2) does not
+        monkeypatch.setattr(foldy, "_available_bytes", lambda: 16 * m * m + m * m // 2)
+
+    def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0  # M = 400, lambda0 = -0.5: Re B definite
+        self.room_for_the_matrix_only(monkeypatch, 400)
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
+        assert (tmp_path / "x_charges.csv").exists()
+
+    def test_lu_without_room_is_4(self, tmp_path, monkeypatch, capsys):
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0
+        doc = json.loads(cloud.read_text())
+        doc["impedance_re"][0] = -doc["impedance_re"][0]  # mixed signs: LU path
+        cloud.write_text(json.dumps(doc))
+        self.room_for_the_matrix_only(monkeypatch, 400)
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: 400x400 system needs 3 MiB for its LU factors")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x_charges.csv").exists()
+        assert not (tmp_path / "x_farfield.csv").exists()
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("a", "0.04", '"0.04"'), ("s", True, "true"), ("lambda0_im", None, "null")])
+    def test_non_number_in_regime_is_2(self, tmp_path, capsys, key, value, shown):
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0
+        doc = json.loads(cloud.read_text())
+        doc["regime"][key] = value
+        cloud.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cloud document regime {key!r} must be a JSON number, not {shown}\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["regime"].pop("s"), "cloud document regime missing keys: ['s']"),

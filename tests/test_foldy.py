@@ -1,14 +1,21 @@
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import foldylax
 from foldylax import (FarFieldGrid, FoldyLaxSystem, MissingRegime,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       SingularSystem, SphericalPole, ZeroImpedance, assemble,
                       charge_bound_check, coefficient, farfield,
                       generate_grid_cloud, invertibility_report, solve)
+from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
 from conftest import make_cloud, make_wave
@@ -195,6 +202,125 @@ class TestSolve:
         assert solve(assemble(tagged, wave, "general")).diagnostics is not None
         bare = make_cloud([[0, 0, 0]], 0.05, -1.0)
         assert solve(assemble(bare, wave, "general")).diagnostics is None
+
+
+def lu_charges(system):
+    return foldy._checked_lu_solve(system.matrix, system.rhs, foldy.RESIDUAL_TOL)[0]
+
+
+def margin(system):
+    """The certificate mu of solve(), or None."""
+    frob, norm_inf, _ = foldy._scan(system.matrix, with_gamma=False)
+    return foldy._definite_margin(system.matrix, frob, norm_inf)
+
+
+def jittered_lattice(a=0.05, lambda0=-0.5, seed=4):
+    rg = RegimeParams(a=a, s=2.0, t=1.0, beta=0.0, lambda0=lambda0)
+    return generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=seed)
+
+
+def with_one_flipped_sign(cloud):
+    imped = np.array(cloud.impedances)
+    imped[0] = -imped[0]
+    return ScattererCloud(centers=cloud.centers, radii=cloud.radii,
+                          impedances=imped, regime=cloud.regime)
+
+
+class TestCertifiedSolve:
+    """Where Re B is certified definite, GMRES replaces the dense LU."""
+
+    @pytest.mark.parametrize("variant", ["general", "spherical"])
+    @pytest.mark.parametrize("lambda0", [-0.5, 0.5 + 0.2j])
+    def test_gmres_matches_lu_on_lattices(self, tilted_wave, variant, lambda0):
+        system = assemble(jittered_lattice(lambda0=lambda0), tilted_wave, variant)
+        assert margin(system) is not None
+        sol = solve(system)
+        assert 0 < sol.iterations <= 15  # mu is about 0.7 min|Re B_mm|: 8-9 products
+        ref = lu_charges(system)
+        assert np.max(np.abs(sol.charges - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert sol.residual_inf <= math.sqrt(system.cloud.M) * foldy.GMRES_TOL
+
+    def test_mixed_signs_take_the_lu_path(self, wave):
+        system = assemble(with_one_flipped_sign(jittered_lattice()), wave, "general")
+        assert margin(system) is None
+        sol = solve(system)
+        assert sol.iterations is None
+        assert sol.diagnostics.applicable_case == "Mixed"
+        assert np.array_equal(sol.charges, lu_charges(system))
+
+    def test_weak_diagonal_takes_the_lu_path(self, wave):
+        cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
+        good = assemble(cloud, wave, "general")
+        weak = FoldyLaxSystem(matrix=np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex),
+                              rhs=good.rhs, coefficients=good.coefficients,
+                              cloud=cloud, wave=wave, variant=good.variant)
+        assert margin(weak) is None
+        sol = solve(weak)
+        assert sol.iterations is None
+        assert np.allclose(weak.matrix @ sol.charges, weak.rhs, rtol=1e-14, atol=0)
+
+    def test_margin_must_clear_the_pivot_tolerance(self):
+        # off-diagonal x with sqrt(2)*x just below 1: mu > 0 but within
+        # PIVOT_REL_TOL*||B||_inf of zero, so no certificate
+        x = (1.0 - 4e-15) / math.sqrt(2.0)
+        B = np.array([[1.0, x], [x, 1.0]], dtype=complex)
+        frob, norm_inf, _ = foldy._scan(B, with_gamma=False)
+        assert 0 < 1.0 - frob <= foldy.PIVOT_REL_TOL * norm_inf
+        assert foldy._definite_margin(B, frob, norm_inf) is None
+        assert foldy._definite_margin(-B, frob, norm_inf) is None
+        assert foldy._definite_margin(B, 0.5, norm_inf) == 0.5
+
+    def test_iteration_cap_falls_back_to_lu(self, wave, monkeypatch):
+        system = assemble(jittered_lattice(), wave, "general")
+        monkeypatch.setattr(foldy, "GMRES_MAXITER", 2)
+        sol = solve(system)
+        assert sol.iterations is None
+        assert np.array_equal(sol.charges, lu_charges(system))
+
+    @pytest.mark.parametrize("a, lambda0, variant", [
+        (0.1, -0.5, "general"), (0.1, 0.5, "general"), (0.05, -0.5, "general"),
+        (0.04, -0.5, "general"), (0.032, -0.5, "general"), (0.1, 0.5, "spherical"),
+        (0.05, -0.5 + 0.3j, "spherical")])
+    def test_lemma_condition_implies_certificate(self, wave, a, lambda0, variant):
+        """On the test lattices where the lemma holds, so does the certificate."""
+        for jitter in (0.0, 0.3):
+            rg = RegimeParams(a=a, s=2.0, t=1.0, beta=0.0, lambda0=lambda0)
+            cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=jitter, seed=1)
+            system = assemble(cloud, wave, variant)
+            assert invertibility_report(system).condition_applicable
+            assert margin(system) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12),
+       radius=st.floats(0.01, 0.25), kappa=st.floats(0.1, 3.0),
+       flip=st.booleans())
+def test_certificate_bounds_the_smallest_singular_value(seed, m, radius, kappa, flip):
+    """Wherever mu > 0 for one sign of Re B_mm, sigma_min(B) >= mu."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 1.5, size=(m, 3))
+    gaps = np.linalg.norm(centers[:, None] - centers[None], axis=-1)[np.triu_indices(m, 1)]
+    assume(np.min(gaps) > 2.2 * radius)
+    sign = -1.0 if flip else 1.0
+    impedances = sign * rng.uniform(0.1, 4.0, m) + 1j * rng.uniform(-2.0, 2.0, m)
+    cloud = ScattererCloud(centers=centers, radii=np.full(m, radius),
+                           impedances=impedances)
+    assume(kappa * cloud.a_eff < 1.0)
+    B = assemble(cloud, make_wave(kappa=kappa), "general").matrix
+    frob, _, _ = foldy._scan(B, with_gamma=False)
+    mu = float(np.min(np.abs(B.diagonal().real))) - frob
+    if mu > 0:
+        assert np.linalg.svd(B, compute_uv=False)[-1] >= mu * (1 - 1e-12)
+
+
+def test_solver_imports_no_scipy_sparse():
+    """GMRES is numpy: importing the solvers must not load scipy.sparse."""
+    code = ("import sys, foldylax.foldy, foldylax.oracle; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    src = str(Path(foldylax.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFarField:

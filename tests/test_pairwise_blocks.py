@@ -82,20 +82,43 @@ def test_report_read_off_the_matrix_matches_distance_formulas():
     assert rep.gamma == pytest.approx(float(np.min(cos)), abs=1e-14)
 
 
-def test_peak_memory_is_matrix_plus_lu_copy():
-    """assemble + report + solve stay within 2.3x the bytes of B (about 4x before)."""
-    rg = RegimeParams(a=0.032, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
-    cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=1)
-    assert 950 <= cloud.M <= 1000
+def peak_of_solving(cloud):
+    """tracemalloc peak of assemble + report + solve, with the system and solution."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         system = assemble(cloud, make_wave(), "general")
         invertibility_report(system)
-        solve(system)
+        sol = solve(system)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak, system, sol
+
+
+def dense_lattice_976():
+    rg = RegimeParams(a=0.032, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
+    cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=1)
+    assert 950 <= cloud.M <= 1000
+    return cloud
+
+
+def test_peak_memory_of_certified_solve_is_matrix_plus_blocks():
+    """GMRES needs no LU copy: within 1.7x the bytes of B (2.07x with LU)."""
+    peak, system, sol = peak_of_solving(dense_lattice_976())
+    assert sol.iterations is not None
+    assert peak <= 1.7 * system.matrix.nbytes
+
+
+def test_peak_memory_is_matrix_plus_lu_copy():
+    """The LU path (mixed signs) stays within 2.3x the bytes of B (about 4x before)."""
+    cloud = dense_lattice_976()
+    imped = np.array(cloud.impedances)
+    imped[0] = -imped[0]
+    mixed = ScattererCloud(centers=cloud.centers, radii=cloud.radii,
+                           impedances=imped, regime=cloud.regime)
+    peak, system, sol = peak_of_solving(mixed)
+    assert sol.iterations is None
     assert peak <= 2.3 * system.matrix.nbytes
 
 
