@@ -11,6 +11,9 @@ too little memory for the dense matrix or, on the LU path, its LU copy.
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads. The cap must land in the
 environment before numpy loads, so every heavy import in this module lives
 inside a command handler, not at the top.
+
+generate and solve load numpy only. scipy loads with the oracles (compare,
+sweep) or when solve falls back to the dense LU.
 """
 
 from __future__ import annotations

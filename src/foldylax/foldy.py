@@ -24,6 +24,10 @@ sigma_min(B) >= mu and GMRES converges (Eisenstat, Elman & Schultz, SIAM J.
 Numer. Anal. 20, 1983). solve() then runs restarted GMRES right-preconditioned
 by -C_m = 1/B_mm in O(M^2) time and memory beyond B. Mixed signs, a small mu,
 or GMRES reaching its iteration cap fall back to the checked dense LU.
+
+Assembly, the report and the certified solve need numpy only. scipy.linalg
+loads inside _checked_lu_solve, so only the LU fallback and the BIE oracle's
+solve pay for it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (CoincidentCenters, InsufficientMemory, MissingRegime, RegimeViolation,
                      SingularSystem, SphericalPole, ZeroImpedance)
@@ -252,6 +255,8 @@ def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float,
     SingularSystem if a pivot underflows PIVOT_REL_TOL * ||A||_inf or the
     residual exceeds residual_tol.
     """
+    import scipy.linalg as la  # here, not at the top: the certified solve needs numpy only
+
     n = len(A)
     _require_memory(A.nbytes + A.size, f"{n}x{n} system", "its LU factors")
     lu, piv = la.lu_factor(A)
@@ -341,7 +346,9 @@ def _gmres(B: np.ndarray, rhs: np.ndarray, precond: np.ndarray):
                 break
             V[j + 1] = w / hn
         k = j + 1
-        y = la.solve_triangular(R[:k, :k], g[:k])
+        y = np.zeros(k, dtype=complex)
+        for i in range(k - 1, -1, -1):  # back substitution on the triangular R
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
         x += precond * (y @ V[:k])
         r = rhs - B @ x
 

@@ -13,11 +13,15 @@ Cloud document schema (JSON):
                        "lambda0_re","lambda0_im"},
      "areas": null | [...]}
 
-Every regime value must be a JSON number; anything else is a ValueError.
+Every regime value must be a JSON number (not a string or a bool), centers a
+list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
+a non-null areas flat lists of numbers; anything else is a ValueError that
+names the key.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -56,16 +60,25 @@ def dumps_document(obj: dict) -> str:
 
 
 def write_text_atomic(path: str, text: str):
-    """Write text to path via a same-directory temp file and atomic rename."""
+    """Write text to path via a same-directory temp file and atomic rename.
+
+    An OSError names path (and its directory where the temp file cannot be
+    made there), never the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}: {directory}") from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -108,25 +121,53 @@ def _require_keys(doc, keys: str, what: str):
 _REGIME_NUMBERS = "a s t beta M_max d_min d_max lambda0_re lambda0_im"
 
 
+def _all_numbers(values) -> bool:
+    """Every item is a JSON number: an int or a float, and not a bool. Checks
+    each distinct type once, so a long list costs one pass in C."""
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _number_array(doc: dict, key: str, width: int | None = None) -> np.ndarray:
+    """doc[key] as floats: a list of JSON numbers or, with width, a list of
+    lists of width JSON numbers. Anything else is a ValueError naming key."""
+    values = doc[key]
+    what = "JSON numbers" if width is None else f"lists of {width} JSON numbers"
+    if not isinstance(values, list):
+        raise ValueError(f"cloud document {key!r} must be a list of {what}, "
+                         f"not {type(values).__name__}")
+    if width is None:
+        ok = _all_numbers(values)
+    else:
+        ok = (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}
+              and _all_numbers(itertools.chain.from_iterable(values)))
+    if not ok:
+        i = next(i for i, v in enumerate(values) if not (
+            _all_numbers([v]) if width is None
+            else type(v) is list and len(v) == width and _all_numbers(v)))
+        raise ValueError(f"cloud document {key!r} must be a list of {what}; "
+                         f"item {i} is {json.dumps(values[i])}")
+    return np.array(values, dtype=float)
+
+
 def cloud_from_document(doc: dict) -> ScattererCloud:
     _require_keys(doc, "version centers radii impedance_re impedance_im regime", "cloud document")
     regime, r = None, doc["regime"]
     if r is not None:
         _require_keys(r, _REGIME_NUMBERS, "cloud document regime")
         for key in _REGIME_NUMBERS.split():
-            if isinstance(r[key], bool) or not isinstance(r[key], (int, float)):
+            if not _all_numbers([r[key]]):
                 raise ValueError(f"cloud document regime {key!r} must be a JSON number, "
                                  f"not {json.dumps(r[key])}")
         regime = RegimeParams(a=r["a"], s=r["s"], t=r["t"], beta=r["beta"],
                               M_max=r["M_max"], d_min=r["d_min"], d_max=r["d_max"],
                               lambda0=complex(r["lambda0_re"], r["lambda0_im"]))
-    impedances = np.array(doc["impedance_re"], dtype=float) + 1j * np.array(
-        doc["impedance_im"], dtype=float)
-    return ScattererCloud(centers=np.array(doc["centers"], dtype=float),
-                          radii=np.array(doc["radii"], dtype=float),
+    impedances = _number_array(doc, "impedance_re") + 1j * _number_array(doc, "impedance_im")
+    return ScattererCloud(centers=_number_array(doc, "centers", width=3),
+                          radii=_number_array(doc, "radii"),
                           impedances=impedances, regime=regime,
                           areas=None if doc.get("areas") is None
-                          else np.array(doc["areas"], dtype=float))
+                          else _number_array(doc, "areas"))
 
 
 def _csv_text(comments, header: str, rows) -> str:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 
@@ -122,6 +123,56 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(radii=[str(r) for r in doc["radii"]]),
+         """'radii' must be a list of JSON numbers; item 0 is "0.025\""""),
+        (lambda doc: doc.update(impedance_im=[True] * len(doc["radii"])),
+         "'impedance_im' must be a list of JSON numbers; item 0 is true"),
+        (lambda doc: doc.update(areas=["1"] * len(doc["radii"])),
+         """'areas' must be a list of JSON numbers; item 0 is "1\""""),
+        (lambda doc: doc["impedance_re"].__setitem__(3, True),  # np.array makes it 1.0
+         "'impedance_re' must be a list of JSON numbers; item 3 is true"),
+        (lambda doc: doc.update(radii=[[r] for r in doc["radii"]]),
+         "'radii' must be a list of JSON numbers; item 0 is [0.025]"),
+        (lambda doc: doc.update(radii={}), "'radii' must be a list of JSON numbers, not dict"),
+        (lambda doc: doc.update(centers=[x for c in doc["centers"] for x in c]),
+         "'centers' must be a list of lists of 3 JSON numbers; item 0 is -0.1"),
+        (lambda doc: doc.update(centers=[c[:2] for c in doc["centers"]]),
+         "'centers' must be a list of lists of 3 JSON numbers; item 0 is [-0.1, -0.1]"),
+        (lambda doc: doc["centers"][1].__setitem__(2, "0"), "'centers' must be a list of "
+         """lists of 3 JSON numbers; item 1 is [-0.1, -0.1, "0"]"""),
+    ])
+    def test_bad_array_is_2(self, tmp_path, capsys, edit, message):
+        cloud = tmp_path / "c.json"
+        # M = 20 spheres of radius 0.025 centered at (-0.1, -0.1, -0.1), (-0.1, -0.1, 0), ...
+        assert run(gen_args(cloud, a=0.05, s=1.0)) == 0
+        doc = json.loads(cloud.read_text())
+        edit(doc)
+        cloud.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: cloud document {message}\n"
+        assert not (tmp_path / "x_charges.csv").exists()
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, missing_dir):
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.1)) == 0
+        if missing_dir:
+            out, code = tmp_path / "missing" / "x", errno.ENOENT
+            reason = f"{os.strerror(code)}: {tmp_path / 'missing'}"
+        else:  # a directory takes the charges CSV's path
+            out, code = tmp_path / "x", errno.EISDIR
+            (tmp_path / "x_charges.csv").mkdir()
+            reason = os.strerror(code)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {code}] cannot write {out}_charges.csv: {reason}\n"
+        assert ".tmp-" not in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_non_object_document_is_2(self, tmp_path, capsys):
         cloud = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,15 @@ class TestCertifiedSolve:
         assert sol.iterations is None
         assert np.array_equal(sol.charges, lu_charges(system))
 
+    def test_restart_matches_lu(self, wave, monkeypatch):
+        """A restart every 3 products takes the triangular solve each cycle."""
+        system = assemble(jittered_lattice(), wave, "general")  # 8-9 products unrestarted
+        monkeypatch.setattr(foldy, "GMRES_RESTART", 3)
+        sol = solve(system)
+        assert sol.iterations > 3
+        ref = lu_charges(system)
+        assert np.max(np.abs(sol.charges - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("a, lambda0, variant", [
         (0.1, -0.5, "general"), (0.1, 0.5, "general"), (0.05, -0.5, "general"),
         (0.04, -0.5, "general"), (0.032, -0.5, "general"), (0.1, 0.5, "spherical"),
@@ -313,14 +323,49 @@ def test_certificate_bounds_the_smallest_singular_value(seed, m, radius, kappa, 
         assert np.linalg.svd(B, compute_uv=False)[-1] >= mu * (1 - 1e-12)
 
 
-def test_solver_imports_no_scipy_sparse():
+def run_python(code, cwd):
+    """Last line code prints in a fresh interpreter that imports this foldylax."""
+    src = str(Path(foldylax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=cwd, env=env)
+    return out.stdout.splitlines()[-1]
+
+
+def test_solver_imports_no_scipy_sparse(tmp_path):
     """GMRES is numpy: importing the solvers must not load scipy.sparse."""
     code = ("import sys, foldylax.foldy, foldylax.oracle; "
             "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
-    src = str(Path(foldylax.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=src)
-    assert out.stdout.strip() == "[]"
+    assert run_python(code, tmp_path) == "[]"
+
+
+GENERATE = ("import json, sys; from foldylax.cli import main; "
+            "assert main('generate --a 0.05 --s 2 --lambda0 -0.5 --jitter 0.3 "
+            "--out c.json'.split()) == 0; ")
+SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_generate_and_certified_solve_load_no_scipy(tmp_path):
+    code = GENERATE + (
+        "assert main('solve c.json --check-invertibility --out x'.split()) == 0; "
+        f"print({SCIPY_LOADED})")
+    assert run_python(code, tmp_path) == "[]"
+
+
+def test_lu_fallback_loads_scipy_linalg_when_it_runs(tmp_path):
+    code = GENERATE + (
+        "from foldylax import foldy, io; "
+        "doc = json.load(open('c.json')); "
+        "doc['impedance_re'][0] = -doc['impedance_re'][0]; "
+        "json.dump(doc, open('c.json', 'w')); "
+        "system = foldy.assemble(io.load_cloud('c.json'), "
+        "foldy.IncidentWave(kappa=1.0, theta=[0.0, 0.0, 1.0])); "
+        f"before = {SCIPY_LOADED}; "
+        "sol = foldy.solve(system); "
+        "assert main('solve c.json --out x'.split()) == 0; "
+        "print(before, sol.iterations, 'scipy.linalg' in sys.modules)")
+    assert run_python(code, tmp_path) == "[] None True"
 
 
 class TestFarField:
