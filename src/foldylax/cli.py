@@ -6,14 +6,17 @@ error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
 (singular system, unconverged series), 4 oracle refused as infeasible, or
-too little memory for the dense matrix or, on the LU path, its LU copy.
+too little memory for a dense matrix (Foldy-Lax or boundary-integral) or, on
+the LU path, its LU copy.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads. The cap must land in the
 environment before numpy loads, so every heavy import in this module lives
 inside a command handler, not at the top.
 
-generate and solve load numpy only. scipy loads with the oracles (compare,
-sweep) or when solve falls back to the dense LU.
+Every subcommand loads numpy only: the oracles' special functions are numpy
+recurrences, and both systems solve by certified GMRES. scipy.linalg loads
+when a solve falls back to the dense LU (a Foldy-Lax system without the Weyl
+certificate, or a boundary-integral system with q = ||C D^-1||_F >= 1).
 """
 
 from __future__ import annotations

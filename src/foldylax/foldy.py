@@ -25,9 +25,12 @@ Numer. Anal. 20, 1983). solve() then runs restarted GMRES right-preconditioned
 by -C_m = 1/B_mm in O(M^2) time and memory beyond B. Mixed signs, a small mu,
 or GMRES reaching its iteration cap fall back to the checked dense LU.
 
+That policy (a certificate margin, then diagonally preconditioned GMRES,
+else the checked LU, then the residual check) is _certified_solve, which
+oracle.solve_bie shares with its own Neumann-series margin.
+
 Assembly, the report and the certified solve need numpy only. scipy.linalg
-loads inside _checked_lu_solve, so only the LU fallback and the BIE oracle's
-solve pay for it.
+loads inside _checked_lu_solve, so only the LU fallback pays for it.
 """
 
 from __future__ import annotations
@@ -353,6 +356,25 @@ def _gmres(B: np.ndarray, rhs: np.ndarray, precond: np.ndarray):
         r = rhs - B @ x
 
 
+def _certified_solve(A: np.ndarray, rhs: np.ndarray, margin: float | None,
+                     residual_tol: float, scale: float | None):
+    """The solve policy of solve and oracle.solve_bie: (x, residual, iterations).
+
+    margin is the caller's certificate that A right-preconditioned by
+    1/A_mm is nonsingular and GMRES converges (Weyl for Foldy-Lax, Neumann
+    series for the BIE), None when it does not hold. With a margin, _gmres
+    solves; without one, or when GMRES reaches GMRES_MAXITER, the checked
+    dense LU does (scale is ||A||_inf for its pivot test) and iterations is
+    None. Either way the relative inf-norm residual must stay <= residual_tol.
+    """
+    found = _gmres(A, rhs, 1.0 / A.diagonal()) if margin is not None else None
+    if found is None:
+        x, residual = _checked_lu_solve(A, rhs, residual_tol, scale)
+        return x, residual, None
+    x, r, iterations = found
+    return x, _relative_residual(r, rhs, residual_tol), iterations
+
+
 def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     """Certified GMRES, else checked dense LU; residual bound RESIDUAL_TOL.
 
@@ -371,15 +393,8 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     frob, norm_inf, gamma = _scan(B, with_gamma=regime is not None)
     diagnostics = _report(system, regime, frob, gamma) if regime is not None else None
     try:
-        found = None
-        if _definite_margin(B, frob, norm_inf) is not None:
-            found = _gmres(B, system.rhs, 1.0 / B.diagonal())
-        if found is None:
-            charges, residual = _checked_lu_solve(B, system.rhs, RESIDUAL_TOL, norm_inf)
-            iterations = None
-        else:
-            charges, r, iterations = found
-            residual = _relative_residual(r, system.rhs, RESIDUAL_TOL)
+        charges, residual, iterations = _certified_solve(
+            B, system.rhs, _definite_margin(B, frob, norm_inf), RESIDUAL_TOL, norm_inf)
     except SingularSystem as exc:
         exc.diagnostics = diagnostics
         raise

@@ -38,6 +38,14 @@ The far field of the solved densities is
 matching the e^{i kappa r}/(4 pi r) normalization used everywhere else.
 A separation-of-variables reference for one sphere (mie_reference) and the
 energy (optical-theorem) check live here too.
+
+The self blocks are diagonal, so A = D + C with D = diag(A). One row-block
+pass gives q = ||C D^-1||_F; when q < 1, A D^-1 = I + C D^-1 has
+sigma_min >= 1 - q, and solve_bie runs the certified GMRES that foldy.solve
+uses, right-preconditioned by D^-1 (the Neumann-series counterpart of the
+Foldy-Lax Weyl certificate). q >= 1, or GMRES at its iteration cap, falls
+back to the checked dense LU. The special functions come from spherical, so
+assembly and a certified solve load no scipy.
 """
 
 from __future__ import annotations
@@ -48,12 +56,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from .errors import OverlappingSpheres, ResonanceGuard, SeriesNotConverged
-from .foldy import FarFieldGrid, _checked_lu_solve
-from .geometry import IncidentWave, ScattererCloud
-from .spherical import harmonic_matrix, n_coeffs, sphere_quadrature
+from .foldy import PIVOT_REL_TOL, FarFieldGrid, _certified_solve, _require_memory
+from .geometry import IncidentWave, ScattererCloud, row_blocks
+from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
+                        spherical_jn, spherical_yn)
 
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
@@ -64,16 +72,9 @@ SERIES_TAIL_TOL = 1e-12
 RESONANCE_DIAMETER_LIMIT = (4.0 * math.pi / 3.0) ** (1.0 / 3.0) * math.pi
 
 
-def _hankel(l_values, z):
-    j = spherical_jn(l_values, z)
-    y = spherical_yn(l_values, z)
-    return j + 1j * y
-
-
-def _hankel_d(l_values, z):
-    jp = spherical_jn(l_values, z, derivative=True)
-    yp = spherical_yn(l_values, z, derivative=True)
-    return jp + 1j * yp
+def _hankel(L: int, z, derivative: bool = False) -> np.ndarray:
+    """h_l = j_l + i y_l (or h_l'), l = 0..L, on the trailing axis."""
+    return spherical_jn(L, z, derivative) + 1j * spherical_yn(L, z, derivative)
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,10 @@ def sphere_operator_spectra(kappa: float, radius: float, L: int) -> SphereSpectr
         raise ResonanceGuard(
             f"kappa*diameter = {kappa * 2 * radius:g} >= {RESONANCE_DIAMETER_LIMIT:g}: "
             "interior resonance not excluded")
-    ls = np.arange(L + 1)
     z = kappa * radius
-    j = spherical_jn(ls, z)
-    h = _hankel(ls, z)
-    hp = _hankel_d(ls, z)
+    j = spherical_jn(L, z)
+    h = _hankel(L, z)
+    hp = _hankel(L, z, derivative=True)
     s_l = 1j * kappa * radius**2 * j * h
     dstar_l = 0.5 + 1j * kappa**2 * radius**2 * j * hp
     for arr in (s_l, dstar_l):
@@ -140,28 +140,34 @@ class SurfaceDensity:
 
 @dataclass(frozen=True)
 class BieSolution:
+    """Layer densities with their relative inf-norm residual; iterations is the
+    GMRES matrix-vector count, None where the dense LU solved the system."""
+
     densities: tuple
     residual_inf: float
     system: BieSystem
+    iterations: int | None = None
 
 
 def _per_degree(values_by_l: np.ndarray, L: int) -> np.ndarray:
-    """Expand an (L+1,) per-degree vector to the flat (l, m) coefficient order."""
-    return np.repeat(values_by_l, 2 * np.arange(L + 1) + 1)
+    """Expand per-degree values (trailing axis L+1) to the flat (l, m) order."""
+    return np.repeat(values_by_l, 2 * np.arange(L + 1) + 1, axis=-1)
 
 
-def _incident_coeffs(wave: IncidentWave, center: np.ndarray, radial: np.ndarray,
+def _incident_coeffs(wave: IncidentWave, centers: np.ndarray, radial: np.ndarray,
                      L: int) -> np.ndarray:
-    """Harmonic coefficients of -(d/dnu + lambda) e^{i kappa x.theta} on the sphere.
+    """Harmonic coefficients (M, nc) of -(d/dnu + lambda) e^{i kappa x.theta}
+    on each sphere.
 
-    Local expansion about the center: e^{i kappa y.theta} =
-    4 pi sum i^l j_l(kappa|y|) Y_lm(yhat) conj(Y_lm(theta)); radial[l] is
-    (d/dnu + lambda) j_l(kappa|y|) on the sphere.
+    Local expansion about each center: e^{i kappa y.theta} =
+    4 pi sum i^l j_l(kappa|y|) Y_lm(yhat) conj(Y_lm(theta)); radial[m, l] is
+    (d/dnu + lambda_m) j_l(kappa|y|) on sphere m. The harmonics at theta are
+    the same for every sphere and are evaluated once.
     """
-    phase = np.exp(1j * wave.kappa * float(center @ wave.theta))
+    phase = np.exp(1j * wave.kappa * (centers @ wave.theta))
     Yt = harmonic_matrix(L, wave.theta.reshape(1, 3))[0]
     scale = _per_degree(4.0 * np.pi * (1j ** np.arange(L + 1)) * radial, L)
-    return -phase * scale * np.conj(Yt)
+    return -phase[:, None] * scale * np.conj(Yt)
 
 
 @lru_cache(maxsize=4)
@@ -228,37 +234,35 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
         ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
         OverlappingSpheres: spheres touch or overlap.
         ResonanceGuard: any sphere too large for the wavenumber.
+        InsufficientMemory: the matrix, 16*N^2 bytes for N = M*(L+1)^2,
+            exceeds the memory available.
     """
     if not cloud.is_spherical:
         raise ValueError("boundary-integral oracle requires true spheres")
     if cloud.M > 1 and cloud.d_eff <= 0:
         raise OverlappingSpheres(f"min surface distance {cloud.d_eff:g} <= 0")
     if np.any(cloud.impedances.imag < 0):
-        warnings.warn("Im(lambda) < 0: well-posedness is not guaranteed; "
-                      "proceeding (Neumann-series proxy checked after assembly)",
+        warnings.warn("Im(lambda) < 0: well-posedness is not guaranteed; proceeding "
+                      "(the solve certifies q = ||C D^-1||_F < 1 or falls back to LU)",
                       stacklevel=2)
     M, nc = cloud.M, n_coeffs(L)
     spectra = tuple(sphere_operator_spectra(wave.kappa, float(r), L) for r in cloud.radii)
     if quad_order < 1:
         raise ValueError("quadrature order must be >= 1")
     kappa = wave.kappa
-    A = np.zeros((M * nc, M * nc), dtype=complex)
-    rhs = np.empty(M * nc, dtype=complex)
-    diag_blocks, trace, outgoing = [], [], []
-    ls = np.arange(L + 1)
-    for m in range(M):
-        lam = complex(cloud.impedances[m])
-        r = float(cloud.radii[m])
-        diag_l = (spectra[m].adjoint_double - 0.5) + lam * spectra[m].single_layer
-        diag = _per_degree(diag_l, L)
-        diag_blocks.append(diag)
-        sl = slice(m * nc, (m + 1) * nc)
-        A[sl, sl] = np.diag(diag)
-        z = kappa * r
-        radial = kappa * spherical_jn(ls, z, derivative=True) + lam * spherical_jn(ls, z)
-        rhs[sl] = _incident_coeffs(wave, cloud.centers[m], radial, L)
-        trace.append(_per_degree(radial, L))
-        outgoing.append(_per_degree(1j * kappa * r**2 * spherical_jn(ls, z), L))
+    lams = cloud.impedances[:, None]
+    dstar = np.array([sp.adjoint_double for sp in spectra])
+    single = np.array([sp.single_layer for sp in spectra])
+    z = kappa * cloud.radii
+    jl = spherical_jn(L, z)
+    radial = kappa * spherical_jn(L, z, derivative=True) + lams * jl
+    trace = _per_degree(radial, L)
+    outgoing = _per_degree(1j * kappa * cloud.radii[:, None] ** 2 * jl, L)
+    N = M * nc
+    _require_memory(16 * N * N, f"N = {N}", "the boundary-integral matrix")
+    A = np.zeros((N, N), dtype=complex)
+    A[np.diag_indices(N)] = _per_degree((dstar - 0.5) + lams * single, L).reshape(-1)
+    rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
     if M > 1:
         # Cross blocks as in the module docstring; the translation needs
         # r_m < |z_m - z_j|, which d_eff > 0 gives.
@@ -266,40 +270,61 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
         # (-1)^n Y_n(dhat) and l + l' + n is even, so (S|R)(-d) = P (S|R)(d) P
         # with P = diag((-1)^l).
         harm, vals, starts = _translation_table(L)
-        parity = _per_degree((-1.0) ** ls, L)
+        parity = _per_degree((-1.0) ** np.arange(L + 1), L)
         first, second = np.triu_indices(M, 1)
         t = cloud.centers[first] - cloud.centers[second]
         dist = np.linalg.norm(t, axis=1)
         H = harmonic_matrix(2 * L, t / dist[:, None])
-        H *= np.repeat(_hankel(np.arange(2 * L + 1), kappa * dist[:, None]),
-                       2 * np.arange(2 * L + 1) + 1, axis=1)
+        H *= _per_degree(_hankel(2 * L, kappa * dist), 2 * L)
         for m, j, hY in zip(first, second, H):
             SR = np.add.reduceat(hY[harm] * vals, starts).reshape(nc, nc)
             A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
                 trace[m][:, None] * SR * outgoing[j][None, :])
             A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (
                 (parity * trace[j])[:, None] * SR * (parity * outgoing[m])[None, :])
-    if np.any(cloud.impedances.imag < 0) and M > 1:
-        q = 0.0
-        for m in range(M):
-            row = 0.0
-            for j in range(M):
-                if j != m:
-                    blk = A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc]
-                    row += np.linalg.norm(blk / diag_blocks[m][:, None], "fro")
-            q = max(q, row)
-        if q >= 1.0:
-            warnings.warn(f"Neumann-series proxy {q:.3g} >= 1: coupled solve may be "
-                          "unreliable for Im(lambda) < 0", stacklevel=2)
     A.setflags(write=False)
     rhs.setflags(write=False)
     return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L,
                      quad_order=quad_order, spectra=spectra)
 
 
+def _neumann_scan(A: np.ndarray):
+    """One row-block pass over A = D + C, D = diag(A): (q = ||C D^-1||_F, ||A||_inf).
+
+    q is inf, and the norm None, when an entry of D vanishes.
+    """
+    d = np.abs(A.diagonal())
+    if not np.all(d > 0):
+        return math.inf, None
+    frob2, norm_inf = 0.0, 0.0
+    for i0, i1 in row_blocks(len(A)):
+        absa = np.abs(A[i0:i1])
+        norm_inf = max(norm_inf, float(absa.sum(axis=1).max()))
+        np.fill_diagonal(absa[:, i0:], 0.0)
+        absa /= d
+        frob2 += float(np.vdot(absa, absa))
+    return math.sqrt(frob2), norm_inf
+
+
 def solve_bie(system: BieSystem) -> BieSolution:
-    """Checked LU solve of the boundary-integral system; residual must stay <= 1e-9."""
-    x, residual = _checked_lu_solve(system.matrix, system.rhs, BIE_RESIDUAL_TOL)
+    """Certified GMRES, else checked dense LU; residual bound BIE_RESIDUAL_TOL.
+
+    One row-block pass over A gives q = ||C D^-1||_F and ||A||_inf. If
+    1 - q > PIVOT_REL_TOL, then sigma_min(A D^-1) >= 1 - q and foldy's
+    restarted GMRES, right-preconditioned by D^-1, runs to a relative residual
+    of GMRES_TOL; iterations records its matrix-vector count. Otherwise, or
+    when GMRES reaches GMRES_MAXITER, the dense LU solves with its pivot test
+    and iterations is None. Either way the inf-norm residual is checked.
+
+    Raises:
+        SingularSystem: an LU pivot underflows or the residual exceeds
+            BIE_RESIDUAL_TOL.
+        InsufficientMemory: the LU path has no room for its factors.
+    """
+    q, norm_inf = _neumann_scan(system.matrix)
+    margin = 1.0 - q if 1.0 - q > PIVOT_REL_TOL else None
+    x, residual, iterations = _certified_solve(system.matrix, system.rhs, margin,
+                                               BIE_RESIDUAL_TOL, norm_inf)
     nc = n_coeffs(system.L)
     densities = []
     for m in range(system.cloud.M):
@@ -307,7 +332,8 @@ def solve_bie(system: BieSystem) -> BieSolution:
         c.setflags(write=False)
         densities.append(SurfaceDensity(sphere=m, radius=float(system.cloud.radii[m]),
                                         L=system.L, coefficients=c))
-    return BieSolution(densities=tuple(densities), residual_inf=residual, system=system)
+    return BieSolution(densities=tuple(densities), residual_inf=residual, system=system,
+                       iterations=iterations)
 
 
 def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
@@ -321,7 +347,7 @@ def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
     for dens in solution.densities:
         r = dens.radius
         weight = _per_degree(4.0 * np.pi * r**2 * (-1j) ** ls
-                             * spherical_jn(ls, wave.kappa * r), L)
+                             * spherical_jn(L, wave.kappa * r), L)
         angular = Yd @ (weight * dens.coefficients)
         phase = np.exp(-1j * wave.kappa * directions @ cloud.centers[dens.sphere])
         values += phase * angular
@@ -344,20 +370,17 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
     if radius <= 0:
         raise ValueError("radius must be positive")
     z = kappa * radius
-    ls = np.arange(L + 1)
-    j = spherical_jn(ls, z)
-    jp = spherical_jn(ls, z, derivative=True)
-    h = _hankel(ls, z)
-    hp = _hankel_d(ls, z)
+    j = spherical_jn(L, z)
+    jp = spherical_jn(L, z, derivative=True)
+    h = _hankel(L, z)
+    hp = _hankel(L, z, derivative=True)
     denom = kappa * hp + impedance * h
     if np.any(np.abs(denom) == 0) or not np.all(np.isfinite(denom)):
         raise SeriesNotConverged("modal denominator vanished (impedance resonance)")
     a_l = -(kappa * jp + impedance * j) / denom
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
     mu = np.clip(directions @ wave.theta, -1.0, 1.0)
-    values = np.zeros(len(directions), dtype=complex)
-    for l in range(L + 1):
-        values += (2 * l + 1) * a_l[l] * eval_legendre(l, mu)
+    values = legendre_p(L, mu) @ ((2 * np.arange(L + 1) + 1) * a_l)
     values *= -4j * np.pi / kappa
     tail = float((2 * L + 1) * abs(a_l[L]) * 4.0 * np.pi / kappa)
     ref = float(np.max(np.abs(values)))

@@ -10,14 +10,27 @@ so ||sigma||_{L^2(dD)} = r * ||c||_2. Coefficients are stored flat in
 
 The quadrature grid is Gauss-Legendre in cos(polar) x uniform azimuth, exact
 for harmonics up to polar degree 2*n-1 and azimuthal order < 2*n.
+
+The special functions the oracles need are computed here with numpy alone,
+each for all degrees 0..L at once (trailing axis), by standard recurrences:
+spherical Bessel j_l by its power series below SERIES_MAX_Z and Miller's
+downward recurrence above, y_l by upward recurrence, derivatives by
+f_l' = f_{l-1} - (l+1) f_l / z, Legendre polynomials by Bonnet's recurrence,
+and the harmonics from fully normalized associated Legendre functions
+(Holmes & Featherstone, J. Geodesy 76, 2002). The tests check them against
+scipy.special.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_harm_y
+
+SERIES_MAX_Z = 1.0  # j_l by power series below, by Miller's recurrence above
+SERIES_TERMS = 12   # z^2/2 < 1/2, so term k is below 2^-k / (k! (2k+1)!!): 5e-17 at k = 8
+MILLER_RESCALE = 1e200  # the downward recurrence grows like (2N+1)!!/z^N
 
 
 def n_coeffs(L: int) -> int:
@@ -66,11 +79,115 @@ def unit_angles(points: np.ndarray):
 
 
 def harmonic_matrix(L: int, points: np.ndarray) -> np.ndarray:
-    """Matrix Y[p, (l,m)] of orthonormal harmonics at unit points."""
-    theta, phi = unit_angles(points)
-    cols = []
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            cols.append(sph_harm_y(l, m, theta, phi))
-    return np.column_stack(cols)
+    """Matrix Y[p, (l,m)] of orthonormal harmonics at unit points.
+
+    Y_l^m = pbar_l^m(cos theta) e^{i m phi} with the Condon-Shortley phase,
+    as scipy.special.sph_harm_y, and Y_l^-m = (-1)^m conj(Y_l^m). The fully
+    normalized pbar_l^m run up the three-term recurrence in l at fixed m from
+    the sectoral pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta) pbar_{m-1}^{m-1},
+    which is stable (Holmes & Featherstone, J. Geodesy 76, 2002).
+    """
+    theta, phi = unit_angles(np.asarray(points, dtype=float).reshape(-1, 3))
+    t, u = np.cos(theta), np.sin(theta)
+    p = np.zeros((len(t), L + 1, L + 1))  # p[:, l, m] = pbar_l^m, 0 <= m <= l
+    p[:, 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for l in range(1, L + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) * (2 * l + 1) / ((l * l - m * m) * (2 * l - 3)))
+        p[:, l, :l - 1] = a * t[:, None] * p[:, l - 1, :l - 1] - b * p[:, l - 2, :l - 1]
+        p[:, l, l - 1] = math.sqrt(2 * l + 1) * t * p[:, l - 1, l - 1]
+        p[:, l, l] = -math.sqrt((2 * l + 1) / (2 * l)) * u * p[:, l - 1, l - 1]
+    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    ms = np.arange(len(ls)) - ls * (ls + 1)
+    sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
+    return p[:, ls, np.abs(ms)] * sign * np.exp(1j * phi[:, None] * ms)
+
+
+def spherical_jn(L: int, z, derivative: bool = False) -> np.ndarray:
+    """Spherical Bessel j_l(z) (or j_l'(z)), l = 0..L, for real z >= 0 (z > 0
+    for the derivative); shape z.shape + (L+1,).
+
+    Below SERIES_MAX_Z the power series
+    j_l = z^l/(2l+1)!! sum_k (-z^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1)).
+    Above it Miller's downward recurrence from a degree N past both L and z,
+    where j_N/y_N is below roundoff, normalized by sin z/z or by
+    j_1 = (j_0 - cos z)/z, whichever is larger, so that a zero of sin z cannot
+    amplify roundoff; j_0 and j_1 are then taken from those closed forms.
+    """
+    z = np.asarray(z, dtype=float)
+    top = max(L, 1)
+    out = np.empty(z.shape + (top + 1,))
+    small = z < SERIES_MAX_Z
+    out[small] = _jn_series(top, z[small])
+    out[~small] = _jn_miller(top, z[~small])
+    return _derivative(out, z, L) if derivative else out[..., :L + 1]
+
+
+def _jn_series(L: int, z: np.ndarray) -> np.ndarray:
+    l = np.arange(L + 1)
+    step = z[..., None] / (2 * l + 1)
+    step[..., 0] = 1.0
+    lead = np.cumprod(step, axis=-1)  # z^l / (2l+1)!!
+    k = np.arange(1, SERIES_TERMS + 1)[:, None]
+    terms = np.cumprod((-0.5 * z * z)[..., None, None] / (k * (2 * l + 2 * k + 1)), axis=-2)
+    return lead * (1.0 + terms.sum(axis=-2))
+
+
+def _jn_miller(L: int, z: np.ndarray) -> np.ndarray:
+    if z.size == 0:
+        return np.empty(z.shape + (L + 1,))
+    zmax = float(z.max())
+    N = L + 15 + int(zmax + 4.0 * zmax ** (1.0 / 3.0))
+    f = np.zeros(z.shape + (N + 2,))
+    f[..., N] = 1.0
+    for l in range(N, 0, -1):
+        f[..., l - 1] = (2 * l + 1) / z * f[..., l] - f[..., l + 1]
+        big = np.abs(f[..., l - 1]) > MILLER_RESCALE
+        if big.any():
+            f[big, l - 1:] /= MILLER_RESCALE
+    j0 = np.sin(z) / z
+    j1 = (j0 - np.cos(z)) / z
+    by_j0 = np.abs(j0) >= np.abs(j1)
+    scale = np.where(by_j0, j0, j1) / np.where(by_j0, f[..., 0], f[..., 1])
+    out = f[..., :L + 1] * scale[..., None]
+    out[..., 0], out[..., 1] = j0, j1
+    return out
+
+
+def spherical_yn(L: int, z, derivative: bool = False) -> np.ndarray:
+    """Spherical Bessel y_l(z) (or y_l'(z)), l = 0..L, for real z > 0; shape
+    z.shape + (L+1,). Upward recurrence from y_0 = -cos z/z and
+    y_1 = (y_0 - sin z)/z, which is stable because y_l grows with l."""
+    z = np.asarray(z, dtype=float)
+    top = max(L, 1)
+    out = np.empty(z.shape + (top + 1,))
+    out[..., 0] = -np.cos(z) / z
+    out[..., 1] = (out[..., 0] - np.sin(z)) / z
+    for l in range(1, top):
+        out[..., l + 1] = (2 * l + 1) / z * out[..., l] - out[..., l - 1]
+    return _derivative(out, z, L) if derivative else out[..., :L + 1]
+
+
+def _derivative(f: np.ndarray, z: np.ndarray, L: int) -> np.ndarray:
+    """f_l', l = 0..L, from f_0..f_max(L,1): f_0' = -f_1, f_l' = f_{l-1} - (l+1) f_l/z."""
+    d = np.empty(f.shape[:-1] + (L + 1,))
+    d[..., 0] = -f[..., 1]
+    d[..., 1:] = f[..., :L] - np.arange(2, L + 2) * f[..., 1:L + 1] / z[..., None]
+    return d
+
+
+def legendre_p(L: int, x) -> np.ndarray:
+    """Legendre polynomials P_l(x), l = 0..L; shape x.shape + (L+1,).
+
+    Bonnet's recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (L + 1,))
+    out[..., 0] = 1.0
+    if L:
+        out[..., 1] = x
+    for l in range(1, L):
+        out[..., l + 1] = ((2 * l + 1) * x * out[..., l] - l * out[..., l - 1]) / (l + 1)
+    return out
 

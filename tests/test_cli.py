@@ -95,6 +95,18 @@ class TestExitCodes:
         assert not (tmp_path / "x_charges.csv").exists()
         assert not (tmp_path / "x_farfield.csv").exists()
 
+    def test_bie_without_room_is_4(self, tmp_path, monkeypatch, capsys):
+        from foldylax import foldy
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        monkeypatch.setattr(foldy, "_available_bytes", lambda: 1024)  # room for the Foldy-Lax matrix only
+        assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 12, "--out", tmp_path / "x"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: N = 338 needs 2 MiB for the boundary-integral matrix")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize("key, value, shown", [
         ("a", "0.04", '"0.04"'), ("s", True, "true"), ("lambda0_im", None, "null")])
     def test_non_number_in_regime_is_2(self, tmp_path, capsys, key, value, shown):

@@ -353,6 +353,35 @@ def test_generate_and_certified_solve_load_no_scipy(tmp_path):
     assert run_python(code, tmp_path) == "[]"
 
 
+def test_oracle_imports_no_scipy(tmp_path):
+    code = f"import sys, foldylax.oracle, foldylax.analysis; print({SCIPY_LOADED})"
+    assert run_python(code, tmp_path) == "[]"
+
+
+def test_certified_compare_and_sweep_load_no_scipy(tmp_path):
+    code = GENERATE.replace("--a 0.05 --s 2", "--a 0.1 --s 1 --Mmax 0.5") + (
+        "assert main('compare c.json --variant spherical --oracle bie --L 6 "
+        "--directions 16 --out x'.split()) == 0; "
+        "assert main('sweep --a-values 0.04,0.02,0.01 --s 1 --Mmax 0.2 --jitter 0.3 "
+        "--variant spherical --oracle bie --L 4 --directions 16 --out s.csv'.split()) == 0; "
+        f"print({SCIPY_LOADED})")
+    assert run_python(code, tmp_path) == "[]"
+
+
+def test_bie_lu_fallback_loads_scipy_linalg_when_it_runs(tmp_path):
+    """Two spheres 0.002 apart at L = 8 have q >= 1: no certificate."""
+    code = ("import sys, numpy as np; from foldylax import ScattererCloud, oracle; "
+            "from foldylax.geometry import IncidentWave; "
+            "cloud = ScattererCloud(centers=np.array([[0, 0, 0], [0.202, 0, 0]]), "
+            "radii=np.full(2, 0.1), impedances=np.full(2, -1 + 0j)); "
+            "system = oracle.assemble_bie(cloud, IncidentWave(kappa=1.0, "
+            "theta=np.array([0.0, 0.0, 1.0])), L=8); "
+            f"before = {SCIPY_LOADED}; "
+            "sol = oracle.solve_bie(system); "
+            "print(before, sol.iterations, 'scipy.linalg' in sys.modules)")
+    assert run_python(code, tmp_path) == "[] None True"
+
+
 def test_lu_fallback_loads_scipy_linalg_when_it_runs(tmp_path):
     code = GENERATE + (
         "from foldylax import foldy, io; "

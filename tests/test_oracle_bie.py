@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
-from foldylax import (ResonanceGuard, ScattererCloud, assemble_bie,
-                      bie_farfield, solve_bie)
+from foldylax import (RegimeParams, ResonanceGuard, ScattererCloud, assemble_bie,
+                      bie_farfield, generate_grid_cloud, solve_bie)
+from foldylax import foldy, oracle
+from foldylax.geometry import row_blocks
 from foldylax.spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
 from conftest import make_cloud, make_wave
@@ -215,3 +219,84 @@ class TestFarField:
         sol = solve_bie(assemble_bie(cloud, wave, L=4, quad_order=12))
         grid = bie_farfield(sol, np.array([[0.0, 0.0, 1.0]]))
         assert grid.wave is wave
+
+
+def grid_spheres(a, m_max, seed):
+    """The spherical clouds of the compare and sweep benchmark workloads."""
+    regime = RegimeParams(a=a, s=1.0, t=1.0, beta=0.0, M_max=m_max, lambda0=-1.0)
+    return generate_grid_cloud(regime, box_side=math.inf, jitter=0.3, seed=seed)
+
+
+def near_touching_pair():
+    """Two spheres 0.002 apart at L = 8: q = ||C D^-1||_F = 1.28."""
+    cloud = make_cloud([[0, 0, 0], [0.202, 0, 0]], 0.1, -1.0)
+    return assemble_bie(cloud, make_wave(), L=8)
+
+
+class TestCertifiedSolve:
+    @pytest.mark.parametrize("a, m_max, L", [(0.04, 0.32, 12), (0.04, 0.2, 6),
+                                             (0.02, 0.2, 6), (0.01, 0.2, 6)])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_gmres_matches_lu(self, a, m_max, L, seed):
+        system = assemble_bie(grid_spheres(a, m_max, seed), make_wave(), L=L)
+        q, _ = oracle._neumann_scan(system.matrix)
+        assert q < 0.5
+        sol = solve_bie(system)
+        assert sol.iterations is not None and sol.iterations <= 10
+        x = np.concatenate([d.coefficients for d in sol.densities])
+        ref, _ = foldy._checked_lu_solve(system.matrix, system.rhs, oracle.BIE_RESIDUAL_TOL)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        dirs = sphere_quadrature(6).points
+        lu = oracle.BieSolution(densities=tuple(
+            oracle.SurfaceDensity(sphere=d.sphere, radius=d.radius, L=L,
+                                  coefficients=ref[d.sphere * n_coeffs(L):
+                                                   (d.sphere + 1) * n_coeffs(L)])
+            for d in sol.densities), residual_inf=0.0, system=system)
+        far, far_lu = bie_farfield(sol, dirs).values, bie_farfield(lu, dirs).values
+        assert np.max(np.abs(far - far_lu)) <= 1e-12 * np.max(np.abs(far_lu))
+
+    def test_q_at_least_one_takes_the_lu_path(self):
+        system = near_touching_pair()
+        q, _ = oracle._neumann_scan(system.matrix)
+        assert q >= 1.0
+        sol = solve_bie(system)
+        assert sol.iterations is None and sol.residual_inf <= oracle.BIE_RESIDUAL_TOL
+
+    def test_iteration_cap_takes_the_lu_path(self, monkeypatch):
+        system = assemble_bie(grid_spheres(0.02, 0.2, 1), make_wave(), L=6)
+        certified = solve_bie(system)
+        monkeypatch.setattr(foldy, "GMRES_MAXITER", 3)
+        capped = solve_bie(system)
+        assert certified.iterations > 3 and capped.iterations is None
+        x, ref = (np.concatenate([d.coefficients for d in sol.densities])
+                  for sol in (certified, capped))
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_q_is_the_frobenius_norm_of_c_over_d(self):
+        """The row-block pass against the dense formula, over several blocks."""
+        A = assemble_bie(grid_spheres(0.01, 0.2, 2), make_wave(), L=6).matrix
+        d = A.diagonal()
+        C = A - np.diag(d)
+        q, norm_inf = oracle._neumann_scan(A)
+        assert len(list(row_blocks(len(A)))) > 1
+        assert q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
+        assert norm_inf == pytest.approx(np.linalg.norm(A, np.inf), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), L=st.integers(1, 4),
+       radius=st.floats(0.05, 0.3), kappa=st.floats(0.2, 3.0))
+def test_neumann_certificate_bounds_the_smallest_singular_value(seed, m, L, radius, kappa):
+    """Wherever q < 1, sigma_min(A D^-1) >= 1 - q."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 1.2, size=(m, 3))
+    gaps = np.linalg.norm(centers[:, None] - centers[None], axis=-1)[np.triu_indices(m, 1)]
+    assume(np.min(gaps) > 2.05 * radius)
+    assume(kappa * 2 * radius < oracle.RESONANCE_DIAMETER_LIMIT)
+    impedances = rng.uniform(-4.0, 4.0, m) + 1j * rng.uniform(0.0, 2.0, m)
+    cloud = ScattererCloud(centers=centers, radii=np.full(m, radius), impedances=impedances)
+    A = assemble_bie(cloud, make_wave(kappa=kappa), L=L).matrix
+    q, _ = oracle._neumann_scan(A)
+    if q < 1:
+        sigma = np.linalg.svd(A / A.diagonal()[None, :], compute_uv=False)[-1]
+        assert sigma >= (1 - q) * (1 - 1e-12)
