@@ -1,0 +1,31 @@
+"""FOLDYLAX_THREADS, parsed in one place.
+
+The value caps the BLAS/OpenMP threads (cli sets their variables before numpy
+loads) and is the worker count of the compute-bound row-block passes
+(geometry.row_block_pass). Unset or empty, it is the number of CPUs this
+process may run on. This module imports the standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+
+
+def thread_count() -> int:
+    """FOLDYLAX_THREADS as a positive int, else the CPUs available to this process.
+
+    Raises:
+        ValueError: FOLDYLAX_THREADS is set but is not a positive integer.
+    """
+    cap = os.environ.get("FOLDYLAX_THREADS", "")
+    if cap == "":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        n = int(cap)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError("FOLDYLAX_THREADS must be a positive integer")
+    return n

@@ -9,9 +9,12 @@ Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
 too little memory for a dense matrix (Foldy-Lax or boundary-integral) or, on
 the LU path, its LU copy.
 
-FOLDYLAX_THREADS caps BLAS/OpenMP worker threads. The cap must land in the
-environment before numpy loads, so every heavy import in this module lives
-inside a command handler, not at the top.
+FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
+worker threads of the compute-bound pairwise passes (cloud validation and
+Foldy-Lax assembly). Unset, BLAS keeps its own default and the passes use
+every CPU the process may run on; a value that is not a positive integer
+exits 2. The cap must land in the environment before numpy loads, so every
+heavy import in this module lives inside a command handler, not at the top.
 
 Every subcommand loads numpy only: the oracles' special functions are numpy
 recurrences, and both systems solve by certified GMRES. scipy.linalg loads
@@ -26,6 +29,7 @@ import math
 import os
 import sys
 
+from ._threads import thread_count
 from ._version import __version__
 
 EXIT_OK = 0
@@ -38,17 +42,10 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def _apply_thread_cap():
-    cap = os.environ.get("FOLDYLAX_THREADS")
-    if cap is None or cap == "":
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("FOLDYLAX_THREADS must be a positive integer")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+    n = thread_count()
+    if os.environ.get("FOLDYLAX_THREADS"):
+        for var in _THREAD_VARS:
+            os.environ[var] = str(n)
 
 
 def _complex_arg(text: str) -> complex:

@@ -31,6 +31,14 @@ oracle.solve_bie shares with its own Neumann-series margin.
 
 Assembly, the report and the certified solve need numpy only. scipy.linalg
 loads inside _checked_lu_solve, so only the LU fallback pays for it.
+
+Every pass over the rows of B runs through geometry.row_block_pass, into
+scratch buffers allocated once per pass. Assembly is bound by sqrt and exp,
+so its blocks go to FOLDYLAX_THREADS worker threads; each block writes its
+own rows and columns of B, so B is the same bit for bit whatever the worker
+count. The scans (_scan, the LU's ||A||_inf) are bound by memory bandwidth
+and keep one worker and fixed blocks, so ||Re B_n||_F sums in a fixed
+order. farfield evaluates the kernel over blocks of directions.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ import numpy as np
 
 from .errors import (CoincidentCenters, InsufficientMemory, MissingRegime, RegimeViolation,
                      SingularSystem, SphericalPole, ZeroImpedance)
-from .geometry import IncidentWave, RegimeParams, ScattererCloud, pairwise_row_blocks, row_blocks
+from .geometry import (IncidentWave, RegimeParams, ScattererCloud, block_view, pair_distances,
+                       row_block_pass)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 
 RESIDUAL_TOL = 1e-10
@@ -224,15 +233,26 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
                                 area=float(cloud.areas[m])).value
     _require_memory(16 * M * M, f"M = {M}", "the matrix")
     B = np.empty((M, M), dtype=complex)
-    for i0, i1, dist in pairwise_row_blocks(cloud.centers):
-        diag = np.diag_indices(i1 - i0)
-        dist[diag] = np.inf
-        if np.min(dist) < 1e-14:
+    xyz = np.ascontiguousarray(cloud.centers.T)
+    ikappa = 1j * wave.kappa
+
+    def fill(i0, i1, dist, tmp, blk):
+        k, w = i1 - i0, M - i0
+        dist = pair_distances(xyz, i0, i1, block_view(dist, k, w), block_view(tmp, k, w))
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() < 1e-14:
             raise CoincidentCenters("two scatterer centers coincide")
-        dist[diag] = 1.0  # overwritten below; keeps exp and division finite
-        blk = -np.exp(1j * wave.kappa * dist) / (4.0 * np.pi * dist)
+        np.fill_diagonal(dist, 1.0)  # overwritten below; keeps exp and division finite
+        # -exp(1j * kappa * dist) / (4 pi dist), one ufunc at a time in that order
+        blk = np.multiply(ikappa, dist, out=block_view(blk, k, w))
+        np.exp(blk, out=blk)
+        np.negative(blk, out=blk)
+        np.divide(blk, np.multiply(4.0 * np.pi, dist, out=dist), out=blk)
         B[i0:i1, i0:] = blk
         B[i0:, i0:i1] = blk.T  # B is symmetric: |z_i - z_j| is, bit for bit
+
+    # the blocks write disjoint parts of B
+    row_block_pass(fill, M, scratch=(float, float, complex), threaded=True)
     B[np.diag_indices(M)] = -1.0 / coeffs
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     B.setflags(write=False)
@@ -264,7 +284,8 @@ def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float,
     _require_memory(A.nbytes + A.size, f"{n}x{n} system", "its LU factors")
     lu, piv = la.lu_factor(A)
     if scale is None:
-        scale = max(float(np.abs(A[i0:i1]).sum(axis=1).max()) for i0, i1 in row_blocks(n))
+        scale = max(row_block_pass(lambda i0, i1, buf: _abs_rows(A, i0, i1, buf)[1], n,
+                                   scratch=(float,)))
     min_pivot = float(np.min(np.abs(np.diag(lu))))
     if min_pivot <= PIVOT_REL_TOL * scale:
         raise SingularSystem(f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||A||")
@@ -272,23 +293,40 @@ def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float,
     return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
 
 
+def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
+    """|A[i0:i1]| written into the scratch buf, and its largest row sum."""
+    absa = np.abs(A[i0:i1], out=block_view(buf, i1 - i0, A.shape[1]))
+    return absa, float(absa.sum(axis=1).max())
+
+
 def _scan(B: np.ndarray, with_gamma: bool):
     """One row-block pass over B: (||Re B_n||_F, ||B||_inf, gamma).
 
     Off the diagonal B = -e^{i kappa d}/(4 pi d), so Re B_n = -Re B and
     gamma = min cos(kappa d) = min -Re B/|B|; gamma is None unless with_gamma.
+    The pass is bound by memory bandwidth, so it runs on one worker.
     """
-    frob2, norm_inf, gamma = 0.0, 0.0, math.inf
-    for i0, i1 in row_blocks(len(B)):
-        absb = np.abs(B[i0:i1])
-        norm_inf = max(norm_inf, float(absb.sum(axis=1).max()))
-        re = B[i0:i1].real.copy()
+    n = len(B)
+
+    def block(i0, i1, absb, re, cos=None):
+        absb, norm = _abs_rows(B, i0, i1, absb)
+        re = block_view(re, i1 - i0, n)
+        np.copyto(re, B[i0:i1].real)
+        gamma = math.inf
         if with_gamma:
-            cos = -re / absb
+            cos = np.negative(re, out=block_view(cos, i1 - i0, n))
+            np.divide(cos, absb, out=cos)
             np.fill_diagonal(cos[:, i0:], math.inf)
-            gamma = min(gamma, float(np.min(cos)))
+            gamma = float(cos.min())
         np.fill_diagonal(re[:, i0:], 0.0)
-        frob2 += float(np.vdot(re, re))
+        return float(np.vdot(re, re)), norm, gamma
+
+    frob2 = 0.0
+    blocks = row_block_pass(block, n, scratch=(float,) * (3 if with_gamma else 2))
+    for block_frob2, _, _ in blocks:  # in block order, as one running sum
+        frob2 += block_frob2
+    norm_inf = max(norm for _, norm, _ in blocks)
+    gamma = min(g for _, _, g in blocks)
     return math.sqrt(frob2), norm_inf, (gamma if with_gamma else None)
 
 
@@ -411,11 +449,21 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
     if directions is None:
         directions = fibonacci_sphere(200)
     system = solution.system
-    K = farfield_kernel(system.wave.kappa, np.asarray(directions)[:, None, :],
-                        system.cloud.centers[None, :, :])
-    values = K @ solution.charges
-    return FarFieldGrid(directions=np.asarray(directions, dtype=float),
-                        values=values, wave=system.wave)
+    directions = np.asarray(directions, dtype=float)
+    centers = system.cloud.centers[None, :, :]
+    values = np.empty(len(directions), dtype=complex)
+
+    def block(d0, d1):
+        # numpy takes a one-row product as a dot product, which sums in another
+        # order than the matrix-vector product of longer blocks: a lone last
+        # row is evaluated with its predecessor
+        lo = max(0, min(d0, d1 - 2))
+        K = farfield_kernel(system.wave.kappa, directions[lo:d1, None, :], centers)
+        values[d0:d1] = (K @ solution.charges)[d0 - lo:]
+
+    # blocks of directions bound the (rows, M, 3) temporary of farfield_kernel
+    row_block_pass(block, len(directions), width=3 * system.cloud.M)
+    return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 
 def invertibility_report(system: FoldyLaxSystem,

@@ -10,6 +10,14 @@ a = max diameter:
 
 with admissibility beta <= 1, s <= 2 - beta, s/3 <= t. d is the minimum
 surface-to-surface distance; for a single scatterer it is reported as +inf.
+
+Every pass over the M^2 pairs, or over the rows of an M x M matrix, goes
+through row_block_pass: blocks of about PAIR_BLOCK entries, computed into
+scratch buffers allocated once per pass, so no pass allocates an M x M
+temporary or a new one per block. Passes bound by arithmetic (the d pass
+here, Foldy-Lax assembly) share their blocks among FOLDYLAX_THREADS worker
+threads; passes bound by memory bandwidth keep one worker and the fixed
+blocks of row_blocks, so their sums add up in the same order every run.
 """
 
 from __future__ import annotations
@@ -20,12 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import thread_count
 from .errors import CapacityExceeded, OverlappingSpheres, RegimeViolation
 
 DEFAULT_KAPPA_MAX = 2.0 * np.pi
 _REL_TOL = 1e-12
 THETA_UNIT_TOL = 1e-14
-# pairwise passes take row blocks of about this many pairs: no M x M temporaries
+# row-block passes take blocks of about this many pairs or matrix entries
 PAIR_BLOCK = 1 << 17
 
 
@@ -184,24 +193,85 @@ class ScattererCloud:
         return 2.0 * float(np.max(self.radii))
 
 
-def row_blocks(n: int):
-    """Row slices (i0, i1) of an n-row pairwise array, about PAIR_BLOCK pairs each."""
-    rows = max(1, PAIR_BLOCK // n)
-    return ((i0, min(i0 + rows, n)) for i0 in range(0, n, rows))
+def row_blocks(n: int, width: int | None = None):
+    """Row slices (i0, i1) of an n-row array of width (default n) columns,
+    about PAIR_BLOCK entries each."""
+    rows = max(1, PAIR_BLOCK // (width or n))
+    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
-def pairwise_row_blocks(centers: np.ndarray):
-    """Yield (i0, i1, dist), dist[k, j - i0] = |z_(i0+k) - z_j| for j >= i0: the upper triangle."""
-    x, y, z = (np.ascontiguousarray(centers[:, k]) for k in range(3))
-    for i0, i1 in row_blocks(len(centers)):
-        dx, dy, dz = (c[i0:i1, None] - c[i0:] for c in (x, y, z))
-        yield i0, i1, np.sqrt(dx * dx + dy * dy + dz * dz)
+def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The leading rows*cols entries of a flat scratch buffer as a (rows, cols) array."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False):
+    """Apply body to the row blocks of an n-row array; return its results in block order.
+
+    body(i0, i1, *bufs) handles rows i0:i1. scratch lists the dtypes of its
+    flat scratch buffers: each worker allocates one of each, rows*width
+    entries long, once per call, and body views a prefix with block_view.
+    A memory-bound pass runs on one worker over row_blocks(n, width). A
+    threaded pass, one bound by arithmetic (numpy releases the GIL inside
+    ufunc loops), deals blocks of 1/thread_count() that size round-robin to
+    thread_count() workers, so its scratch stays about the same whatever the
+    worker count; body must not depend on the block layout or order. An
+    exception raised by body is raised here once every worker has stopped.
+    """
+    width = width or n
+    workers = thread_count() if threaded else 1
+    blocks = row_blocks(n, width * workers)
+    workers = min(workers, len(blocks))
+    size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
+
+    def run(mine):
+        bufs = [np.empty(size, dtype) for dtype in scratch]
+        return [body(i0, i1, *bufs) for i0, i1 in mine]
+
+    if workers <= 1:
+        return run(blocks)
+    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+
+    with ThreadPoolExecutor(workers) as pool:
+        parts = [pool.submit(run, blocks[w::workers]) for w in range(workers)]
+    results = [None] * len(blocks)
+    for w, part in enumerate(parts):
+        results[w::workers] = part.result()
+    return results
+
+
+def pair_distances(xyz: np.ndarray, i0: int, i1: int, out: np.ndarray,
+                   tmp: np.ndarray) -> np.ndarray:
+    """out[k, j - i0] = |z_(i0+k) - z_j| for j >= i0: rows i0:i1 of the upper triangle.
+
+    xyz is the (3, n) contiguous transpose of the centers; out and tmp are
+    (i1 - i0, n - i0) scratch. The sum is (dx*dx + dy*dy) + dz*dz, in the
+    order of the dense formula, so every distance is symmetric bit for bit.
+    """
+    for k, c in enumerate(xyz):
+        dst = tmp if k else out
+        np.subtract(c[i0:i1, None], c[None, i0:], out=dst)
+        np.multiply(dst, dst, out=dst)
+        if k:
+            np.add(out, tmp, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _min_surface_distance(centers: np.ndarray, radii: np.ndarray) -> float:
-    return float(min(np.min(dist - radii[i0:i1, None] - radii[None, i0:], initial=math.inf,
-                            where=np.triu(np.ones(dist.shape, dtype=bool), 1))
-                     for i0, i1, dist in pairwise_row_blocks(centers)))
+    n = len(centers)
+    xyz = np.ascontiguousarray(centers.T)
+    lower = np.tri(row_blocks(n)[0][1], dtype=bool)  # no block has more rows
+
+    def block_min(i0, i1, gap, tmp):
+        k, w = i1 - i0, n - i0
+        gap = pair_distances(xyz, i0, i1, block_view(gap, k, w), block_view(tmp, k, w))
+        np.subtract(gap, radii[i0:i1, None], out=gap)
+        np.subtract(gap, radii[None, i0:], out=gap)
+        # the pairs j <= i of the leading square are not in the upper triangle
+        np.copyto(gap[:, :k], math.inf, where=lower[:k, :k])
+        return float(gap.min())
+
+    return min(row_block_pass(block_min, n, scratch=(float, float), threaded=True))
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OverlappingSpheres, ResonanceGuard, SeriesNotConverged
-from .foldy import PIVOT_REL_TOL, FarFieldGrid, _certified_solve, _require_memory
-from .geometry import IncidentWave, ScattererCloud, row_blocks
+from .foldy import PIVOT_REL_TOL, FarFieldGrid, _abs_rows, _certified_solve, _require_memory
+from .geometry import IncidentWave, ScattererCloud, row_block_pass
 from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
                         spherical_jn, spherical_yn)
 
@@ -187,10 +187,13 @@ def _translation_table(L: int):
     are exact zeros: h_n grows like (kappa d)^-(n+1), and roundoff in a
     vanishing coefficient times h_{2L} would swamp the block.
 
-    Returns read-only (harm, vals, starts), sorted by block entry: the block
-    is np.add.reduceat(hY[harm] * vals, starts) for hY indexed n^2 + n + nu.
-    Every block entry has at least one term (n = l + l' is always allowed),
-    so no reduceat segment is empty.
+    Returns read-only (harm, vals, starts), sorted by block entry and then by
+    n: the block is np.add.reduceat(hY[harm] * vals, starts) for hY indexed
+    n^2 + n + nu. The selection rules leave n = lo, lo + 2, ..., l + l' with
+    lo = max(|l - l'|, |nu|) raised to the parity of l + l', so every block
+    entry has at least one term and no reduceat segment is empty. Entries
+    sharing nu = m' - m share their Gaunt harmonics, so each nu takes one
+    product of the quadrature over all its entries and all n >= |nu|.
     """
     nc, n_max = n_coeffs(L), 2 * L
     x, w = np.polynomial.legendre.leggauss(n_max + 1)
@@ -201,23 +204,25 @@ def _translation_table(L: int):
     ms = np.arange(nc) - ls * (ls + 1)
     row, col = np.divmod(np.arange(nc * nc), nc)
     l, lp, nu = ls[row], ls[col], ms[col] - ms[row]
-    entries, harms, vals = [], [], []
-    for n in range(n_max + 1):
-        keep = ((np.abs(l - lp) <= n) & (n <= l + lp) & ((l + lp + n) % 2 == 0)
-                & (np.abs(nu) <= n))
-        idx = np.flatnonzero(keep)
-        harm = n * n + n + nu[idx]
-        gaunt = 2.0 * np.pi * np.einsum("k,kp,kp,kp->p", w, P[:, col[idx]],
-                                        P[:, row[idx]], P[:, harm])
+    lo = np.maximum(np.abs(l - lp), np.abs(nu))
+    lo += (l + lp - lo) % 2
+    count = (l + lp - lo) // 2 + 1
+    starts = np.cumsum(count) - count
+    harm, vals = np.empty(starts[-1] + count[-1], dtype=int), np.empty(starts[-1] + count[-1])
+    for v in range(-n_max, n_max + 1):
+        idx = np.flatnonzero(nu == v)
+        n = np.arange(abs(v), n_max + 1)
+        gaunt = 2.0 * np.pi * (
+            (w[:, None] * P[:, col[idx]] * P[:, row[idx]]).T @ P[:, n * n + n + v])
+        k = np.repeat(np.arange(len(idx)), count[idx])  # the group row of each term
+        e = idx[k]
+        step = np.arange(len(k)) - (np.cumsum(count[idx]) - count[idx])[k]
+        n = lo[e] + 2 * step
         # l + n - l' is even, so i^(l+n-l') is real
-        sign = np.where(((l[idx] + n - lp[idx]) // 2) % 2 == 0, 1.0, -1.0)
-        entries.append(idx)
-        harms.append(harm)
-        vals.append(4.0 * np.pi * sign * gaunt)
-    entries = np.concatenate(entries)
-    order = np.argsort(entries, kind="stable")
-    table = (np.concatenate(harms)[order], np.concatenate(vals)[order],
-             np.searchsorted(entries[order], np.arange(nc * nc)))
+        sign = np.where(((l[e] + n - lp[e]) // 2) % 2 == 0, 1.0, -1.0)
+        harm[starts[e] + step] = n * n + n + v
+        vals[starts[e] + step] = 4.0 * np.pi * sign * gaunt[k, n - abs(v)]
+    table = (harm, vals, starts)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -296,14 +301,18 @@ def _neumann_scan(A: np.ndarray):
     d = np.abs(A.diagonal())
     if not np.all(d > 0):
         return math.inf, None
-    frob2, norm_inf = 0.0, 0.0
-    for i0, i1 in row_blocks(len(A)):
-        absa = np.abs(A[i0:i1])
-        norm_inf = max(norm_inf, float(absa.sum(axis=1).max()))
+
+    def block(i0, i1, buf):
+        absa, norm = _abs_rows(A, i0, i1, buf)
         np.fill_diagonal(absa[:, i0:], 0.0)
         absa /= d
-        frob2 += float(np.vdot(absa, absa))
-    return math.sqrt(frob2), norm_inf
+        return float(np.vdot(absa, absa)), norm
+
+    frob2 = 0.0
+    blocks = row_block_pass(block, len(A), scratch=(float,))
+    for block_frob2, _ in blocks:  # in block order, as one running sum
+        frob2 += block_frob2
+    return math.sqrt(frob2), max(norm for _, norm in blocks)
 
 
 def solve_bie(system: BieSystem) -> BieSolution:

@@ -1,19 +1,25 @@
-"""The row-blocked pairwise passes agree with the dense formulas they replace."""
+"""The row-blocked pairwise passes agree with the dense formulas they replace,
+bit for bit and whatever the number of worker threads."""
 
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from foldylax import (CoincidentCenters, RegimeParams, ScattererCloud, assemble,
-                      generate_grid_cloud, invertibility_report, solve)
+from foldylax import (CoincidentCenters, RegimeParams, ScattererCloud, assemble, farfield,
+                      farfield_kernel, fibonacci_sphere, generate_grid_cloud,
+                      invertibility_report, solve)
 from foldylax import foldy
+from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
 from conftest import make_wave
 
 M = 700  # several row blocks, the last one partial
+THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
 
 
 def mixed_radii_cloud(m=M, seed=0):
@@ -39,34 +45,124 @@ def test_block_layout_is_exercised():
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
-def test_assemble_bit_identical_to_dense_formula():
+def test_assemble_bit_identical_to_dense_formula(monkeypatch):
     cloud = mixed_radii_cloud()
     wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
-    system = assemble(cloud, wave, "general")
     dist = dense_distances(cloud.centers)
     off = ~np.eye(M, dtype=bool)
     ref = np.zeros((M, M), dtype=complex)
     ref[off] = -np.exp(1j * wave.kappa * dist[off]) / (4.0 * np.pi * dist[off])
-    ref[np.diag_indices(M)] = -1.0 / system.coefficients
-    assert np.array_equal(system.matrix, ref)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch workers as often as the interpreter allows
+    try:
+        for threads in THREADS:
+            monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+            system = assemble(cloud, wave, "general")
+            ref[np.diag_indices(M)] = -1.0 / system.coefficients
+            assert np.array_equal(system.matrix, ref), threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_d_eff_is_the_brute_force_minimum_for_mixed_radii():
+def test_d_eff_is_the_brute_force_minimum_for_mixed_radii(monkeypatch):
     cloud = mixed_radii_cloud(seed=3)
     gap = dense_distances(cloud.centers) - cloud.radii[:, None] - cloud.radii[None, :]
-    assert cloud.d_eff == np.min(gap[np.triu_indices(M, k=1)])
+    for threads in THREADS:
+        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+        again = ScattererCloud(centers=cloud.centers, radii=cloud.radii,
+                               impedances=cloud.impedances)
+        assert again.d_eff == np.min(gap[np.triu_indices(M, k=1)]), threads
 
 
-def test_coincident_centers_in_the_last_block_raise():
+def test_scan_does_not_depend_on_thread_count(monkeypatch):
+    B = assemble(mixed_radii_cloud(), make_wave(kappa=1.3), "general").matrix
+    scans = []
+    for threads in THREADS:
+        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+        scans.append(foldy._scan(B, with_gamma=True))
+    assert scans[1:] == scans[:-1]
+
+
+def test_coincident_centers_in_the_last_block_raise(monkeypatch):
     cloud = mixed_radii_cloud()
-    last_start = list(row_blocks(M))[-1][0]
-    assert last_start <= M - 2
     centers = np.array(cloud.centers)
     centers[M - 1] = centers[M - 2]
     # construction refuses the overlap, so swap the centers in afterwards
     object.__setattr__(cloud, "centers", centers)
-    with pytest.raises(CoincidentCenters):
-        assemble(cloud, make_wave(), "general")
+    for threads in THREADS:
+        # the threaded pass deals blocks a thread_count()-th the size
+        assert row_blocks(M, M * threads)[-1][0] <= M - 2
+        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+        with pytest.raises(CoincidentCenters):
+            assemble(cloud, make_wave(), "general")
+
+
+def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
+    """No per-block temporaries: B, each worker's scratch (two float and one
+    complex buffer of a block) and at most 256 KiB per worker besides."""
+    cloud = mixed_radii_cloud()
+    for threads in THREADS:
+        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+        blocks = row_blocks(M, M * threads)
+        workers = min(threads, len(blocks))
+        scratch = workers * (blocks[0][1] - blocks[0][0]) * M * (8 + 8 + 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            system = assemble(cloud, make_wave(), "general")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= system.matrix.nbytes + scratch + workers * 2**18, threads
+
+
+def solution_with(cloud, charges, wave):
+    """A solution carrying given charges, for far-field tests that need no solve."""
+    system = foldy.FoldyLaxSystem(matrix=None, rhs=None, coefficients=None, cloud=cloud,
+                                  wave=wave, variant=foldy.Variant.GENERAL)
+    return foldy.FoldyLaxSolution(charges=charges, residual_inf=0.0, system=system,
+                                  diagnostics=None)
+
+
+def test_farfield_blocks_bit_identical_to_one_product():
+    cloud = mixed_radii_cloud()
+    wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
+    rng = np.random.default_rng(4)
+    sol = solution_with(cloud, rng.normal(size=M) + 1j * rng.normal(size=M), wave)
+    rows = PAIR_BLOCK // (3 * M)  # directions per block
+    # a partial last block, and a last block of one direction
+    for n_dirs in (2 * rows + rows // 2, 2 * rows + 1, 1):
+        xhat = fibonacci_sphere(n_dirs)
+        ref = farfield_kernel(wave.kappa, xhat[:, None, :], cloud.centers[None]) @ sol.charges
+        assert np.array_equal(farfield(sol, xhat).values, ref), n_dirs
+
+
+def test_farfield_peak_memory_is_blocked():
+    """M = 2500 and 200 directions: under 2 MB, where one (200, M, 3) product is 12 MB."""
+    rg = RegimeParams(a=0.02, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
+    cloud = generate_grid_cloud(rg, box_side=math.inf)
+    assert cloud.M == 2500
+    sol = solution_with(cloud, np.ones(cloud.M, dtype=complex), make_wave())
+    xhat = fibonacci_sphere(200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        farfield(sol, xhat)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_thread_count_defaults_to_the_cpus_available(monkeypatch):
+    monkeypatch.delenv("FOLDYLAX_THREADS", raising=False)
+    assert thread_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("FOLDYLAX_THREADS", "3")
+    assert thread_count() == 3
+    for bad in ("0", "-1", "two"):
+        monkeypatch.setenv("FOLDYLAX_THREADS", bad)
+        with pytest.raises(ValueError, match="FOLDYLAX_THREADS"):
+            thread_count()
 
 
 def test_report_read_off_the_matrix_matches_distance_formulas():
