@@ -17,13 +17,13 @@ def thread_count() -> int:
     Raises:
         ValueError: FOLDYLAX_THREADS is set but is not a positive integer.
     """
-    cap = os.environ.get("FOLDYLAX_THREADS", "")
-    if cap == "":
+    value = os.environ.get("FOLDYLAX_THREADS", "")
+    if value == "":
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
-        n = int(cap)
+        n = int(value)
     except ValueError:
         n = 0
     if n < 1:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InfeasibleOracle
+from .errors import GridMismatch
 from .foldy import (FarFieldGrid, InvertibilityReport, Variant, assemble,
                     charge_bound_check, farfield, solve)
 from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
 from .kernels import fibonacci_sphere
 from .oracle import assemble_bie, bie_farfield, mie_reference, solve_bie
-from .spherical import n_coeffs
 
 NOISE_FLOOR = 1e-11
 
@@ -91,7 +90,6 @@ class OracleSettings:
     kind 'auto' selects the separation-of-variables reference for M = 1 and
     the coupled boundary-integral solver otherwise; 'fl' echoes the
     point-scatterer solution itself (exact zero error, a plumbing check).
-    The boundary-integral route refuses problems with M*(L+1)^2 > cap.
     Its blocks are exact, so quad_order only has to be >= 1; it does not
     change the result.
     """
@@ -99,7 +97,6 @@ class OracleSettings:
     kind: str = "auto"
     L: int = 12
     quad_order: int = 24
-    cap: int = 4000
     n_directions: int = 200
 
     def __post_init__(self):
@@ -154,10 +151,6 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
             grid = FarFieldGrid(directions=grid.directions,
                                 values=grid.values * shift, wave=wave)
         return grid, float("nan"), None
-    size = cloud.M * n_coeffs(settings.L)
-    if size > settings.cap:
-        raise InfeasibleOracle(
-            f"boundary-integral size {size} = M*(L+1)^2 exceeds cap {settings.cap}")
     sol = solve_bie(assemble_bie(cloud, wave, L=settings.L,
                                  quad_order=settings.quad_order))
     densities = tuple(d.coefficients for d in sol.densities)

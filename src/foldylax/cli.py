@@ -5,9 +5,9 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series), 4 oracle refused as infeasible, or
-too little memory for a dense matrix (Foldy-Lax or boundary-integral) or, on
-the LU path, its LU copy.
+(singular system, unconverged series), 4 too little memory for a dense
+matrix, its LU copy, the boundary-integral translation table or a lattice
+cloud; no other size limit applies.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
 worker threads of the compute-bound pairwise passes (cloud validation and
@@ -35,7 +35,7 @@ from ._version import __version__
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-EXIT_INFEASIBLE = 4
+EXIT_NO_MEMORY = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -229,6 +229,8 @@ def _solve_cloud(args):
 def _cmd_solve(args) -> int:
     from . import foldy, io
     cloud, wave, system, sol, grid = _solve_cloud(args)
+    # before any CSV: the report of a cloud without a regime raises MissingRegime
+    rep = args.check_invertibility and (sol.diagnostics or foldy.invertibility_report(system))
     comments = _config_comments(
         args, ["cloud", "kappa", "theta", "variant", "directions"])
     io.write_charges_csv(args.out + "_charges.csv", sol.charges, comments)
@@ -236,8 +238,7 @@ def _cmd_solve(args) -> int:
                           comments)
     print(f"M={cloud.M} residual={sol.residual_inf:.3e} "
           f"wrote {args.out}_charges.csv {args.out}_farfield.csv")
-    if args.check_invertibility:
-        rep = sol.diagnostics or foldy.invertibility_report(system)
+    if rep:
         print(f"invertibility: case={rep.applicable_case} "
               f"condition={rep.condition_applicable}")
         print(f"  frobenius_offdiag_real={rep.frobenius_offdiag_real:.6g} "
@@ -306,14 +307,12 @@ def main(argv=None) -> int:
     from . import errors
     try:
         return args.handler(args)
-    except (errors.InfeasibleOracle, errors.InsufficientMemory) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (errors.SingularSystem, errors.SeriesNotConverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (errors.FoldylaxError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, errors.InsufficientMemory):
+            return EXIT_NO_MEMORY
+        if isinstance(exc, (errors.SingularSystem, errors.SeriesNotConverged)):
+            return EXIT_NUMERICAL
         return EXIT_INVALID
 
 

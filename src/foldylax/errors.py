@@ -66,9 +66,5 @@ class GridMismatch(FoldylaxError, ValueError):
     """Far-field grids disagree in directions or incident wave."""
 
 
-class InfeasibleOracle(FoldylaxError, ValueError):
-    """Boundary-integral oracle size exceeds the configured cap."""
-
-
 class InsufficientMemory(FoldylaxError, MemoryError):
-    """Dense system would not fit in the memory available."""
+    """Dense work or a lattice cloud would not fit in the memory available."""

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoincidentCenters, InsufficientMemory, MissingRegime, RegimeViolation,
-                     SingularSystem, SphericalPole, ZeroImpedance)
-from .geometry import (IncidentWave, RegimeParams, ScattererCloud, block_view, pair_distances,
-                       row_block_pass)
+from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, SingularSystem,
+                     SphericalPole, ZeroImpedance)
+from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
+                       pair_distances, row_block_pass)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 
 RESIDUAL_TOL = 1e-10
@@ -186,23 +186,6 @@ class FarFieldGrid:
         values.setflags(write=False)
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "values", values)
-
-
-def _available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvailable:"))
-    except (OSError, ValueError, IndexError, StopIteration):
-        return None
-
-
-def _require_memory(need: int, subject: str, purpose: str):
-    """Raise InsufficientMemory when need bytes exceed MemAvailable."""
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise InsufficientMemory(f"{subject} needs {need / 2**20:.0f} MiB for {purpose}; "
-                                 f"{available / 2**20:.0f} MiB available")
 
 
 def assemble(cloud: ScattererCloud, wave: IncidentWave,

@@ -29,17 +29,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import thread_count
-from .errors import CapacityExceeded, OverlappingSpheres, RegimeViolation
+from .errors import CapacityExceeded, InsufficientMemory, OverlappingSpheres, RegimeViolation
 
 DEFAULT_KAPPA_MAX = 2.0 * np.pi
 _REL_TOL = 1e-12
 THETA_UNIT_TOL = 1e-14
 # row-block passes take blocks of about this many pairs or matrix entries
 PAIR_BLOCK = 1 << 17
+CLOUD_BYTES_PER_SPHERE = 512  # generate_grid_cloud's peak, validation included
 
 
 def _finite(x) -> bool:
     return bool(np.all(np.isfinite(x)))
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvailable:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        return None
+
+
+def _require_memory(need: int, subject: str, purpose: str):
+    """Raise InsufficientMemory when need bytes exceed MemAvailable."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise InsufficientMemory(f"{subject} needs {need / 2**20:.0f} MiB for {purpose}; "
+                                 f"{available / 2**20:.0f} MiB available")
 
 
 @dataclass(frozen=True)
@@ -329,6 +347,7 @@ def generate_grid_cloud(regime: RegimeParams, box_side: float,
             distance window.
         CapacityExceeded: occupied block (plus sphere radii and worst-case
             jitter) does not fit in the box.
+        InsufficientMemory: CLOUD_BYTES_PER_SPHERE * M bytes exceed MemAvailable.
     """
     if not 0 <= jitter < 1:
         raise RegimeViolation("jitter must lie in [0, 1)")
@@ -340,8 +359,8 @@ def generate_grid_cloud(regime: RegimeParams, box_side: float,
     d_nom = regime.d_min * a**regime.t
     pitch = a + (1 + jitter) * d_nom
     n = int(math.ceil(M ** (1.0 / 3.0) - 1e-9))
-    idx = np.array([(i, j, k) for i in range(n) for j in range(n) for k in range(n)][:M],
-                   dtype=float)
+    _require_memory(CLOUD_BYTES_PER_SPHERE * M, f"M = {M}", "the lattice cloud")
+    idx = np.column_stack(np.unravel_index(np.arange(M), (n, n, n))).astype(float)
     lo, hi = idx.min(axis=0), idx.max(axis=0)
     centers = (idx - (lo + hi) / 2.0) * pitch
     extent = (hi - lo) * pitch + a + jitter * d_nom

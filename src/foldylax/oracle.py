@@ -57,9 +57,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OverlappingSpheres, ResonanceGuard, SeriesNotConverged
-from .foldy import PIVOT_REL_TOL, FarFieldGrid, _abs_rows, _certified_solve, _require_memory
-from .geometry import IncidentWave, ScattererCloud, row_block_pass
+from .errors import ResonanceGuard, SeriesNotConverged
+from .foldy import PIVOT_REL_TOL, FarFieldGrid, _abs_rows, _certified_solve
+from .geometry import IncidentWave, ScattererCloud, _require_memory, row_block_pass
 from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
                         spherical_jn, spherical_yn)
 
@@ -120,7 +120,6 @@ class BieSystem:
     wave: IncidentWave
     L: int
     quad_order: int
-    spectra: tuple
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,14 @@ def _translation_table(L: int):
     return table
 
 
+def _coupling_bytes(M: int, L: int) -> int:
+    """Bytes the cross blocks of M spheres take beside A: at most L + 1 terms per
+    block entry (16 bytes in the table, 32 in hY[harm] * vals), 128 bytes of index
+    arithmetic per entry, and five times the 16-byte pair harmonics H."""
+    nc = n_coeffs(L)
+    return nc * nc * (128 + 48 * (L + 1)) + 40 * M * (M - 1) * (2 * L + 1) ** 2
+
+
 def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                  L: int = DEFAULT_L, quad_order: int = DEFAULT_QUAD_ORDER) -> BieSystem:
     """Assemble the coupled boundary-integral system for a sphere cloud.
@@ -237,36 +244,36 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
 
     Raises:
         ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
-        OverlappingSpheres: spheres touch or overlap.
+        InsufficientMemory: before any per-sphere work, the matrix (16*N^2
+            bytes, N = M*(L+1)^2) or, for M > 1, it and _coupling_bytes(M, L)
+            exceed the memory available.
         ResonanceGuard: any sphere too large for the wavenumber.
-        InsufficientMemory: the matrix, 16*N^2 bytes for N = M*(L+1)^2,
-            exceeds the memory available.
     """
     if not cloud.is_spherical:
         raise ValueError("boundary-integral oracle requires true spheres")
-    if cloud.M > 1 and cloud.d_eff <= 0:
-        raise OverlappingSpheres(f"min surface distance {cloud.d_eff:g} <= 0")
+    if quad_order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    M, nc = cloud.M, n_coeffs(L)
+    N = M * nc
+    _require_memory(16 * N * N, f"N = {N}", "the boundary-integral matrix")
+    if M > 1:
+        _require_memory(16 * N * N + _coupling_bytes(M, L), f"N = {N} at L = {L}",
+                        "the matrix and its translation table")
     if np.any(cloud.impedances.imag < 0):
         warnings.warn("Im(lambda) < 0: well-posedness is not guaranteed; proceeding "
                       "(the solve certifies q = ||C D^-1||_F < 1 or falls back to LU)",
                       stacklevel=2)
-    M, nc = cloud.M, n_coeffs(L)
-    spectra = tuple(sphere_operator_spectra(wave.kappa, float(r), L) for r in cloud.radii)
-    if quad_order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    kappa = wave.kappa
-    lams = cloud.impedances[:, None]
-    dstar = np.array([sp.adjoint_double for sp in spectra])
-    single = np.array([sp.single_layer for sp in spectra])
+    kappa, lams = wave.kappa, cloud.impedances[:, None]
+    spectra = [sphere_operator_spectra(kappa, float(r), L) for r in cloud.radii]
+    self_blocks = (np.array([sp.adjoint_double for sp in spectra]) - 0.5
+                   + lams * np.array([sp.single_layer for sp in spectra]))
     z = kappa * cloud.radii
     jl = spherical_jn(L, z)
     radial = kappa * spherical_jn(L, z, derivative=True) + lams * jl
     trace = _per_degree(radial, L)
     outgoing = _per_degree(1j * kappa * cloud.radii[:, None] ** 2 * jl, L)
-    N = M * nc
-    _require_memory(16 * N * N, f"N = {N}", "the boundary-integral matrix")
     A = np.zeros((N, N), dtype=complex)
-    A[np.diag_indices(N)] = _per_degree((dstar - 0.5) + lams * single, L).reshape(-1)
+    A[np.diag_indices(N)] = _per_degree(self_blocks, L).reshape(-1)
     rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
     if M > 1:
         # Cross blocks as in the module docstring; the translation needs
@@ -290,7 +297,7 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
     A.setflags(write=False)
     rhs.setflags(write=False)
     return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L,
-                     quad_order=quad_order, spectra=spectra)
+                     quad_order=quad_order)
 
 
 def _neumann_scan(A: np.ndarray):

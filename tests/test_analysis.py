@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldylax import (FarFieldGrid, GridMismatch, InfeasibleOracle,
-                      InvertibilityReport, OracleSettings, RegimeParams, assemble, convergence_study,
-                      farfield, farfield_error, fit_rate, oracle_farfield,
-                      predicted_slope, regime_sweep, solve)
+from foldylax import (FarFieldGrid, GridMismatch, InvertibilityReport, OracleSettings,
+                      RegimeParams, assemble, convergence_study, farfield, farfield_error,
+                      fit_rate, oracle_farfield, predicted_slope, regime_sweep, solve)
 from foldylax.kernels import fibonacci_sphere
 
 from conftest import make_cloud, make_wave
@@ -132,12 +131,6 @@ class TestOracleFarfield:
         echoed, _, _ = oracle_farfield(single, wave, grid.directions,
                                        OracleSettings(kind="fl"), fl_grid=grid)
         assert echoed is grid
-
-    def test_cap_enforced(self, wave):
-        pair = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
-        with pytest.raises(InfeasibleOracle):
-            oracle_farfield(pair, wave, fibonacci_sphere(8),
-                            OracleSettings(kind="bie", L=50))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

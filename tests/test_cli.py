@@ -1,10 +1,14 @@
 import errno
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from foldylax import cli, errors, foldy, geometry, oracle
 from foldylax.cli import main
 from foldylax.io import read_csv, save_cloud
 
@@ -51,17 +55,22 @@ class TestExitCodes:
         assert run(["solve", path, "--kappa", 1, "--theta", "0,0,1",
                     "--variant", "general", "--out", tmp_path / "x"]) == 3
 
-    def test_infeasible_oracle_is_4(self, tmp_path):
+    def test_infeasible_oracle_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
+        # N = 67600 needs 68 GiB for A; fixed so that no host attempts it
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**35)
+        capsys.readouterr()
         assert run(["compare", cloud, "--oracle", "bie",
                     "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err == (
+            "error: N = 67600 needs 69729 MiB for the boundary-integral matrix; "
+            "32768 MiB available\n")
 
     def test_insufficient_memory_is_4(self, tmp_path, monkeypatch, capsys):
-        from foldylax import foldy
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
-        monkeypatch.setattr(foldy, "_available_bytes", lambda: 1024)
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: M = 400 needs 2 MiB for the matrix") and "Traceback" not in err
@@ -69,9 +78,8 @@ class TestExitCodes:
 
     @staticmethod
     def room_for_the_matrix_only(monkeypatch, m):
-        from foldylax import foldy
         # B (16 M^2 bytes) fits; its LU copy plus lu_factor's mask (17 M^2) does not
-        monkeypatch.setattr(foldy, "_available_bytes", lambda: 16 * m * m + m * m // 2)
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 16 * m * m + m * m // 2)
 
     def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
@@ -95,17 +103,91 @@ class TestExitCodes:
         assert not (tmp_path / "x_charges.csv").exists()
         assert not (tmp_path / "x_farfield.csv").exists()
 
+    @staticmethod
+    def no_bie_work(monkeypatch):
+        """Make any per-sphere or translation-table work of the BIE fail the test."""
+        def called(*args, **kwargs):
+            raise AssertionError("the memory guard must refuse first")
+        monkeypatch.setattr(oracle, "sphere_operator_spectra", called)
+        monkeypatch.setattr(oracle, "_translation_table", called)
+
     def test_bie_without_room_is_4(self, tmp_path, monkeypatch, capsys):
-        from foldylax import foldy
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
-        monkeypatch.setattr(foldy, "_available_bytes", lambda: 1024)  # room for the Foldy-Lax matrix only
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)  # room for the Foldy-Lax matrix only
+        self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
                     "--L", 12, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: N = 338 needs 2 MiB for the boundary-integral matrix")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("x*"))
+
+    def test_bie_without_room_for_the_table_is_4(self, tmp_path, monkeypatch, capsys):
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        n = 2 * 41**2  # L = 40: A is 0.2 GiB, the table bound 5.5 GiB
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 16 * n * n)
+        self.no_bie_work(monkeypatch)
+        assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 40, "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err == (
+            "error: N = 3362 at L = 40 needs 5821 MiB for the matrix and its "
+            "translation table; 172 MiB available\n")
+        assert not list(tmp_path.glob("x*"))
+
+    def test_generate_without_room_is_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**30)
+        out = tmp_path / "g.json"
+        assert run(gen_args(out, a=0.04, s=0, extra=["--Mmax", "1e12"])) == 4
+        assert capsys.readouterr().err == (
+            "error: M = 1000000000000 needs 488281250 MiB for the lattice cloud; "
+            "1024 MiB available\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_generate_beyond_memory_exits_4_in_a_fresh_process(self, tmp_path):
+        """The real case, with no patch: the guard refuses before numpy is
+        asked for 10^12 lattice indices. The address-space limit only keeps a
+        guard that failed to run from exhausting the host."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, FOLDYLAX_THREADS="1", PYTHONPATH=src)
+        out = tmp_path / "g.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldylax.cli",
+             *map(str, gen_args(out, a=0.04, s=0, extra=["--Mmax", "1e12"]))],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: M = 1000000000000 needs 488281250 MiB "
+                                      "for the lattice cloud; ")
+        assert not out.exists()
+
+    def test_check_invertibility_without_regime_is_2(self, tmp_path, capsys):
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--check-invertibility", "--out", tmp_path / "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: invertibility report requires regime parameters\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("error", [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.FoldylaxError)],
+        ids=lambda error: error.__name__)
+    def test_every_error_has_its_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        """4 for too little memory, 3 for numerical failures, 2 for the rest."""
+        def handler(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_generate", handler)
+        expected = {errors.InsufficientMemory: 4, errors.SingularSystem: 3,
+                    errors.SeriesNotConverged: 3}.get(error, 2)
+        assert run(gen_args(tmp_path / "c.json")) == expected
+        assert capsys.readouterr().err == "error: boom\n"
 
     @pytest.mark.parametrize("key, value, shown", [
         ("a", "0.04", '"0.04"'), ("s", True, "true"), ("lambda0_im", None, "null")])
@@ -240,6 +322,24 @@ class TestCompareCommand:
         assert "sup_error=0 " in out
         assert (tmp_path / "cmp_fl.csv").exists()
         assert (tmp_path / "cmp_oracle.csv").exists()
+
+    def test_bie_past_the_old_size_cap_is_certified(self, tmp_path, monkeypatch, capsys):
+        """s = 1.5, a = 0.015, L = 6: M = 108 and N = 5292 > 4000 solve by
+        certified GMRES; the LU is patched to fail, so it cannot have run."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.015, s=1.5, lambda0="-1",
+                            extra=["--Mmax", 0.2, "--jitter", 0.3, "--seed", 1])) == 0
+        assert "M=108 " in capsys.readouterr().out
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("the certified solve must not fall back to the LU")
+
+        monkeypatch.setattr(foldy, "_checked_lu_solve", no_lu)
+        assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 6, "--directions", 16, "--out", tmp_path / "cmp"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("residual_oracle=")[1].split()[0]) <= 1e-9
+        assert len(read_csv(tmp_path / "cmp_density.csv")[1]) == 1 + 5292
 
     def test_bie_writes_density(self, tmp_path):
         cloud = tmp_path / "pair.json"

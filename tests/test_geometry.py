@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from foldylax import (CapacityExceeded, IncidentWave, OverlappingSpheres,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       cloud_stats, generate_grid_cloud, layer_count)
+from foldylax.geometry import CLOUD_BYTES_PER_SPHERE
 
 from conftest import make_cloud
 
@@ -91,6 +93,33 @@ class TestGenerateGridCloud:
         lo, hi = rg.d_min * rg.a, rg.d_max * rg.a
         assert lo * (1 - 1e-12) <= cloud.d_eff <= hi * (1 + 1e-12)
         assert cloud.a_eff == pytest.approx(rg.a)
+
+    @pytest.mark.parametrize("m_max", [1, 2, 5, 8, 20, 27, 28, 108, 2500])
+    def test_lattice_fills_cells_in_lexicographic_order(self, m_max):
+        """The centers equal those of the Python loop over all n^3 cells."""
+        rg = std_regime(a=0.04, s=0.0, M_max=m_max)
+        n = math.ceil(m_max ** (1 / 3) - 1e-9)
+        idx = np.array([(i, j, k) for i in range(n) for j in range(n)
+                        for k in range(n)][:m_max], dtype=float)
+        lo, hi = idx.min(axis=0), idx.max(axis=0)
+        pitch = rg.a + rg.d_min * rg.a**rg.t
+        cloud = generate_grid_cloud(rg, box_side=math.inf)
+        assert np.array_equal(cloud.centers, (idx - (lo + hi) / 2.0) * pitch)
+
+    def test_peak_memory_within_the_guard(self):
+        """M = 10^4 with jitter: the tracemalloc peak stays below what
+        generate_grid_cloud asks of the memory guard."""
+        rg = std_regime(a=0.04, s=0.0, M_max=1e4)
+        generate_grid_cloud(std_regime(a=0.04, s=0.0, M_max=30), math.inf, jitter=0.3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cloud.M == 10**4
+        assert peak <= CLOUD_BYTES_PER_SPHERE * cloud.M
 
     def test_determinism_bitwise(self):
         rg = std_regime(a=0.1, s=1.5)

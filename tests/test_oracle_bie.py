@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,39 @@ class TestCoupledSolve:
         cloud = make_cloud([[0, 0, 0]], 0.1, -1.0, areas=np.array([0.1]))
         with pytest.raises(ValueError):
             assemble_bie(cloud, wave, L=4, quad_order=12)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, tracemalloc peak of fn) with the translation table built afresh."""
+    oracle._translation_table(2)  # first-use imports land outside the window
+    oracle._translation_table.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        oracle._translation_table.cache_clear()
+    return out, peak
+
+
+class TestMemoryGuard:
+    """The bytes assemble_bie asks of the memory guard cover what it allocates."""
+
+    @pytest.mark.parametrize("L", [6, 12, 20])
+    def test_table_bound_exceeds_its_peak(self, L):
+        _, peak = traced_peak(oracle._translation_table, L)
+        assert peak < oracle._coupling_bytes(1, L)  # M = 1: the table terms only
+
+    @pytest.mark.parametrize("m, L", [(2, 6), (2, 12), (2, 20), (8, 12), (20, 6)])
+    def test_assembly_peak_within_matrix_and_coupling(self, wave, m, L):
+        n = math.ceil(m ** (1 / 3))
+        centers = 0.3 * np.array([(i, j, k) for i in range(n) for j in range(n)
+                                  for k in range(n)][:m], dtype=float)
+        cloud = make_cloud(centers, 0.04, -1.0)
+        system, peak = traced_peak(assemble_bie, cloud, wave, L=L)
+        assert peak <= system.matrix.nbytes + oracle._coupling_bytes(m, L)
 
 
 class TestFarField:
