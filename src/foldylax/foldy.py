@@ -36,9 +36,13 @@ Every pass over the rows of B runs through geometry.row_block_pass, into
 scratch buffers allocated once per pass. Assembly is bound by sqrt and exp,
 so its blocks go to FOLDYLAX_THREADS worker threads; each block writes its
 own rows and columns of B, so B is the same bit for bit whatever the worker
-count. The scans (_scan, the LU's ||A||_inf) are bound by memory bandwidth
-and keep one worker and fixed blocks, so ||Re B_n||_F sums in a fixed
-order. farfield evaluates the kernel over blocks of directions.
+count. The assembly pass also yields the certificate while each block is in
+cache: ||Re B_n||_F from per-row sums over j > i that do not depend on the
+block layout, gamma = min cos(kappa d) from e^{i kappa d} before scaling,
+and ||B||_inf from the row sums of |B_ij| = 1/(4 pi d). A certified solve
+then reads B only through GMRES products. The LU's ||A||_inf pass is bound
+by memory bandwidth and keeps one worker. farfield evaluates the kernel
+over blocks of directions.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, SingularSystem,
                      SphericalPole, ZeroImpedance)
 from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
-                       pair_distances, row_block_pass)
+                       pair_distances, row_block_pass, row_blocks)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 
 RESIDUAL_TOL = 1e-10
@@ -90,27 +94,79 @@ def coefficient(lambda_m: complex, variant: Variant | str = Variant.GENERAL,
     lam = complex(lambda_m)
     if lam == 0:
         raise ZeroImpedance("scattering coefficient undefined for lambda = 0")
-    if variant is Variant.SPHERICAL:
+    if variant is Variant.SPHERICAL and radius is None:
+        raise ValueError("spherical variant requires a radius")
+    if variant is Variant.GENERAL and area is None:
         if radius is None:
-            raise ValueError("spherical variant requires a radius")
-        denom = -1.0 + lam * radius
-        if abs(denom) < POLE_TOL:
+            raise ValueError("general variant requires an area or a radius")
+        area = 4.0 * np.pi * radius**2
+    value = _coefficients(np.array([lam]), variant,
+                          np.array([math.nan if radius is None else float(radius)]),
+                          np.array([math.nan if area is None else float(area)]))[0]
+    return ScatteringCoefficient(value=complex(value), variant=variant)
+
+
+def _product(a_re, a_im, b_re, b_im):
+    """Python's complex product, one real operation at a time."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _quotient(a_re, a_im, b_re, b_im):
+    """Python's complex quotient (Smith's method), one real operation at a time.
+
+    numpy's complex division multiplies by a reciprocal and rounds differently.
+    """
+    real_first = np.abs(b_re) >= np.abs(b_im)
+    ratio = b_im / b_re
+    denom = b_re + b_im * ratio
+    re1, im1 = (a_re + a_im * ratio) / denom, (a_im - a_re * ratio) / denom
+    ratio = b_re / b_im
+    denom = b_re * ratio + b_im
+    re2, im2 = (a_re * ratio + a_im) / denom, (a_im * ratio - a_re) / denom
+    imag_first = ~real_first & (np.abs(b_im) >= np.abs(b_re))  # neither: a NaN
+    return (np.where(real_first, re1, np.where(imag_first, re2, np.nan)),
+            np.where(real_first, im1, np.where(imag_first, im2, np.nan)))
+
+
+def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
+                  areas: np.ndarray) -> np.ndarray:
+    """C_m of nonzero impedances, bit for bit as Python's complex arithmetic
+    gives them one at a time: the spherical variant from the radii, the
+    general one from the areas. The first obstacle that fails raises
+    SphericalPole or ZeroImpedance, as coefficient() does."""
+    pole = np.zeros(len(lam), dtype=bool)
+    with np.errstate(all="ignore"):  # like Python's, an overflow is caught below
+        if variant is Variant.SPHERICAL:
+            # -1 + lambda * r, a float operand taken as the complex (x, 0.0)
+            den_re, den_im = _product(lam.real, lam.imag, radii, 0.0)
+            den_re, den_im = -1.0 + den_re, 0.0 + den_im
+            pole = np.hypot(den_re, den_im) < POLE_TOL
+            # Python's r**2 is libm's pow, not always numpy's r*r
+            sphere_area = 4.0 * np.pi * np.array([r**2 for r in radii.tolist()])
+            parts = _quotient(*_product(lam.real, lam.imag, sphere_area, 0.0), den_re, den_im)
+        else:
+            parts = _product(-lam.real, -lam.imag, areas, 0.0)
+    value = np.empty(len(lam), dtype=complex)
+    value.real, value.imag = parts
+    failed = np.flatnonzero(pole | (value == 0) | ~np.isfinite(value))
+    if failed.size:
+        m = failed[0]
+        if pole[m]:
+            denom = complex(den_re[m], den_im[m])
             raise SphericalPole(f"-1 + lambda*r = {denom:g} is numerically zero")
-        value = lam * (4.0 * np.pi * radius**2) / denom
-    else:
-        if area is None:
-            if radius is None:
-                raise ValueError("general variant requires an area or a radius")
-            area = 4.0 * np.pi * radius**2
-        value = -lam * area
-    if value == 0 or not np.isfinite(value):
-        raise ZeroImpedance(f"degenerate scattering coefficient {value}")
-    return ScatteringCoefficient(value=value, variant=variant)
+        raise ZeroImpedance(f"degenerate scattering coefficient {complex(value[m])}")
+    return value
 
 
 @dataclass(frozen=True)
 class FoldyLaxSystem:
-    """Assembled dense system B Q = U^I (complex symmetric)."""
+    """Assembled dense system B Q = U^I (complex symmetric).
+
+    The assembly pass also yields the inputs of the certificate and of the
+    invertibility report: frobenius_offdiag_real = ||Re B_n||_F, norm_inf =
+    ||B||_inf and gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf
+    for one scatterer).
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -118,6 +174,9 @@ class FoldyLaxSystem:
     cloud: ScattererCloud
     wave: IncidentWave
     variant: Variant
+    frobenius_offdiag_real: float
+    norm_inf: float
+    gamma: float
 
 
 @dataclass(frozen=True)
@@ -196,7 +255,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
             general variant with regime beta == 1.
         CoincidentCenters: two centers numerically coincide.
-        ZeroImpedance / SphericalPole: via coefficient().
+        ZeroImpedance / SphericalPole: as coefficient() raises them, for the
+            first obstacle that fails.
         InsufficientMemory: the matrix, 16*M^2 bytes, exceeds the memory
             available.
     """
@@ -209,39 +269,64 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     if variant is Variant.SPHERICAL and not cloud.is_spherical:
         raise ValueError("spherical variant requires true spheres (no explicit areas)")
     M = cloud.M
-    coeffs = np.empty(M, dtype=complex)
-    for m in range(M):
-        coeffs[m] = coefficient(cloud.impedances[m], variant,
-                                radius=float(cloud.radii[m]),
-                                area=float(cloud.areas[m])).value
+    coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
     _require_memory(16 * M * M, f"M = {M}", "the matrix")
     B = np.empty((M, M), dtype=complex)
     xyz = np.ascontiguousarray(cloud.centers.T)
-    ikappa = 1j * wave.kappa
+    kappa = wave.kappa
+    lower = np.tri(row_blocks(M)[0][1], dtype=bool)  # no block has more rows
+    upper = ~lower
+    row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
+    neg_abs_rows = np.zeros(M)  # row i: -sum over j != i of |B_ij|
 
-    def fill(i0, i1, dist, tmp, blk):
+    def fill(i0, i1, dist, tmp, blk, neg_abs):
         k, w = i1 - i0, M - i0
         dist = pair_distances(xyz, i0, i1, block_view(dist, k, w), block_view(tmp, k, w))
         np.fill_diagonal(dist, np.inf)
         if dist.min() < 1e-14:
             raise CoincidentCenters("two scatterer centers coincide")
         np.fill_diagonal(dist, 1.0)  # overwritten below; keeps exp and division finite
-        # -exp(1j * kappa * dist) / (4 pi dist), one ufunc at a time in that order
-        blk = np.multiply(ikappa, dist, out=block_view(blk, k, w))
-        np.exp(blk, out=blk)
-        np.negative(blk, out=blk)
-        np.divide(blk, np.multiply(4.0 * np.pi, dist, out=dist), out=blk)
+        blk = block_view(blk, k, w)
+        real, imag = blk.real, blk.imag
+        real[...] = 0.0
+        np.multiply(kappa, dist, out=imag)
+        np.exp(blk, out=blk)  # e^{i kappa d}
+        # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
+        gamma = min(float(np.min(real[:, :k], initial=np.inf, where=upper[:k, :k])),
+                    float(np.min(real[:, k:], initial=np.inf)))
+        # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
+        # it: times the reciprocal of 4 pi d
+        scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
+        np.multiply(real, scale, out=real)
+        np.multiply(imag, scale, out=imag)
         B[i0:i1, i0:] = blk
         B[i0:, i0:i1] = blk.T  # B is symmetric: |z_i - z_j| is, bit for bit
+        # each row's sum of (Re B_ij)^2 over exactly j > i: no block layout in it
+        rows = min(k, w - 1)  # row M - 1 has no j > i
+        if rows:
+            square = np.multiply(real, real, out=block_view(tmp, k, w)).reshape(-1)
+            starts = np.empty(2 * rows - 1, dtype=np.intp)
+            starts[0::2] = np.arange(rows) * (w + 1) + 1
+            starts[1::2] = np.arange(1, rows) * w
+            row_frob2[i0:i0 + rows] = np.add.reduceat(square[:rows * w], starts)[0::2]
+        # |B_ij| = 1/(4 pi d) into rows i and j, for ||B||_inf
+        np.copyto(scale[:, :k], 0.0, where=lower[:k, :k])
+        neg_abs[i0:i1] += np.add.reduce(scale, axis=1, out=tmp[:k])
+        neg_abs[i0:] += np.add.reduce(scale, axis=0, out=tmp[:w])
+        return gamma
 
-    # the blocks write disjoint parts of B
-    row_block_pass(fill, M, scratch=(float, float, complex), threaded=True)
+    # the blocks write disjoint parts of B and of row_frob2
+    blocks = row_block_pass(fill, M, scratch=(float, float, complex), threaded=True,
+                            total=neg_abs_rows)
     B[np.diag_indices(M)] = -1.0 / coeffs
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     B.setflags(write=False)
     rhs.setflags(write=False)
-    return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs,
-                          cloud=cloud, wave=wave, variant=variant)
+    norm_inf = float(np.max(np.abs(B.diagonal()) - neg_abs_rows))
+    return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
+                          variant=variant,
+                          frobenius_offdiag_real=math.sqrt(2.0 * float(row_frob2.sum())),
+                          norm_inf=norm_inf, gamma=min(blocks))
 
 
 def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
@@ -280,37 +365,6 @@ def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
     """|A[i0:i1]| written into the scratch buf, and its largest row sum."""
     absa = np.abs(A[i0:i1], out=block_view(buf, i1 - i0, A.shape[1]))
     return absa, float(absa.sum(axis=1).max())
-
-
-def _scan(B: np.ndarray, with_gamma: bool):
-    """One row-block pass over B: (||Re B_n||_F, ||B||_inf, gamma).
-
-    Off the diagonal B = -e^{i kappa d}/(4 pi d), so Re B_n = -Re B and
-    gamma = min cos(kappa d) = min -Re B/|B|; gamma is None unless with_gamma.
-    The pass is bound by memory bandwidth, so it runs on one worker.
-    """
-    n = len(B)
-
-    def block(i0, i1, absb, re, cos=None):
-        absb, norm = _abs_rows(B, i0, i1, absb)
-        re = block_view(re, i1 - i0, n)
-        np.copyto(re, B[i0:i1].real)
-        gamma = math.inf
-        if with_gamma:
-            cos = np.negative(re, out=block_view(cos, i1 - i0, n))
-            np.divide(cos, absb, out=cos)
-            np.fill_diagonal(cos[:, i0:], math.inf)
-            gamma = float(cos.min())
-        np.fill_diagonal(re[:, i0:], 0.0)
-        return float(np.vdot(re, re)), norm, gamma
-
-    frob2 = 0.0
-    blocks = row_block_pass(block, n, scratch=(float,) * (3 if with_gamma else 2))
-    for block_frob2, _, _ in blocks:  # in block order, as one running sum
-        frob2 += block_frob2
-    norm_inf = max(norm for _, norm, _ in blocks)
-    gamma = min(g for _, _, g in blocks)
-    return math.sqrt(frob2), norm_inf, (gamma if with_gamma else None)
 
 
 def _definite_margin(B: np.ndarray, frob_offdiag_real: float, norm_inf: float) -> float | None:
@@ -399,7 +453,7 @@ def _certified_solve(A: np.ndarray, rhs: np.ndarray, margin: float | None,
 def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     """Certified GMRES, else checked dense LU; residual bound RESIDUAL_TOL.
 
-    One row-block pass over B yields ||Re B_n||_F and ||B||_inf (and the
+    Assembly yields ||Re B_n||_F and ||B||_inf (and gamma, for the
     invertibility report of a regime cloud). If every Re B_mm has one sign and
     mu = min|Re B_mm| - ||Re B_n||_F > PIVOT_REL_TOL * ||B||_inf, then
     sigma_min(B) >= mu, which takes the place of the LU pivot test, and
@@ -410,12 +464,12 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution
     and on SingularSystem.
     """
-    B, regime = system.matrix, system.cloud.regime
-    frob, norm_inf, gamma = _scan(B, with_gamma=regime is not None)
-    diagnostics = _report(system, regime, frob, gamma) if regime is not None else None
+    B, regime, norm_inf = system.matrix, system.cloud.regime, system.norm_inf
+    diagnostics = _report(system, regime) if regime is not None else None
+    margin = _definite_margin(B, system.frobenius_offdiag_real, norm_inf)
     try:
         charges, residual, iterations = _certified_solve(
-            B, system.rhs, _definite_margin(B, frob, norm_inf), RESIDUAL_TOL, norm_inf)
+            B, system.rhs, margin, RESIDUAL_TOL, norm_inf)
     except SingularSystem as exc:
         exc.diagnostics = diagnostics
         raise
@@ -444,7 +498,7 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
         K = farfield_kernel(system.wave.kappa, directions[lo:d1, None, :], centers)
         values[d0:d1] = (K @ solution.charges)[d0 - lo:]
 
-    # blocks of directions bound the (rows, M, 3) temporary of farfield_kernel
+    # blocks of directions bound the (rows, M) temporaries of farfield_kernel
     row_block_pass(block, len(directions), width=3 * system.cloud.M)
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
@@ -459,14 +513,12 @@ def invertibility_report(system: FoldyLaxSystem,
     regime = regime if regime is not None else system.cloud.regime
     if regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
-    frob, _, gamma = _scan(system.matrix, with_gamma=True)
-    return _report(system, regime, frob, gamma)
+    return _report(system, regime)
 
 
-def _report(system: FoldyLaxSystem, regime: RegimeParams, frob: float,
-            gamma: float) -> InvertibilityReport:
-    """The report from ||Re B_n||_F and gamma, as _scan reads them off B."""
-    cloud = system.cloud
+def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport:
+    """The report from the ||Re B_n||_F and gamma of the assembly pass."""
+    cloud, frob, gamma = system.cloud, system.frobenius_offdiag_real, system.gamma
     M = cloud.M
     coeffs = system.coefficients
     a, s, t = regime.a, regime.s, regime.t

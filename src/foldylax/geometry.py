@@ -11,13 +11,22 @@ a = max diameter:
 with admissibility beta <= 1, s <= 2 - beta, s/3 <= t. d is the minimum
 surface-to-surface distance; for a single scatterer it is reported as +inf.
 
-Every pass over the M^2 pairs, or over the rows of an M x M matrix, goes
-through row_block_pass: blocks of about PAIR_BLOCK entries, computed into
-scratch buffers allocated once per pass, so no pass allocates an M x M
-temporary or a new one per block. Passes bound by arithmetic (the d pass
-here, Foldy-Lax assembly) share their blocks among FOLDYLAX_THREADS worker
-threads; passes bound by memory bandwidth keep one worker and the fixed
-blocks of row_blocks, so their sums add up in the same order every run.
+d comes from a cell list (Allen & Tildesley, Computer Simulation of Liquids,
+1987), not from all M^2 pairs. The smallest gap u between centers that are
+adjacent in lexicographic order bounds the minimum from above, so the closest
+pair lies within u + 2 max r_m of each other: bin the centers into cubic
+cells of that side and compare each cell with itself and its 13 forward
+neighbours only. Each candidate pair is evaluated with the formula of
+pair_distances, so d is the brute-force minimum bit for bit, and candidates
+go in chunks of CELL_PAIRS, so a poor u costs time but never memory.
+
+Every pass over the rows of an M x M matrix goes through row_block_pass:
+blocks of about PAIR_BLOCK entries, computed into scratch buffers allocated
+once per pass, so no pass allocates an M x M temporary or a new one per
+block. Passes bound by arithmetic (Foldy-Lax assembly) share their blocks
+among FOLDYLAX_THREADS worker threads; passes bound by memory bandwidth keep
+one worker and the fixed blocks of row_blocks, so their sums add up in the
+same order every run.
 """
 
 from __future__ import annotations
@@ -36,6 +45,12 @@ _REL_TOL = 1e-12
 THETA_UNIT_TOL = 1e-14
 # row-block passes take blocks of about this many pairs or matrix entries
 PAIR_BLOCK = 1 << 17
+CELL_PAIRS = 1 << 14  # candidate pairs per chunk of the cell-list search
+CELL_KEYS = 1 << 62  # cell keys stay below this, clear of int64 overflow
+# the cell list's neighbour offsets: a cell itself and the 13 that follow it
+# in lexicographic order, so each pair of neighbouring cells is visited once
+_FORWARD = [(dx, dy, dz) for dx in (0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+            if (dx, dy, dz) >= (0, 0, 0)]
 CLOUD_BYTES_PER_SPHERE = 512  # generate_grid_cloud's peak, validation included
 
 
@@ -85,7 +100,7 @@ class RegimeParams:
             (self.s >= 0, "s >= 0"),
             (self.t >= 0, "t >= 0"),
             (0 <= self.beta <= 1 + _REL_TOL, "0 <= beta <= 1"),
-            (self.M_max > 0, "M_max > 0"),
+            (0 < self.M_max < math.inf, "0 < M_max < inf"),
             (self.d_min > 0, "d_min > 0"),
             (self.d_max >= self.d_min, "d_max >= d_min"),
             (abs(self.lambda0) > 0 and _finite([self.lambda0.real, self.lambda0.imag]),
@@ -96,11 +111,21 @@ class RegimeParams:
         for ok, name in checks:
             if not ok:
                 raise RegimeViolation(f"regime admissibility violated: {name}")
+        if not math.isfinite(self._count):
+            raise RegimeViolation("regime admissibility violated: M_max * a^(-s) < inf")
+
+    @property
+    def _count(self) -> float:
+        """M_max * a^(-s), +inf where it overflows a float."""
+        try:
+            return self.M_max * self.a ** (-self.s)
+        except OverflowError:
+            return math.inf
 
     @property
     def M(self) -> int:
         """Scatterer count floor(M_max * a^(-s)), at least 1."""
-        return max(1, int(math.floor(self.M_max * self.a ** (-self.s) + 1e-9)))
+        return max(1, int(math.floor(self._count + 1e-9)))
 
     @property
     def impedance(self) -> complex:
@@ -180,7 +205,7 @@ class ScattererCloud:
     def _check_regime(self, rg: RegimeParams, d_eff: float):
         M = len(self.centers)
         # M = 1 is always allowed: the count rule is floor(M_max * a^(-s)) with a floor of 1
-        if M > 1 and M > rg.M_max * rg.a ** (-rg.s) * (1 + _REL_TOL) + 1e-9:
+        if M > 1 and M > rg._count * (1 + _REL_TOL) + 1e-9:
             raise RegimeViolation("cloud invariant violated: M <= M_max * a^(-s)")
         if 2 * float(np.max(self.radii)) > rg.a * (1 + _REL_TOL):
             raise RegimeViolation("cloud invariant violated: 2*max(r_m) <= a")
@@ -223,7 +248,8 @@ def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False):
+def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False,
+                   total: np.ndarray | None = None):
     """Apply body to the row blocks of an n-row array; return its results in block order.
 
     body(i0, i1, *bufs) handles rows i0:i1. scratch lists the dtypes of its
@@ -233,28 +259,35 @@ def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=
     threaded pass, one bound by arithmetic (numpy releases the GIL inside
     ufunc loops), deals blocks of 1/thread_count() that size round-robin to
     thread_count() workers, so its scratch stays about the same whatever the
-    worker count; body must not depend on the block layout or order. An
-    exception raised by body is raised here once every worker has stopped.
+    worker count; body must not depend on the block layout or order. With
+    total, each worker also passes body a zeroed array shaped like it, after
+    the scratch buffers, to add its blocks into; these are added into total
+    in worker order, so the sum is the same every run with as many workers.
+    An exception raised by body is raised here once every worker has stopped.
     """
     width = width or n
     workers = thread_count() if threaded else 1
     blocks = row_blocks(n, width * workers)
     workers = min(workers, len(blocks))
     size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
+    sums = [np.zeros_like(total) for _ in range(workers)] if total is not None else []
 
-    def run(mine):
-        bufs = [np.empty(size, dtype) for dtype in scratch]
-        return [body(i0, i1, *bufs) for i0, i1 in mine]
+    def run(w):
+        bufs = [np.empty(size, dtype) for dtype in scratch] + sums[w:w + 1]
+        return [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
 
     if workers <= 1:
-        return run(blocks)
-    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+        results = run(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
 
-    with ThreadPoolExecutor(workers) as pool:
-        parts = [pool.submit(run, blocks[w::workers]) for w in range(workers)]
-    results = [None] * len(blocks)
-    for w, part in enumerate(parts):
-        results[w::workers] = part.result()
+        with ThreadPoolExecutor(workers) as pool:
+            parts = [pool.submit(run, w) for w in range(workers)]
+        results = [None] * len(blocks)
+        for w, part in enumerate(parts):
+            results[w::workers] = part.result()
+    for part in sums:
+        total += part
     return results
 
 
@@ -275,21 +308,80 @@ def pair_distances(xyz: np.ndarray, i0: int, i1: int, out: np.ndarray,
     return np.sqrt(out, out=out)
 
 
+def _gaps(xyz: np.ndarray, radii: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(|z_i - z_j| - r_i) - r_j of the pairs (p, q), i the lower index of each,
+    in the order of pair_distances and the brute force over all pairs."""
+    i, j = np.minimum(p, q), np.maximum(p, q)
+    d2 = None
+    for c in xyz:
+        diff = c[i] - c[j]
+        d2 = diff * diff if d2 is None else np.add(d2, diff * diff, out=d2)
+    return (np.sqrt(d2, out=d2) - radii[i]) - radii[j]
+
+
+def _cell_keys(centers: np.ndarray, side: float):
+    """Integer keys of the cubic cells of that side holding each center, and
+    the key steps of the x and y axes (z steps by 1).
+
+    Along each axis, runs of empty cells wider than one shrink to one, so
+    cells are adjacent exactly when they were and a few far outliers keep the
+    keys small. The side doubles in the rare case the keys would reach
+    CELL_KEYS.
+    """
+    origin = centers.min(axis=0)
+    while True:
+        cells = np.floor((centers - origin) / side).astype(np.int64)
+        coords = []
+        for column in cells.T:
+            order = np.argsort(column, kind="stable")
+            steps = np.diff(column[order], prepend=column[order[0]])
+            coord = np.empty_like(column)
+            coord[order] = np.cumsum(np.minimum(steps, 2))
+            coords.append(coord)
+        # one empty coordinate past the last: a neighbour never wraps into an occupied cell
+        ex, ey, ez = (int(c.max()) + 2 for c in coords)
+        if ex * ey * ez < CELL_KEYS:
+            return (coords[0] * ey + coords[1]) * ez + coords[2], ey * ez, ez
+        side *= 2.0
+
+
 def _min_surface_distance(centers: np.ndarray, radii: np.ndarray) -> float:
+    """min over i < j of (|z_i - z_j| - r_i) - r_j by the cell list; +inf for M = 1."""
     n = len(centers)
+    if n < 2:
+        return math.inf
     xyz = np.ascontiguousarray(centers.T)
-    lower = np.tri(row_blocks(n)[0][1], dtype=bool)  # no block has more rows
-
-    def block_min(i0, i1, gap, tmp):
-        k, w = i1 - i0, n - i0
-        gap = pair_distances(xyz, i0, i1, block_view(gap, k, w), block_view(tmp, k, w))
-        np.subtract(gap, radii[i0:i1, None], out=gap)
-        np.subtract(gap, radii[None, i0:], out=gap)
-        # the pairs j <= i of the leading square are not in the upper triangle
-        np.copyto(gap[:, :k], math.inf, where=lower[:k, :k])
-        return float(gap.min())
-
-    return min(row_block_pass(block_min, n, scratch=(float, float), threaded=True))
+    order = np.lexsort(xyz[::-1])
+    upper = float(_gaps(xyz, radii, order[:-1], order[1:]).min())
+    # the closest pair is at most `upper` apart at its surfaces, so its centers
+    # are at most `side` apart, with room for the rounding of gaps and cells
+    span = float(np.max(xyz.max(axis=1) - xyz.min(axis=1)))
+    side = (upper + 2.0 * float(radii.max())) * (1.0 + 1e-6) + span * 1e-12
+    keys, step_x, step_y = _cell_keys(centers, side if side > 0 else 1.0)
+    members = np.argsort(keys, kind="stable")
+    keys = keys[members]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each cell's members start
+    cell, count = keys[first], np.diff(first, append=n)
+    best = upper
+    for dx, dy, dz in _FORWARD:
+        wanted = cell + (dx * step_x + dy * step_y + dz)
+        found = np.minimum(np.searchsorted(cell, wanted), len(cell) - 1)
+        a = np.flatnonzero(cell[found] == wanted)
+        b = found[a]
+        # number the pairs of the cell pairs (a, b) through, and take them in chunks
+        width = count[b]
+        end = np.cumsum(count[a] * width)
+        pairs = int(end[-1]) if len(end) else 0
+        for t0 in range(0, pairs, CELL_PAIRS):
+            t = np.arange(t0, min(t0 + CELL_PAIRS, pairs))
+            g = np.searchsorted(end, t, side="right")
+            local = t - (end[g] - count[a[g]] * width[g])
+            p = members[first[a[g]] + local // width[g]]
+            q = members[first[b[g]] + local % width[g]]
+            keep = p != q  # a cell paired with itself
+            if keep.any():
+                best = min(best, float(_gaps(xyz, radii, p[keep], q[keep]).min()))
+    return best
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,17 @@ def phi(kappa: float, x, y) -> complex | np.ndarray:
     return val[()] if val.ndim == 0 else val
 
 
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.y over the last axis, of length 3, as (x0*y0 + x1*y1) + x2*y2: the
+    sum numpy's np.sum(x * y, axis=-1) takes, without its reduction machinery."""
+    return (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2]
+
+
 def plane_wave(kappa: float, theta, x) -> complex | np.ndarray:
     """Incident plane wave U^i(x) = e^{i kappa x.theta}."""
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    val = np.exp(1j * kappa * np.sum(x * theta, axis=-1))
+    val = np.exp(1j * kappa * _dot3(x, theta))
     return val[()] if val.ndim == 0 else val
 
 
@@ -62,7 +68,7 @@ def farfield_kernel(kappa: float, xhat, z) -> complex | np.ndarray:
     norms = np.linalg.norm(xhat, axis=-1)
     if np.any(np.abs(norms - 1.0) > UNIT_TOL):
         raise NonUnitDirection("observation direction must be unit length")
-    val = np.exp(-1j * kappa * np.sum(xhat * z, axis=-1))
+    val = np.exp(-1j * kappa * _dot3(xhat, z))
     return val[()] if val.ndim == 0 else val
 
 

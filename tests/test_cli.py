@@ -36,6 +36,19 @@ class TestExitCodes:
     def test_bad_regime_is_2(self, tmp_path):
         assert run(gen_args(tmp_path / "c.json", s=2.5)) == 2
 
+    @pytest.mark.parametrize("a, s, m_max, name", [
+        ("0.04", "0", "inf", "0 < M_max < inf"),
+        ("0.04", "0", "nan", "0 < M_max < inf"),
+        ("1e-200", "2", "1", "M_max * a^(-s) < inf")])
+    def test_infinite_count_is_2(self, tmp_path, capsys, a, s, m_max, name):
+        out = tmp_path / "c.json"
+        args = gen_args(out, a=a, s=s)
+        args[args.index("--Mmax") + 1] = m_max
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: regime admissibility violated: {name}\n"
+        assert not out.exists()
+
     def test_bad_a_values_is_2(self, tmp_path):
         assert run(["sweep", "--a-values", "0.1,0.2,0.3",
                     "--out", tmp_path / "s.csv"]) == 2

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import foldylax
-from foldylax import (FarFieldGrid, FoldyLaxSystem, MissingRegime,
+from foldylax import (FarFieldGrid, MissingRegime,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       SingularSystem, SphericalPole, ZeroImpedance, assemble,
                       charge_bound_check, coefficient, farfield,
@@ -20,6 +21,7 @@ from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
 from conftest import make_cloud, make_wave
+from dense_reference import scan, with_matrix
 
 
 def ref_phi(kappa, x, y):
@@ -68,6 +70,51 @@ class TestCoefficient:
             coefficient(-1.0, "spherical")
         with pytest.raises(ValueError):
             coefficient(-1.0, "general")
+
+
+def python_coefficient(lam: complex, variant: str, radius: float, area: float) -> complex:
+    """C_m in Python's own complex arithmetic, one obstacle at a time."""
+    if variant == "spherical":
+        return lam * (4.0 * np.pi * radius**2) / (-1.0 + lam * radius)
+    return -lam * area
+
+
+def random_obstacles(rng, n):
+    """Impedances with zero, negative-zero and tiny parts among them."""
+    parts = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3, 3, size=(2, n))
+    parts[0, ::7], parts[1, 1::7], parts[1, 2::7] = 0.0, 0.0, -0.0
+    return parts[0] + 1j * parts[1], rng.uniform(1e-4, 0.3, n), rng.uniform(1e-6, 1.0, n)
+
+
+@pytest.mark.parametrize("variant", ["general", "spherical"])
+def test_coefficients_match_python_complex_arithmetic(variant):
+    """numpy divides complex numbers by a reciprocal and squares by r*r;
+    Python uses Smith's method and libm's pow. The vector form is Python's."""
+    lam, radii, areas = random_obstacles(np.random.default_rng(7), 4000)
+    lam[0] = 1.0 / radii[0] + 1j  # near a pole, but clear of it
+    values = foldy._coefficients(lam, foldy.Variant(variant), radii, areas)
+    ref = np.array([python_coefficient(complex(l), variant, float(r), float(a))
+                    for l, r, a in zip(lam, radii, areas)])
+    assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
+    for m in range(0, 4000, 397):
+        c = coefficient(lam[m], variant, radius=radii[m], area=areas[m]).value
+        assert np.array_equal(np.array([c]).view(np.uint64), ref[m:m + 1].view(np.uint64))
+
+
+def test_assemble_raises_what_coefficient_raises_for_the_first_failure(wave):
+    """Obstacles 1 and 3 both fail, with different messages: obstacle 1 decides."""
+    centers = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+    for variant, imped, areas in [
+            ("spherical", [-1.0, 20.0, 1e300, 20.0 + 1e-14j], None),  # -1 + 20 * 0.05 = 0
+            ("general", [-1.0, 1e300, 20.0, 1e300 + 1e300j], [0.1, 1e10, 0.1, 1e10])]:
+        with pytest.raises((SphericalPole, ZeroImpedance)) as first:
+            coefficient(imped[1], variant, radius=0.05, area=areas and areas[1])
+        with pytest.raises((SphericalPole, ZeroImpedance)) as last:
+            coefficient(imped[3], variant, radius=0.05, area=areas and areas[3])
+        assert str(first.value) != str(last.value)
+        cloud = make_cloud(centers, 0.05, imped, areas=areas and np.array(areas))
+        with pytest.raises(type(first.value), match=re.escape(str(first.value))):
+            assemble(cloud, wave, variant)
 
 
 class TestAssemble:
@@ -182,10 +229,7 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:Diagonal number")
     def test_singular_matrix_raises(self, wave):
         cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
-        good = assemble(cloud, wave, "general")
-        bad = FoldyLaxSystem(matrix=np.zeros((2, 2), dtype=complex),
-                             rhs=good.rhs, coefficients=good.coefficients,
-                             cloud=cloud, wave=wave, variant=good.variant)
+        bad = with_matrix(assemble(cloud, wave, "general"), np.zeros((2, 2), dtype=complex))
         with pytest.raises(SingularSystem):
             solve(bad)
 
@@ -211,8 +255,8 @@ def lu_charges(system):
 
 def margin(system):
     """The certificate mu of solve(), or None."""
-    frob, norm_inf, _ = foldy._scan(system.matrix, with_gamma=False)
-    return foldy._definite_margin(system.matrix, frob, norm_inf)
+    return foldy._definite_margin(system.matrix, system.frobenius_offdiag_real,
+                                  system.norm_inf)
 
 
 def jittered_lattice(a=0.05, lambda0=-0.5, seed=4):
@@ -251,10 +295,8 @@ class TestCertifiedSolve:
 
     def test_weak_diagonal_takes_the_lu_path(self, wave):
         cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
-        good = assemble(cloud, wave, "general")
-        weak = FoldyLaxSystem(matrix=np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex),
-                              rhs=good.rhs, coefficients=good.coefficients,
-                              cloud=cloud, wave=wave, variant=good.variant)
+        weak = with_matrix(assemble(cloud, wave, "general"),
+                           np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex))
         assert margin(weak) is None
         sol = solve(weak)
         assert sol.iterations is None
@@ -265,7 +307,7 @@ class TestCertifiedSolve:
         # PIVOT_REL_TOL*||B||_inf of zero, so no certificate
         x = (1.0 - 4e-15) / math.sqrt(2.0)
         B = np.array([[1.0, x], [x, 1.0]], dtype=complex)
-        frob, norm_inf, _ = foldy._scan(B, with_gamma=False)
+        frob, norm_inf, _ = scan(B)
         assert 0 < 1.0 - frob <= foldy.PIVOT_REL_TOL * norm_inf
         assert foldy._definite_margin(B, frob, norm_inf) is None
         assert foldy._definite_margin(-B, frob, norm_inf) is None
@@ -316,8 +358,8 @@ def test_certificate_bounds_the_smallest_singular_value(seed, m, radius, kappa, 
     cloud = ScattererCloud(centers=centers, radii=np.full(m, radius),
                            impedances=impedances)
     assume(kappa * cloud.a_eff < 1.0)
-    B = assemble(cloud, make_wave(kappa=kappa), "general").matrix
-    frob, _, _ = foldy._scan(B, with_gamma=False)
+    system = assemble(cloud, make_wave(kappa=kappa), "general")
+    B, frob = system.matrix, system.frobenius_offdiag_real
     mu = float(np.min(np.abs(B.diagonal().real))) - frob
     if mu > 0:
         assert np.linalg.svd(B, compute_uv=False)[-1] >= mu * (1 - 1e-12)

@@ -53,7 +53,8 @@ class TestRegimeParams:
 
     @pytest.mark.parametrize("bad", [dict(a=0.0), dict(a=-0.1), dict(d_min=0.0),
                                      dict(d_min=3.0), dict(M_max=0.0),
-                                     dict(lambda0=0.0)])
+                                     dict(lambda0=0.0), dict(M_max=math.inf),
+                                     dict(M_max=math.nan), dict(a=1e-200, s=2.0)])
     def test_invalid_parameters(self, bad):
         with pytest.raises((RegimeViolation, ValueError)):
             std_regime(**bad)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldylax import CoincidentPoints, NonUnitDirection
+from foldylax import CoincidentPoints, NonUnitDirection, kernels
 from foldylax.kernels import farfield_kernel, fibonacci_sphere, phi, plane_wave
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
@@ -117,3 +117,15 @@ def test_farfield_kernel_unimodular(z, kappa, i):
     xhat = fibonacci_sphere(64)[i:i + 1]
     val = farfield_kernel(kappa, xhat, z)[0]
     assert abs(val) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((7, 3), (3,)), ((3,), (5, 3)),
+                                    ((40, 1, 3), (1, 300, 3)), ((1, 1, 3), (1, 9, 3))])
+def test_dot3_is_the_length_3_sum_bit_for_bit(shapes):
+    """plane_wave and farfield_kernel take x.y as (x0*y0 + x1*y1) + x2*y2,
+    the sum np.sum(x * y, axis=-1) gives, for every broadcast they meet."""
+    rng = np.random.default_rng(len(shapes[0]) * 10 + len(shapes[1]))
+    for _ in range(20):
+        x = rng.normal(size=shapes[0]) * 10.0 ** rng.uniform(-3, 3, size=shapes[0])
+        y = rng.normal(size=shapes[1]) * 10.0 ** rng.uniform(-3, 3, size=shapes[1])
+        assert np.array_equal(kernels._dot3(x, y), np.sum(x * y, axis=-1))

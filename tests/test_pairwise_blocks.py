@@ -1,13 +1,16 @@
-"""The row-blocked pairwise passes agree with the dense formulas they replace,
-bit for bit and whatever the number of worker threads."""
+"""The row-blocked pairwise passes and the cell list agree with the dense
+formulas they replace, bit for bit and whatever the number of worker threads."""
 
 import math
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 # _checked_lu_solve imports scipy.linalg on first use; loading it here keeps
 # the import's allocations out of every tracemalloc window below
 import scipy.linalg  # noqa: F401
@@ -20,6 +23,7 @@ from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
 from conftest import make_wave
+from dense_reference import min_surface_distance, scan
 
 M = 700  # several row blocks, the last one partial
 THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
@@ -77,13 +81,113 @@ def test_d_eff_is_the_brute_force_minimum_for_mixed_radii(monkeypatch):
         assert again.d_eff == np.min(gap[np.triu_indices(M, k=1)]), threads
 
 
-def test_scan_does_not_depend_on_thread_count(monkeypatch):
-    B = assemble(mixed_radii_cloud(), make_wave(kappa=1.3), "general").matrix
-    scans = []
-    for threads in THREADS:
-        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-        scans.append(foldy._scan(B, with_gamma=True))
-    assert scans[1:] == scans[:-1]
+def d_eff_of(centers, radii):
+    return geometry._min_surface_distance(np.asarray(centers, dtype=float),
+                                          np.asarray(radii, dtype=float))
+
+
+def test_cell_list_matches_brute_force_on_a_jittered_lattice():
+    rg = RegimeParams(a=0.04, s=0.0, t=1.0, beta=0.0, M_max=1e4, lambda0=-0.5)
+    cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=5)
+    assert cloud.M == 10**4
+    assert cloud.d_eff == min_surface_distance(cloud.centers, cloud.radii)
+
+
+def test_cell_list_with_a_far_outlier_and_two_spheres():
+    cloud = mixed_radii_cloud(seed=6)
+    centers = np.array(cloud.centers)
+    centers[M // 2] = (3e7, -1e6, 5e5)  # far from all: the cell keys stay small
+    assert d_eff_of(centers, cloud.radii) == min_surface_distance(centers, cloud.radii)
+    # the outlier is one of the closest two
+    pair = np.array([[0.0, 0.0, 0.0], [4e6, 3e6, 0.0]])
+    lattice = np.indices((4, 4, 4)).reshape(3, -1).T * 1e8
+    both = np.concatenate([pair, lattice + 1e9])
+    radii = np.full(len(both), 0.25)
+    assert d_eff_of(both, radii) == min_surface_distance(both, radii) == 5e6 - 0.5
+    two = [[0.1, 0.2, 0.3], [0.1 + 1 / 3, 0.2, 0.3 - 1 / 7]]
+    assert d_eff_of(two, [0.01, 0.02]) == min_surface_distance(np.array(two),
+                                                               np.array([0.01, 0.02]))
+    assert d_eff_of([[1.0, 2.0, 3.0]], [0.5]) == math.inf
+
+
+def test_cell_list_finds_the_pair_a_poor_bound_hides(monkeypatch):
+    """Neighbours in lexicographic order are all far apart, so one cell holds
+    every center; chunks smaller than that cell's pairs, and cells too fine
+    for the key range, still give the exact minimum."""
+    x = np.arange(200, dtype=float)
+    centers = np.column_stack([x, np.where(x % 2 == 0, 0.0, 1e3), np.zeros(200)])
+    centers[10, 0] += 0.5  # the closest pair: 10 and 12, 1.5 apart
+    radii = np.full(200, 0.1)
+    expected = min_surface_distance(centers, radii)
+    assert expected == (1.5 - 0.1) - 0.1
+    assert d_eff_of(centers, radii) == expected
+    monkeypatch.setattr(geometry, "CELL_PAIRS", 7)
+    assert d_eff_of(centers, radii) == expected
+    cloud = mixed_radii_cloud(seed=8)
+    expected = min_surface_distance(cloud.centers, cloud.radii)
+    monkeypatch.setattr(geometry, "CELL_KEYS", 40)  # the side doubles to 2 cells a side
+    assert d_eff_of(cloud.centers, cloud.radii) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 120),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]), spread=st.floats(0.0, 1.0),
+       grid=st.sampled_from([None, 0.25, 1.0]))
+def test_cell_list_is_the_brute_force_minimum(seed, m, scale, spread, grid):
+    """Random clouds, some on a coarse grid (ties and equal coordinates), some
+    with overlapping or coincident spheres: the same bits as all pairs."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-scale, scale, size=(m, 3))
+    if grid is not None:
+        centers = np.round(centers / (grid * scale)) * (grid * scale)
+    radii = scale * 1e-2 * (1.0 + spread * rng.uniform(0.0, 9.0, size=m))
+    assert d_eff_of(centers, radii) == min_surface_distance(centers, radii)
+
+
+def test_validating_a_jittered_lattice_of_10_5_spheres_is_fast():
+    rg = RegimeParams(a=0.04, s=0.0, t=1.0, beta=0.0, M_max=1e5, lambda0=-0.5)
+    cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=2)
+    start = time.perf_counter()
+    again = ScattererCloud(centers=cloud.centers, radii=cloud.radii,
+                           impedances=cloud.impedances, regime=rg)
+    assert time.perf_counter() - start < 2.0
+    assert again.d_eff == cloud.d_eff
+    assert rg.d_min * rg.a <= cloud.d_eff <= rg.d_max * rg.a
+
+
+def test_certificate_stats_do_not_depend_on_thread_count(monkeypatch):
+    """Assembly's ||Re B_n||_F and gamma are the same bits for 1, 2 and 3
+    workers and match the dense reference; ||B||_inf, a tolerance scale, to 1e-13."""
+    cloud, wave = mixed_radii_cloud(), make_wave(kappa=1.3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats = []
+        for threads in THREADS:
+            monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+            system = assemble(cloud, wave, "general")
+            stats.append((system.frobenius_offdiag_real, system.gamma, system.norm_inf))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [s[:2] for s in stats[1:]] == [s[:2] for s in stats[:-1]]
+    frob, norm_inf, gamma = scan(system.matrix)
+    for fused_frob, fused_gamma, fused_norm in stats:
+        assert fused_frob == pytest.approx(frob, rel=1e-13, abs=0)
+        assert fused_gamma == pytest.approx(gamma, rel=0, abs=1e-15)
+        assert fused_norm == pytest.approx(norm_inf, rel=1e-13, abs=0)
+
+
+def test_certificate_stats_of_small_systems():
+    """One scatterer has no pairs; of two, only the first row has a j > i."""
+    wave = make_wave(kappa=0.9)
+    for centers in ([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.3, 1.1, -0.4]]):
+        cloud = ScattererCloud(centers=centers, radii=np.full(len(centers), 0.05),
+                               impedances=np.full(len(centers), -1.0 + 0.5j))
+        system = assemble(cloud, wave, "general")
+        frob, norm_inf, gamma = scan(system.matrix)
+        assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-15, abs=0)
+        assert system.norm_inf == pytest.approx(norm_inf, rel=1e-15)
+        assert system.gamma == pytest.approx(gamma, abs=1e-15)
 
 
 def test_coincident_centers_in_the_last_block_raise(monkeypatch):
@@ -122,7 +226,9 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
 def solution_with(cloud, charges, wave):
     """A solution carrying given charges, for far-field tests that need no solve."""
     system = foldy.FoldyLaxSystem(matrix=None, rhs=None, coefficients=None, cloud=cloud,
-                                  wave=wave, variant=foldy.Variant.GENERAL)
+                                  wave=wave, variant=foldy.Variant.GENERAL,
+                                  frobenius_offdiag_real=math.nan, norm_inf=math.nan,
+                                  gamma=math.nan)
     return foldy.FoldyLaxSolution(charges=charges, residual_inf=0.0, system=system,
                                   diagnostics=None)
 
