@@ -5,9 +5,10 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series), 4 too little memory for a dense
-matrix, its LU copy, the boundary-integral translation table or a lattice
-cloud; no other size limit applies.
+(singular system, unconverged series), 4 too little memory for the packed
+Foldy-Lax matrix (about 8 M^2 bytes), the LU's dense copy and mask (17 M^2
+more, on the LU path only), the boundary-integral matrix or its translation
+table, or a lattice cloud; no other size limit applies.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
 worker threads of the compute-bound pairwise passes (cloud validation and

@@ -32,17 +32,24 @@ oracle.solve_bie shares with its own Neumann-series margin.
 Assembly, the report and the certified solve need numpy only. scipy.linalg
 loads inside _checked_lu_solve, so only the LU fallback pays for it.
 
-Every pass over the rows of B runs through geometry.row_block_pass, into
-scratch buffers allocated once per pass. Assembly is bound by sqrt and exp,
-so its blocks go to FOLDYLAX_THREADS worker threads; each block writes its
-own rows and columns of B, so B is the same bit for bit whatever the worker
-count. The assembly pass also yields the certificate while each block is in
-cache: ||Re B_n||_F from per-row sums over j > i that do not depend on the
-block layout, gamma = min cos(kappa d) from e^{i kappa d} before scaling,
-and ||B||_inf from the row sums of |B_ij| = 1/(4 pi d). A certified solve
-then reads B only through GMRES products. The LU's ||A||_inf pass is bound
-by memory bandwidth and keeps one worker. farfield evaluates the kernel
-over blocks of directions.
+B is stored once, packed by row strips (in the spirit of LAPACK's packed
+symmetric storage, zspmv; Anderson et al., LAPACK Users' Guide, SIAM 1999):
+the strip of rows i0:i1 holds columns i0:M, its k x k diagonal square whole,
+and all strips share one flat buffer of about 8*M^2 bytes. The strips are
+the blocks of geometry.row_blocks with at least STRIP_ROWS rows, whatever the
+worker count. B @ x reads each strip twice, y[i0:i1] += S @ x[i0:] and
+y[i1:] += x[i0:i1] @ S[:, k:], and np.asarray(B) builds the dense matrix.
+
+Assembly fills each strip in place through geometry.row_block_pass, into
+scratch buffers allocated once per pass. It is bound by sqrt, cos and sin,
+so its strips go to FOLDYLAX_THREADS worker threads; each writes its own
+strip, so B is the same bit for bit whatever the worker count. The pass also
+yields the certificate while each strip is in cache: ||Re B_n||_F from
+per-row sums over j > i that do not depend on the layout, gamma =
+min cos(kappa d) before scaling, and ||B||_inf from the row sums of
+|B_ij| = 1/(4 pi d). A certified solve then reads B only through GMRES
+products and its diagonal; only the LU fallback makes a dense copy. farfield
+evaluates the kernel over blocks of directions.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ POLE_TOL = 1e-12
 GMRES_TOL = 1e-14  # relative 2-norm residual at which GMRES stops
 GMRES_RESTART = 50
 GMRES_MAXITER = 200  # matrix-vector products before falling back to LU
+# B's strips have at least this many rows: thinner strips make B @ x slower
+# than the dense product at M = 10^4
+STRIP_ROWS = 64
 
 
 class Variant(str, enum.Enum):
@@ -158,17 +168,62 @@ def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
     return value
 
 
-@dataclass(frozen=True)
-class FoldyLaxSystem:
-    """Assembled dense system B Q = U^I (complex symmetric).
+class _PackedSymmetric:
+    """An n x n complex symmetric matrix stored once, as the row strips of
+    row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on.
 
-    The assembly pass also yields the inputs of the certificate and of the
-    invertibility report: frobenius_offdiag_real = ||Re B_n||_F, norm_inf =
-    ||B||_inf and gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf
-    for one scatterer).
+    strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n.
+    The constructor allocates them uninitialised; it raises InsufficientMemory
+    first if they do not fit in the memory available.
     """
 
-    matrix: np.ndarray
+    def __init__(self, n: int):
+        blocks = row_blocks(n, min_rows=STRIP_ROWS)
+        sizes = [(i1 - i0) * (n - i0) for i0, i1 in blocks]
+        _require_memory(16 * sum(sizes), f"M = {n}", "the matrix")
+        self._buf = np.empty(sum(sizes), dtype=complex)
+        self.shape, self.dtype, self.strips = (n, n), self._buf.dtype, {}
+        for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
+            self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
+
+    @property
+    def nbytes(self) -> int:
+        return self._buf.nbytes
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([S.diagonal() for S in self.strips.values()])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.shape[0], dtype=complex)
+        for i0, S in self.strips.items():
+            i1 = i0 + len(S)
+            y[i0:i1] += S @ x[i0:]
+            y[i1:] += x[i0:i1] @ S[:, len(S):]
+        return y
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        B = np.empty(self.shape, dtype=complex)
+        for i0, S in self.strips.items():
+            i1 = i0 + len(S)
+            B[i0:i1, i0:] = S
+            B[i1:, i0:i1] = S[:, len(S):].T
+        return B if dtype is None else B.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
+class FoldyLaxSystem:
+    """Assembled system B Q = U^I, B complex symmetric and packed.
+
+    matrix is B in packed form (see the module docstring): it has shape,
+    dtype, nbytes, diagonal() and the product with a vector, and
+    np.asarray(matrix) is the dense B. The assembly pass also yields the
+    inputs of the certificate and of the invertibility report:
+    frobenius_offdiag_real = ||Re B_n||_F, norm_inf = ||B||_inf and
+    gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one
+    scatterer).
+    """
+
+    matrix: _PackedSymmetric
     rhs: np.ndarray
     coefficients: np.ndarray
     cloud: ScattererCloud
@@ -249,7 +304,7 @@ class FarFieldGrid:
 
 def assemble(cloud: ScattererCloud, wave: IncidentWave,
              variant: Variant | str = Variant.GENERAL) -> FoldyLaxSystem:
-    """Build the dense system for a cloud and an incident plane wave.
+    """Build the packed system for a cloud and an incident plane wave.
 
     Raises:
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
@@ -257,8 +312,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         CoincidentCenters: two centers numerically coincide.
         ZeroImpedance / SphericalPole: as coefficient() raises them, for the
             first obstacle that fails.
-        InsufficientMemory: the matrix, 16*M^2 bytes, exceeds the memory
-            available.
+        InsufficientMemory: the packed matrix, about 8*M^2 bytes, exceeds
+            the memory available.
     """
     variant = Variant(variant)
     if wave.kappa * cloud.a_eff >= 1.0:
@@ -270,41 +325,38 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         raise ValueError("spherical variant requires true spheres (no explicit areas)")
     M = cloud.M
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
-    _require_memory(16 * M * M, f"M = {M}", "the matrix")
-    B = np.empty((M, M), dtype=complex)
+    B = _PackedSymmetric(M)
+    diagonal = -1.0 / coeffs
     xyz = np.ascontiguousarray(cloud.centers.T)
     kappa = wave.kappa
-    lower = np.tri(row_blocks(M)[0][1], dtype=bool)  # no block has more rows
-    upper = ~lower
+    lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
     neg_abs_rows = np.zeros(M)  # row i: -sum over j != i of |B_ij|
 
-    def fill(i0, i1, dist, tmp, blk, neg_abs):
+    def fill(i0, i1, dist, tmp, neg_abs):
         k, w = i1 - i0, M - i0
         dist = pair_distances(xyz, i0, i1, block_view(dist, k, w), block_view(tmp, k, w))
         np.fill_diagonal(dist, np.inf)
         if dist.min() < 1e-14:
             raise CoincidentCenters("two scatterer centers coincide")
-        np.fill_diagonal(dist, 1.0)  # overwritten below; keeps exp and division finite
-        blk = block_view(blk, k, w)
-        real, imag = blk.real, blk.imag
-        real[...] = 0.0
-        np.multiply(kappa, dist, out=imag)
-        np.exp(blk, out=blk)  # e^{i kappa d}
-        # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
-        gamma = min(float(np.min(real[:, :k], initial=np.inf, where=upper[:k, :k])),
-                    float(np.min(real[:, k:], initial=np.inf)))
+        np.fill_diagonal(dist, 1.0)  # overwritten below; keeps cos, sin and division finite
+        S = B.strips[i0]
+        cos = np.multiply(kappa, dist, out=block_view(tmp, k, w))
+        np.sin(cos, out=S.imag)
+        np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
         # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
         # it: times the reciprocal of 4 pi d
         scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
-        np.multiply(real, scale, out=real)
-        np.multiply(imag, scale, out=imag)
-        B[i0:i1, i0:] = blk
-        B[i0:, i0:i1] = blk.T  # B is symmetric: |z_i - z_j| is, bit for bit
-        # each row's sum of (Re B_ij)^2 over exactly j > i: no block layout in it
+        np.multiply(cos, scale, out=S.real)
+        np.multiply(S.imag, scale, out=S.imag)
+        # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
+        np.copyto(cos[:, :k], np.inf, where=lower[:k, :k])
+        gamma = float(cos.min())
+        np.fill_diagonal(S, diagonal[i0:i1])
+        # each row's sum of (Re B_ij)^2 over exactly j > i: no strip layout in it
         rows = min(k, w - 1)  # row M - 1 has no j > i
         if rows:
-            square = np.multiply(real, real, out=block_view(tmp, k, w)).reshape(-1)
+            square = np.multiply(S.real, S.real, out=block_view(tmp, k, w)).reshape(-1)
             starts = np.empty(2 * rows - 1, dtype=np.intp)
             starts[0::2] = np.arange(rows) * (w + 1) + 1
             starts[1::2] = np.arange(1, rows) * w
@@ -313,20 +365,19 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         np.copyto(scale[:, :k], 0.0, where=lower[:k, :k])
         neg_abs[i0:i1] += np.add.reduce(scale, axis=1, out=tmp[:k])
         neg_abs[i0:] += np.add.reduce(scale, axis=0, out=tmp[:w])
+        S.setflags(write=False)
         return gamma
 
-    # the blocks write disjoint parts of B and of row_frob2
-    blocks = row_block_pass(fill, M, scratch=(float, float, complex), threaded=True,
-                            total=neg_abs_rows)
-    B[np.diag_indices(M)] = -1.0 / coeffs
+    # each strip writes its own part of B and of row_frob2
+    strips = row_block_pass(fill, M, scratch=(float, float), threaded=True,
+                            total=neg_abs_rows, min_rows=STRIP_ROWS)
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
-    B.setflags(write=False)
     rhs.setflags(write=False)
-    norm_inf = float(np.max(np.abs(B.diagonal()) - neg_abs_rows))
+    norm_inf = float(np.max(np.abs(diagonal) - neg_abs_rows))
     return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
                           variant=variant,
                           frobenius_offdiag_real=math.sqrt(2.0 * float(row_frob2.sum())),
-                          norm_inf=norm_inf, gamma=min(blocks))
+                          norm_inf=norm_inf, gamma=min(strips))
 
 
 def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
@@ -337,27 +388,31 @@ def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> f
     return residual
 
 
-def _checked_lu_solve(A: np.ndarray, rhs: np.ndarray, residual_tol: float,
-                      scale: float | None = None):
+def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float, scale: float | None = None):
     """LU solve returning (x, relative inf-norm residual).
 
-    scale is ||A||_inf when the caller has it. Raises InsufficientMemory if the
-    LU copy and lu_factor's finiteness mask do not fit in the memory available,
-    SingularSystem if a pivot underflows PIVOT_REL_TOL * ||A||_inf or the
-    residual exceeds residual_tol.
+    A is a dense array or B's packed form; lu_factor factors one dense copy of
+    it in place, and the residual is A @ x - rhs. scale is ||A||_inf when the
+    caller has it. Raises InsufficientMemory if the dense copy and lu_factor's
+    finiteness mask do not fit in the memory available, SingularSystem if a
+    pivot underflows PIVOT_REL_TOL * ||A||_inf or the residual exceeds
+    residual_tol.
     """
     import scipy.linalg as la  # here, not at the top: the certified solve needs numpy only
 
-    n = len(A)
-    _require_memory(A.nbytes + A.size, f"{n}x{n} system", "its LU factors")
-    lu, piv = la.lu_factor(A)
+    n = A.shape[0]
+    _require_memory(17 * n * n, f"{n}x{n} system", "its LU factors")
+    dense = np.array(A)
     if scale is None:
-        scale = max(row_block_pass(lambda i0, i1, buf: _abs_rows(A, i0, i1, buf)[1], n,
+        scale = max(row_block_pass(lambda i0, i1, buf: _abs_rows(dense, i0, i1, buf)[1], n,
                                    scratch=(float,)))
+    # dense is in C order, so dense.T is A^T in the Fortran order that LAPACK
+    # factors in place; the solve with trans=1 then gives A x = rhs
+    lu, piv = la.lu_factor(dense.T, overwrite_a=True)
     min_pivot = float(np.min(np.abs(np.diag(lu))))
     if min_pivot <= PIVOT_REL_TOL * scale:
         raise SingularSystem(f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||A||")
-    x = la.lu_solve((lu, piv), rhs)
+    x = la.lu_solve((lu, piv), rhs, trans=1)
     return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
 
 
@@ -367,7 +422,7 @@ def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
     return absa, float(absa.sum(axis=1).max())
 
 
-def _definite_margin(B: np.ndarray, frob_offdiag_real: float, norm_inf: float) -> float | None:
+def _definite_margin(B, frob_offdiag_real: float, norm_inf: float) -> float | None:
     """mu = min|Re B_mm| - ||Re B_n||_F when every Re B_mm has one sign and
     mu > PIVOT_REL_TOL * ||B||_inf, else None.
 
@@ -382,7 +437,7 @@ def _definite_margin(B: np.ndarray, frob_offdiag_real: float, norm_inf: float) -
     return mu if mu > PIVOT_REL_TOL * norm_inf else None
 
 
-def _gmres(B: np.ndarray, rhs: np.ndarray, precond: np.ndarray):
+def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
     """Restarted GMRES for B x = rhs, right-preconditioned by diag(precond).
 
     Arnoldi with classical Gram-Schmidt; the Hessenberg least squares is
@@ -431,7 +486,7 @@ def _gmres(B: np.ndarray, rhs: np.ndarray, precond: np.ndarray):
         r = rhs - B @ x
 
 
-def _certified_solve(A: np.ndarray, rhs: np.ndarray, margin: float | None,
+def _certified_solve(A, rhs: np.ndarray, margin: float | None,
                      residual_tol: float, scale: float | None):
     """The solve policy of solve and oracle.solve_bie: (x, residual, iterations).
 

@@ -21,12 +21,12 @@ pair_distances, so d is the brute-force minimum bit for bit, and candidates
 go in chunks of CELL_PAIRS, so a poor u costs time but never memory.
 
 Every pass over the rows of an M x M matrix goes through row_block_pass:
-blocks of about PAIR_BLOCK entries, computed into scratch buffers allocated
-once per pass, so no pass allocates an M x M temporary or a new one per
-block. Passes bound by arithmetic (Foldy-Lax assembly) share their blocks
-among FOLDYLAX_THREADS worker threads; passes bound by memory bandwidth keep
-one worker and the fixed blocks of row_blocks, so their sums add up in the
-same order every run.
+the fixed blocks of row_blocks, about PAIR_BLOCK entries each, computed into
+scratch buffers allocated once per pass, so no pass allocates an M x M
+temporary or a new one per block. Passes bound by arithmetic (Foldy-Lax
+assembly) deal those blocks among FOLDYLAX_THREADS worker threads; passes
+bound by memory bandwidth keep one worker, so their sums add up in the same
+order every run. The block layout never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -236,10 +236,10 @@ class ScattererCloud:
         return 2.0 * float(np.max(self.radii))
 
 
-def row_blocks(n: int, width: int | None = None):
+def row_blocks(n: int, width: int | None = None, min_rows: int = 1):
     """Row slices (i0, i1) of an n-row array of width (default n) columns,
-    about PAIR_BLOCK entries each."""
-    rows = max(1, PAIR_BLOCK // (width or n))
+    about PAIR_BLOCK entries each and at least min_rows rows."""
+    rows = max(min_rows, PAIR_BLOCK // (width or n))
     return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
@@ -249,26 +249,24 @@ def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False,
-                   total: np.ndarray | None = None):
-    """Apply body to the row blocks of an n-row array; return its results in block order.
+                   total: np.ndarray | None = None, min_rows: int = 1):
+    """Apply body to row_blocks(n, width, min_rows); return its results in block order.
 
     body(i0, i1, *bufs) handles rows i0:i1. scratch lists the dtypes of its
     flat scratch buffers: each worker allocates one of each, rows*width
     entries long, once per call, and body views a prefix with block_view.
-    A memory-bound pass runs on one worker over row_blocks(n, width). A
-    threaded pass, one bound by arithmetic (numpy releases the GIL inside
-    ufunc loops), deals blocks of 1/thread_count() that size round-robin to
-    thread_count() workers, so its scratch stays about the same whatever the
-    worker count; body must not depend on the block layout or order. With
-    total, each worker also passes body a zeroed array shaped like it, after
-    the scratch buffers, to add its blocks into; these are added into total
-    in worker order, so the sum is the same every run with as many workers.
-    An exception raised by body is raised here once every worker has stopped.
+    A memory-bound pass runs on one worker. A threaded pass, one bound by
+    arithmetic (numpy releases the GIL inside ufunc loops), deals the same
+    blocks round-robin to thread_count() workers; body must not depend on
+    the order in which blocks run. With total, each worker also passes body
+    a zeroed array shaped like it, after the scratch buffers, to add its
+    blocks into; these are added into total in worker order, so the sum is
+    the same every run with as many workers. An exception raised by body is
+    raised here once every worker has stopped.
     """
     width = width or n
-    workers = thread_count() if threaded else 1
-    blocks = row_blocks(n, width * workers)
-    workers = min(workers, len(blocks))
+    blocks = row_blocks(n, width, min_rows)
+    workers = min(thread_count() if threaded else 1, len(blocks))
     size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
     sums = [np.zeros_like(total) for _ in range(workers)] if total is not None else []
 

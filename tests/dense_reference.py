@@ -2,8 +2,9 @@
 
 foldy.assemble yields ||Re B_n||_F, ||B||_inf and gamma while it fills B, and
 geometry finds d by a cell list. These functions compute the same quantities
-the direct way, from a finished B and from all pairs of centers, for the tests
-to check against and to give hand-built systems their certificate inputs.
+the direct way, from a finished dense B and from all pairs of centers, for the
+tests to check against and to give hand-built systems their certificate
+inputs; pack stores a hand-built B the way assembly does.
 """
 
 import dataclasses
@@ -42,10 +43,20 @@ def scan(B: np.ndarray):
             min(gamma for _, _, gamma in blocks))
 
 
+def pack(B: np.ndarray):
+    """A dense complex symmetric B in the packed form foldy.assemble builds."""
+    assert np.array_equal(B, B.T), "only a symmetric matrix packs"
+    packed = foldy._PackedSymmetric(len(B))
+    for i0, S in packed.strips.items():
+        S[...] = B[i0:i0 + len(S), i0:]
+    return packed
+
+
 def with_matrix(system: foldy.FoldyLaxSystem, matrix: np.ndarray) -> foldy.FoldyLaxSystem:
-    """system with B replaced by matrix, and the certificate inputs read off it."""
+    """system with B replaced by the symmetric matrix, packed, and the
+    certificate inputs read off it."""
     frob, norm_inf, gamma = scan(matrix)
-    return dataclasses.replace(system, matrix=matrix, frobenius_offdiag_real=frob,
+    return dataclasses.replace(system, matrix=pack(matrix), frobenius_offdiag_real=frob,
                                norm_inf=norm_inf, gamma=gamma)
 
 

@@ -90,14 +90,26 @@ class TestExitCodes:
         assert not (tmp_path / "x_charges.csv").exists()
 
     @staticmethod
-    def room_for_the_matrix_only(monkeypatch, m):
-        # B (16 M^2 bytes) fits; its LU copy plus lu_factor's mask (17 M^2) does not
-        monkeypatch.setattr(geometry, "_available_bytes", lambda: 16 * m * m + m * m // 2)
+    def room_for(monkeypatch, nbytes):
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: nbytes)
+
+    @staticmethod
+    def packed_bytes(m):
+        """The packed Foldy-Lax matrix: its strips from the diagonal on, about 8 m^2 bytes."""
+        strips = geometry.row_blocks(m, min_rows=foldy.STRIP_ROWS)
+        return 16 * sum((i1 - i0) * (m - i0) for i0, i1 in strips)
 
     def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
+        """Nor for a dense B: the exit-4 boundary is the packed matrix's bytes."""
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400, lambda0 = -0.5: Re B definite
-        self.room_for_the_matrix_only(monkeypatch, 400)
+        need = self.packed_bytes(400)
+        assert need < 16 * 400**2  # the dense B would not fit
+        self.room_for(monkeypatch, need - 1)
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err.startswith("error: M = 400 needs 2 MiB for the matrix")
+        assert not (tmp_path / "x_charges.csv").exists()
+        self.room_for(monkeypatch, need)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
         assert (tmp_path / "x_charges.csv").exists()
 
@@ -107,7 +119,8 @@ class TestExitCodes:
         doc = json.loads(cloud.read_text())
         doc["impedance_re"][0] = -doc["impedance_re"][0]  # mixed signs: LU path
         cloud.write_text(json.dumps(doc))
-        self.room_for_the_matrix_only(monkeypatch, 400)
+        # the packed B fits; the LU's dense copy and lu_factor's mask, 17 M^2 bytes, do not
+        self.room_for(monkeypatch, 17 * 400**2 - 1)
         capsys.readouterr()
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err

@@ -221,8 +221,8 @@ class TestAssemble:
 
     def test_matrix_is_complex_symmetric(self, tilted_wave):
         cloud = make_cloud([[0, 0, 0], [0.8, 0, 0], [0.2, 0.9, 0.1]], 0.03, -1.0)
-        system = assemble(cloud, tilted_wave, "general")
-        assert np.array_equal(system.matrix, system.matrix.T)
+        B = np.asarray(assemble(cloud, tilted_wave, "general").matrix)
+        assert np.array_equal(B, B.T)
 
 
 class TestSolve:
@@ -362,7 +362,17 @@ def test_certificate_bounds_the_smallest_singular_value(seed, m, radius, kappa, 
     B, frob = system.matrix, system.frobenius_offdiag_real
     mu = float(np.min(np.abs(B.diagonal().real))) - frob
     if mu > 0:
-        assert np.linalg.svd(B, compute_uv=False)[-1] >= mu * (1 - 1e-12)
+        assert np.linalg.svd(np.asarray(B), compute_uv=False)[-1] >= mu * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.0 * math.pi), (1.0, 1e3),
+                                    (1e3, 1e6)])
+def test_cos_and_sin_are_the_parts_of_exp(lo, hi):
+    """assemble writes cos(kappa d) and sin(kappa d) where it took e^{i kappa d}."""
+    x = np.random.default_rng(int(hi)).uniform(lo, hi, size=10**6)
+    e = np.exp(1j * x)
+    assert np.cos(x).tobytes() == e.real.tobytes()
+    assert np.sin(x).tobytes() == e.imag.tobytes()
 
 
 def run_python(code, cwd):

@@ -1,5 +1,6 @@
-"""The row-blocked pairwise passes and the cell list agree with the dense
-formulas they replace, bit for bit and whatever the number of worker threads."""
+"""The row-blocked pairwise passes, the packed Foldy-Lax matrix and the cell
+list agree with the dense formulas they replace, bit for bit and whatever the
+number of worker threads."""
 
 import math
 import os
@@ -23,7 +24,7 @@ from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
 from conftest import make_wave
-from dense_reference import min_surface_distance, scan
+from dense_reference import min_surface_distance, pack, scan
 
 M = 700  # several row blocks, the last one partial
 THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
@@ -52,23 +53,78 @@ def test_block_layout_is_exercised():
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
-def test_assemble_bit_identical_to_dense_formula(monkeypatch):
-    cloud = mixed_radii_cloud()
-    wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
+def dense_formula(cloud, wave):
+    """B by the dense formula: -e^{i kappa d}/(4 pi d) off the diagonal, -1/C_m on it."""
     dist = dense_distances(cloud.centers)
-    off = ~np.eye(M, dtype=bool)
-    ref = np.zeros((M, M), dtype=complex)
+    off = ~np.eye(cloud.M, dtype=bool)
+    ref = np.zeros((cloud.M, cloud.M), dtype=complex)
     ref[off] = -np.exp(1j * wave.kappa * dist[off]) / (4.0 * np.pi * dist[off])
+    ref[np.diag_indices(cloud.M)] = -1.0 / assemble(cloud, wave, "general").coefficients
+    return ref
+
+
+def assembled_per_thread_count(monkeypatch, cloud, wave):
+    """(threads, assemble's system) for each worker count in THREADS, with the
+    workers switched as often as the interpreter allows."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch workers as often as the interpreter allows
+    sys.setswitchinterval(1e-6)
     try:
         for threads in THREADS:
             monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-            system = assemble(cloud, wave, "general")
-            ref[np.diag_indices(M)] = -1.0 / system.coefficients
-            assert np.array_equal(system.matrix, ref), threads
+            yield threads, assemble(cloud, wave, "general")
     finally:
         sys.setswitchinterval(interval)
+
+
+def strip_layout(B):
+    return [(i0, S.shape) for i0, S in B.strips.items()]
+
+
+def test_assemble_bit_identical_to_dense_formula(monkeypatch):
+    """The packed B densifies to the dense formula, in strips of row_blocks(M)
+    (PAIR_BLOCK // M > STRIP_ROWS rows here), for every worker count."""
+    cloud = mixed_radii_cloud()
+    wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
+    ref = dense_formula(cloud, wave)
+    layout = [(i0, (i1 - i0, M - i0)) for i0, i1 in row_blocks(M)]
+    for threads, system in assembled_per_thread_count(monkeypatch, cloud, wave):
+        assert system.matrix.shape == (M, M)
+        assert strip_layout(system.matrix) == layout, threads
+        assert np.array_equal(np.asarray(system.matrix), ref), threads
+
+
+def test_strip_layout_does_not_depend_on_thread_count(monkeypatch):
+    """Where PAIR_BLOCK // M gives fewer, strips have STRIP_ROWS rows from the
+    diagonal on, the last one partial: the same for every worker count."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
+    rows = foldy.STRIP_ROWS
+    assert geometry.PAIR_BLOCK // M < rows and M % rows != 0
+    layout = [(i0, (min(rows, M - i0), M - i0)) for i0 in range(0, M, rows)]
+    cloud, wave = mixed_radii_cloud(seed=2), make_wave(kappa=0.7)
+    ref = dense_formula(cloud, wave)
+    for threads, system in assembled_per_thread_count(monkeypatch, cloud, wave):
+        B = system.matrix
+        assert strip_layout(B) == layout, threads
+        assert B.nbytes == 16 * sum(k * w for _, (k, w) in layout)
+        assert np.array_equal(np.asarray(B), ref), threads
+        assert np.array_equal(B.diagonal(), ref.diagonal())
+
+
+def test_packed_product_matches_the_dense_product(monkeypatch):
+    """Within 1e-15 ||(|B| |x|)||_inf over many strips; bit for bit over one."""
+    rng = np.random.default_rng(11)
+    B = dense_formula(mixed_radii_cloud(seed=4), make_wave(kappa=1.6))
+    xs = [rng.normal(size=M) + 1j * rng.normal(size=M), rng.normal(size=M), np.ones(M)]
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
+    packed = pack(B)
+    assert len(packed.strips) == math.ceil(M / foldy.STRIP_ROWS)
+    for x in xs:
+        bound = 1e-15 * np.max(np.abs(B) @ np.abs(x))
+        assert np.max(np.abs(packed @ x - B @ x)) <= bound
+    small = B[:50, :50]
+    assert len(pack(small).strips) == 1
+    for x in xs:
+        assert (pack(small) @ x[:50]).tobytes() == (small @ x[:50]).tobytes()
 
 
 def test_d_eff_is_the_brute_force_minimum_for_mixed_radii(monkeypatch):
@@ -159,18 +215,11 @@ def test_certificate_stats_do_not_depend_on_thread_count(monkeypatch):
     """Assembly's ||Re B_n||_F and gamma are the same bits for 1, 2 and 3
     workers and match the dense reference; ||B||_inf, a tolerance scale, to 1e-13."""
     cloud, wave = mixed_radii_cloud(), make_wave(kappa=1.3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        stats = []
-        for threads in THREADS:
-            monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-            system = assemble(cloud, wave, "general")
-            stats.append((system.frobenius_offdiag_real, system.gamma, system.norm_inf))
-    finally:
-        sys.setswitchinterval(interval)
+    stats = []
+    for _, system in assembled_per_thread_count(monkeypatch, cloud, wave):
+        stats.append((system.frobenius_offdiag_real, system.gamma, system.norm_inf))
     assert [s[:2] for s in stats[1:]] == [s[:2] for s in stats[:-1]]
-    frob, norm_inf, gamma = scan(system.matrix)
+    frob, norm_inf, gamma = scan(np.asarray(system.matrix))
     for fused_frob, fused_gamma, fused_norm in stats:
         assert fused_frob == pytest.approx(frob, rel=1e-13, abs=0)
         assert fused_gamma == pytest.approx(gamma, rel=0, abs=1e-15)
@@ -184,7 +233,7 @@ def test_certificate_stats_of_small_systems():
         cloud = ScattererCloud(centers=centers, radii=np.full(len(centers), 0.05),
                                impedances=np.full(len(centers), -1.0 + 0.5j))
         system = assemble(cloud, wave, "general")
-        frob, norm_inf, gamma = scan(system.matrix)
+        frob, norm_inf, gamma = scan(np.asarray(system.matrix))
         assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-15, abs=0)
         assert system.norm_inf == pytest.approx(norm_inf, rel=1e-15)
         assert system.gamma == pytest.approx(gamma, abs=1e-15)
@@ -196,23 +245,22 @@ def test_coincident_centers_in_the_last_block_raise(monkeypatch):
     centers[M - 1] = centers[M - 2]
     # construction refuses the overlap, so swap the centers in afterwards
     object.__setattr__(cloud, "centers", centers)
+    assert row_blocks(M)[-1][0] <= M - 2  # the last strip holds the pair
     for threads in THREADS:
-        # the threaded pass deals blocks a thread_count()-th the size
-        assert row_blocks(M, M * threads)[-1][0] <= M - 2
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         with pytest.raises(CoincidentCenters):
             assemble(cloud, make_wave(), "general")
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """No per-block temporaries: B, each worker's scratch (two float and one
-    complex buffer of a block) and at most 256 KiB per worker besides."""
+    """No per-strip temporaries: the packed B, each worker's scratch (two float
+    buffers of a strip's rows by M) and at most 256 KiB per worker besides."""
     cloud = mixed_radii_cloud()
+    blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-        blocks = row_blocks(M, M * threads)
         workers = min(threads, len(blocks))
-        scratch = workers * (blocks[0][1] - blocks[0][0]) * M * (8 + 8 + 16)
+        scratch = workers * (blocks[0][1] - blocks[0][0]) * M * (8 + 8)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -308,15 +356,19 @@ def dense_lattice_976():
     return cloud
 
 
-def test_peak_memory_of_certified_solve_is_matrix_plus_blocks():
-    """GMRES needs no LU copy: within 1.7x the bytes of B (2.07x with LU)."""
+def test_peak_memory_of_certified_solve_is_matrix_plus_blocks(monkeypatch):
+    """GMRES needs no dense copy: the packed B (0.57 of the 16 M^2 bytes of a
+    dense B) and two workers' assembly scratch stay within 0.9 x 16 M^2."""
+    monkeypatch.setenv("FOLDYLAX_THREADS", "2")  # the scratch grows with the workers
     peak, system, sol = peak_of_solving(dense_lattice_976())
     assert sol.iterations is not None
-    assert peak <= 1.7 * system.matrix.nbytes
+    assert peak <= 0.9 * 16 * system.cloud.M ** 2
 
 
-def test_peak_memory_is_matrix_plus_lu_copy():
-    """The LU path (mixed signs) stays within 2.3x the bytes of B (about 4x before)."""
+def test_peak_memory_is_matrix_plus_lu_copy(monkeypatch):
+    """The LU path (mixed signs) adds one dense copy and lu_factor's mask,
+    17 M^2 bytes, to the packed B: within 1.7 x 16 M^2."""
+    monkeypatch.setenv("FOLDYLAX_THREADS", "2")
     cloud = dense_lattice_976()
     imped = np.array(cloud.impedances)
     imped[0] = -imped[0]
@@ -324,7 +376,7 @@ def test_peak_memory_is_matrix_plus_lu_copy():
                            impedances=imped, regime=cloud.regime)
     peak, system, sol = peak_of_solving(mixed)
     assert sol.iterations is None
-    assert peak <= 2.3 * system.matrix.nbytes
+    assert peak <= 1.7 * 16 * system.cloud.M ** 2
 
 
 def test_available_bytes_is_positive_or_unknown():
