@@ -6,9 +6,10 @@ error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
 (singular system, unconverged series), 4 too little memory for the packed
-Foldy-Lax matrix (about 8 M^2 bytes), the LU's dense copy and mask (17 M^2
-more, on the LU path only), the boundary-integral matrix or its translation
-table, or a lattice cloud; no other size limit applies.
+Foldy-Lax matrix (about 8 M^2 bytes), the LU's dense copy and mask (17 bytes
+per matrix entry, on the LU path only), the packed boundary-integral matrix
+(16 (L+1)^4 M (M-1)/2 + 16 N bytes) or its translation table, or a lattice
+cloud; no other size limit applies.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
 worker threads of the compute-bound pairwise passes (cloud validation and

@@ -39,13 +39,21 @@ matching the e^{i kappa r}/(4 pi r) normalization used everywhere else.
 A separation-of-variables reference for one sphere (mie_reference) and the
 energy (optical-theorem) check live here too.
 
-The self blocks are diagonal, so A = D + C with D = diag(A). One row-block
-pass gives q = ||C D^-1||_F; when q < 1, A D^-1 = I + C D^-1 has
-sigma_min >= 1 - q, and solve_bie runs the certified GMRES that foldy.solve
-uses, right-preconditioned by D^-1 (the Neumann-series counterpart of the
-Foldy-Lax Weyl certificate). q >= 1, or GMRES at its iteration cap, falls
-back to the checked dense LU. The special functions come from spherical, so
-assembly and a certified solve load no scipy.
+The self blocks are diagonal, so A = D + C with D = diag(A). The pair
+(j, m) reuses the (m, j) translation, (S|R)(z_j - z_m) = P (S|R)(z_m - z_j) P
+with P = diag((-1)^l), so A is stored once per sphere pair, packed in the
+spirit of LAPACK's packed storage (Anderson et al., LAPACK Users' Guide, SIAM
+1999): one block SR = (S|R)(z_m - z_j) per pair m < j, in per-sphere row
+strips of 16 nc^2 (M - m - 1) bytes, beside D and the per-sphere factors of
+the blocks. A @ x reads each strip twice, as two matrix-vector products over
+the same contiguous buffer, and np.asarray(A) builds the dense matrix. While
+each |SR| is in cache, the assembly loop also sums q = ||C D^-1||_F and
+||A||_inf. When q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q, and
+solve_bie runs the certified GMRES that foldy.solve uses, right-preconditioned
+by D^-1 (the Neumann-series counterpart of the Foldy-Lax Weyl certificate).
+q >= 1, or GMRES at its iteration cap, falls back to the checked LU, the only
+step that makes a dense copy of A. The special functions come from spherical,
+so assembly and a certified solve load no scipy.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
-from .foldy import PIVOT_REL_TOL, FarFieldGrid, _abs_rows, _certified_solve
-from .geometry import IncidentWave, ScattererCloud, _require_memory, row_block_pass
+from .foldy import PIVOT_REL_TOL, FarFieldGrid, _certified_solve
+from .geometry import IncidentWave, ScattererCloud, _require_memory
 from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
                         spherical_jn, spherical_yn)
 
@@ -112,14 +120,89 @@ def sphere_operator_spectra(kappa: float, radius: float, L: int) -> SphereSpectr
                          single_layer=s_l, adjoint_double=dstar_l)
 
 
+class _PackedBie:
+    """The N x N matrix A of M spheres, N = M nc, stored once per sphere pair.
+
+    strips[m], for m < M - 1, holds the blocks SR = (S|R)(z_m - z_j) of the
+    pairs j > m, laid out (nc, M - m - 1, nc) so that strips[m][:, j - m - 1]
+    is the block; all strips share one flat buffer, which the constructor
+    allocates uninitialised. With trace t, outgoing factors o and parity
+    P = diag((-1)^l), the (m, j) block of A is diag(t_m) SR diag(o_j) and the
+    (j, m) block diag(P t_j) SR diag(P o_m); the diagonal of A is D.
+    """
+
+    def __init__(self, diagonal: np.ndarray, trace: np.ndarray, outgoing: np.ndarray,
+                 parity: np.ndarray):
+        M, nc = trace.shape
+        self._diagonal, self._trace, self._outgoing, self._parity = (
+            diagonal, trace, outgoing, parity)
+        self._buf = np.empty(nc * nc * (M * (M - 1) // 2), dtype=complex)
+        self.shape, self.dtype, self.strips = (M * nc, M * nc), self._buf.dtype, []
+        start = 0
+        for m in range(M - 1):
+            size = nc * nc * (M - m - 1)
+            self.strips.append(self._buf[start:start + size].reshape(nc, M - m - 1, nc))
+            start += size
+
+    @property
+    def nbytes(self) -> int:
+        """The strips and the diagonal, as assemble_bie admits them."""
+        return self._buf.nbytes + self._diagonal.nbytes
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        M, nc = self._trace.shape
+        x = x.reshape(M, nc)
+        u = self._outgoing * x
+        v = self._parity * u
+        rows, cols = np.zeros((M, nc), dtype=complex), np.zeros((M, nc), dtype=complex)
+        for m, S in enumerate(self.strips):
+            k = M - m - 1
+            # sphere m's row from its pairs j > m, then their rows from sphere m
+            rows[m] += S.reshape(nc, k * nc) @ u[m + 1:].reshape(-1)
+            cols[m + 1:] += (S.reshape(nc * k, nc) @ v[m]).reshape(nc, k).T
+        y = self._trace * rows
+        y += self._parity * self._trace * cols
+        return self._diagonal * x.reshape(-1) + y.reshape(-1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        M, nc = self._trace.shape
+        t, o, P = self._trace, self._outgoing, self._parity
+        A = np.zeros(self.shape, dtype=complex)
+        A[np.diag_indices(len(A))] = self._diagonal
+        for m, S in enumerate(self.strips):
+            for j in range(m + 1, M):
+                SR = S[:, j - m - 1]
+                A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
+                    t[m][:, None] * SR * o[j][None, :])
+                A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (
+                    (P * t[j])[:, None] * SR * (P * o[m])[None, :])
+        return A if dtype is None else A.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class BieSystem:
-    matrix: np.ndarray
+    """Assembled boundary-integral system A c = rhs for a sphere cloud.
+
+    matrix is A packed per sphere pair (see the module docstring): it has
+    shape, dtype, nbytes, diagonal() and the product with a vector, and
+    np.asarray(matrix) is the dense A. The assembly loop also yields the
+    certificate inputs of solve_bie: neumann_q = ||C D^-1||_F for
+    A = D + C, D = diag(A) (inf where an entry of D vanishes), and
+    norm_inf = ||A||_inf. quad_order is validated and kept, but the exact
+    cross blocks do not depend on it.
+    """
+
+    matrix: _PackedBie
     rhs: np.ndarray
     cloud: ScattererCloud
     wave: IncidentWave
     L: int
     quad_order: int
+    neumann_q: float
+    norm_inf: float
 
 
 @dataclass(frozen=True)
@@ -228,9 +311,10 @@ def _translation_table(L: int):
 
 
 def _coupling_bytes(M: int, L: int) -> int:
-    """Bytes the cross blocks of M spheres take beside A: at most L + 1 terms per
-    block entry (16 bytes in the table, 32 in hY[harm] * vals), 128 bytes of index
-    arithmetic per entry, and five times the 16-byte pair harmonics H."""
+    """Bytes the cross blocks of M spheres take beside the packed matrix: at
+    most L + 1 terms per block entry (16 bytes in the table, 32 in
+    hY[harm] * vals), 128 bytes of index arithmetic and one-block temporaries
+    per entry, and five times the 16-byte pair harmonics H."""
     nc = n_coeffs(L)
     return nc * nc * (128 + 48 * (L + 1)) + 40 * M * (M - 1) * (2 * L + 1) ** 2
 
@@ -244,9 +328,9 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
 
     Raises:
         ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
-        InsufficientMemory: before any per-sphere work, the matrix (16*N^2
-            bytes, N = M*(L+1)^2) or, for M > 1, it and _coupling_bytes(M, L)
-            exceed the memory available.
+        InsufficientMemory: before any per-sphere work, the packed matrix
+            (16 nc^2 M (M - 1)/2 + 16 N bytes, nc = (L+1)^2, N = M nc) or, for
+            M > 1, it and _coupling_bytes(M, L) exceed the memory available.
         ResonanceGuard: any sphere too large for the wavenumber.
     """
     if not cloud.is_spherical:
@@ -255,9 +339,10 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
         raise ValueError("quadrature order must be >= 1")
     M, nc = cloud.M, n_coeffs(L)
     N = M * nc
-    _require_memory(16 * N * N, f"N = {N}", "the boundary-integral matrix")
+    packed = 16 * nc * nc * (M * (M - 1) // 2) + 16 * N
+    _require_memory(packed, f"N = {N}", "the boundary-integral matrix")
     if M > 1:
-        _require_memory(16 * N * N + _coupling_bytes(M, L), f"N = {N} at L = {L}",
+        _require_memory(packed + _coupling_bytes(M, L), f"N = {N} at L = {L}",
                         "the matrix and its translation table")
     if np.any(cloud.impedances.imag < 0):
         warnings.warn("Im(lambda) < 0: well-posedness is not guaranteed; proceeding "
@@ -272,17 +357,26 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
     radial = kappa * spherical_jn(L, z, derivative=True) + lams * jl
     trace = _per_degree(radial, L)
     outgoing = _per_degree(1j * kappa * cloud.radii[:, None] ** 2 * jl, L)
-    A = np.zeros((N, N), dtype=complex)
-    A[np.diag_indices(N)] = _per_degree(self_blocks, L).reshape(-1)
+    diagonal = _per_degree(self_blocks, L).reshape(-1)
+    # The pair (j, m) reuses the (m, j) translation: Y_n(-dhat) =
+    # (-1)^n Y_n(dhat) and l + l' + n is even, so (S|R)(-d) = P (S|R)(d) P
+    # with P = diag((-1)^l).
+    parity = _per_degree((-1.0) ** np.arange(L + 1), L)
+    for arr in (trace, outgoing, diagonal, parity):
+        arr.setflags(write=False)
+    A = _PackedBie(diagonal, trace, outgoing, parity)
     rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
+    # Per-row sums of |A_ij| and |A_ij / D_j|^2 off the diagonal, without the
+    # row factors |t|, |t|^2: |C D^-1| has entries |t_m| |SR| |o_j / D_j|.
+    abs_diag = np.abs(diagonal)
+    nonsingular = bool(np.all(abs_diag > 0))
+    abs_out = np.abs(outgoing)
+    w2 = (abs_out / abs_diag.reshape(M, nc)) ** 2 if nonsingular else np.zeros((M, nc))
+    rows_inf, rows_q = np.zeros((M, nc)), np.zeros((M, nc))
     if M > 1:
         # Cross blocks as in the module docstring; the translation needs
         # r_m < |z_m - z_j|, which d_eff > 0 gives.
-        # The pair (j, m) reuses the (m, j) translation: Y_n(-dhat) =
-        # (-1)^n Y_n(dhat) and l + l' + n is even, so (S|R)(-d) = P (S|R)(d) P
-        # with P = diag((-1)^l).
         harm, vals, starts = _translation_table(L)
-        parity = _per_degree((-1.0) ** np.arange(L + 1), L)
         first, second = np.triu_indices(M, 1)
         t = cloud.centers[first] - cloud.centers[second]
         dist = np.linalg.norm(t, axis=1)
@@ -290,57 +384,43 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
         H *= _per_degree(_hankel(2 * L, kappa * dist), 2 * L)
         for m, j, hY in zip(first, second, H):
             SR = np.add.reduceat(hY[harm] * vals, starts).reshape(nc, nc)
-            A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
-                trace[m][:, None] * SR * outgoing[j][None, :])
-            A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (
-                (parity * trace[j])[:, None] * SR * (parity * outgoing[m])[None, :])
-    A.setflags(write=False)
+            A.strips[m][:, j - m - 1] = SR
+            absSR = np.abs(SR)
+            rows_inf[m] += absSR @ abs_out[j]
+            rows_inf[j] += absSR @ abs_out[m]
+            absSR *= absSR
+            rows_q[m] += absSR @ w2[j]
+            rows_q[j] += absSR @ w2[m]
+    for S in A.strips:
+        S.setflags(write=False)
     rhs.setflags(write=False)
+    abs_trace = np.abs(trace)
+    norm_inf = float(np.max(abs_diag + (abs_trace * rows_inf).reshape(-1)))
+    q = math.sqrt(float(np.vdot(abs_trace * abs_trace, rows_q))) if nonsingular else math.inf
     return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L,
-                     quad_order=quad_order)
-
-
-def _neumann_scan(A: np.ndarray):
-    """One row-block pass over A = D + C, D = diag(A): (q = ||C D^-1||_F, ||A||_inf).
-
-    q is inf, and the norm None, when an entry of D vanishes.
-    """
-    d = np.abs(A.diagonal())
-    if not np.all(d > 0):
-        return math.inf, None
-
-    def block(i0, i1, buf):
-        absa, norm = _abs_rows(A, i0, i1, buf)
-        np.fill_diagonal(absa[:, i0:], 0.0)
-        absa /= d
-        return float(np.vdot(absa, absa)), norm
-
-    frob2 = 0.0
-    blocks = row_block_pass(block, len(A), scratch=(float,))
-    for block_frob2, _ in blocks:  # in block order, as one running sum
-        frob2 += block_frob2
-    return math.sqrt(frob2), max(norm for _, norm in blocks)
+                     quad_order=quad_order, neumann_q=q, norm_inf=norm_inf)
 
 
 def solve_bie(system: BieSystem) -> BieSolution:
     """Certified GMRES, else checked dense LU; residual bound BIE_RESIDUAL_TOL.
 
-    One row-block pass over A gives q = ||C D^-1||_F and ||A||_inf. If
-    1 - q > PIVOT_REL_TOL, then sigma_min(A D^-1) >= 1 - q and foldy's
-    restarted GMRES, right-preconditioned by D^-1, runs to a relative residual
-    of GMRES_TOL; iterations records its matrix-vector count. Otherwise, or
-    when GMRES reaches GMRES_MAXITER, the dense LU solves with its pivot test
-    and iterations is None. Either way the inf-norm residual is checked.
+    Assembly yields q = ||C D^-1||_F and ||A||_inf. If 1 - q > PIVOT_REL_TOL,
+    then sigma_min(A D^-1) >= 1 - q and foldy's restarted GMRES,
+    right-preconditioned by D^-1, runs to a relative residual of GMRES_TOL
+    over products with the packed A; iterations records their count.
+    Otherwise, or when GMRES reaches GMRES_MAXITER, the dense LU solves with
+    its pivot test against ||A||_inf and iterations is None. Either way the
+    inf-norm residual is checked.
 
     Raises:
         SingularSystem: an LU pivot underflows or the residual exceeds
             BIE_RESIDUAL_TOL.
         InsufficientMemory: the LU path has no room for its factors.
     """
-    q, norm_inf = _neumann_scan(system.matrix)
+    q = system.neumann_q
     margin = 1.0 - q if 1.0 - q > PIVOT_REL_TOL else None
     x, residual, iterations = _certified_solve(system.matrix, system.rhs, margin,
-                                               BIE_RESIDUAL_TOL, norm_inf)
+                                               BIE_RESIDUAL_TOL, system.norm_inf)
     nc = n_coeffs(system.L)
     densities = []
     for m in range(system.cloud.M):

@@ -1,0 +1,47 @@
+"""Builders of the clouds and incident waves the tests share, and a packed
+matrix that fails any dense read.
+
+They live apart from conftest.py, which holds only fixtures: another test
+directory's conftest module of the same name may be loaded first in one
+pytest session, so nothing imports from conftest.
+"""
+
+import numpy as np
+
+from foldylax import IncidentWave, ScattererCloud
+
+
+def make_wave(kappa=1.0, theta=(0.0, 0.0, 1.0)):
+    th = np.asarray(theta, dtype=float)
+    return IncidentWave(kappa=float(kappa), theta=th / np.linalg.norm(th))
+
+
+def make_cloud(centers, radius, impedance, regime=None, areas=None):
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    m = len(centers)
+    return ScattererCloud(centers=centers,
+                          radii=np.full(m, float(radius)),
+                          impedances=np.full(m, impedance, dtype=complex),
+                          regime=regime, areas=areas)
+
+
+class WatchedMatrix:
+    """A packed matrix (B or the BIE's A), counting its products with vectors;
+    any other read of its entries fails (a row, a strip, a dense copy), its
+    diagonal aside."""
+
+    products = 0
+
+    def __init__(self, packed):
+        self._packed = packed
+
+    def __matmul__(self, other):
+        assert np.ndim(other) == 1
+        WatchedMatrix.products += 1
+        return self._packed @ other
+
+    def diagonal(self):
+        return self._packed.diagonal()
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("matrix densified")

@@ -1,21 +1,6 @@
-import numpy as np
 import pytest
 
-from foldylax import IncidentWave, ScattererCloud
-
-
-def make_wave(kappa=1.0, theta=(0.0, 0.0, 1.0)):
-    th = np.asarray(theta, dtype=float)
-    return IncidentWave(kappa=float(kappa), theta=th / np.linalg.norm(th))
-
-
-def make_cloud(centers, radius, impedance, regime=None, areas=None):
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    m = len(centers)
-    return ScattererCloud(centers=centers,
-                          radii=np.full(m, float(radius)),
-                          impedances=np.full(m, impedance, dtype=complex),
-                          regime=regime, areas=areas)
+from cloud_helpers import make_wave
 
 
 @pytest.fixture

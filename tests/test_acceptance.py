@@ -18,7 +18,7 @@ from foldylax import (OracleSettings, RegimeParams, ScattererCloud, assemble,
 from foldylax.cli import main as cli_main
 from foldylax.kernels import fibonacci_sphere
 
-from conftest import make_cloud, make_wave
+from cloud_helpers import make_cloud, make_wave
 
 KAPPA = 1.0
 

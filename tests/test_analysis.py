@@ -11,7 +11,7 @@ from foldylax import (FarFieldGrid, GridMismatch, InvertibilityReport, OracleSet
                       fit_rate, oracle_farfield, predicted_slope, regime_sweep, solve)
 from foldylax.kernels import fibonacci_sphere
 
-from conftest import make_cloud, make_wave
+from cloud_helpers import WatchedMatrix, make_cloud, make_wave
 
 
 def grid_of(values, wave, n=None):
@@ -164,27 +164,6 @@ class TestConvergenceStudy:
         assert all(r.error == 0.0 for r in st_out.records)
         assert st_out.fit.n_used == 0
         assert st_out.fit.slope == 0.0
-
-
-class WatchedMatrix:
-    """B in packed form, counting its products with vectors; any other read
-    of its entries fails (a row, a strip, a dense copy), its diagonal aside."""
-
-    products = 0
-
-    def __init__(self, packed):
-        self._packed = packed
-
-    def __matmul__(self, other):
-        assert np.ndim(other) == 1
-        WatchedMatrix.products += 1
-        return self._packed @ other
-
-    def diagonal(self):
-        return self._packed.diagonal()
-
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("B densified")
 
 
 class TestRegimeSweep:

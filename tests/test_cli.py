@@ -12,7 +12,7 @@ from foldylax import cli, errors, foldy, geometry, oracle
 from foldylax.cli import main
 from foldylax.io import read_csv, save_cloud
 
-from conftest import make_cloud
+from cloud_helpers import make_cloud
 
 
 def run(args):
@@ -71,13 +71,13 @@ class TestExitCodes:
     def test_infeasible_oracle_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
-        # N = 67600 needs 68 GiB for A; fixed so that no host attempts it
+        # N = 67600 needs 34 GiB for the packed A; fixed so that no host attempts it
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**35)
         capsys.readouterr()
         assert run(["compare", cloud, "--oracle", "bie",
                     "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
-            "error: N = 67600 needs 69729 MiB for the boundary-integral matrix; "
+            "error: N = 67600 needs 34778 MiB for the boundary-integral matrix; "
             "32768 MiB available\n")
 
     def test_insufficient_memory_is_4(self, tmp_path, monkeypatch, capsys):
@@ -143,22 +143,22 @@ class TestExitCodes:
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)  # room for the Foldy-Lax matrix only
         self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
-                    "--L", 12, "--out", tmp_path / "x"]) == 4
+                    "--L", 20, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: N = 338 needs 2 MiB for the boundary-integral matrix")
+        assert err.startswith("error: N = 882 needs 3 MiB for the boundary-integral matrix")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("x*"))
 
     def test_bie_without_room_for_the_table_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
-        n = 2 * 41**2  # L = 40: A is 0.2 GiB, the table bound 5.5 GiB
+        n = 2 * 41**2  # L = 40: the packed A is 43 MiB, the table bound 5.5 GiB
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 16 * n * n)
         self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
                     "--L", 40, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
-            "error: N = 3362 at L = 40 needs 5821 MiB for the matrix and its "
+            "error: N = 3362 at L = 40 needs 5692 MiB for the matrix and its "
             "translation table; 172 MiB available\n")
         assert not list(tmp_path.glob("x*"))
 

@@ -20,7 +20,7 @@ from foldylax import (FarFieldGrid, MissingRegime,
 from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
-from conftest import make_cloud, make_wave
+from cloud_helpers import make_cloud, make_wave
 from dense_reference import scan, with_matrix
 
 

@@ -12,7 +12,7 @@ from foldylax import (CapacityExceeded, IncidentWave, OverlappingSpheres,
                       cloud_stats, generate_grid_cloud, layer_count)
 from foldylax.geometry import CLOUD_BYTES_PER_SPHERE
 
-from conftest import make_cloud
+from cloud_helpers import make_cloud
 
 
 def std_regime(**kw):

@@ -11,7 +11,7 @@ from foldylax.io import (fmt, load_cloud, read_csv, save_cloud,
                          write_charges_csv, write_density_csv,
                          write_farfield_csv, write_study_csv, write_text_atomic)
 
-from conftest import make_cloud
+from cloud_helpers import make_cloud
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -8,7 +8,7 @@ from foldylax import (SeriesNotConverged, assemble, bie_farfield, assemble_bie,
                       solve, solve_bie)
 from foldylax.kernels import fibonacci_sphere
 
-from conftest import make_cloud, make_wave
+from cloud_helpers import make_cloud, make_wave
 
 
 def test_agrees_with_bie_single_sphere(tilted_wave):

@@ -1,6 +1,7 @@
 """Coupled boundary-integral solver vs brute-force quadrature oracles."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,10 +14,10 @@ from scipy.special import spherical_jn, spherical_yn
 from foldylax import (RegimeParams, ResonanceGuard, ScattererCloud, assemble_bie,
                       bie_farfield, generate_grid_cloud, solve_bie)
 from foldylax import foldy, oracle
-from foldylax.geometry import row_blocks
 from foldylax.spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
-from conftest import make_cloud, make_wave
+from cloud_helpers import WatchedMatrix, make_cloud, make_wave
+from dense_reference import bie_matrix, neumann_scan
 from quadrature_oracles import coupling_block
 
 
@@ -29,7 +30,8 @@ class TestSingleSphere:
     def test_matrix_is_diagonal(self, wave):
         cloud = make_cloud([[0, 0, 0]], 0.2, -1.0)
         system = assemble_bie(cloud, wave, L=6, quad_order=16)
-        off = system.matrix - np.diag(np.diag(system.matrix))
+        A = np.asarray(system.matrix)
+        off = A - np.diag(np.diag(A))
         assert np.max(np.abs(off)) == 0.0
 
     def test_solution_matches_modal_division(self, wave):
@@ -88,7 +90,7 @@ class TestCouplingBlock:
                                radii=np.array([r1, r2]),
                                impedances=np.array([lam1, -0.8 + 0j]))
         system = assemble_bie(cloud, tilted_wave, L=L, quad_order=order)
-        block = system.matrix[0:nc, nc:2 * nc]
+        block = np.asarray(system.matrix)[0:nc, nc:2 * nc]
 
         quad = sphere_quadrature(order)
         Y = harmonic_matrix(L, quad.points)
@@ -127,7 +129,7 @@ class TestCouplingBlock:
         radii = np.array([0.35, 0.3])
         lams = np.array([-1.2 + 0.4j, -0.8 + 0.3j])
         cloud = ScattererCloud(centers=centers, radii=radii, impedances=lams)
-        A = assemble_bie(cloud, tilted_wave, L=L).matrix
+        A = np.asarray(assemble_bie(cloud, tilted_wave, L=L).matrix)
         for m, j in ((0, 1), (1, 0)):
             exact = A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc]
             quad = coupling_block(tilted_wave.kappa, lams[m], centers[m], radii[m],
@@ -273,8 +275,7 @@ class TestCertifiedSolve:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_gmres_matches_lu(self, a, m_max, L, seed):
         system = assemble_bie(grid_spheres(a, m_max, seed), make_wave(), L=L)
-        q, _ = oracle._neumann_scan(system.matrix)
-        assert q < 0.5
+        assert system.neumann_q < 0.5
         sol = solve_bie(system)
         assert sol.iterations is not None and sol.iterations <= 10
         x = np.concatenate([d.coefficients for d in sol.densities])
@@ -289,12 +290,23 @@ class TestCertifiedSolve:
         far, far_lu = bie_farfield(sol, dirs).values, bie_farfield(lu, dirs).values
         assert np.max(np.abs(far - far_lu)) <= 1e-12 * np.max(np.abs(far_lu))
 
-    def test_q_at_least_one_takes_the_lu_path(self):
+    def test_q_at_least_one_takes_the_lu_path(self, monkeypatch):
+        """The LU's pivot test scales by the norm_inf summed over the pair blocks."""
         system = near_touching_pair()
-        q, _ = oracle._neumann_scan(system.matrix)
-        assert q >= 1.0
+        assert system.neumann_q >= 1.0
+        scales = []
+        checked_lu_solve = foldy._checked_lu_solve
+
+        def recorded(A, rhs, residual_tol, scale=None):
+            scales.append(scale)
+            return checked_lu_solve(A, rhs, residual_tol, scale)
+
+        monkeypatch.setattr(foldy, "_checked_lu_solve", recorded)
         sol = solve_bie(system)
         assert sol.iterations is None and sol.residual_inf <= oracle.BIE_RESIDUAL_TOL
+        assert scales == [system.norm_inf]
+        dense = np.linalg.norm(np.asarray(system.matrix), np.inf)
+        assert system.norm_inf == pytest.approx(dense, rel=1e-12)
 
     def test_iteration_cap_takes_the_lu_path(self, monkeypatch):
         system = assemble_bie(grid_spheres(0.02, 0.2, 1), make_wave(), L=6)
@@ -307,14 +319,72 @@ class TestCertifiedSolve:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_q_is_the_frobenius_norm_of_c_over_d(self):
-        """The row-block pass against the dense formula, over several blocks."""
-        A = assemble_bie(grid_spheres(0.01, 0.2, 2), make_wave(), L=6).matrix
+        """The sums of the assembly loop against the dense formula."""
+        system = assemble_bie(grid_spheres(0.01, 0.2, 2), make_wave(), L=6)
+        A = np.asarray(system.matrix)
         d = A.diagonal()
         C = A - np.diag(d)
-        q, norm_inf = oracle._neumann_scan(A)
-        assert len(list(row_blocks(len(A)))) > 1
-        assert q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
-        assert norm_inf == pytest.approx(np.linalg.norm(A, np.inf), rel=1e-12)
+        assert system.neumann_q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
+        assert system.norm_inf == pytest.approx(np.linalg.norm(A, np.inf), rel=1e-12)
+
+    def test_certified_solve_never_densifies(self, monkeypatch):
+        """compare_bie's cloud: GMRES reads A only through products and its diagonal."""
+        system = assemble_bie(grid_spheres(0.04, 0.32, 1), make_wave(), L=12)
+        reference = solve_bie(system)
+        watched = dataclasses.replace(system, matrix=WatchedMatrix(system.matrix))
+        monkeypatch.setattr(foldy, "_checked_lu_solve", None)
+        monkeypatch.setattr(WatchedMatrix, "products", 0)
+        sol = solve_bie(watched)
+        assert sol.iterations == reference.iterations <= 10
+        assert WatchedMatrix.products > sol.iterations  # and one residual per restart
+        for mine, ref in zip(sol.densities, reference.densities):
+            assert np.array_equal(mine.coefficients, ref.coefficients)
+
+
+class TestPackedStore:
+    """The pair strips against the dense A of dense_reference.bie_matrix."""
+
+    @staticmethod
+    def cloud(m):
+        rng = np.random.default_rng(m)
+        n = math.ceil(m ** (1 / 3))
+        lattice = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)][:m]
+        centers = 0.3 * np.array(lattice, dtype=float) + rng.uniform(-0.03, 0.03, (m, 3))
+        impedances = rng.uniform(-2.0, -0.5, m) + 1j * rng.uniform(0.0, 0.5, m)
+        return ScattererCloud(centers=centers, radii=rng.uniform(0.03, 0.05, m),
+                              impedances=impedances)
+
+    @pytest.mark.parametrize("m, L", [(1, 12), (2, 12), (8, 12), (20, 6)])
+    def test_matches_the_dense_matrix(self, tilted_wave, m, L):
+        cloud = self.cloud(m)
+        system = assemble_bie(cloud, tilted_wave, L=L)
+        A = bie_matrix(cloud, tilted_wave, L)
+        packed = system.matrix
+        assert packed.shape == A.shape and packed.dtype == A.dtype
+        assert np.array_equal(np.asarray(packed), A)
+        assert np.array_equal(packed.diagonal(), A.diagonal())
+        nc = n_coeffs(L)
+        assert packed.nbytes == 16 * nc * nc * (m * (m - 1) // 2) + 16 * m * nc
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+            y = A @ x
+            assert np.linalg.norm(packed @ x - y) <= 1e-14 * np.linalg.norm(y)
+        q, norm_inf = neumann_scan(A)
+        assert system.neumann_q == pytest.approx(q, rel=1e-12, abs=1e-300)
+        assert system.norm_inf == pytest.approx(norm_inf, rel=1e-12)
+
+    def test_solve_allocates_order_n_beyond_the_store(self):
+        """compare_bie's cloud: the certified solve holds GMRES's Krylov basis
+        of GMRES_RESTART + 1 vectors of length N and at most 24 more, nothing
+        of size N^2."""
+        system = assemble_bie(grid_spheres(0.04, 0.32, 1), make_wave(), L=12)
+        solve_bie(system)  # first-use allocations land outside the window
+        sol, peak = traced_peak(solve_bie, system)
+        N = system.matrix.shape[0]
+        bound = 16 * N * (foldy.GMRES_RESTART + 1 + 24)
+        assert sol.iterations is not None
+        assert peak <= bound < system.matrix.nbytes / 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,8 +399,9 @@ def test_neumann_certificate_bounds_the_smallest_singular_value(seed, m, L, radi
     assume(kappa * 2 * radius < oracle.RESONANCE_DIAMETER_LIMIT)
     impedances = rng.uniform(-4.0, 4.0, m) + 1j * rng.uniform(0.0, 2.0, m)
     cloud = ScattererCloud(centers=centers, radii=np.full(m, radius), impedances=impedances)
-    A = assemble_bie(cloud, make_wave(kappa=kappa), L=L).matrix
-    q, _ = oracle._neumann_scan(A)
+    system = assemble_bie(cloud, make_wave(kappa=kappa), L=L)
+    q = system.neumann_q
     if q < 1:
+        A = np.asarray(system.matrix)
         sigma = np.linalg.svd(A / A.diagonal()[None, :], compute_uv=False)[-1]
         assert sigma >= (1 - q) * (1 - 1e-12)

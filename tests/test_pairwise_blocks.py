@@ -23,7 +23,7 @@ from foldylax import foldy, geometry
 from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
-from conftest import make_wave
+from cloud_helpers import make_wave
 from dense_reference import min_surface_distance, pack, scan
 
 M = 700  # several row blocks, the last one partial
