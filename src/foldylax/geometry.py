@@ -71,8 +71,9 @@ def _require_memory(need: int, subject: str, purpose: str):
     """Raise InsufficientMemory when need bytes exceed MemAvailable."""
     available = _available_bytes()
     if available is not None and need > available:
-        raise InsufficientMemory(f"{subject} needs {need / 2**20:.0f} MiB for {purpose}; "
-                                 f"{available / 2**20:.0f} MiB available")
+        # need rounds up, available down: a refusal never reads "needs 0 MiB"
+        raise InsufficientMemory(f"{subject} needs {math.ceil(need / 2**20)} MiB for "
+                                 f"{purpose}; {available // 2**20} MiB available")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ Elsevier 2004, sec. 3.2),
     A_mj = diag_l(kappa j_l'(kappa r_m) + lambda_m j_l(kappa r_m))
            (S|R)(z_m - z_j) diag_{l'}(i kappa r_j^2 j_{l'}(kappa r_j)),
 
-with Gaunt coefficients tabulated once per L. The tests check the blocks
-against brute-force product quadrature of the kernel.
+where (S|R)(d) = U^H Coax(|d|) U rotates d to the z-axis, translates
+coaxially and rotates back (Gumerov & Duraiswami 2004, ch. 3): U is
+block-diagonal in l and Coax in m. The tests check the blocks against the
+unrotated Gaunt sum and against brute-force product quadrature.
 The far field of the solved densities is
 
     Uinf(xhat) = sum_m e^{-i kappa xhat.z_m} 4 pi r_m^2
@@ -39,21 +41,16 @@ matching the e^{i kappa r}/(4 pi r) normalization used everywhere else.
 A separation-of-variables reference for one sphere (mie_reference) and the
 energy (optical-theorem) check live here too.
 
-The self blocks are diagonal, so A = D + C with D = diag(A). The pair
-(j, m) reuses the (m, j) translation, (S|R)(z_j - z_m) = P (S|R)(z_m - z_j) P
-with P = diag((-1)^l), so A is stored once per sphere pair, packed in the
-spirit of LAPACK's packed storage (Anderson et al., LAPACK Users' Guide, SIAM
-1999): one block SR = (S|R)(z_m - z_j) per pair m < j, in per-sphere row
-strips of 16 nc^2 (M - m - 1) bytes, beside D and the per-sphere factors of
-the blocks. A @ x reads each strip twice, as two matrix-vector products over
-the same contiguous buffer, and np.asarray(A) builds the dense matrix. While
-each |SR| is in cache, the assembly loop also sums q = ||C D^-1||_F and
-||A||_inf. When q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q, and
-solve_bie runs the certified GMRES that foldy.solve uses, right-preconditioned
-by D^-1 (the Neumann-series counterpart of the Foldy-Lax Weyl certificate).
-q >= 1, or GMRES at its iteration cap, falls back to the checked LU, the only
-step that makes a dense copy of A. The special functions come from spherical,
-so assembly and a certified solve load no scipy.
+The self blocks are diagonal, so A = D + C with D = diag(A). A is never
+stored: a sphere pair keeps its coaxial block and direction phases
+(_BieOperator), and q = ||C D^-1||_F comes from the coaxial blocks alone,
+since U is unitary and the block factors and D depend on l only. When
+q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q, and solve_bie runs the
+certified GMRES of foldy.solve, right-preconditioned by D^-1 (the
+Neumann-series counterpart of the Foldy-Lax Weyl certificate). q >= 1, or
+GMRES at its iteration cap, falls back to the checked LU, the only step that
+makes a dense copy of A. The special functions come from spherical, so
+assembly and a certified solve load no scipy.
 """
 
 from __future__ import annotations
@@ -67,9 +64,9 @@ import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import PIVOT_REL_TOL, FarFieldGrid, _certified_solve
-from .geometry import IncidentWave, ScattererCloud, _require_memory
+from .geometry import PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_blocks
 from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
-                        spherical_jn, spherical_yn)
+                        spherical_jn, spherical_yn, unit_angles)
 
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
@@ -96,89 +93,228 @@ class SphereSpectra:
     adjoint_double: np.ndarray  # dstar_l
 
 
-def sphere_operator_spectra(kappa: float, radius: float, L: int) -> SphereSpectra:
-    """Closed-form single-layer and adjoint-double-layer spectra on a sphere.
-
-    Raises:
-        ResonanceGuard: kappa * 2*radius >= (4*pi/3)^(1/3) * pi.
-    """
-    if radius <= 0 or kappa <= 0 or L < 0:
+def _self_spectra(kappa: float, radii: np.ndarray, L: int):
+    """(s_l, dstar_l) of all spheres in one call, each (len(radii), L + 1); raises
+    ResonanceGuard for the first sphere with kappa * 2*radius >= (4*pi/3)^(1/3) * pi."""
+    if np.any(radii <= 0) or kappa <= 0 or L < 0:
         raise ValueError("need radius > 0, kappa > 0, L >= 0")
-    if kappa * 2.0 * radius >= RESONANCE_DIAMETER_LIMIT:
-        raise ResonanceGuard(
-            f"kappa*diameter = {kappa * 2 * radius:g} >= {RESONANCE_DIAMETER_LIMIT:g}: "
-            "interior resonance not excluded")
-    z = kappa * radius
+    resonant = np.flatnonzero(kappa * 2.0 * radii >= RESONANCE_DIAMETER_LIMIT)
+    if len(resonant):
+        raise ResonanceGuard(f"kappa*diameter = {kappa * 2 * radii[resonant[0]]:g} >= "
+                             f"{RESONANCE_DIAMETER_LIMIT:g}: interior resonance not excluded")
+    z, r2 = kappa * radii, radii[:, None] ** 2
     j = spherical_jn(L, z)
-    h = _hankel(L, z)
-    hp = _hankel(L, z, derivative=True)
-    s_l = 1j * kappa * radius**2 * j * h
-    dstar_l = 0.5 + 1j * kappa**2 * radius**2 * j * hp
-    for arr in (s_l, dstar_l):
-        arr.setflags(write=False)
+    return (1j * kappa * r2 * j * _hankel(L, z),
+            0.5 + 1j * kappa**2 * r2 * j * _hankel(L, z, derivative=True))
+
+
+def sphere_operator_spectra(kappa: float, radius: float, L: int) -> SphereSpectra:
+    """Closed-form single-layer and adjoint-double-layer spectra on one sphere;
+    raises ResonanceGuard as _self_spectra does."""
+    s_l, dstar_l = (arr[0] for arr in _self_spectra(kappa, np.array([float(radius)]), L))
+    s_l.setflags(write=False)
+    dstar_l.setflags(write=False)
     return SphereSpectra(kappa=kappa, radius=radius, L=L,
                          single_layer=s_l, adjoint_double=dstar_l)
 
 
-class _PackedBie:
-    """The N x N matrix A of M spheres, N = M nc, stored once per sphere pair.
+# d^1_{mm'}(pi/2), m, m' = -1, 0, 1
+_D1 = np.array([[1.0, 2**0.5, 1.0], [-(2**0.5), 0.0, 2**0.5], [1.0, -(2**0.5), 1.0]]) / 2
 
-    strips[m], for m < M - 1, holds the blocks SR = (S|R)(z_m - z_j) of the
-    pairs j > m, laid out (nc, M - m - 1, nc) so that strips[m][:, j - m - 1]
-    is the block; all strips share one flat buffer, which the constructor
-    allocates uninitialised. With trace t, outgoing factors o and parity
-    P = diag((-1)^l), the (m, j) block of A is diag(t_m) SR diag(o_j) and the
-    (j, m) block diag(P t_j) SR diag(P o_m); the diagonal of A is D.
+
+@lru_cache(maxsize=4)
+def _rotation_factor(L: int):
+    """Delta^l = d^l(pi/2), l = 0..L, read-only, (L + 1, 2L + 1, 2L + 1) with
+    row and column m + L, zero where |m| > l. Delta^l couples Delta^{l-1} with
+    d^1(pi/2) through the Clebsch-Gordan coefficients <l-1, m-mu; 1, mu | l, m>,
+    a unitary step, so the rows stay orthonormal and nothing leaks across degrees.
+    """
+    delta = np.zeros((L + 1, 2 * L + 3, 2 * L + 3))  # a zero border for the shifts
+    delta[0, L + 1, L + 1] = 1.0
+    for l in range(1, L + 1):
+        m = np.arange(-l, l + 1)
+        cg = np.sqrt(np.stack([(l - 1 - m) * (l - m), 2 * (l - m) * (l + m),
+                               (l - 1 + m) * (l + m)]) / (2 * l * (2 * l - 1)))
+        lo, hi = L + 1 - l, L + 2 + l
+        for mu in (-1, 0, 1):
+            for nu in (-1, 0, 1):
+                delta[l, lo:hi, lo:hi] += (_D1[mu + 1, nu + 1] * cg[mu + 1][:, None] * cg[nu + 1]
+                                           * delta[l - 1, lo - mu:hi - mu, lo - nu:hi - nu])
+    delta = np.ascontiguousarray(delta[:, 1:-1, 1:-1])
+    delta.setflags(write=False)
+    return delta
+
+
+@lru_cache(maxsize=4)
+def _coaxial_table(L: int):
+    """The nu = 0 Gaunt table: Coax(|d|) = [h_n(kappa |d|), n = 0..2L] @ table.
+
+    Translation along +z couples equal orders only (Y_n^nu(zhat) = 0 for
+    nu != 0), and order -m repeats order m (Y_l^-m = (-1)^m conj(Y_l^m)). So a
+    coaxial block is its E entries (l, l', m), 0 <= m <= min(l, l'), in that
+    order: Coax_{lm,l'm} = 4 pi sum_n i^(l+n-l') h_n Y_n^0(zhat) G, with
+    G = int Y_l'm conj(Y_lm) Y_n^0 dS by Gauss-Legendre of order 2L+1, exact.
+    Entries the selection rules forbid are exact zeros: roundoff in them times
+    h_{2L} ~ (kappa d)^-(2L+1) would swamp the block. Returns read-only (table
+    (2L+1, E), index (L+1)^3 from (|m|, l, l') to the entry, E where
+    |m| > min(l, l')); index[0] holds where each (l, l') starts.
+    """
+    g = np.arange(L + 1)
+    l, lp, m = np.nonzero(g <= np.minimum.outer(g, g)[:, :, None])
+    x, w = np.polynomial.legendre.leggauss(2 * L + 1)
+    polar = np.zeros((len(x), 3))
+    polar[:, 0], polar[:, 2] = np.sqrt(1.0 - x**2), x
+    Y = harmonic_matrix(L, polar).real  # Y_l^m(theta, 0), real
+    n = np.arange(2 * L + 1)
+    # 4 pi Y_n^0(zhat) Y_n^0(theta, 0) = (2n + 1) P_n(cos theta); the azimuth gives 2 pi
+    gaunt = (w[:, None] * Y[:, l * l + l + m] * Y[:, lp * lp + lp + m]).T @ legendre_p(2 * L, x)
+    power = l[:, None] + n - lp[:, None]  # i^power = +-1 where allowed
+    allowed = (power % 2 == 0) & (np.abs(l - lp)[:, None] <= n) & (n <= (l + lp)[:, None])
+    sign = np.where(power % 4 == 0, 2.0 * np.pi, -2.0 * np.pi)
+    table = np.ascontiguousarray(np.where(allowed, sign * (2 * n + 1) * gaunt, 0.0).T)
+    index = np.full((L + 1, L + 1, L + 1), len(l))
+    index[m, l, lp] = np.arange(len(l))
+    for arr in (table, index):
+        arr.setflags(write=False)
+    return table, index
+
+
+def _admitted_bytes(M: int, L: int):
+    """(operator, workspace) bytes, as assemble_bie admits them: per sphere
+    pair E = (L+1)(L+2)(2L+3)/6 coaxial entries, a pad and two phase rows, and
+    per unknown D, t, o and the right-hand side; then the Gaunt table with its
+    quadrature, Delta, and eight complex arrays of a block of pairs, (L+1)^3
+    entries (a padded coaxial block) per pair."""
+    E, pairs, width = (L + 1) * (L + 2) * (2 * L + 3) // 6, M * (M - 1) // 2, (L + 1) ** 3
+    return (16 * pairs * (E + 1 + 2 * (2 * L + 1)) + 64 * M * n_coeffs(L),
+            48 * (2 * L + 1) * E + 24 * (L + 1) * (2 * L + 3) ** 2
+            + 128 * min(pairs * width, max(PAIR_BLOCK, width)))
+
+
+class _BieOperator:
+    """The N x N matrix A of M spheres, N = M nc, applied without storing it.
+
+    Pair m < j keeps its coaxial block and the phases e^{ik(phi + pi/2)} and
+    e^{-ik theta}, k = -L..L, of d = z_m - z_j. U = diag(i^-m) Delta^T
+    diag(e^{-ik theta}) Delta diag(i^m e^{im phi}) rotates d to the z-axis,
+    and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m) commutes with Coax and
+    drops out. The factors t, o, P of the blocks depend on l only and are
+    applied per sphere. A product takes a block of pairs at a time in the
+    padded layout (l, m + L, column, pair): real GEMMs with the shared Delta,
+    the phases, and one batched matmul of the coaxial blocks over (pair, |m|).
     """
 
-    def __init__(self, diagonal: np.ndarray, trace: np.ndarray, outgoing: np.ndarray,
-                 parity: np.ndarray):
-        M, nc = trace.shape
-        self._diagonal, self._trace, self._outgoing, self._parity = (
-            diagonal, trace, outgoing, parity)
-        self._buf = np.empty(nc * nc * (M * (M - 1) // 2), dtype=complex)
-        self.shape, self.dtype, self.strips = (M * nc, M * nc), self._buf.dtype, []
-        start = 0
-        for m in range(M - 1):
-            size = nc * nc * (M - m - 1)
-            self.strips.append(self._buf[start:start + size].reshape(nc, M - m - 1, nc))
-            start += size
+    def __init__(self, centers: np.ndarray, kappa: float, L: int, diagonal: np.ndarray,
+                 trace: np.ndarray, outgoing: np.ndarray):
+        """diagonal, trace and outgoing are per sphere and degree, (M, L + 1)."""
+        M, nc = len(centers), n_coeffs(L)
+        table, self._index = _coaxial_table(L)
+        self._delta = _rotation_factor(L)
+        self.L, self.shape, self.dtype = L, (M * nc, M * nc), np.dtype(complex)
+        self._diagonal = _per_degree(diagonal, L).reshape(-1)
+        self._trace, self._outgoing = _per_degree(trace, L), _per_degree(outgoing, L)
+        self._parity = _per_degree((-1.0) ** np.arange(L + 1), L)
+        self._l = _per_degree(np.arange(L + 1), L)
+        self._k = np.arange(nc) - self._l * (self._l + 1) + L  # m + L
+        self._pairs = first, second = np.triu_indices(M, 1)
+        E = table.shape[1]
+        self._coax = np.zeros((len(first), E + 1), dtype=complex)  # column E: the pad
+        self._phases = np.empty((2, 2 * L + 1, len(first)), dtype=complex)
+        # ||C D^-1||_F^2 sums |t_m,l Coax_{lm',l'm'} o_j,l' / D_j,l'|^2 over both
+        # blocks of each pair; orders -m' and m' alike
+        nonsingular = bool(np.all(diagonal != 0))
+        t2 = np.abs(trace) ** 2
+        v2 = np.abs(outgoing / diagonal) ** 2 if nonsingular else np.zeros_like(t2)
+        runs = self._index[0].reshape(-1)  # m = 0 opens each (l, l') run
+        k, q2 = np.arange(-L, L + 1), 0.0
+        for p0, p1 in row_blocks(len(first), width=E + 1):
+            m, j = first[p0:p1], second[p0:p1]
+            d = centers[m] - centers[j]
+            dist = np.linalg.norm(d, axis=1)
+            self._coax[p0:p1, :E] = coax = _hankel(2 * L, kappa * dist) @ table
+            theta, phi = unit_angles(d / dist[:, None])
+            self._phases[0, :, p0:p1] = np.exp(1j * np.outer(k, phi + 0.5 * np.pi))
+            self._phases[1, :, p0:p1] = np.exp(-1j * np.outer(k, theta))
+            c2 = np.abs(coax) ** 2
+            s = (2.0 * np.add.reduceat(c2, runs, axis=1) - c2[:, runs]).reshape(-1, L + 1, L + 1)
+            q2 += float(np.einsum("pi,pij,pj->", t2[m], s, v2[j])
+                        + np.einsum("pi,pij,pj->", t2[j], s, v2[m]))
+        self.neumann_q = math.sqrt(q2) if nonsingular else math.inf
+        self._blocks = []
+        for p0, p1 in row_blocks(len(first), width=(L + 1) ** 3):
+            # column 0 of a pair takes o_j x_j to row m, column 1 P o_m x_m to row j
+            target = np.concatenate([first[p0:p1], M + second[p0:p1]])
+            put = np.argsort(target, kind="stable")
+            slots, starts = np.unique(target[put], return_index=True)
+            take = np.concatenate([second[p0:p1], M + first[p0:p1]])
+            self._blocks.append((p0, p1, take, put, starts, slots))
+        for arr in (self._diagonal, self._trace, self._outgoing, self._coax, self._phases):
+            arr.setflags(write=False)
 
     @property
-    def nbytes(self) -> int:
-        """The strips and the diagonal, as assemble_bie admits them."""
-        return self._buf.nbytes + self._diagonal.nbytes
+    def nbytes(self) -> int:  # the coaxial blocks, the phases and the diagonal
+        return self._coax.nbytes + self._phases.nbytes + self._diagonal.nbytes
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
 
+    def _rotate(self, S: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Delta^T diag(phase) Delta S, each degree a real GEMM with the shared Delta."""
+        n, K = S.shape[:2]
+        S = np.matmul(self._delta, S.reshape(n, K, -1).view(float)).view(complex).reshape(S.shape)
+        S *= phase
+        return np.matmul(self._delta.transpose(0, 2, 1), S.reshape(n, K, -1).view(float)).view(
+            complex).reshape(S.shape)
+
+    def _translate(self, S: np.ndarray, p0: int, p1: int) -> np.ndarray:
+        """(S|R) of the pairs p0:p1 applied to S, (L + 1, 2L + 1, columns, p1 - p0)."""
+        L, (n, K, c, B) = self.L, S.shape
+        zphase, tphase = self._phases[:, :, None, p0:p1]
+        S = self._rotate(np.multiply(S, zphase, order="C"), tphase)  # S may be a broadcast view
+        # Coax over (pair, |m|), the columns of orders m and -m side by side
+        V = np.empty((B, L + 1, n, 2, c), dtype=complex)
+        V[..., 0, :] = S[:, L:].transpose(3, 1, 0, 2)
+        V[..., 1, :] = S[:, L::-1].transpose(3, 1, 0, 2)
+        V = np.matmul(self._coax[p0:p1].take(self._index, axis=1),
+                      V.reshape(B, L + 1, n, 2 * c)).reshape(V.shape)
+        S = np.empty(S.shape, dtype=complex)
+        S[:, L:] = V[..., 0, :].transpose(2, 1, 3, 0)
+        S[:, L::-1] = V[..., 1, :].transpose(2, 1, 3, 0)
+        S = self._rotate(S, tphase.conj())
+        S *= zphase.conj()
+        return S
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         M, nc = self._trace.shape
+        L, K = self.L, 2 * self.L + 1
         x = x.reshape(M, nc)
         u = self._outgoing * x
-        v = self._parity * u
-        rows, cols = np.zeros((M, nc), dtype=complex), np.zeros((M, nc), dtype=complex)
-        for m, S in enumerate(self.strips):
-            k = M - m - 1
-            # sphere m's row from its pairs j > m, then their rows from sphere m
-            rows[m] += S.reshape(nc, k * nc) @ u[m + 1:].reshape(-1)
-            cols[m + 1:] += (S.reshape(nc * k, nc) @ v[m]).reshape(nc, k).T
-        y = self._trace * rows
-        y += self._parity * self._trace * cols
+        src = np.zeros((L + 1, K, 2 * M), dtype=complex)  # o x, then P o x
+        src[self._l, self._k] = np.concatenate([u, self._parity * u]).T
+        acc = np.zeros_like(src)  # rows from o x, then rows from P o x
+        for p0, p1, take, put, starts, slots in self._blocks:
+            out = self._translate(src[:, :, take].reshape(L + 1, K, 2, p1 - p0), p0, p1)
+            acc[:, :, slots] += np.add.reduceat(out.reshape(L + 1, K, -1)[:, :, put], starts,
+                                                axis=2)
+        acc = acc[self._l, self._k]
+        y = self._trace * (acc[:, :M] + self._parity[:, None] * acc[:, M:]).T
         return self._diagonal * x.reshape(-1) + y.reshape(-1)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         M, nc = self._trace.shape
+        L, K = self.L, 2 * self.L + 1
         t, o, P = self._trace, self._outgoing, self._parity
-        A = np.zeros(self.shape, dtype=complex)
+        A = np.zeros((M, nc, M, nc), dtype=complex)
+        unit = np.zeros((L + 1, K, nc, 1))
+        unit[self._l, self._k, np.arange(nc)] = 1.0
+        for p0, p1 in row_blocks(len(self._pairs[0]), width=(L + 1) * K * nc):
+            SR = self._translate(np.broadcast_to(unit, (L + 1, K, nc, p1 - p0)), p0, p1)
+            SR = SR[self._l, self._k].transpose(2, 0, 1)
+            m, j = (index[p0:p1] for index in self._pairs)
+            A[m, :, j, :] = t[m, :, None] * SR * o[j, None, :]
+            A[j, :, m, :] = (P * t[j])[:, :, None] * SR * (P * o[m])[:, None, :]
+        A = A.reshape(self.shape)
         A[np.diag_indices(len(A))] = self._diagonal
-        for m, S in enumerate(self.strips):
-            for j in range(m + 1, M):
-                SR = S[:, j - m - 1]
-                A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
-                    t[m][:, None] * SR * o[j][None, :])
-                A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (
-                    (P * t[j])[:, None] * SR * (P * o[m])[None, :])
         return A if dtype is None else A.astype(dtype, copy=False)
 
 
@@ -186,23 +322,19 @@ class _PackedBie:
 class BieSystem:
     """Assembled boundary-integral system A c = rhs for a sphere cloud.
 
-    matrix is A packed per sphere pair (see the module docstring): it has
-    shape, dtype, nbytes, diagonal() and the product with a vector, and
-    np.asarray(matrix) is the dense A. The assembly loop also yields the
-    certificate inputs of solve_bie: neumann_q = ||C D^-1||_F for
-    A = D + C, D = diag(A) (inf where an entry of D vanishes), and
-    norm_inf = ||A||_inf. quad_order is validated and kept, but the exact
-    cross blocks do not depend on it.
+    matrix is A, matrix-free (_BieOperator): shape, dtype, nbytes, diagonal(),
+    the product with a vector, and np.asarray(matrix), the dense A. neumann_q
+    = ||C D^-1||_F, D = diag(A), certifies solve_bie (inf where D has a zero).
+    quad_order is validated and kept; the exact cross blocks ignore it.
     """
 
-    matrix: _PackedBie
+    matrix: _BieOperator
     rhs: np.ndarray
     cloud: ScattererCloud
     wave: IncidentWave
     L: int
     quad_order: int
     neumann_q: float
-    norm_inf: float
 
 
 @dataclass(frozen=True)
@@ -252,73 +384,6 @@ def _incident_coeffs(wave: IncidentWave, centers: np.ndarray, radial: np.ndarray
     return -phase[:, None] * scale * np.conj(Yt)
 
 
-@lru_cache(maxsize=4)
-def _translation_table(L: int):
-    """Sparse map from [h_n(kappa d) Y_n^nu(dhat)] to the flat (S|R) block.
-
-    Entry (lm)*nc + (l'm') of the block is the outgoing-to-regular
-    translation coefficient (S|R)_{lm,l'm'}(d), so that
-
-        h_l'(kappa|d+y|) Y_l'm'(d+y) = sum_lm (S|R)_{lm,l'm'}(d) j_l(kappa|y|) Y_lm(y)
-
-    for |y| < |d|, with (S|R)_{lm,l'm'} = 4 pi sum_n i^(l+n-l') h_n Y_n^(m'-m)
-    G(l'm'; lm; n) and the Gaunt coefficient G = int Y_l'm' conj(Y_lm)
-    conj(Y_n^(m'-m)) dS. The azimuthal integral is 2 pi, so Gauss-Legendre of
-    order 2L+1 in cos(polar) integrates the degree <= 4L polar product
-    exactly. Only entries the selection rules allow are stored, so the rest
-    are exact zeros: h_n grows like (kappa d)^-(n+1), and roundoff in a
-    vanishing coefficient times h_{2L} would swamp the block.
-
-    Returns read-only (harm, vals, starts), sorted by block entry and then by
-    n: the block is np.add.reduceat(hY[harm] * vals, starts) for hY indexed
-    n^2 + n + nu. The selection rules leave n = lo, lo + 2, ..., l + l' with
-    lo = max(|l - l'|, |nu|) raised to the parity of l + l', so every block
-    entry has at least one term and no reduceat segment is empty. Entries
-    sharing nu = m' - m share their Gaunt harmonics, so each nu takes one
-    product of the quadrature over all its entries and all n >= |nu|.
-    """
-    nc, n_max = n_coeffs(L), 2 * L
-    x, w = np.polynomial.legendre.leggauss(n_max + 1)
-    polar = np.zeros((len(x), 3))
-    polar[:, 0], polar[:, 2] = np.sqrt(1.0 - x**2), x
-    P = harmonic_matrix(n_max, polar).real    # Y_n^nu(theta, 0), real
-    ls = _per_degree(np.arange(L + 1), L)
-    ms = np.arange(nc) - ls * (ls + 1)
-    row, col = np.divmod(np.arange(nc * nc), nc)
-    l, lp, nu = ls[row], ls[col], ms[col] - ms[row]
-    lo = np.maximum(np.abs(l - lp), np.abs(nu))
-    lo += (l + lp - lo) % 2
-    count = (l + lp - lo) // 2 + 1
-    starts = np.cumsum(count) - count
-    harm, vals = np.empty(starts[-1] + count[-1], dtype=int), np.empty(starts[-1] + count[-1])
-    for v in range(-n_max, n_max + 1):
-        idx = np.flatnonzero(nu == v)
-        n = np.arange(abs(v), n_max + 1)
-        gaunt = 2.0 * np.pi * (
-            (w[:, None] * P[:, col[idx]] * P[:, row[idx]]).T @ P[:, n * n + n + v])
-        k = np.repeat(np.arange(len(idx)), count[idx])  # the group row of each term
-        e = idx[k]
-        step = np.arange(len(k)) - (np.cumsum(count[idx]) - count[idx])[k]
-        n = lo[e] + 2 * step
-        # l + n - l' is even, so i^(l+n-l') is real
-        sign = np.where(((l[e] + n - lp[e]) // 2) % 2 == 0, 1.0, -1.0)
-        harm[starts[e] + step] = n * n + n + v
-        vals[starts[e] + step] = 4.0 * np.pi * sign * gaunt[k, n - abs(v)]
-    table = (harm, vals, starts)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-def _coupling_bytes(M: int, L: int) -> int:
-    """Bytes the cross blocks of M spheres take beside the packed matrix: at
-    most L + 1 terms per block entry (16 bytes in the table, 32 in
-    hY[harm] * vals), 128 bytes of index arithmetic and one-block temporaries
-    per entry, and five times the 16-byte pair harmonics H."""
-    nc = n_coeffs(L)
-    return nc * nc * (128 + 48 * (L + 1)) + 40 * M * (M - 1) * (2 * L + 1) ** 2
-
-
 def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                  L: int = DEFAULT_L, quad_order: int = DEFAULT_QUAD_ORDER) -> BieSystem:
     """Assemble the coupled boundary-integral system for a sphere cloud.
@@ -328,89 +393,43 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
 
     Raises:
         ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
-        InsufficientMemory: before any per-sphere work, the packed matrix
-            (16 nc^2 M (M - 1)/2 + 16 N bytes, nc = (L+1)^2, N = M nc) or, for
-            M > 1, it and _coupling_bytes(M, L) exceed the memory available.
+        InsufficientMemory: before any per-sphere work, the operator and its
+            workspace (_admitted_bytes) exceed the memory available.
         ResonanceGuard: any sphere too large for the wavenumber.
     """
     if not cloud.is_spherical:
         raise ValueError("boundary-integral oracle requires true spheres")
     if quad_order < 1:
         raise ValueError("quadrature order must be >= 1")
-    M, nc = cloud.M, n_coeffs(L)
-    N = M * nc
-    packed = 16 * nc * nc * (M * (M - 1) // 2) + 16 * N
-    _require_memory(packed, f"N = {N}", "the boundary-integral matrix")
-    if M > 1:
-        _require_memory(packed + _coupling_bytes(M, L), f"N = {N} at L = {L}",
-                        "the matrix and its translation table")
+    _require_memory(sum(_admitted_bytes(cloud.M, L)), f"N = {cloud.M * n_coeffs(L)} at "
+                    f"L = {L}", "the boundary-integral operator and its workspace")
     if np.any(cloud.impedances.imag < 0):
         warnings.warn("Im(lambda) < 0: well-posedness is not guaranteed; proceeding "
                       "(the solve certifies q = ||C D^-1||_F < 1 or falls back to LU)",
                       stacklevel=2)
     kappa, lams = wave.kappa, cloud.impedances[:, None]
-    spectra = [sphere_operator_spectra(kappa, float(r), L) for r in cloud.radii]
-    self_blocks = (np.array([sp.adjoint_double for sp in spectra]) - 0.5
-                   + lams * np.array([sp.single_layer for sp in spectra]))
+    single, adjoint_double = _self_spectra(kappa, cloud.radii, L)
     z = kappa * cloud.radii
     jl = spherical_jn(L, z)
     radial = kappa * spherical_jn(L, z, derivative=True) + lams * jl
-    trace = _per_degree(radial, L)
-    outgoing = _per_degree(1j * kappa * cloud.radii[:, None] ** 2 * jl, L)
-    diagonal = _per_degree(self_blocks, L).reshape(-1)
-    # The pair (j, m) reuses the (m, j) translation: Y_n(-dhat) =
-    # (-1)^n Y_n(dhat) and l + l' + n is even, so (S|R)(-d) = P (S|R)(d) P
-    # with P = diag((-1)^l).
-    parity = _per_degree((-1.0) ** np.arange(L + 1), L)
-    for arr in (trace, outgoing, diagonal, parity):
-        arr.setflags(write=False)
-    A = _PackedBie(diagonal, trace, outgoing, parity)
+    # the translation needs r_m < |z_m - z_j|, which d_eff > 0 gives
+    A = _BieOperator(cloud.centers, kappa, L, adjoint_double - 0.5 + lams * single, radial,
+                     1j * kappa * cloud.radii[:, None] ** 2 * jl)
     rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
-    # Per-row sums of |A_ij| and |A_ij / D_j|^2 off the diagonal, without the
-    # row factors |t|, |t|^2: |C D^-1| has entries |t_m| |SR| |o_j / D_j|.
-    abs_diag = np.abs(diagonal)
-    nonsingular = bool(np.all(abs_diag > 0))
-    abs_out = np.abs(outgoing)
-    w2 = (abs_out / abs_diag.reshape(M, nc)) ** 2 if nonsingular else np.zeros((M, nc))
-    rows_inf, rows_q = np.zeros((M, nc)), np.zeros((M, nc))
-    if M > 1:
-        # Cross blocks as in the module docstring; the translation needs
-        # r_m < |z_m - z_j|, which d_eff > 0 gives.
-        harm, vals, starts = _translation_table(L)
-        first, second = np.triu_indices(M, 1)
-        t = cloud.centers[first] - cloud.centers[second]
-        dist = np.linalg.norm(t, axis=1)
-        H = harmonic_matrix(2 * L, t / dist[:, None])
-        H *= _per_degree(_hankel(2 * L, kappa * dist), 2 * L)
-        for m, j, hY in zip(first, second, H):
-            SR = np.add.reduceat(hY[harm] * vals, starts).reshape(nc, nc)
-            A.strips[m][:, j - m - 1] = SR
-            absSR = np.abs(SR)
-            rows_inf[m] += absSR @ abs_out[j]
-            rows_inf[j] += absSR @ abs_out[m]
-            absSR *= absSR
-            rows_q[m] += absSR @ w2[j]
-            rows_q[j] += absSR @ w2[m]
-    for S in A.strips:
-        S.setflags(write=False)
     rhs.setflags(write=False)
-    abs_trace = np.abs(trace)
-    norm_inf = float(np.max(abs_diag + (abs_trace * rows_inf).reshape(-1)))
-    q = math.sqrt(float(np.vdot(abs_trace * abs_trace, rows_q))) if nonsingular else math.inf
     return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L,
-                     quad_order=quad_order, neumann_q=q, norm_inf=norm_inf)
+                     quad_order=quad_order, neumann_q=A.neumann_q)
 
 
 def solve_bie(system: BieSystem) -> BieSolution:
     """Certified GMRES, else checked dense LU; residual bound BIE_RESIDUAL_TOL.
 
-    Assembly yields q = ||C D^-1||_F and ||A||_inf. If 1 - q > PIVOT_REL_TOL,
-    then sigma_min(A D^-1) >= 1 - q and foldy's restarted GMRES,
-    right-preconditioned by D^-1, runs to a relative residual of GMRES_TOL
-    over products with the packed A; iterations records their count.
-    Otherwise, or when GMRES reaches GMRES_MAXITER, the dense LU solves with
-    its pivot test against ||A||_inf and iterations is None. Either way the
-    inf-norm residual is checked.
+    If 1 - q > PIVOT_REL_TOL, q = ||C D^-1||_F, then sigma_min(A D^-1) >= 1 - q
+    and foldy's restarted GMRES, right-preconditioned by D^-1, runs to a
+    relative residual of GMRES_TOL; iterations records its products with A.
+    Otherwise, or when GMRES reaches GMRES_MAXITER, the dense LU solves, its
+    pivot test against the ||A||_inf of its dense copy, and iterations is None.
+    Either way the inf-norm residual is checked.
 
     Raises:
         SingularSystem: an LU pivot underflows or the residual exceeds
@@ -420,7 +439,7 @@ def solve_bie(system: BieSystem) -> BieSolution:
     q = system.neumann_q
     margin = 1.0 - q if 1.0 - q > PIVOT_REL_TOL else None
     x, residual, iterations = _certified_solve(system.matrix, system.rhs, margin,
-                                               BIE_RESIDUAL_TOL, system.norm_inf)
+                                               BIE_RESIDUAL_TOL, None)
     nc = n_coeffs(system.L)
     densities = []
     for m in range(system.cloud.M):

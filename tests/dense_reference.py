@@ -1,16 +1,18 @@
 """Dense references for the quantities the program computes in one pass.
 
 foldy.assemble yields ||Re B_n||_F, ||B||_inf and gamma while it fills B,
-oracle.assemble_bie yields q = ||C D^-1||_F and ||A||_inf while it stores the
-pair blocks of A, and geometry finds d by a cell list. These functions compute
-the same quantities the direct way, from a finished dense matrix and from all
-pairs of centers, for the tests to check against and to give hand-built
-systems their certificate inputs; pack stores a hand-built B the way assembly
-does, and bie_matrix writes the dense A block by block.
+oracle.assemble_bie yields q = ||C D^-1||_F from the coaxial blocks of A, and
+geometry finds d by a cell list. These functions compute the same quantities
+the direct way, from a finished dense matrix and from all pairs of centers,
+for the tests to check against and to give hand-built systems their
+certificate inputs; pack stores a hand-built B the way assembly does, and
+bie_matrix writes the dense A block by block, each (S|R) summed from the full
+Gaunt table of translation_table, with no rotation.
 """
 
 import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,13 +78,71 @@ def min_surface_distance(centers: np.ndarray, radii: np.ndarray, rows: int = 256
     return best
 
 
+@lru_cache(maxsize=4)
+def translation_table(L: int):
+    """Sparse map from [h_n(kappa d) Y_n^nu(dhat)] to the flat (S|R) block.
+
+    Entry (lm)*nc + (l'm') of the block is the outgoing-to-regular
+    translation coefficient (S|R)_{lm,l'm'}(d), so that
+
+        h_l'(kappa|d+y|) Y_l'm'(d+y) = sum_lm (S|R)_{lm,l'm'}(d) j_l(kappa|y|) Y_lm(y)
+
+    for |y| < |d|, with (S|R)_{lm,l'm'} = 4 pi sum_n i^(l+n-l') h_n Y_n^(m'-m)
+    G(l'm'; lm; n) and the Gaunt coefficient G = int Y_l'm' conj(Y_lm)
+    conj(Y_n^(m'-m)) dS, by Gauss-Legendre of order 2L+1 in cos(polar). Only
+    entries the selection rules allow are kept, so the rest are exact zeros.
+
+    Returns (harm, vals, starts), sorted by block entry and then by n: the
+    block is np.add.reduceat(hY[harm] * vals, starts) for hY indexed
+    n^2 + n + nu. The selection rules leave n = lo, lo + 2, ..., l + l' with
+    lo = max(|l - l'|, |nu|) raised to the parity of l + l', so every block
+    entry has at least one term.
+    """
+    nc, n_max = n_coeffs(L), 2 * L
+    x, w = np.polynomial.legendre.leggauss(n_max + 1)
+    polar = np.zeros((len(x), 3))
+    polar[:, 0], polar[:, 2] = np.sqrt(1.0 - x**2), x
+    P = harmonic_matrix(n_max, polar).real    # Y_n^nu(theta, 0), real
+    ls = oracle._per_degree(np.arange(L + 1), L)
+    ms = np.arange(nc) - ls * (ls + 1)
+    row, col = np.divmod(np.arange(nc * nc), nc)
+    l, lp, nu = ls[row], ls[col], ms[col] - ms[row]
+    lo = np.maximum(np.abs(l - lp), np.abs(nu))
+    lo += (l + lp - lo) % 2
+    count = (l + lp - lo) // 2 + 1
+    starts = np.cumsum(count) - count
+    harm, vals = np.empty(starts[-1] + count[-1], dtype=int), np.empty(starts[-1] + count[-1])
+    for v in range(-n_max, n_max + 1):
+        idx = np.flatnonzero(nu == v)
+        n = np.arange(abs(v), n_max + 1)
+        gaunt = 2.0 * np.pi * (
+            (w[:, None] * P[:, col[idx]] * P[:, row[idx]]).T @ P[:, n * n + n + v])
+        k = np.repeat(np.arange(len(idx)), count[idx])  # the group row of each term
+        e = idx[k]
+        step = np.arange(len(k)) - (np.cumsum(count[idx]) - count[idx])[k]
+        n = lo[e] + 2 * step
+        # l + n - l' is even, so i^(l+n-l') is real
+        sign = np.where(((l[e] + n - lp[e]) // 2) % 2 == 0, 1.0, -1.0)
+        harm[starts[e] + step] = n * n + n + v
+        vals[starts[e] + step] = 4.0 * np.pi * sign * gaunt[k, n - abs(v)]
+    return harm, vals, starts
+
+
+def translation_block(d: np.ndarray, kappa: float, L: int) -> np.ndarray:
+    """(S|R)(d), nc x nc, summed from translation_table with no rotation."""
+    harm, vals, starts = translation_table(L)
+    dist = float(np.linalg.norm(d))
+    hY = harmonic_matrix(2 * L, (d / dist).reshape(1, 3))[0]
+    hY *= oracle._per_degree(oracle._hankel(2 * L, kappa * dist), 2 * L)
+    return np.add.reduceat(hY[harm] * vals, starts).reshape(n_coeffs(L), n_coeffs(L))
+
+
 def bie_matrix(cloud, wave, L: int) -> np.ndarray:
     """The dense boundary-integral matrix A, each block written in full.
 
     The (m, j) block is diag(t_m) (S|R)(z_m - z_j) diag(o_j) and the (j, m)
-    block diag(P t_j) (S|R)(z_m - z_j) diag(P o_m), from the same translation
-    table and the same expressions as the packed store, so the two agree bit
-    for bit.
+    block diag(P t_j) (S|R)(z_m - z_j) diag(P o_m), with t, o and P = (-1)^l
+    per degree as in the module docstring of oracle.
     """
     M, nc, kappa = cloud.M, n_coeffs(L), wave.kappa
     lams = cloud.impedances[:, None]
@@ -96,16 +156,8 @@ def bie_matrix(cloud, wave, L: int) -> np.ndarray:
     parity = oracle._per_degree((-1.0) ** np.arange(L + 1), L)
     A = np.zeros((M * nc, M * nc), dtype=complex)
     A[np.diag_indices(M * nc)] = oracle._per_degree(self_blocks, L).reshape(-1)
-    if M == 1:
-        return A
-    harm, vals, starts = oracle._translation_table(L)
-    first, second = np.triu_indices(M, 1)
-    t = cloud.centers[first] - cloud.centers[second]
-    dist = np.linalg.norm(t, axis=1)
-    H = harmonic_matrix(2 * L, t / dist[:, None])
-    H *= oracle._per_degree(oracle._hankel(2 * L, kappa * dist), 2 * L)
-    for m, j, hY in zip(first, second, H):
-        SR = np.add.reduceat(hY[harm] * vals, starts).reshape(nc, nc)
+    for m, j in zip(*np.triu_indices(M, 1)):
+        SR = translation_block(cloud.centers[m] - cloud.centers[j], kappa, L)
         A[m * nc:(m + 1) * nc, j * nc:(j + 1) * nc] = (
             trace[m][:, None] * SR * outgoing[j][None, :])
         A[j * nc:(j + 1) * nc, m * nc:(m + 1) * nc] = (

@@ -71,14 +71,15 @@ class TestExitCodes:
     def test_infeasible_oracle_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
-        # N = 67600 needs 34 GiB for the packed A; fixed so that no host attempts it
-        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**35)
+        # N = 67600: the coaxial blocks of 79800 pairs need about 1 GiB; the
+        # room is fixed, so that no host attempts it
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**29)
         capsys.readouterr()
         assert run(["compare", cloud, "--oracle", "bie",
                     "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
-            "error: N = 67600 needs 34778 MiB for the boundary-integral matrix; "
-            "32768 MiB available\n")
+            "error: N = 67600 at L = 12 needs 1081 MiB for the boundary-integral operator "
+            "and its workspace; 512 MiB available\n")
 
     def test_insufficient_memory_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
@@ -86,7 +87,7 @@ class TestExitCodes:
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: M = 400 needs 2 MiB for the matrix") and "Traceback" not in err
+        assert err.startswith("error: M = 400 needs 3 MiB for the matrix") and "Traceback" not in err
         assert not (tmp_path / "x_charges.csv").exists()
 
     @staticmethod
@@ -107,7 +108,8 @@ class TestExitCodes:
         assert need < 16 * 400**2  # the dense B would not fit
         self.room_for(monkeypatch, need - 1)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
-        assert capsys.readouterr().err.startswith("error: M = 400 needs 2 MiB for the matrix")
+        assert capsys.readouterr().err.startswith(
+            "error: M = 400 needs 3 MiB for the matrix; 2 MiB available")
         assert not (tmp_path / "x_charges.csv").exists()
         self.room_for(monkeypatch, need)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
@@ -131,11 +133,11 @@ class TestExitCodes:
 
     @staticmethod
     def no_bie_work(monkeypatch):
-        """Make any per-sphere or translation-table work of the BIE fail the test."""
+        """Make any per-sphere, Gaunt-table or rotation work of the BIE fail the test."""
         def called(*args, **kwargs):
             raise AssertionError("the memory guard must refuse first")
-        monkeypatch.setattr(oracle, "sphere_operator_spectra", called)
-        monkeypatch.setattr(oracle, "_translation_table", called)
+        for name in ("_self_spectra", "_coaxial_table", "_rotation_factor"):
+            monkeypatch.setattr(oracle, name, called)
 
     def test_bie_without_room_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "pair.json"
@@ -145,21 +147,35 @@ class TestExitCodes:
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
                     "--L", 20, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: N = 882 needs 3 MiB for the boundary-integral matrix")
+        assert err.startswith("error: N = 882 at L = 20 needs 9 MiB for the boundary-integral "
+                              "operator and its workspace; 0 MiB available")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("x*"))
 
     def test_bie_without_room_for_the_table_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
-        n = 2 * 41**2  # L = 40: the packed A is 43 MiB, the table bound 5.5 GiB
-        monkeypatch.setattr(geometry, "_available_bytes", lambda: 16 * n * n)
+        # L = 40: the operator takes 598912 bytes, its Gaunt table about 90 MiB
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**20)
         self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
                     "--L", 40, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
-            "error: N = 3362 at L = 40 needs 5692 MiB for the matrix and its "
-            "translation table; 172 MiB available\n")
+            "error: N = 3362 at L = 40 needs 104 MiB for the boundary-integral operator "
+            "and its workspace; 1 MiB available\n")
+        assert not list(tmp_path.glob("x*"))
+
+    def test_small_bie_refusal_never_reads_0_mib(self, tmp_path, monkeypatch, capsys):
+        """Two spheres at L = 2 need about 12 kB; the need rounds up to 1 MiB."""
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
+        self.no_bie_work(monkeypatch)
+        assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 2, "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err == (
+            "error: N = 18 at L = 2 needs 1 MiB for the boundary-integral operator "
+            "and its workspace; 0 MiB available\n")
         assert not list(tmp_path.glob("x*"))
 
     def test_generate_without_room_is_4(self, tmp_path, monkeypatch, capsys):

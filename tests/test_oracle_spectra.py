@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
 
-from foldylax import ResonanceGuard, sphere_operator_spectra
+from foldylax import ResonanceGuard, oracle, sphere_operator_spectra
 from foldylax.spherical import harmonic_matrix, sphere_quadrature
 
 from quadrature_oracles import nystrom_apply
@@ -58,6 +58,20 @@ class TestClosedForms:
         sphere_operator_spectra(1.0, 0.49 * limit, 4)
         with pytest.raises(ResonanceGuard):
             sphere_operator_spectra(1.0, 0.51 * limit, 4)
+
+    def test_all_spheres_in_one_call(self):
+        """assemble_bie's one call over all radii: the rows are the one-sphere
+        spectra, and the guard names the first sphere too large."""
+        kappa, radii, L = 1.2, np.array([0.05, 0.3, 0.02, 0.8]), 7
+        single, adjoint = oracle._self_spectra(kappa, radii, L)
+        for r, s_l, d_l in zip(radii, single, adjoint):
+            sp = sphere_operator_spectra(kappa, float(r), L)
+            assert np.allclose(s_l, sp.single_layer, rtol=1e-15, atol=0)
+            assert np.allclose(d_l, sp.adjoint_double, rtol=1e-15, atol=0)
+        limit = (4 * np.pi / 3) ** (1 / 3) * np.pi
+        big = np.array([0.1, 0.51 * limit, 0.6 * limit])
+        with pytest.raises(ResonanceGuard, match=f"kappa\\*diameter = {1.02 * limit:g} "):
+            oracle._self_spectra(1.0, big, 4)
 
     def test_truncation_monotone_prefix(self):
         # increasing L preserves the earlier entries exactly
