@@ -6,7 +6,10 @@ error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
 (singular system, unconverged series), 4 too little memory for the packed
-Foldy-Lax matrix (about 8 M^2 bytes), the LU's dense copy and mask (17 bytes
+Foldy-Lax matrix (complex strips of about 8 M^2 bytes; or, where Im B takes
+its low-rank factor of degree L, real strips of about 4 M^2 bytes, the
+factor's 16 M (L+1)^2 bytes and the scratch of one block of it; foldy's
+module docstring gives the rule), the LU's dense copy and mask (17 bytes
 per matrix entry, on the LU path only), the boundary-integral operator and
 its workspace (16 ((L+1)(L+2)(2L+3)/6 + 4L + 3) bytes per sphere pair, 64 N,
 the Gaunt table and work arrays), or a lattice cloud; no other limit applies.

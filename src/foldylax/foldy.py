@@ -35,10 +35,47 @@ loads inside _checked_lu_solve, so only the LU fallback pays for it.
 B is stored once, packed by row strips (in the spirit of LAPACK's packed
 symmetric storage, zspmv; Anderson et al., LAPACK Users' Guide, SIAM 1999):
 the strip of rows i0:i1 holds columns i0:M, its k x k diagonal square whole,
-and all strips share one flat buffer of about 8*M^2 bytes. The strips are
-the blocks of geometry.row_blocks with at least STRIP_ROWS rows, whatever the
-worker count. B @ x reads each strip twice, y[i0:i1] += S @ x[i0:] and
-y[i1:] += x[i0:i1] @ S[:, k:], and np.asarray(B) builds the dense matrix.
+and all strips share one flat buffer. The strips are the blocks of
+geometry.row_blocks with at least STRIP_ROWS rows, whatever the worker count.
+B @ x reads each strip twice, y[i0:i1] += S @ x[i0:] and
+y[i1:] += x[i0:i1] @ S[:, k:], and np.asarray(B) builds the dense matrix
+strip by strip.
+
+Off the diagonal Im B_ij = -sin(kappa d)/(4 pi d) = -(kappa/4pi) j_0(kappa d)
+is smooth. With x_m = z_m - c, c the middle of the centers' bounding box,
+the addition theorem (DLMF sections 10.60 and 14.30; Martin, Multiple
+Scattering, CUP 2006, ch. 3)
+
+    j_0(kappa |x_i - x_j|) = 4 pi sum_{l, mu} j_l(kappa r_i) j_l(kappa r_j)
+                                 Y_l^mu(xhat_i) conj(Y_l^mu(xhat_j))
+
+makes it -kappa (F F^H)_ij, F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m),
+a factor of rank (L+1)^2 that depends on kappa R, R = max r_m, and not on M.
+The series stops at the least L whose tail
+tau(L) = sum_{l>L} (2l+1) (kappa R)^(2l)/((2l+1)!!)^2 is below
+FACTOR_TAIL = 2^-53, by |j_l(x)| <= x^l/(2l+1)!! (DLMF sections 10.14
+and 10.47) and |P_l| <= 1. When F's 16 M (L+1)^2 bytes are fewer than the
+8 bytes per entry of the strips' imaginary halves, the strips are real and
+hold Re B, and Im B is applied off the diagonal as -kappa G (G^T x), where G
+is F's real view and G G^T = Re(F F^H); otherwise the strips are complex and
+hold B. The choice follows from M and kappa R alone: a cloud of a few
+thousand in a domain of fixed kappa diam takes the factor, a few dozen
+spheres keep the strips. On the factor path B takes about 4 M^2 bytes, not 8 M^2, assembly
+computes cos and no sin, and Re B, the diagonal -1/C_m and the certificate
+below are the same bits as on the strip path.
+
+What the factor path applies differs from Im B by at most, entrywise and to
+first order in the unit roundoff u,
+
+    |Im B^_ij - Im B_ij| <= (kappa/4pi) (tau(L) + 2 eta + (2 (L+1)^2 + 1) u),
+
+where eta is the relative error of F's entries. Besides the truncation,
+each of the 2 (L+1)^2 terms of a row of G times a row of G rounds
+(Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002,
+ch. 3: |fl(a^T b) - a^T b| <= gamma_n |a|^T |b|), and so does the product
+with kappa, while |G_i|^T |G_j| <= |F_i| |F_j| <= 1/(4 pi), because
+sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
+take eta = 2 (L+1) u.
 
 Assembly fills each strip in place through geometry.row_block_pass, into
 scratch buffers allocated once per pass. It is bound by sqrt, cos and sin,
@@ -65,6 +102,7 @@ from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, Singular
 from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
                        pair_distances, row_block_pass, row_blocks)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
+from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
 RESIDUAL_TOL = 1e-10
 PIVOT_REL_TOL = 1e-14
@@ -75,6 +113,11 @@ GMRES_MAXITER = 200  # matrix-vector products before falling back to LU
 # B's strips have at least this many rows: thinner strips make B @ x slower
 # than the dense product at M = 10^4
 STRIP_ROWS = 64
+# Im B's factor stops at the least degree whose addition-theorem tail, in
+# units of kappa/(4 pi), is below this
+FACTOR_TAIL = 2.0**-53
+# bytes per entry of one block of F while it is computed (measured: 50 to 63)
+FACTOR_SCRATCH = 96
 
 
 class Variant(str, enum.Enum):
@@ -168,45 +211,168 @@ def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
     return value
 
 
+def _strip_sizes(n: int):
+    """The row blocks of B's strips and their entry counts."""
+    blocks = row_blocks(n, min_rows=STRIP_ROWS)
+    return blocks, [(i1 - i0) * (n - i0) for i0, i1 in blocks]
+
+
+def _tail_degree(x: float, max_degree: int) -> int | None:
+    """The least L <= max_degree whose tail sum_{l>L} (2l+1) x^(2l)/((2l+1)!!)^2
+    is below FACTOR_TAIL, else None."""
+    if x == 0.0:
+        return 0
+    if x >= max_degree + 1:
+        return None  # a term with l <= x is at least 1/3
+    l = np.arange(1, max_degree + 3)
+    # the log of each term, clipped at 0: a term of 1 decides as well as a larger one
+    terms = np.exp(np.minimum(
+        np.log(2 * l + 1) + 2 * np.cumsum(np.log(x / (2 * l + 1))), 0.0))
+    # past l = x each term is below a quarter of the one before, so the terms
+    # after the last one computed add up to less than a third of it
+    tails = np.cumsum(terms[::-1])[::-1] + terms[-1] / 3.0  # tails[L]: the sum over l > L
+    fits = np.flatnonzero(tails[:max_degree + 1] < FACTOR_TAIL)
+    return int(fits[0]) if fits.size else None
+
+
+def _factor_frame(centers: np.ndarray):
+    """The centers relative to the middle of their bounding box, and their radii."""
+    rel = centers - (centers.min(axis=0) + centers.max(axis=0)) / 2.0
+    return rel, np.sqrt(np.einsum("ij,ij->i", rel, rel))
+
+
+def _factor_degree(centers: np.ndarray, kappa: float, entries: int) -> int | None:
+    """The degree L of Im B's factor, None where the strips keep Im B.
+
+    entries is the strips' entry count. The factor's (L+1)^2 complex columns
+    must take fewer bytes than the imaginary halves of the strips,
+    16 M (L+1)^2 < 8 entries, and L is the least degree whose tail is below
+    FACTOR_TAIL at x = kappa R, R = max |z_m - c|.
+    """
+    max_degree = math.isqrt((entries - 1) // (2 * len(centers))) - 1
+    if max_degree < 0:
+        return None
+    return _tail_degree(kappa * float(_factor_frame(centers)[1].max()), max_degree)
+
+
+def _factor_rows(n: int) -> int:
+    """Rows per block while F of n rows is computed: an eighth of n, so that
+    the scratch, FACTOR_SCRATCH bytes per entry of a block, stays near F's own
+    size, and at least STRIP_ROWS, so that small blocks do not cost numpy
+    calls by the dozen."""
+    return max(STRIP_ROWS, math.ceil(n / 8))
+
+
+def _fill_factor(F: np.ndarray, centers: np.ndarray, kappa: float, L: int):
+    """F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m), x_m = z_m - c, in blocks
+    of _factor_rows rows.
+
+    The columns run from the highest degree down: the inner products of F's
+    rows then add the small terms first and the l = 0 term, nearly all of
+    j_0, last, which keeps their rounding near one ulp of 1/(4 pi).
+    """
+    rel, r = _factor_frame(centers)
+    rho = np.hypot(rel[:, 0], rel[:, 1])
+    ls, ms = _degrees_orders(L)
+    rows = _factor_rows(len(F))
+    for i0 in range(0, len(F), rows):
+        i1 = min(i0 + rows, len(F))
+        # cos and sin of the polar angle from the components: a center at c
+        # takes the pole, where only j_0 is nonzero
+        t = np.divide(rel[i0:i1, 2], r[i0:i1], out=np.ones(i1 - i0), where=r[i0:i1] > 0)
+        u = np.divide(rho[i0:i1], r[i0:i1], out=np.zeros(i1 - i0), where=r[i0:i1] > 0)
+        radial = _legendre_columns(L, t, u) * spherical_jn(L, kappa * r[i0:i1])[:, ls]
+        # e^{i m phi} from cos and sin of the L + 1 orders m >= 0
+        m_phi = np.arctan2(rel[i0:i1, 1], rel[i0:i1, 0])[:, None] * np.arange(L + 1)
+        F.real[i0:i1] = (radial * np.cos(m_phi)[:, np.abs(ms)])[:, ::-1]
+        F.imag[i0:i1] = (radial * (np.sign(ms) * np.sin(m_phi)[:, np.abs(ms)]))[:, ::-1]
+
+
 class _PackedSymmetric:
     """An n x n complex symmetric matrix stored once, as the row strips of
     row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on.
 
     strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n.
-    The constructor allocates them uninitialised; it raises InsufficientMemory
-    first if they do not fit in the memory available.
+    With factor_degree None the strips are complex and hold B. With a degree
+    L they are real and hold Re B; factor is the n x (L+1)^2 complex F, and
+    off the diagonal Im B = -kappa Re(F F^H), applied through F's real view G,
+    Re(F F^H) = G G^T. The constructor allocates the strips and F
+    uninitialised; it raises InsufficientMemory first if they, and the
+    scratch of one block of F, do not fit in the memory available.
     """
 
-    def __init__(self, n: int):
-        blocks = row_blocks(n, min_rows=STRIP_ROWS)
-        sizes = [(i1 - i0) * (n - i0) for i0, i1 in blocks]
-        _require_memory(16 * sum(sizes), f"M = {n}", "the matrix")
-        self._buf = np.empty(sum(sizes), dtype=complex)
-        self.shape, self.dtype, self.strips = (n, n), self._buf.dtype, {}
+    def __init__(self, n: int, factor_degree: int | None = None):
+        blocks, sizes = _strip_sizes(n)
+        dtype = complex if factor_degree is None else float
+        K = 0 if factor_degree is None else n_coeffs(factor_degree)
+        _require_memory(np.dtype(dtype).itemsize * sum(sizes)
+                        + 16 * n * K + FACTOR_SCRATCH * min(n, _factor_rows(n)) * K,
+                        f"M = {n}", "the matrix")
+        self._buf = np.empty(sum(sizes), dtype=dtype)
+        self.shape, self.dtype, self.strips = (n, n), np.dtype(complex), {}
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
+        self.factor = None if factor_degree is None else np.empty((n, K), dtype=complex)
+
+    def set_factor(self, centers: np.ndarray, kappa: float, imag_diagonal: np.ndarray):
+        """Compute F, and keep what the product needs besides: kappa, Im B_mm,
+        and kappa (F F^H)_mm, which -kappa F F^H puts on the diagonal."""
+        _fill_factor(self.factor, centers, kappa, math.isqrt(self.factor.shape[1]) - 1)
+        self.factor.setflags(write=False)
+        G = self.factor.view(float)
+        self.kappa, self.imag_diagonal = kappa, np.ascontiguousarray(imag_diagonal)
+        self.self_terms = kappa * np.einsum("ij,ij->i", G, G)
 
     @property
     def nbytes(self) -> int:
-        return self._buf.nbytes
+        return self._buf.nbytes + (0 if self.factor is None else self.factor.nbytes)
 
     def diagonal(self) -> np.ndarray:
-        return np.concatenate([S.diagonal() for S in self.strips.values()])
+        d = np.concatenate([S.diagonal() for S in self.strips.values()])
+        if self.factor is None:
+            return d
+        full = np.empty(len(d), dtype=complex)
+        full.real, full.imag = d, self.imag_diagonal
+        return full
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.shape[0], dtype=complex)
+        if self.factor is None:
+            y = np.zeros(self.shape[0], dtype=complex)
+            for i0, S in self.strips.items():
+                i1 = i0 + len(S)
+                y[i0:i1] += S @ x[i0:]
+                y[i1:] += x[i0:i1] @ S[:, len(S):]
+            return y
+        # real strips times the real and imaginary parts of x side by side
+        x = np.ascontiguousarray(x, dtype=complex)
+        X, Y = x.view(float).reshape(-1, 2), np.zeros((self.shape[0], 2))
         for i0, S in self.strips.items():
             i1 = i0 + len(S)
-            y[i0:i1] += S @ x[i0:]
-            y[i1:] += x[i0:i1] @ S[:, len(S):]
+            Y[i0:i1] += S @ X[i0:]
+            Y[i1:] += S[:, len(S):].T @ X[i0:i1]
+        G = self.factor.view(float)
+        y = Y.view(complex).reshape(-1)
+        y += -1j * self.kappa * (G @ (G.T @ X)).view(complex).reshape(-1)
+        y += 1j * (self.imag_diagonal + self.self_terms) * x
         return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         B = np.empty(self.shape, dtype=complex)
+        G = None if self.factor is None else self.factor.view(float)
         for i0, S in self.strips.items():
-            i1 = i0 + len(S)
-            B[i0:i1, i0:] = S
-            B[i1:, i0:i1] = S[:, len(S):].T
+            k = len(S)
+            i1 = i0 + k
+            if G is None:
+                B[i0:i1, i0:] = S
+            else:
+                B.real[i0:i1, i0:] = S
+                im = np.matmul(G[i0:i1], G[i0:].T)
+                im *= -self.kappa
+                im[:, :k] = np.triu(im[:, :k]) + np.triu(im[:, :k], 1).T  # symmetric square
+                B.imag[i0:i1, i0:] = im
+            B[i1:, i0:i1] = B[i0:i1, i1:].T
+        if G is not None:
+            np.fill_diagonal(B, self.diagonal())
         return B if dtype is None else B.astype(dtype, copy=False)
 
 
@@ -214,9 +380,10 @@ class _PackedSymmetric:
 class FoldyLaxSystem:
     """Assembled system B Q = U^I, B complex symmetric and packed.
 
-    matrix is B in packed form (see the module docstring): it has shape,
-    dtype, nbytes, diagonal() and the product with a vector, and
-    np.asarray(matrix) is the dense B. The assembly pass also yields the
+    matrix is B in packed form (see the module docstring): complex strips, or
+    real strips of Re B and the factor F of Im B. Either way it has shape,
+    dtype, nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
+    and np.asarray(matrix) is the dense B. The assembly pass also yields the
     inputs of the certificate and of the invertibility report:
     frobenius_offdiag_real = ||Re B_n||_F, norm_inf = ||B||_inf and
     gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one
@@ -248,6 +415,14 @@ class InvertibilityReport:
     remark_gamma_condition is the alternative distance-free check
     (5*pi/3) * min Re(+/-C_m)/max|C_m|^2 > gamma/d, evaluated when
     gamma = min cos(kappa*|z_i - z_j|) >= 0 (None otherwise).
+
+    condition_applicable is the lemma's verdict against its counting
+    threshold, not a bound on ||Re B_n||_F that holds for every cloud: on the
+    jittered M = 10^4 cloud (a = 0.01, s = 2, t = 1, lambda0 = -0.5, jitter
+    0.3, seed 1) frobenius_offdiag_real = 3595.38 exceeds
+    lemma_threshold = 3518.58 while the verdict is True. solve certifies by
+    the measured margin mu = min|Re B_mm| - ||Re B_n||_F, never by this
+    verdict.
     """
 
     frobenius_offdiag_real: float
@@ -306,14 +481,21 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
              variant: Variant | str = Variant.GENERAL) -> FoldyLaxSystem:
     """Build the packed system for a cloud and an incident plane wave.
 
+    Im B is stored in the complex strips, or as its factor F where F takes
+    fewer bytes than the strips' imaginary halves (the module docstring
+    gives the rule and F's error bound).
+
     Raises:
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
             general variant with regime beta == 1.
         CoincidentCenters: two centers numerically coincide.
         ZeroImpedance / SphericalPole: as coefficient() raises them, for the
             first obstacle that fails.
-        InsufficientMemory: the packed matrix, about 8*M^2 bytes, exceeds
-            the memory available.
+        InsufficientMemory: the packed matrix exceeds the memory available:
+            complex strips of about 8 M^2 bytes, or, where Im B takes the
+            factor, real strips of about 4 M^2 bytes, F's 16 M (L+1)^2 and
+            FACTOR_SCRATCH bytes per entry of one block of F, an eighth of
+            its rows and at least STRIP_ROWS.
     """
     variant = Variant(variant)
     if wave.kappa * cloud.a_eff >= 1.0:
@@ -325,10 +507,14 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         raise ValueError("spherical variant requires true spheres (no explicit areas)")
     M = cloud.M
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
-    B = _PackedSymmetric(M)
-    diagonal = -1.0 / coeffs
-    xyz = np.ascontiguousarray(cloud.centers.T)
     kappa = wave.kappa
+    degree = _factor_degree(cloud.centers, kappa, sum(_strip_sizes(M)[1]))
+    B = _PackedSymmetric(M, degree)
+    diagonal = -1.0 / coeffs
+    if degree is not None:
+        B.set_factor(cloud.centers, kappa, diagonal.imag)
+    strip_diagonal = diagonal if degree is None else diagonal.real
+    xyz = np.ascontiguousarray(cloud.centers.T)
     lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
     neg_abs_rows = np.zeros(M)  # row i: -sum over j != i of |B_ij|
@@ -342,21 +528,24 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         np.fill_diagonal(dist, 1.0)  # overwritten below; keeps cos, sin and division finite
         S = B.strips[i0]
         cos = np.multiply(kappa, dist, out=block_view(tmp, k, w))
-        np.sin(cos, out=S.imag)
+        if degree is None:
+            np.sin(cos, out=S.imag)
         np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
         # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
         # it: times the reciprocal of 4 pi d
         scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
         np.multiply(cos, scale, out=S.real)
-        np.multiply(S.imag, scale, out=S.imag)
+        if degree is None:
+            np.multiply(S.imag, scale, out=S.imag)
         # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
         np.copyto(cos[:, :k], np.inf, where=lower[:k, :k])
         gamma = float(cos.min())
-        np.fill_diagonal(S, diagonal[i0:i1])
+        np.fill_diagonal(S, strip_diagonal[i0:i1])
         # each row's sum of (Re B_ij)^2 over exactly j > i: no strip layout in it
         rows = min(k, w - 1)  # row M - 1 has no j > i
         if rows:
-            square = np.multiply(S.real, S.real, out=block_view(tmp, k, w)).reshape(-1)
+            with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, unsummed
+                square = np.multiply(S.real, S.real, out=block_view(tmp, k, w)).reshape(-1)
             starts = np.empty(2 * rows - 1, dtype=np.intp)
             starts[0::2] = np.arange(rows) * (w + 1) + 1
             starts[1::2] = np.arange(1, rows) * w
@@ -592,7 +781,8 @@ def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport
 
     d_eff = cloud.d_eff
     threshold = math.sqrt(2.0 * m_hat) / (math.pi * d_eff**exponent)
-    max_c2 = float(np.max(np.abs(coeffs)) ** 2)
+    with np.errstate(over="ignore"):  # a |C_m| past 1e154 squares to inf: the lemma fails
+        max_c2 = float(np.max(np.abs(coeffs)) ** 2)
     case = _sign_case(cloud.impedances)
     # numerator min Re(+/-C_m): only the detected sign case's condition can hold;
     # Mixed flips row signs and gives both booleans the min|Re C_m| verdict

@@ -51,6 +51,8 @@ CELL_KEYS = 1 << 62  # cell keys stay below this, clear of int64 overflow
 # in lexicographic order, so each pair of neighbouring cells is visited once
 _FORWARD = [(dx, dy, dz) for dx in (0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
             if (dx, dy, dz) >= (0, 0, 0)]
+# centers and radii stay below this, so that squared distances cannot overflow
+COORD_MAX = 1e150
 CLOUD_BYTES_PER_SPHERE = 512  # generate_grid_cloud's peak, validation included
 
 
@@ -96,14 +98,15 @@ class RegimeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", complex(self.lambda0))
+        # every field finite: a comparison with inf also fails for NaN
         checks = [
-            (self.a > 0 and _finite(self.a), "a > 0"),
-            (self.s >= 0, "s >= 0"),
-            (self.t >= 0, "t >= 0"),
+            (0 < self.a < math.inf, "0 < a < inf"),
+            (0 <= self.s < math.inf, "0 <= s < inf"),
+            (0 <= self.t < math.inf, "0 <= t < inf"),
             (0 <= self.beta <= 1 + _REL_TOL, "0 <= beta <= 1"),
             (0 < self.M_max < math.inf, "0 < M_max < inf"),
-            (self.d_min > 0, "d_min > 0"),
-            (self.d_max >= self.d_min, "d_max >= d_min"),
+            (0 < self.d_min < math.inf, "0 < d_min < inf"),
+            (self.d_min <= self.d_max < math.inf, "d_min <= d_max < inf"),
             (abs(self.lambda0) > 0 and _finite([self.lambda0.real, self.lambda0.imag]),
              "|lambda0| > 0"),
             (self.s <= 2 - self.beta + _REL_TOL, "s <= 2 - beta"),
@@ -181,6 +184,8 @@ class ScattererCloud:
             raise ValueError("cloud must contain at least one scatterer")
         if not (_finite(centers) and _finite(radii) and _finite(imped.view(float))):
             raise ValueError("cloud data must be finite")
+        if max(np.max(np.abs(centers)), np.max(radii)) >= COORD_MAX:
+            raise ValueError(f"centers and radii must stay below {COORD_MAX:g} in magnitude")
         if np.any(radii <= 0):
             raise ValueError("radii must be positive")
         if np.any(np.abs(imped) == 0):

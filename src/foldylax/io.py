@@ -15,14 +15,17 @@ Cloud document schema (JSON):
 
 Every regime value must be a JSON number (not a string or a bool), centers a
 list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
-a non-null areas flat lists of numbers; anything else is a ValueError that
-names the key.
+a non-null areas flat lists of numbers, each within the float range (an
+integer literal such as 10**400 is not); anything else is a ValueError that
+names the key. dumps_document refuses a non-finite float, which JSON cannot
+hold.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import tempfile
 
@@ -46,6 +49,8 @@ def _emit(obj) -> str:
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {obj} to a JSON document")
         return fmt(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -55,7 +60,10 @@ def _emit(obj) -> str:
 
 
 def dumps_document(obj: dict) -> str:
-    """Serialize a nested dict/list document with %.17g floats."""
+    """Serialize a nested dict/list document with %.17g floats.
+
+    Raises ValueError on a non-finite float, which JSON cannot hold.
+    """
     return _emit(obj) + "\n"
 
 
@@ -147,7 +155,21 @@ def _number_array(doc: dict, key: str, width: int | None = None) -> np.ndarray:
             else type(v) is list and len(v) == width and _all_numbers(v)))
         raise ValueError(f"cloud document {key!r} must be a list of {what}; "
                          f"item {i} is {json.dumps(values[i])}")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        i = next(i for i, v in enumerate(values) if not _float_range(v))
+        raise ValueError(f"cloud document {key!r} must be a list of {what} within the "
+                         f"float range; item {i} is not") from None
+
+
+def _float_range(value) -> bool:
+    """value, a JSON number or a list of them, converts to float without overflow."""
+    try:
+        np.array(value, dtype=float)
+    except OverflowError:
+        return False
+    return True
 
 
 def cloud_from_document(doc: dict) -> ScattererCloud:
@@ -155,14 +177,25 @@ def cloud_from_document(doc: dict) -> ScattererCloud:
     regime, r = None, doc["regime"]
     if r is not None:
         _require_keys(r, _REGIME_NUMBERS, "cloud document regime")
+        v = {}
         for key in _REGIME_NUMBERS.split():
             if not _all_numbers([r[key]]):
                 raise ValueError(f"cloud document regime {key!r} must be a JSON number, "
                                  f"not {json.dumps(r[key])}")
-        regime = RegimeParams(a=r["a"], s=r["s"], t=r["t"], beta=r["beta"],
-                              M_max=r["M_max"], d_min=r["d_min"], d_max=r["d_max"],
-                              lambda0=complex(r["lambda0_re"], r["lambda0_im"]))
-    impedances = _number_array(doc, "impedance_re") + 1j * _number_array(doc, "impedance_im")
+            try:
+                v[key] = float(r[key])
+            except OverflowError:  # an integer literal beyond the float range
+                raise ValueError(f"cloud document regime {key!r} must be a JSON number "
+                                 f"within the float range") from None
+        regime = RegimeParams(a=v["a"], s=v["s"], t=v["t"], beta=v["beta"],
+                              M_max=v["M_max"], d_min=v["d_min"], d_max=v["d_max"],
+                              lambda0=complex(v["lambda0_re"], v["lambda0_im"]))
+    re, im = _number_array(doc, "impedance_re"), _number_array(doc, "impedance_im")
+    if len(re) != len(im):
+        raise ValueError("cloud document 'impedance_re' and 'impedance_im' must have "
+                         "equal lengths")
+    impedances = np.empty(len(re), dtype=complex)  # re + 1j * im makes inf * 0j a NaN
+    impedances.real, impedances.imag = re, im
     return ScattererCloud(centers=_number_array(doc, "centers", width=3),
                           radii=_number_array(doc, "radii"),
                           impedances=impedances, regime=regime,

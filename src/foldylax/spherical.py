@@ -88,7 +88,23 @@ def harmonic_matrix(L: int, points: np.ndarray) -> np.ndarray:
     which is stable (Holmes & Featherstone, J. Geodesy 76, 2002).
     """
     theta, phi = unit_angles(np.asarray(points, dtype=float).reshape(-1, 3))
-    t, u = np.cos(theta), np.sin(theta)
+    phase = np.exp(1j * phi[:, None] * _degrees_orders(L)[1])
+    return _legendre_columns(L, np.cos(theta), np.sin(theta)) * phase
+
+
+def _degrees_orders(L: int):
+    """The degree l and the order m of each flat (l, m) coefficient, l = 0..L."""
+    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    return ls, np.arange(len(ls)) - ls * (ls + 1)
+
+
+def _legendre_columns(L: int, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Y[p, (l,m)] of harmonic_matrix without its factor e^{i m phi}, from
+    cos theta = t and sin theta = u.
+
+    A caller that has t and u from Cartesian components passes them here
+    directly: through arccos, sin theta loses accuracy near the poles.
+    """
     p = np.zeros((len(t), L + 1, L + 1))  # p[:, l, m] = pbar_l^m, 0 <= m <= l
     p[:, 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for l in range(1, L + 1):
@@ -98,10 +114,9 @@ def harmonic_matrix(L: int, points: np.ndarray) -> np.ndarray:
         p[:, l, :l - 1] = a * t[:, None] * p[:, l - 1, :l - 1] - b * p[:, l - 2, :l - 1]
         p[:, l, l - 1] = math.sqrt(2 * l + 1) * t * p[:, l - 1, l - 1]
         p[:, l, l] = -math.sqrt((2 * l + 1) / (2 * l)) * u * p[:, l - 1, l - 1]
-    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-    ms = np.arange(len(ls)) - ls * (ls + 1)
+    ls, ms = _degrees_orders(L)
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    return p[:, ls, np.abs(ms)] * sign * np.exp(1j * phi[:, None] * ms)
+    return p[:, ls, np.abs(ms)] * sign
 
 
 def spherical_jn(L: int, z, derivative: bool = False) -> np.ndarray:

@@ -6,9 +6,13 @@ directory's conftest module of the same name may be loaded first in one
 pytest session, so nothing imports from conftest.
 """
 
+import sys
+
 import numpy as np
 
-from foldylax import IncidentWave, ScattererCloud
+from foldylax import IncidentWave, ScattererCloud, assemble
+
+THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
 
 
 def make_wave(kappa=1.0, theta=(0.0, 0.0, 1.0)):
@@ -23,6 +27,19 @@ def make_cloud(centers, radius, impedance, regime=None, areas=None):
                           radii=np.full(m, float(radius)),
                           impedances=np.full(m, impedance, dtype=complex),
                           regime=regime, areas=areas)
+
+
+def assembled_per_thread_count(monkeypatch, cloud, wave):
+    """(threads, assemble's system) for each worker count in THREADS, with the
+    workers switched as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in THREADS:
+            monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+            yield threads, assemble(cloud, wave, "general")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class WatchedMatrix:

@@ -48,6 +48,20 @@ def scan(B: np.ndarray):
             min(gamma for _, _, gamma in blocks))
 
 
+def dense_distances(centers):
+    return np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
+
+
+def dense_formula(cloud, wave):
+    """B by the dense formula: -e^{i kappa d}/(4 pi d) off the diagonal, -1/C_m on it."""
+    dist = dense_distances(cloud.centers)
+    off = ~np.eye(cloud.M, dtype=bool)
+    ref = np.zeros((cloud.M, cloud.M), dtype=complex)
+    ref[off] = -np.exp(1j * wave.kappa * dist[off]) / (4.0 * np.pi * dist[off])
+    ref[np.diag_indices(cloud.M)] = -1.0 / foldy.assemble(cloud, wave, "general").coefficients
+    return ref
+
+
 def pack(B: np.ndarray):
     """A dense complex symmetric B in the packed form foldy.assemble builds."""
     assert np.array_equal(B, B.T), "only a symmetric matrix packs"

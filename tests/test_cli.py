@@ -1,16 +1,23 @@
 import errno
+import functools
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foldylax import cli, errors, foldy, geometry, oracle
 from foldylax.cli import main
-from foldylax.io import read_csv, save_cloud
+from foldylax.geometry import IncidentWave
+from foldylax.io import load_cloud, read_csv, save_cloud
 
 from cloud_helpers import make_cloud
 
@@ -23,6 +30,33 @@ def gen_args(out, a=0.05, s=2.0, lambda0="-0.5", extra=()):
     return ["generate", "--a", a, "--s", s, "--t", 1, "--beta", 0,
             "--lambda0", lambda0, "--Mmax", 1, "--dmin", 1, "--dmax", 2,
             "--out", out, *extra]
+
+
+@functools.lru_cache(maxsize=1)
+def valid_document() -> str:
+    """A generated cloud of M = 20 spheres, as JSON text."""
+    with tempfile.TemporaryDirectory() as work:
+        cloud = Path(work) / "c.json"
+        assert run(gen_args(cloud, a=0.05, s=1.0)) == 0
+        return cloud.read_text()
+
+
+# the fields a fuzzed document replaces: every key, and items of each array
+FUZZ_PATHS = ([(key,) for key in ("version", "centers", "radii", "impedance_re",
+                                  "impedance_im", "regime", "areas")]
+              + [("regime", key) for key in ("a", "s", "t", "beta", "M_max", "d_min",
+                                             "d_max", "lambda0_re", "lambda0_im")]
+              + [(key, i) for key in ("centers", "radii", "impedance_re", "impedance_im")
+                 for i in (0, 19)]
+              + [("centers", 7, k) for k in range(3)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(min_value=-10**400, max_value=10**400)
+    | st.sampled_from([10**400, -10**400, 0, 1, 10**308])
+    | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=2)),
+    max_leaves=6)
 
 
 class TestExitCodes:
@@ -48,6 +82,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: regime admissibility violated: {name}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--a", "0.05", "--t", "inf"], "0 <= t < inf"),
+        (["--a", "0.05", "--dmin", "1e308", "--dmax", "inf"], "d_min <= d_max < inf")])
+    def test_non_finite_regime_is_2(self, tmp_path, capsys, flags, name):
+        """An infinite t or d_max would be written as "inf", which is not JSON."""
+        out = tmp_path / "c.json"
+        assert run(["generate", *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: regime admissibility violated: {name}\n"
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_a_values_is_2(self, tmp_path):
         assert run(["sweep", "--a-values", "0.1,0.2,0.3",
@@ -87,7 +132,7 @@ class TestExitCodes:
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: M = 400 needs 3 MiB for the matrix") and "Traceback" not in err
+        assert err.startswith("error: M = 400 needs 2 MiB for the matrix") and "Traceback" not in err
         assert not (tmp_path / "x_charges.csv").exists()
 
     @staticmethod
@@ -95,21 +140,33 @@ class TestExitCodes:
         monkeypatch.setattr(geometry, "_available_bytes", lambda: nbytes)
 
     @staticmethod
-    def packed_bytes(m):
-        """The packed Foldy-Lax matrix: its strips from the diagonal on, about 8 m^2 bytes."""
+    def packed_bytes(m, degree=None):
+        """The packed Foldy-Lax matrix: complex strips from the diagonal on,
+        about 8 m^2 bytes; where Im B takes a factor of degree L, real strips,
+        about 4 m^2 bytes, the m x (L+1)^2 complex F and the scratch of one
+        block of F."""
         strips = geometry.row_blocks(m, min_rows=foldy.STRIP_ROWS)
-        return 16 * sum((i1 - i0) * (m - i0) for i0, i1 in strips)
+        entries = sum((i1 - i0) * (m - i0) for i0, i1 in strips)
+        if degree is None:
+            return 16 * entries
+        K = (degree + 1) ** 2
+        rows = max(foldy.STRIP_ROWS, math.ceil(m / 8))  # a block of F while it is computed
+        return 8 * entries + 16 * m * K + foldy.FACTOR_SCRATCH * min(m, rows) * K
 
     def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
         """Nor for a dense B: the exit-4 boundary is the packed matrix's bytes."""
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400, lambda0 = -0.5: Re B definite
-        need = self.packed_bytes(400)
-        assert need < 16 * 400**2  # the dense B would not fit
+        # the lattice spans 0.8 per side, so kappa R = 0.7 and Im B takes the
+        # factor of degree 7
+        system = foldy.assemble(load_cloud(cloud), IncidentWave(1.0, (0.0, 0.0, 1.0)))
+        assert system.matrix.factor.shape == (400, 64)
+        need = self.packed_bytes(400, degree=7)
+        assert need < self.packed_bytes(400) < 16 * 400**2  # a dense B would not fit
         self.room_for(monkeypatch, need - 1)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err.startswith(
-            "error: M = 400 needs 3 MiB for the matrix; 2 MiB available")
+            "error: M = 400 needs 2 MiB for the matrix; 1 MiB available")
         assert not (tmp_path / "x_charges.csv").exists()
         self.room_for(monkeypatch, need)
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
@@ -245,10 +302,23 @@ class TestExitCodes:
             f"error: cloud document regime {key!r} must be a JSON number, not {shown}\n")
 
     @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["regime"].update(a=10**400),
+         "cloud document regime 'a' must be a JSON number within the float range"),
+        (lambda doc: doc["radii"].__setitem__(2, 10**400),
+         "cloud document 'radii' must be a list of JSON numbers within the float range; "
+         "item 2 is not"),
+        (lambda doc: doc["centers"][1].__setitem__(0, -10**400),
+         "cloud document 'centers' must be a list of lists of 3 JSON numbers within the "
+         "float range; item 1 is not"),
+        (lambda doc: doc.update(areas=[10**400] * len(doc["radii"])),
+         "cloud document 'areas' must be a list of JSON numbers within the float range; "
+         "item 0 is not"),
         (lambda doc: doc["regime"].pop("s"), "cloud document regime missing keys: ['s']"),
         (lambda doc: doc.update(regime=[1, 2]),
          "cloud document regime must be a JSON object, not list"),
         (lambda doc: doc.pop("radii"), "cloud document missing keys: ['radii']"),
+        (lambda doc: doc.update(impedance_im=[0.0]),  # once broadcast to every sphere
+         "cloud document 'impedance_re' and 'impedance_im' must have equal lengths"),
     ])
     def test_malformed_document_is_2(self, tmp_path, capsys, edit, message):
         cloud = tmp_path / "c.json"
@@ -290,6 +360,29 @@ class TestExitCodes:
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: cloud document {message}\n"
         assert not (tmp_path / "x_charges.csv").exists()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+    def test_fuzzed_document_is_0_or_2(self, capsys, path, value):
+        """One field of a valid document replaced by any JSON value: solve
+        exits 0 or 2, prints no traceback, and writes no CSV when it fails."""
+        doc = json.loads(valid_document())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with tempfile.TemporaryDirectory() as work:
+            cloud = Path(work) / "c.json"
+            cloud.write_text(json.dumps(doc))  # NaN and Infinity as their literals
+            capsys.readouterr()
+            code = run(["solve", cloud, "--out", Path(work) / "x"])
+            err = capsys.readouterr().err
+            assert code in (0, 2), err
+            assert "Traceback" not in err
+            if code:
+                assert sorted(p.name for p in Path(work).iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("missing_dir", [True, False])
     def test_unwritable_out_is_2(self, tmp_path, capsys, missing_dir):

@@ -54,7 +54,11 @@ class TestRegimeParams:
     @pytest.mark.parametrize("bad", [dict(a=0.0), dict(a=-0.1), dict(d_min=0.0),
                                      dict(d_min=3.0), dict(M_max=0.0),
                                      dict(lambda0=0.0), dict(M_max=math.inf),
-                                     dict(M_max=math.nan), dict(a=1e-200, s=2.0)])
+                                     dict(M_max=math.nan), dict(a=1e-200, s=2.0),
+                                     # every field finite, NaN included
+                                     dict(a=math.inf), dict(s=math.nan), dict(t=math.inf),
+                                     dict(d_min=math.inf), dict(d_max=math.inf),
+                                     dict(lambda0=complex(math.inf, 0.0)), dict(a=10**400)])
     def test_invalid_parameters(self, bad):
         with pytest.raises((RegimeViolation, ValueError)):
             std_regime(**bad)
@@ -179,6 +183,12 @@ class TestScattererCloud:
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingSpheres):
             make_cloud([[0, 0, 0], [0.1, 0, 0]], 0.06, -1.0)
+
+    @pytest.mark.parametrize("centers, radius", [([[0, 0, 0], [1e150, 0, 0]], 0.1),
+                                                 ([[0, 0, 0]], 1e300)])
+    def test_coordinates_whose_squares_overflow_rejected(self, centers, radius):
+        with pytest.raises(ValueError, match="below 1e"):
+            make_cloud(centers, radius, -1.0)
 
     def test_zero_impedance_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foldylax import RegimeParams, ScattererCloud, generate_grid_cloud
-from foldylax.io import (fmt, load_cloud, read_csv, save_cloud,
+from foldylax.io import (dumps_document, fmt, load_cloud, read_csv, save_cloud,
                          write_charges_csv, write_density_csv,
                          write_farfield_csv, write_study_csv, write_text_atomic)
 
@@ -70,6 +70,13 @@ class TestCloudRoundTrip:
                         ' "impedance_re": [], "impedance_im": []}')
         with pytest.raises(ValueError):
             load_cloud(path)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
+def test_dumps_document_refuses_non_finite_floats(value):
+    """JSON has no inf or NaN: the writer must not emit them."""
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_document({"regime": {"t": 1.0, "d_max": [2.0, value]}})
 
 
 class TestAtomicWrite:

@@ -4,7 +4,6 @@ number of worker threads."""
 
 import math
 import os
-import sys
 import time
 import tracemalloc
 
@@ -23,11 +22,10 @@ from foldylax import foldy, geometry
 from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
-from cloud_helpers import make_wave
-from dense_reference import min_surface_distance, pack, scan
+from cloud_helpers import THREADS, assembled_per_thread_count, make_wave
+from dense_reference import dense_distances, dense_formula, min_surface_distance, pack, scan
 
 M = 700  # several row blocks, the last one partial
-THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
 
 
 def mixed_radii_cloud(m=M, seed=0):
@@ -40,10 +38,6 @@ def mixed_radii_cloud(m=M, seed=0):
                           impedances=np.full(m, -1.0 + 0.2j))
 
 
-def dense_distances(centers):
-    return np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-
-
 def test_block_layout_is_exercised():
     blocks = list(row_blocks(M))
     rows = blocks[0][1] - blocks[0][0]
@@ -51,29 +45,6 @@ def test_block_layout_is_exercised():
     assert rows * M <= PAIR_BLOCK
     assert blocks[-1][1] == M
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-
-
-def dense_formula(cloud, wave):
-    """B by the dense formula: -e^{i kappa d}/(4 pi d) off the diagonal, -1/C_m on it."""
-    dist = dense_distances(cloud.centers)
-    off = ~np.eye(cloud.M, dtype=bool)
-    ref = np.zeros((cloud.M, cloud.M), dtype=complex)
-    ref[off] = -np.exp(1j * wave.kappa * dist[off]) / (4.0 * np.pi * dist[off])
-    ref[np.diag_indices(cloud.M)] = -1.0 / assemble(cloud, wave, "general").coefficients
-    return ref
-
-
-def assembled_per_thread_count(monkeypatch, cloud, wave):
-    """(threads, assemble's system) for each worker count in THREADS, with the
-    workers switched as often as the interpreter allows."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in THREADS:
-            monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-            yield threads, assemble(cloud, wave, "general")
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def strip_layout(B):
