@@ -19,7 +19,7 @@ _EXPORTS = {
     "phi": "kernels", "plane_wave": "kernels", "farfield_kernel": "kernels",
     "fibonacci_sphere": "kernels",
     # point-scatterer solver
-    "Variant": "foldy", "ScatteringCoefficient": "foldy", "coefficient": "foldy",
+    "Variant": "foldy", "coefficient": "foldy",
     "FoldyLaxSystem": "foldy", "FoldyLaxSolution": "foldy", "FarFieldGrid": "foldy",
     "InvertibilityReport": "foldy", "assemble": "foldy", "solve": "foldy",
     "farfield": "foldy", "invertibility_report": "foldy",

@@ -14,8 +14,9 @@ are supported:
 
 The spherical variant folds in the exact static single-layer response of a
 ball (eigenvalue r_m on constants) and carries one extra order of accuracy in
-the obstacle size; it requires true spheres. For M = 1 the solution reduces
-to Q_1 = -C_1 * U^i(z_1).
+the obstacle size; it requires true spheres. coefficient() is the one
+definition of C_m, in Python's complex arithmetic; assemble maps it over the
+obstacles. For M = 1 the solution reduces to Q_1 = -C_1 * U^i(z_1).
 
 B is complex symmetric, so its Hermitian part is Re B = diag(Re B_mm) + Re B_n.
 When every Re B_mm has one sign and mu = min|Re B_mm| - ||Re B_n||_F exceeds
@@ -23,7 +24,8 @@ PIVOT_REL_TOL * ||B||_inf, Weyl's inequality makes Re B definite, so
 sigma_min(B) >= mu and GMRES converges (Eisenstat, Elman & Schultz, SIAM J.
 Numer. Anal. 20, 1983). solve() then runs restarted GMRES right-preconditioned
 by -C_m = 1/B_mm in O(M^2) time and memory beyond B. Mixed signs, a small mu,
-or GMRES reaching its iteration cap fall back to the checked dense LU.
+or GMRES reaching its iteration cap fall back to the checked dense LU, whose
+pivot test reads a copy of B with each row scaled to unit inf-norm.
 
 That policy (a certificate margin, then diagonally preconditioned GMRES,
 else the checked LU, then the residual check) is _certified_solve, which
@@ -125,90 +127,54 @@ class Variant(str, enum.Enum):
     SPHERICAL = "spherical"
 
 
-@dataclass(frozen=True)
-class ScatteringCoefficient:
-    value: complex
-    variant: Variant
-
-
 def coefficient(lambda_m: complex, variant: Variant | str = Variant.GENERAL,
-                radius: float | None = None,
-                area: float | None = None) -> ScatteringCoefficient:
-    """Scattering coefficient C_m of one obstacle.
+                radius: float | None = None, area: float | None = None) -> complex:
+    """Scattering coefficient C_m of one obstacle, in Python's complex arithmetic.
 
     The general variant needs a surface area (or a radius, from which the
     sphere area 4*pi*r^2 is taken); the spherical variant needs the radius.
 
     Raises:
-        ZeroImpedance: lambda_m == 0.
+        ZeroImpedance: lambda_m == 0, or C_m is zero or not finite.
         SphericalPole: |-1 + lambda_m * r| < 1e-12 in the spherical variant.
     """
     variant = Variant(variant)
     lam = complex(lambda_m)
     if lam == 0:
         raise ZeroImpedance("scattering coefficient undefined for lambda = 0")
-    if variant is Variant.SPHERICAL and radius is None:
-        raise ValueError("spherical variant requires a radius")
-    if variant is Variant.GENERAL and area is None:
+    if variant is Variant.SPHERICAL:
+        if radius is None:
+            raise ValueError("spherical variant requires a radius")
+        return _coefficient(lam, True, float(radius), math.nan)
+    if area is None:
         if radius is None:
             raise ValueError("general variant requires an area or a radius")
-        area = 4.0 * np.pi * radius**2
-    value = _coefficients(np.array([lam]), variant,
-                          np.array([math.nan if radius is None else float(radius)]),
-                          np.array([math.nan if area is None else float(area)]))[0]
-    return ScatteringCoefficient(value=complex(value), variant=variant)
+        area = 4.0 * math.pi * float(radius)**2
+    return _coefficient(lam, False, math.nan, float(area))
 
 
-def _product(a_re, a_im, b_re, b_im):
-    """Python's complex product, one real operation at a time."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _quotient(a_re, a_im, b_re, b_im):
-    """Python's complex quotient (Smith's method), one real operation at a time.
-
-    numpy's complex division multiplies by a reciprocal and rounds differently.
-    """
-    real_first = np.abs(b_re) >= np.abs(b_im)
-    ratio = b_im / b_re
-    denom = b_re + b_im * ratio
-    re1, im1 = (a_re + a_im * ratio) / denom, (a_im - a_re * ratio) / denom
-    ratio = b_re / b_im
-    denom = b_re * ratio + b_im
-    re2, im2 = (a_re * ratio + a_im) / denom, (a_im * ratio - a_re) / denom
-    imag_first = ~real_first & (np.abs(b_im) >= np.abs(b_re))  # neither: a NaN
-    return (np.where(real_first, re1, np.where(imag_first, re2, np.nan)),
-            np.where(real_first, im1, np.where(imag_first, im2, np.nan)))
+def _coefficient(lam: complex, spherical: bool, radius: float, area: float) -> complex:
+    """C_m of a nonzero lambda_m: the spherical variant from the radius, the
+    general one from the area."""
+    if spherical:
+        denom = -1.0 + lam * radius
+        if math.hypot(denom.real, denom.imag) < POLE_TOL:
+            raise SphericalPole(f"-1 + lambda*r = {denom:g} is numerically zero")
+        value = lam * (4.0 * math.pi * radius**2) / denom
+    else:
+        value = -lam * area
+    if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ZeroImpedance(f"degenerate scattering coefficient {value}")
+    return value
 
 
 def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
                   areas: np.ndarray) -> np.ndarray:
-    """C_m of nonzero impedances, bit for bit as Python's complex arithmetic
-    gives them one at a time: the spherical variant from the radii, the
-    general one from the areas. The first obstacle that fails raises
-    SphericalPole or ZeroImpedance, as coefficient() does."""
-    pole = np.zeros(len(lam), dtype=bool)
-    with np.errstate(all="ignore"):  # like Python's, an overflow is caught below
-        if variant is Variant.SPHERICAL:
-            # -1 + lambda * r, a float operand taken as the complex (x, 0.0)
-            den_re, den_im = _product(lam.real, lam.imag, radii, 0.0)
-            den_re, den_im = -1.0 + den_re, 0.0 + den_im
-            pole = np.hypot(den_re, den_im) < POLE_TOL
-            # Python's r**2 is libm's pow, not always numpy's r*r
-            sphere_area = 4.0 * np.pi * np.array([r**2 for r in radii.tolist()])
-            parts = _quotient(*_product(lam.real, lam.imag, sphere_area, 0.0), den_re, den_im)
-        else:
-            parts = _product(-lam.real, -lam.imag, areas, 0.0)
-    value = np.empty(len(lam), dtype=complex)
-    value.real, value.imag = parts
-    failed = np.flatnonzero(pole | (value == 0) | ~np.isfinite(value))
-    if failed.size:
-        m = failed[0]
-        if pole[m]:
-            denom = complex(den_re[m], den_im[m])
-            raise SphericalPole(f"-1 + lambda*r = {denom:g} is numerically zero")
-        raise ZeroImpedance(f"degenerate scattering coefficient {complex(value[m])}")
-    return value
+    """C_m of nonzero impedances, one at a time as coefficient() computes
+    them; the first obstacle that fails raises."""
+    spherical = variant is Variant.SPHERICAL
+    return np.array([_coefficient(lam_m, spherical, r, area) for lam_m, r, area
+                     in zip(lam.tolist(), radii.tolist(), areas.tolist())], dtype=complex)
 
 
 def _strip_sizes(n: int):
@@ -296,12 +262,13 @@ class _PackedSymmetric:
     With factor_degree None the strips are complex and hold B. With a degree
     L they are real and hold Re B; factor is the n x (L+1)^2 complex F, and
     off the diagonal Im B = -kappa Re(F F^H), applied through F's real view G,
-    Re(F F^H) = G G^T. The constructor allocates the strips and F
-    uninitialised; it raises InsufficientMemory first if they, and the
-    scratch of one block of F, do not fit in the memory available.
+    Re(F F^H) = G G^T; diagonal() is the diagonal given. The constructor
+    raises InsufficientMemory if the strips, F and one block of F's scratch
+    do not fit in the memory available, else allocates them uninitialised.
     """
 
-    def __init__(self, n: int, factor_degree: int | None = None):
+    def __init__(self, diagonal: np.ndarray, factor_degree: int | None = None):
+        n = len(diagonal)
         blocks, sizes = _strip_sizes(n)
         dtype = complex if factor_degree is None else float
         K = 0 if factor_degree is None else n_coeffs(factor_degree)
@@ -313,27 +280,23 @@ class _PackedSymmetric:
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
         self.factor = None if factor_degree is None else np.empty((n, K), dtype=complex)
+        self._diagonal = np.array(diagonal, dtype=complex)
+        self._diagonal.setflags(write=False)
 
-    def set_factor(self, centers: np.ndarray, kappa: float, imag_diagonal: np.ndarray):
-        """Compute F, and keep what the product needs besides: kappa, Im B_mm,
-        and kappa (F F^H)_mm, which -kappa F F^H puts on the diagonal."""
+    def set_factor(self, centers: np.ndarray, kappa: float):
+        """Compute F, and keep what the product needs besides: kappa and
+        kappa (F F^H)_mm, which -kappa F F^H puts on the diagonal."""
         _fill_factor(self.factor, centers, kappa, math.isqrt(self.factor.shape[1]) - 1)
         self.factor.setflags(write=False)
         G = self.factor.view(float)
-        self.kappa, self.imag_diagonal = kappa, np.ascontiguousarray(imag_diagonal)
-        self.self_terms = kappa * np.einsum("ij,ij->i", G, G)
+        self.kappa, self.self_terms = kappa, kappa * np.einsum("ij,ij->i", G, G)
 
     @property
     def nbytes(self) -> int:
         return self._buf.nbytes + (0 if self.factor is None else self.factor.nbytes)
 
     def diagonal(self) -> np.ndarray:
-        d = np.concatenate([S.diagonal() for S in self.strips.values()])
-        if self.factor is None:
-            return d
-        full = np.empty(len(d), dtype=complex)
-        full.real, full.imag = d, self.imag_diagonal
-        return full
+        return self._diagonal
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self.factor is None:
@@ -353,7 +316,7 @@ class _PackedSymmetric:
         G = self.factor.view(float)
         y = Y.view(complex).reshape(-1)
         y += -1j * self.kappa * (G @ (G.T @ X)).view(complex).reshape(-1)
-        y += 1j * (self.imag_diagonal + self.self_terms) * x
+        y += 1j * (self._diagonal.imag + self.self_terms) * x
         return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -371,8 +334,7 @@ class _PackedSymmetric:
                 im[:, :k] = np.triu(im[:, :k]) + np.triu(im[:, :k], 1).T  # symmetric square
                 B.imag[i0:i1, i0:] = im
             B[i1:, i0:i1] = B[i0:i1, i1:].T
-        if G is not None:
-            np.fill_diagonal(B, self.diagonal())
+        np.fill_diagonal(B, self._diagonal)
         return B if dtype is None else B.astype(dtype, copy=False)
 
 
@@ -481,8 +443,9 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
              variant: Variant | str = Variant.GENERAL) -> FoldyLaxSystem:
     """Build the packed system for a cloud and an incident plane wave.
 
-    Im B is stored in the complex strips, or as its factor F where F takes
-    fewer bytes than the strips' imaginary halves (the module docstring
+    coefficients are coefficient()'s C_m, bit for bit, and B's diagonal is
+    -1/C_m. Im B is stored in the complex strips, or as its factor F where F
+    takes fewer bytes than the strips' imaginary halves (the module docstring
     gives the rule and F's error bound).
 
     Raises:
@@ -507,12 +470,12 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         raise ValueError("spherical variant requires true spheres (no explicit areas)")
     M = cloud.M
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
+    diagonal = -1.0 / coeffs
     kappa = wave.kappa
     degree = _factor_degree(cloud.centers, kappa, sum(_strip_sizes(M)[1]))
-    B = _PackedSymmetric(M, degree)
-    diagonal = -1.0 / coeffs
+    B = _PackedSymmetric(diagonal, degree)
     if degree is not None:
-        B.set_factor(cloud.centers, kappa, diagonal.imag)
+        B.set_factor(cloud.centers, kappa)
     strip_diagonal = diagonal if degree is None else diagonal.real
     xyz = np.ascontiguousarray(cloud.centers.T)
     lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
@@ -570,21 +533,21 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
 
 
 def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
-    """||r||_inf / ||rhs||_inf; raises SingularSystem above residual_tol."""
+    """||r||_inf / ||rhs||_inf; raises SingularSystem above residual_tol or on NaN."""
     residual = float(np.linalg.norm(r, np.inf) / max(np.linalg.norm(rhs, np.inf), 1e-300))
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise SingularSystem(f"solve residual {residual:g} > {residual_tol:g}")
     return residual
 
 
-def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float, scale: float | None = None):
+def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     """LU solve returning (x, relative inf-norm residual).
 
-    A is a dense array or B's packed form; lu_factor factors one dense copy of
-    it in place, and the residual is A @ x - rhs. scale is ||A||_inf when the
-    caller has it. Raises InsufficientMemory if the dense copy and lu_factor's
+    A is a dense array or B's packed form; lu_factor factors one dense copy
+    of it in place, each row divided by its inf-norm, and the residual is
+    A @ x - rhs. Raises InsufficientMemory if the dense copy and lu_factor's
     finiteness mask do not fit in the memory available, SingularSystem if a
-    pivot underflows PIVOT_REL_TOL * ||A||_inf or the residual exceeds
+    row is zero, a pivot underflows PIVOT_REL_TOL or the residual exceeds
     residual_tol.
     """
     import scipy.linalg as la  # here, not at the top: the certified solve needs numpy only
@@ -592,23 +555,26 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float, scale: float | No
     n = A.shape[0]
     _require_memory(17 * n * n, f"{n}x{n} system", "its LU factors")
     dense = np.array(A)
-    if scale is None:
-        scale = max(row_block_pass(lambda i0, i1, buf: _abs_rows(dense, i0, i1, buf)[1], n,
-                                   scratch=(float,)))
+    row_norms = np.empty(n)
+
+    def equilibrate(i0, i1, buf):
+        rows = dense[i0:i1]
+        norms = np.abs(rows, out=block_view(buf, i1 - i0, n)).sum(axis=1, out=row_norms[i0:i1])
+        bad = np.flatnonzero(~(norms > 0))
+        if bad.size:
+            raise SingularSystem(f"row {i0 + bad[0]} of the system is zero or NaN")
+        rows /= norms[:, None]
+
+    row_block_pass(equilibrate, n, scratch=(float,))
     # dense is in C order, so dense.T is A^T in the Fortran order that LAPACK
     # factors in place; the solve with trans=1 then gives A x = rhs
     lu, piv = la.lu_factor(dense.T, overwrite_a=True)
     min_pivot = float(np.min(np.abs(np.diag(lu))))
-    if min_pivot <= PIVOT_REL_TOL * scale:
-        raise SingularSystem(f"pivot {min_pivot:g} underflows {PIVOT_REL_TOL:g}*||A||")
-    x = la.lu_solve((lu, piv), rhs, trans=1)
+    if not min_pivot > PIVOT_REL_TOL:
+        raise SingularSystem(f"pivot {min_pivot:g} of the row-equilibrated system "
+                             f"underflows {PIVOT_REL_TOL:g}")
+    x = la.lu_solve((lu, piv), rhs / row_norms, trans=1)
     return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
-
-
-def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
-    """|A[i0:i1]| written into the scratch buf, and its largest row sum."""
-    absa = np.abs(A[i0:i1], out=block_view(buf, i1 - i0, A.shape[1]))
-    return absa, float(absa.sum(axis=1).max())
 
 
 def _definite_margin(B, frob_offdiag_real: float, norm_inf: float) -> float | None:
@@ -675,20 +641,19 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
         r = rhs - B @ x
 
 
-def _certified_solve(A, rhs: np.ndarray, margin: float | None,
-                     residual_tol: float, scale: float | None):
+def _certified_solve(A, rhs: np.ndarray, margin: float | None, residual_tol: float):
     """The solve policy of solve and oracle.solve_bie: (x, residual, iterations).
 
     margin is the caller's certificate that A right-preconditioned by
     1/A_mm is nonsingular and GMRES converges (Weyl for Foldy-Lax, Neumann
     series for the BIE), None when it does not hold. With a margin, _gmres
     solves; without one, or when GMRES reaches GMRES_MAXITER, the checked
-    dense LU does (scale is ||A||_inf for its pivot test) and iterations is
-    None. Either way the relative inf-norm residual must stay <= residual_tol.
+    dense LU does and iterations is None. Either way the relative inf-norm
+    residual must stay <= residual_tol.
     """
     found = _gmres(A, rhs, 1.0 / A.diagonal()) if margin is not None else None
     if found is None:
-        x, residual = _checked_lu_solve(A, rhs, residual_tol, scale)
+        x, residual = _checked_lu_solve(A, rhs, residual_tol)
         return x, residual, None
     x, r, iterations = found
     return x, _relative_residual(r, rhs, residual_tol), iterations
@@ -708,12 +673,11 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution
     and on SingularSystem.
     """
-    B, regime, norm_inf = system.matrix, system.cloud.regime, system.norm_inf
+    B, regime = system.matrix, system.cloud.regime
     diagnostics = _report(system, regime) if regime is not None else None
-    margin = _definite_margin(B, system.frobenius_offdiag_real, norm_inf)
+    margin = _definite_margin(B, system.frobenius_offdiag_real, system.norm_inf)
     try:
-        charges, residual, iterations = _certified_solve(
-            B, system.rhs, margin, RESIDUAL_TOL, norm_inf)
+        charges, residual, iterations = _certified_solve(B, system.rhs, margin, RESIDUAL_TOL)
     except SingularSystem as exc:
         exc.diagnostics = diagnostics
         raise

@@ -143,14 +143,13 @@ class IncidentWave:
 
     kappa: float
     theta: np.ndarray
-    kappa_max: float = DEFAULT_KAPPA_MAX
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float).reshape(3)
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        if not (0 < self.kappa <= self.kappa_max):
-            raise ValueError(f"kappa must lie in (0, {self.kappa_max}]")
+        if not (0 < self.kappa <= DEFAULT_KAPPA_MAX):
+            raise ValueError(f"kappa must lie in (0, {DEFAULT_KAPPA_MAX}]")
         if abs(np.linalg.norm(theta) - 1.0) > THETA_UNIT_TOL:
             raise ValueError("theta must be unit length to 1e-14")
         if not _finite(theta):

@@ -428,7 +428,7 @@ def solve_bie(system: BieSystem) -> BieSolution:
     and foldy's restarted GMRES, right-preconditioned by D^-1, runs to a
     relative residual of GMRES_TOL; iterations records its products with A.
     Otherwise, or when GMRES reaches GMRES_MAXITER, the dense LU solves, its
-    pivot test against the ||A||_inf of its dense copy, and iterations is None.
+    pivot test on its row-equilibrated dense copy, and iterations is None.
     Either way the inf-norm residual is checked.
 
     Raises:
@@ -439,7 +439,7 @@ def solve_bie(system: BieSystem) -> BieSolution:
     q = system.neumann_q
     margin = 1.0 - q if 1.0 - q > PIVOT_REL_TOL else None
     x, residual, iterations = _certified_solve(system.matrix, system.rhs, margin,
-                                               BIE_RESIDUAL_TOL, None)
+                                               BIE_RESIDUAL_TOL)
     nc = n_coeffs(system.L)
     densities = []
     for m in range(system.cloud.M):

@@ -21,6 +21,12 @@ from foldylax.geometry import block_view, row_block_pass
 from foldylax.spherical import harmonic_matrix, n_coeffs, spherical_jn
 
 
+def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
+    """|A[i0:i1]| written into the scratch buf, and its largest row sum."""
+    absa = np.abs(A[i0:i1], out=block_view(buf, i1 - i0, A.shape[1]))
+    return absa, float(absa.sum(axis=1).max())
+
+
 def scan(B: np.ndarray):
     """One row-block pass over B: (||Re B_n||_F, ||B||_inf, gamma).
 
@@ -30,7 +36,7 @@ def scan(B: np.ndarray):
     n = len(B)
 
     def block(i0, i1, absb, re, cos):
-        absb, norm = foldy._abs_rows(B, i0, i1, absb)
+        absb, norm = _abs_rows(B, i0, i1, absb)
         re = block_view(re, i1 - i0, n)
         np.copyto(re, B[i0:i1].real)
         cos = np.negative(re, out=block_view(cos, i1 - i0, n))
@@ -65,7 +71,7 @@ def dense_formula(cloud, wave):
 def pack(B: np.ndarray):
     """A dense complex symmetric B in the packed form foldy.assemble builds."""
     assert np.array_equal(B, B.T), "only a symmetric matrix packs"
-    packed = foldy._PackedSymmetric(len(B))
+    packed = foldy._PackedSymmetric(B.diagonal())
     for i0, S in packed.strips.items():
         S[...] = B[i0:i0 + len(S), i0:]
     return packed
@@ -189,7 +195,7 @@ def neumann_scan(A: np.ndarray):
         return math.inf, None
 
     def block(i0, i1, buf):
-        absa, norm = foldy._abs_rows(A, i0, i1, buf)
+        absa, norm = _abs_rows(A, i0, i1, buf)
         np.fill_diagonal(absa[:, i0:], 0.0)
         absa /= d
         return float(np.vdot(absa, absa)), norm

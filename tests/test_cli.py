@@ -113,6 +113,26 @@ class TestExitCodes:
         assert run(["solve", path, "--kappa", 1, "--theta", "0,0,1",
                     "--variant", "general", "--out", tmp_path / "x"]) == 3
 
+    def test_badly_scaled_row_solves_by_lu(self, tmp_path, monkeypatch, capsys):
+        """impedance_re[0] = 1.68e-106 makes B_00 = -1/C_0 about 7.6e107 and the
+        signs mixed: the LU's pivot test, on the row-equilibrated copy, does
+        not take that one row's scale for a singular system."""
+        doc = json.loads(valid_document())
+        doc["impedance_re"][0] = 1.68e-106
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps(doc))
+        lu_runs, checked_lu_solve = [], foldy._checked_lu_solve
+
+        def recorded(*args):
+            lu_runs.append(args)
+            return checked_lu_solve(*args)
+
+        monkeypatch.setattr(foldy, "_checked_lu_solve", recorded)
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
+        residual = float(capsys.readouterr().out.split("residual=")[1].split()[0])
+        assert len(lu_runs) == 1 and residual <= 1e-10
+
     def test_infeasible_oracle_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
@@ -553,6 +573,18 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "foldylax" in capsys.readouterr().out
+
+
+def test_every_lazy_export_resolves():
+    import importlib
+
+    import foldylax
+    assert "ScatteringCoefficient" not in foldylax.__all__
+    for name, module in foldylax._EXPORTS.items():
+        assert name in foldylax.__all__
+        assert getattr(foldylax, name) is getattr(
+            importlib.import_module(f"foldylax.{module}"), name)
+    assert all(hasattr(foldylax, name) for name in foldylax.__all__)
 
 
 def test_every_error_class_is_exported():

@@ -229,9 +229,9 @@ class TestIncidentWave:
     def test_kappa_window(self):
         with pytest.raises(ValueError):
             IncidentWave(kappa=0.0, theta=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 6\.283185307179586\]$"):
             IncidentWave(kappa=7.0, theta=np.array([0.0, 0.0, 1.0]))
-        IncidentWave(kappa=7.0, theta=np.array([0.0, 0.0, 1.0]), kappa_max=10.0)
+        IncidentWave(kappa=2 * math.pi, theta=np.array([0.0, 0.0, 1.0]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -302,7 +302,7 @@ class TestCertifiedSolve:
         assert np.max(np.abs(far - far_lu)) <= 1e-12 * np.max(np.abs(far_lu))
 
     def test_q_at_least_one_takes_the_lu_path(self, monkeypatch):
-        """The LU's pivot test takes ||A||_inf from its own dense copy."""
+        """The LU scales the rows of its own dense copy: no caller passes a scale."""
         system = near_touching_pair()
         assert system.neumann_q >= 1.0
         scales = []
@@ -310,7 +310,7 @@ class TestCertifiedSolve:
 
         def recorded(A, rhs, residual_tol, scale=None):
             scales.append(scale)
-            return checked_lu_solve(A, rhs, residual_tol, scale)
+            return checked_lu_solve(A, rhs, residual_tol)
 
         monkeypatch.setattr(foldy, "_checked_lu_solve", recorded)
         sol = solve_bie(system)
