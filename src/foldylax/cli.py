@@ -5,26 +5,21 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series), 4 too little memory for the packed
-Foldy-Lax matrix (complex strips of about 8 M^2 bytes; or, where Im B takes
-its low-rank factor of degree L, real strips of about 4 M^2 bytes, the
-factor's 16 M (L+1)^2 bytes and the scratch of one block of it; foldy's
-module docstring gives the rule), the LU's dense copy and mask (17 bytes
-per matrix entry, on the LU path only), the boundary-integral operator and
-its workspace (16 ((L+1)(L+2)(2L+3)/6 + 4L + 3) bytes per sphere pair, 64 N,
-the Gaunt table and work arrays), or a lattice cloud; no other limit applies.
+(singular system, unconverged series, a sweep whose rate fit has fewer than
+two errors above the noise floor), 4 too little memory: a memory guard's
+refusal (README.md lists what each admits) or a MemoryError none foresaw.
 
 FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
-worker threads of the compute-bound pairwise passes (cloud validation and
-Foldy-Lax assembly). Unset, BLAS keeps its own default and the passes use
-every CPU the process may run on; a value that is not a positive integer
-exits 2. The cap must land in the environment before numpy loads, so every
-heavy import in this module lives inside a command handler, not at the top.
+worker threads of Foldy-Lax assembly. Unset, BLAS keeps its own default and
+assembly uses every CPU the process may run on; a value that is not a
+positive integer exits 2. The cap must land in the environment before numpy
+loads, so every heavy import in this module lives inside a command handler,
+not at the top.
 
 Every subcommand loads numpy only: the oracles' special functions are numpy
 recurrences, and both systems solve by certified GMRES. scipy.linalg loads
-when a solve falls back to the dense LU (a Foldy-Lax system without the Weyl
-certificate, or a boundary-integral system with q = ||C D^-1||_F >= 1).
+when a solve falls back to the dense LU (a certificate ratio q with
+1 - q <= foldy.PIVOT_REL_TOL).
 """
 
 from __future__ import annotations
@@ -278,7 +273,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     import numpy as np
-    from . import analysis, io
+    from . import analysis, errors, io
     from .geometry import IncidentWave
     if not args.a_values:
         raise ValueError("--a-values must be non-empty")
@@ -293,6 +288,10 @@ def _cmd_sweep(args) -> int:
     comments = _config_comments(
         args, ["a-values", "kappa", "theta", "variant", "directions", "oracle",
                "L", "quad-order"] + _REGIME_KEYS)
+    if study.fit.n_used < 2:
+        raise errors.RateUndetermined(
+            f"{study.fit.n_used} of {len(study.records)} far-field errors cleared the "
+            f"noise floor {analysis.NOISE_FLOOR:g}; a rate fit needs 2")
     records = [dict(a=r.a, M=r.M, d=r.d, error=r.error, residual_fl=r.residual_fl,
                     residual_bie=r.residual_bie) for r in study.records]
     io.write_study_csv(args.out, records, study.fit, comments)
@@ -312,11 +311,12 @@ def main(argv=None) -> int:
     from . import errors
     try:
         return args.handler(args)
-    except (errors.FoldylaxError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, errors.InsufficientMemory):
+    except (errors.FoldylaxError, ValueError, OSError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        if isinstance(exc, MemoryError):  # InsufficientMemory is one
             return EXIT_NO_MEMORY
-        if isinstance(exc, (errors.SingularSystem, errors.SeriesNotConverged)):
+        numerical = (errors.SingularSystem, errors.SeriesNotConverged, errors.RateUndetermined)
+        if isinstance(exc, numerical):
             return EXIT_NUMERICAL
         return EXIT_INVALID
 

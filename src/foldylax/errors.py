@@ -62,6 +62,10 @@ class SeriesNotConverged(FoldylaxError, ArithmeticError):
     """Truncated series failed its tail-magnitude convergence check."""
 
 
+class RateUndetermined(FoldylaxError, ArithmeticError):
+    """Fewer than two far-field errors of a study clear the noise floor."""
+
+
 class GridMismatch(FoldylaxError, ValueError):
     """Far-field grids disagree in directions or incident wave."""
 

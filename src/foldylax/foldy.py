@@ -19,17 +19,15 @@ definition of C_m, in Python's complex arithmetic; assemble maps it over the
 obstacles. For M = 1 the solution reduces to Q_1 = -C_1 * U^i(z_1).
 
 B is complex symmetric, so its Hermitian part is Re B = diag(Re B_mm) + Re B_n.
-When every Re B_mm has one sign and mu = min|Re B_mm| - ||Re B_n||_F exceeds
-PIVOT_REL_TOL * ||B||_inf, Weyl's inequality makes Re B definite, so
-sigma_min(B) >= mu and GMRES converges (Eisenstat, Elman & Schultz, SIAM J.
-Numer. Anal. 20, 1983). solve() then runs restarted GMRES right-preconditioned
-by -C_m = 1/B_mm in O(M^2) time and memory beyond B. Mixed signs, a small mu,
-or GMRES reaching its iteration cap fall back to the checked dense LU, whose
-pivot test reads a copy of B with each row scaled to unit inf-norm.
-
-That policy (a certificate margin, then diagonally preconditioned GMRES,
-else the checked LU, then the residual check) is _certified_solve, which
-oracle.solve_bie shares with its own Neumann-series margin.
+Where every Re B_mm has one sign, Weyl's inequality (Horn & Johnson, Matrix
+Analysis, 2nd ed., CUP 2013) makes Re B definite, with sigma_min(B) >=
+(1 - q) min|Re B_mm|, when q = ||Re B_n||_F / min|Re B_mm| < 1; mixed signs
+give q = inf. _certified_solve, which oracle.solve_bie shares with its
+Neumann-series q = ||C D^-1||_F, runs restarted GMRES right-preconditioned by
+1/A_mm (Eisenstat, Elman & Schultz, SIAM J. Numer. Anal. 20, 1983) where
+1 - q > PIVOT_REL_TOL, in O(M^2) time and memory beyond B. Otherwise (a NaN q
+included), or at GMRES's iteration cap, the checked dense LU solves, its
+pivot test reading a copy with each row scaled to unit inf-norm.
 
 Assembly, the report and the certified solve need numpy only. scipy.linalg
 loads inside _checked_lu_solve, so only the LU fallback pays for it.
@@ -83,12 +81,11 @@ Assembly fills each strip in place through geometry.row_block_pass, into
 scratch buffers allocated once per pass. It is bound by sqrt, cos and sin,
 so its strips go to FOLDYLAX_THREADS worker threads; each writes its own
 strip, so B is the same bit for bit whatever the worker count. The pass also
-yields the certificate while each strip is in cache: ||Re B_n||_F from
-per-row sums over j > i that do not depend on the layout, gamma =
-min cos(kappa d) before scaling, and ||B||_inf from the row sums of
-|B_ij| = 1/(4 pi d). A certified solve then reads B only through GMRES
-products and its diagonal; only the LU fallback makes a dense copy. farfield
-evaluates the kernel over blocks of directions.
+yields, while each strip is in cache, ||Re B_n||_F from per-row sums over
+j > i that do not depend on the layout, and gamma = min cos(kappa d) before
+scaling; neither depends on the worker count either. A certified solve then
+reads B only through GMRES products and its diagonal; only the LU fallback
+makes a dense copy. farfield evaluates the kernel over blocks of directions.
 """
 
 from __future__ import annotations
@@ -135,7 +132,8 @@ def coefficient(lambda_m: complex, variant: Variant | str = Variant.GENERAL,
     sphere area 4*pi*r^2 is taken); the spherical variant needs the radius.
 
     Raises:
-        ZeroImpedance: lambda_m == 0, or C_m is zero or not finite.
+        ZeroImpedance: lambda_m == 0, C_m is zero or not finite, or -1/C_m
+            overflows.
         SphericalPole: |-1 + lambda_m * r| < 1e-12 in the spherical variant.
     """
     variant = Variant(variant)
@@ -163,7 +161,9 @@ def _coefficient(lam: complex, spherical: bool, radius: float, area: float) -> c
         value = lam * (4.0 * math.pi * radius**2) / denom
     else:
         value = -lam * area
-    if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    recip = -1.0 / value if value != 0 else math.inf  # B's diagonal entry
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)
+            and math.isfinite(recip.real) and math.isfinite(recip.imag)):
         raise ZeroImpedance(f"degenerate scattering coefficient {value}")
     return value
 
@@ -345,11 +345,9 @@ class FoldyLaxSystem:
     matrix is B in packed form (see the module docstring): complex strips, or
     real strips of Re B and the factor F of Im B. Either way it has shape,
     dtype, nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
-    and np.asarray(matrix) is the dense B. The assembly pass also yields the
-    inputs of the certificate and of the invertibility report:
-    frobenius_offdiag_real = ||Re B_n||_F, norm_inf = ||B||_inf and
-    gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one
-    scatterer).
+    and np.asarray(matrix) is the dense B. The assembly pass also yields
+    frobenius_offdiag_real = ||Re B_n||_F, for the certificate and the report,
+    and gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one scatterer).
     """
 
     matrix: _PackedSymmetric
@@ -359,7 +357,6 @@ class FoldyLaxSystem:
     wave: IncidentWave
     variant: Variant
     frobenius_offdiag_real: float
-    norm_inf: float
     gamma: float
 
 
@@ -383,7 +380,7 @@ class InvertibilityReport:
     jittered M = 10^4 cloud (a = 0.01, s = 2, t = 1, lambda0 = -0.5, jitter
     0.3, seed 1) frobenius_offdiag_real = 3595.38 exceeds
     lemma_threshold = 3518.58 while the verdict is True. solve certifies by
-    the measured margin mu = min|Re B_mm| - ||Re B_n||_F, never by this
+    the measured ratio q = ||Re B_n||_F / min|Re B_mm|, never by this
     verdict.
     """
 
@@ -480,9 +477,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     xyz = np.ascontiguousarray(cloud.centers.T)
     lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
-    neg_abs_rows = np.zeros(M)  # row i: -sum over j != i of |B_ij|
 
-    def fill(i0, i1, dist, tmp, neg_abs):
+    def fill(i0, i1, dist, tmp):
         k, w = i1 - i0, M - i0
         dist = pair_distances(xyz, i0, i1, block_view(dist, k, w), block_view(tmp, k, w))
         np.fill_diagonal(dist, np.inf)
@@ -513,23 +509,18 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             starts[0::2] = np.arange(rows) * (w + 1) + 1
             starts[1::2] = np.arange(1, rows) * w
             row_frob2[i0:i0 + rows] = np.add.reduceat(square[:rows * w], starts)[0::2]
-        # |B_ij| = 1/(4 pi d) into rows i and j, for ||B||_inf
-        np.copyto(scale[:, :k], 0.0, where=lower[:k, :k])
-        neg_abs[i0:i1] += np.add.reduce(scale, axis=1, out=tmp[:k])
-        neg_abs[i0:] += np.add.reduce(scale, axis=0, out=tmp[:w])
         S.setflags(write=False)
         return gamma
 
     # each strip writes its own part of B and of row_frob2
     strips = row_block_pass(fill, M, scratch=(float, float), threaded=True,
-                            total=neg_abs_rows, min_rows=STRIP_ROWS)
+                            min_rows=STRIP_ROWS)
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     rhs.setflags(write=False)
-    norm_inf = float(np.max(np.abs(diagonal) - neg_abs_rows))
     return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
                           variant=variant,
                           frobenius_offdiag_real=math.sqrt(2.0 * float(row_frob2.sum())),
-                          norm_inf=norm_inf, gamma=min(strips))
+                          gamma=min(strips))
 
 
 def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
@@ -577,19 +568,11 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
 
 
-def _definite_margin(B, frob_offdiag_real: float, norm_inf: float) -> float | None:
-    """mu = min|Re B_mm| - ||Re B_n||_F when every Re B_mm has one sign and
-    mu > PIVOT_REL_TOL * ||B||_inf, else None.
-
-    Re B = (B + B^H)/2 differs from diag(Re B_mm) by Re B_n, whose 2-norm is at
-    most ||Re B_n||_F, so by Weyl's inequality Re B is definite with
-    |x^H B x| >= mu |x|^2, and sigma_min(B) >= mu.
-    """
+def _weyl_q(B, frob_offdiag_real: float) -> float:
+    """q = ||Re B_n||_F / min|Re B_mm| where every Re B_mm has one sign, else inf."""
     d = B.diagonal().real
-    if not (np.all(d > 0) or np.all(d < 0)):
-        return None
-    mu = float(np.min(np.abs(d))) - frob_offdiag_real
-    return mu if mu > PIVOT_REL_TOL * norm_inf else None
+    same_sign = np.all(d > 0) or np.all(d < 0)
+    return frob_offdiag_real / float(np.min(np.abs(d))) if same_sign else math.inf
 
 
 def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
@@ -641,17 +624,17 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
         r = rhs - B @ x
 
 
-def _certified_solve(A, rhs: np.ndarray, margin: float | None, residual_tol: float):
+def _certified_solve(A, rhs: np.ndarray, q: float, residual_tol: float):
     """The solve policy of solve and oracle.solve_bie: (x, residual, iterations).
 
-    margin is the caller's certificate that A right-preconditioned by
-    1/A_mm is nonsingular and GMRES converges (Weyl for Foldy-Lax, Neumann
-    series for the BIE), None when it does not hold. With a margin, _gmres
-    solves; without one, or when GMRES reaches GMRES_MAXITER, the checked
-    dense LU does and iterations is None. Either way the relative inf-norm
-    residual must stay <= residual_tol.
+    q is the caller's certificate ratio: 1 - q > PIVOT_REL_TOL certifies that
+    A right-preconditioned by 1/A_mm is nonsingular and that GMRES converges
+    (Weyl for Foldy-Lax, the Neumann series for the BIE). Then _gmres
+    solves; otherwise, a NaN q included, or when GMRES reaches
+    GMRES_MAXITER, the checked dense LU does and iterations is None. Either
+    way the relative inf-norm residual must stay <= residual_tol.
     """
-    found = _gmres(A, rhs, 1.0 / A.diagonal()) if margin is not None else None
+    found = _gmres(A, rhs, 1.0 / A.diagonal()) if 1.0 - q > PIVOT_REL_TOL else None
     if found is None:
         x, residual = _checked_lu_solve(A, rhs, residual_tol)
         return x, residual, None
@@ -662,22 +645,22 @@ def _certified_solve(A, rhs: np.ndarray, margin: float | None, residual_tol: flo
 def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     """Certified GMRES, else checked dense LU; residual bound RESIDUAL_TOL.
 
-    Assembly yields ||Re B_n||_F and ||B||_inf (and gamma, for the
-    invertibility report of a regime cloud). If every Re B_mm has one sign and
-    mu = min|Re B_mm| - ||Re B_n||_F > PIVOT_REL_TOL * ||B||_inf, then
-    sigma_min(B) >= mu, which takes the place of the LU pivot test, and
-    restarted GMRES preconditioned by -C_m runs to a relative residual of
-    GMRES_TOL; iterations records its matrix-vector count. Otherwise, or when
-    GMRES reaches GMRES_MAXITER, the dense LU solves with its pivot test and
+    Assembly yields ||Re B_n||_F (and gamma, for the invertibility report of
+    a regime cloud). _certified_solve takes q = ||Re B_n||_F / min|Re B_mm|
+    (inf for mixed signs): where 1 - q > PIVOT_REL_TOL, sigma_min(B) >=
+    (1 - q) min|Re B_mm| takes the place of the LU pivot test, and restarted
+    GMRES preconditioned by -C_m runs to a relative residual of GMRES_TOL;
+    iterations records its matrix-vector count. Otherwise, or when GMRES
+    reaches GMRES_MAXITER, the dense LU solves with its pivot test and
     iterations is None. Either way the inf-norm residual is checked against
     RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution
     and on SingularSystem.
     """
     B, regime = system.matrix, system.cloud.regime
     diagnostics = _report(system, regime) if regime is not None else None
-    margin = _definite_margin(B, system.frobenius_offdiag_real, system.norm_inf)
+    q = _weyl_q(B, system.frobenius_offdiag_real)
     try:
-        charges, residual, iterations = _certified_solve(B, system.rhs, margin, RESIDUAL_TOL)
+        charges, residual, iterations = _certified_solve(B, system.rhs, q, RESIDUAL_TOL)
     except SingularSystem as exc:
         exc.diagnostics = diagnostics
         raise

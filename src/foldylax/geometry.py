@@ -25,8 +25,9 @@ the fixed blocks of row_blocks, about PAIR_BLOCK entries each, computed into
 scratch buffers allocated once per pass, so no pass allocates an M x M
 temporary or a new one per block. Passes bound by arithmetic (Foldy-Lax
 assembly) deal those blocks among FOLDYLAX_THREADS worker threads; passes
-bound by memory bandwidth keep one worker, so their sums add up in the same
-order every run. The block layout never depends on the worker count.
+bound by memory bandwidth keep one worker. The block layout never depends on
+the worker count, and each block's result is its own, so no pass's result
+does either.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False,
-                   total: np.ndarray | None = None, min_rows: int = 1):
+                   min_rows: int = 1):
     """Apply body to row_blocks(n, width, min_rows); return its results in block order.
 
     body(i0, i1, *bufs) handles rows i0:i1. scratch lists the dtypes of its
@@ -263,20 +264,17 @@ def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=
     A memory-bound pass runs on one worker. A threaded pass, one bound by
     arithmetic (numpy releases the GIL inside ufunc loops), deals the same
     blocks round-robin to thread_count() workers; body must not depend on
-    the order in which blocks run. With total, each worker also passes body
-    a zeroed array shaped like it, after the scratch buffers, to add its
-    blocks into; these are added into total in worker order, so the sum is
-    the same every run with as many workers. An exception raised by body is
-    raised here once every worker has stopped.
+    the order in which blocks run, and each block's result is the same for
+    any worker count. An exception raised by body is raised here once every
+    worker has stopped.
     """
     width = width or n
     blocks = row_blocks(n, width, min_rows)
     workers = min(thread_count() if threaded else 1, len(blocks))
     size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
-    sums = [np.zeros_like(total) for _ in range(workers)] if total is not None else []
 
     def run(w):
-        bufs = [np.empty(size, dtype) for dtype in scratch] + sums[w:w + 1]
+        bufs = [np.empty(size, dtype) for dtype in scratch]
         return [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
 
     if workers <= 1:
@@ -289,8 +287,6 @@ def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=
         results = [None] * len(blocks)
         for w, part in enumerate(parts):
             results[w::workers] = part.result()
-    for part in sums:
-        total += part
     return results
 
 

@@ -18,10 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidentPoints, NonUnitDirection
+from .geometry import _require_memory
 
 # below this separation the fundamental solution is treated as singular
 MIN_SEPARATION = 1e-300
 UNIT_TOL = 1e-10
+# a run's peak bytes per direction, its grids and their CSV text (measured
+# on 10^6 directions: 468 for solve, 513 for compare at L = 12)
+DIRECTION_BYTES = 640
 
 
 def phi(kappa: float, x, y) -> complex | np.ndarray:
@@ -73,9 +77,12 @@ def farfield_kernel(kappa: float, xhat, z) -> complex | np.ndarray:
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform grid of n unit directions (golden spiral)."""
+    """Deterministic quasi-uniform grid of n unit directions (golden spiral);
+    raises InsufficientMemory first where n * DIRECTION_BYTES does not fit."""
     if n < 1:
         raise ValueError("need at least one direction")
+    _require_memory(DIRECTION_BYTES * n, f"a grid of {n} directions",
+                    "its far fields and their CSV text")
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -45,12 +45,12 @@ The self blocks are diagonal, so A = D + C with D = diag(A). A is never
 stored: a sphere pair keeps its coaxial block and direction phases
 (_BieOperator), and q = ||C D^-1||_F comes from the coaxial blocks alone,
 since U is unitary and the block factors and D depend on l only. When
-q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q, and solve_bie runs the
-certified GMRES of foldy.solve, right-preconditioned by D^-1 (the
-Neumann-series counterpart of the Foldy-Lax Weyl certificate). q >= 1, or
-GMRES at its iteration cap, falls back to the checked LU, the only step that
-makes a dense copy of A. The special functions come from spherical, so
-assembly and a certified solve load no scipy.
+q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q: solve_bie hands q to
+foldy._certified_solve, the policy foldy.solve runs with its Weyl ratio, so
+GMRES right-preconditioned by D^-1 solves where 1 - q > PIVOT_REL_TOL. A
+larger q, or GMRES at its iteration cap, falls back to the checked LU, the
+only step that makes a dense copy of A. The special functions come from
+spherical, so assembly and a certified solve load no scipy.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
-from .foldy import PIVOT_REL_TOL, FarFieldGrid, _certified_solve
-from .geometry import PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_blocks
+from .foldy import FarFieldGrid, _certified_solve
+from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_block_pass,
+                       row_blocks)
 from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
                         spherical_jn, spherical_yn, unit_angles)
 
@@ -157,7 +158,7 @@ def _coaxial_table(L: int):
     Entries the selection rules forbid are exact zeros: roundoff in them times
     h_{2L} ~ (kappa d)^-(2L+1) would swamp the block. Returns read-only (table
     (2L+1, E), index (L+1)^3 from (|m|, l, l') to the entry, E where
-    |m| > min(l, l')); index[0] holds where each (l, l') starts.
+    |m| > min(l, l'), and the (l, l', m) of each entry, (3, E)).
     """
     g = np.arange(L + 1)
     l, lp, m = np.nonzero(g <= np.minimum.outer(g, g)[:, :, None])
@@ -174,9 +175,10 @@ def _coaxial_table(L: int):
     table = np.ascontiguousarray(np.where(allowed, sign * (2 * n + 1) * gaunt, 0.0).T)
     index = np.full((L + 1, L + 1, L + 1), len(l))
     index[m, l, lp] = np.arange(len(l))
-    for arr in (table, index):
+    entries = np.stack([l, lp, m])
+    for arr in (table, index, entries):
         arr.setflags(write=False)
-    return table, index
+    return table, index, entries
 
 
 def _admitted_bytes(M: int, L: int):
@@ -208,7 +210,7 @@ class _BieOperator:
                  trace: np.ndarray, outgoing: np.ndarray):
         """diagonal, trace and outgoing are per sphere and degree, (M, L + 1)."""
         M, nc = len(centers), n_coeffs(L)
-        table, self._index = _coaxial_table(L)
+        table, self._index, (el, elp, em) = _coaxial_table(L)
         self._delta = _rotation_factor(L)
         self.L, self.shape, self.dtype = L, (M * nc, M * nc), np.dtype(complex)
         self._diagonal = _per_degree(diagonal, L).reshape(-1)
@@ -220,12 +222,13 @@ class _BieOperator:
         E = table.shape[1]
         self._coax = np.zeros((len(first), E + 1), dtype=complex)  # column E: the pad
         self._phases = np.empty((2, 2 * L + 1, len(first)), dtype=complex)
-        # ||C D^-1||_F^2 sums |t_m,l Coax_{lm',l'm'} o_j,l' / D_j,l'|^2 over both
-        # blocks of each pair; orders -m' and m' alike
+        # ||C D^-1||_F^2 sums |t_m,l Coax_{lm',l'm'} o_j,l' / D_j,l'|^2 over both blocks
+        # of each pair, orders -m' and m' alike, each entry scaled before it is
+        # squared: at small kappa d Coax grows like (kappa d)^-(l+l'+1)
         nonsingular = bool(np.all(diagonal != 0))
-        t2 = np.abs(trace) ** 2
-        v2 = np.abs(outgoing / diagonal) ** 2 if nonsingular else np.zeros_like(t2)
-        runs = self._index[0].reshape(-1)  # m = 0 opens each (l, l') run
+        t = np.abs(trace)[:, el]
+        v = np.abs(outgoing / diagonal)[:, elp] if nonsingular else np.zeros_like(t)
+        weight = np.where(em > 0, 2.0, 1.0)
         k, q2 = np.arange(-L, L + 1), 0.0
         for p0, p1 in row_blocks(len(first), width=E + 1):
             m, j = first[p0:p1], second[p0:p1]
@@ -235,10 +238,10 @@ class _BieOperator:
             theta, phi = unit_angles(d / dist[:, None])
             self._phases[0, :, p0:p1] = np.exp(1j * np.outer(k, phi + 0.5 * np.pi))
             self._phases[1, :, p0:p1] = np.exp(-1j * np.outer(k, theta))
-            c2 = np.abs(coax) ** 2
-            s = (2.0 * np.add.reduceat(c2, runs, axis=1) - c2[:, runs]).reshape(-1, L + 1, L + 1)
-            q2 += float(np.einsum("pi,pij,pj->", t2[m], s, v2[j])
-                        + np.einsum("pi,pij,pj->", t2[j], s, v2[m]))
+            c = np.abs(coax)
+            for row, col in ((m, j), (j, m)):
+                x = c * t[row] * v[col]
+                q2 += float(np.einsum("pe,pe,e->", x, x, weight))
         self.neumann_q = math.sqrt(q2) if nonsingular else math.inf
         self._blocks = []
         for p0, p1 in row_blocks(len(first), width=(L + 1) ** 3):
@@ -424,21 +427,20 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
 def solve_bie(system: BieSystem) -> BieSolution:
     """Certified GMRES, else checked dense LU; residual bound BIE_RESIDUAL_TOL.
 
-    If 1 - q > PIVOT_REL_TOL, q = ||C D^-1||_F, then sigma_min(A D^-1) >= 1 - q
-    and foldy's restarted GMRES, right-preconditioned by D^-1, runs to a
-    relative residual of GMRES_TOL; iterations records its products with A.
-    Otherwise, or when GMRES reaches GMRES_MAXITER, the dense LU solves, its
-    pivot test on its row-equilibrated dense copy, and iterations is None.
-    Either way the inf-norm residual is checked.
+    foldy._certified_solve decides with q = ||C D^-1||_F: where
+    1 - q > PIVOT_REL_TOL, sigma_min(A D^-1) >= 1 - q and restarted GMRES,
+    right-preconditioned by D^-1, runs to a relative residual of GMRES_TOL;
+    iterations records its products with A. Otherwise, a NaN q included, or
+    when GMRES reaches GMRES_MAXITER, the dense LU solves, its pivot test on
+    its row-equilibrated dense copy, and iterations is None. Either way the
+    inf-norm residual is checked.
 
     Raises:
         SingularSystem: an LU pivot underflows or the residual exceeds
             BIE_RESIDUAL_TOL.
         InsufficientMemory: the LU path has no room for its factors.
     """
-    q = system.neumann_q
-    margin = 1.0 - q if 1.0 - q > PIVOT_REL_TOL else None
-    x, residual, iterations = _certified_solve(system.matrix, system.rhs, margin,
+    x, residual, iterations = _certified_solve(system.matrix, system.rhs, system.neumann_q,
                                                BIE_RESIDUAL_TOL)
     nc = n_coeffs(system.L)
     densities = []
@@ -452,20 +454,26 @@ def solve_bie(system: BieSystem) -> BieSolution:
 
 
 def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
-    """Far field of the solved layer densities on a direction grid."""
+    """Far field of the solved layer densities on a direction grid, evaluated
+    over blocks of directions: the harmonics of one block at a time."""
     system = solution.system
     cloud, wave, L = system.cloud, system.wave, system.L
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
-    Yd = harmonic_matrix(L, directions)
-    values = np.zeros(len(directions), dtype=complex)
+    values = np.empty(len(directions), dtype=complex)
     ls = np.arange(L + 1)
-    for dens in solution.densities:
-        r = dens.radius
-        weight = _per_degree(4.0 * np.pi * r**2 * (-1j) ** ls
-                             * spherical_jn(L, wave.kappa * r), L)
-        angular = Yd @ (weight * dens.coefficients)
-        phase = np.exp(-1j * wave.kappa * directions @ cloud.centers[dens.sphere])
-        values += phase * angular
+    weighted = [_per_degree(4.0 * np.pi * dens.radius**2 * (-1j) ** ls
+                            * spherical_jn(L, wave.kappa * dens.radius), L) * dens.coefficients
+                for dens in solution.densities]
+
+    def block(d0, d1):
+        lo = max(0, min(d0, d1 - 2))  # a lone last row joins its predecessor, as in foldy.farfield
+        Yd, xhat = harmonic_matrix(L, directions[lo:d1]), directions[lo:d1]
+        acc = np.zeros(d1 - lo, dtype=complex)
+        for dens, w in zip(solution.densities, weighted):
+            acc += np.exp(-1j * wave.kappa * xhat @ cloud.centers[dens.sphere]) * (Yd @ w)
+        values[d0:d1] = acc[d0 - lo:]
+
+    row_block_pass(block, len(directions), width=n_coeffs(L))
     return FarFieldGrid(directions=directions, values=values, wave=wave)
 
 

@@ -1,6 +1,6 @@
 """Dense references for the quantities the program computes in one pass.
 
-foldy.assemble yields ||Re B_n||_F, ||B||_inf and gamma while it fills B,
+foldy.assemble yields ||Re B_n||_F and gamma while it fills B,
 oracle.assemble_bie yields q = ||C D^-1||_F from the coaxial blocks of A, and
 geometry finds d by a cell list. These functions compute the same quantities
 the direct way, from a finished dense matrix and from all pairs of centers,
@@ -28,7 +28,7 @@ def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
 
 
 def scan(B: np.ndarray):
-    """One row-block pass over B: (||Re B_n||_F, ||B||_inf, gamma).
+    """One row-block pass over B: (||Re B_n||_F, gamma).
 
     Off the diagonal B = -e^{i kappa d}/(4 pi d), so Re B_n = -Re B and
     gamma = min cos(kappa d) = min -Re B/|B| (+inf for a 1x1 B).
@@ -36,7 +36,7 @@ def scan(B: np.ndarray):
     n = len(B)
 
     def block(i0, i1, absb, re, cos):
-        absb, norm = _abs_rows(B, i0, i1, absb)
+        absb, _ = _abs_rows(B, i0, i1, absb)
         re = block_view(re, i1 - i0, n)
         np.copyto(re, B[i0:i1].real)
         cos = np.negative(re, out=block_view(cos, i1 - i0, n))
@@ -44,14 +44,13 @@ def scan(B: np.ndarray):
             np.divide(cos, absb, out=cos)
         np.fill_diagonal(cos[:, i0:], math.inf)
         np.fill_diagonal(re[:, i0:], 0.0)
-        return float(np.vdot(re, re)), norm, float(cos.min())
+        return float(np.vdot(re, re)), float(cos.min())
 
     blocks = row_block_pass(block, n, scratch=(float, float, float))
     frob2 = 0.0
-    for block_frob2, _, _ in blocks:  # in block order, as one running sum
+    for block_frob2, _ in blocks:  # in block order, as one running sum
         frob2 += block_frob2
-    return (math.sqrt(frob2), max(norm for _, norm, _ in blocks),
-            min(gamma for _, _, gamma in blocks))
+    return math.sqrt(frob2), min(gamma for _, gamma in blocks)
 
 
 def dense_distances(centers):
@@ -80,9 +79,9 @@ def pack(B: np.ndarray):
 def with_matrix(system: foldy.FoldyLaxSystem, matrix: np.ndarray) -> foldy.FoldyLaxSystem:
     """system with B replaced by the symmetric matrix, packed, and the
     certificate inputs read off it."""
-    frob, norm_inf, gamma = scan(matrix)
+    frob, gamma = scan(matrix)
     return dataclasses.replace(system, matrix=pack(matrix), frobenius_offdiag_real=frob,
-                               norm_inf=norm_inf, gamma=gamma)
+                               gamma=gamma)
 
 
 def min_surface_distance(centers: np.ndarray, radii: np.ndarray, rows: int = 256) -> float:

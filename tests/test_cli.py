@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,38 @@ class TestExitCodes:
         residual = float(capsys.readouterr().out.split("residual=")[1].split()[0])
         assert len(lu_runs) == 1 and residual <= 1e-10
 
+    def test_badly_scaled_same_sign_row_solves_by_gmres(self, tmp_path, monkeypatch):
+        """impedance_re[0] = -1.68e-106 keeps every Re B_mm negative: the ratio
+        q = ||Re B_n||_F / min|Re B_mm| does not see the one huge row, so GMRES
+        solves, to the LU's charges, and scipy is not asked for."""
+        doc = json.loads(valid_document())
+        doc["impedance_re"][0] = -1.68e-106
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps(doc))
+        system = foldy.assemble(load_cloud(cloud), IncidentWave(1.0, (0.0, 0.0, 1.0)))
+        ref, _ = foldy._checked_lu_solve(system.matrix, system.rhs, foldy.RESIDUAL_TOL)
+        monkeypatch.setattr(foldy, "_checked_lu_solve", None)  # the LU must not run
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 0
+        rows = [line.split(",") for line in read_csv(tmp_path / "x_charges.csv")[1][1:]]
+        charges = np.array([complex(float(re), float(im)) for _, re, im in rows])
+        assert np.max(np.abs(charges - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("impedance_re", [1e-310, -1e-310, 1e-320])
+    def test_coefficient_without_finite_reciprocal_is_2(self, tmp_path, capsys, impedance_re):
+        """C_0 is finite and nonzero but -1/C_0 overflows: a typed refusal
+        before the diagonal is formed, with no warning and no CSV."""
+        doc = json.loads(valid_document())
+        doc["impedance_re"][0] = impedance_re
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate scattering coefficient (") and err.count("\n") == 1
+        assert not list(tmp_path.glob("x*"))
+
     def test_infeasible_oracle_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
@@ -219,10 +252,11 @@ class TestExitCodes:
     def test_bie_without_room_is_4(self, tmp_path, monkeypatch, capsys):
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
-        monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)  # room for the Foldy-Lax matrix only
+        # room for the Foldy-Lax matrix and one direction only
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
         self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
-                    "--L", 20, "--out", tmp_path / "x"]) == 4
+                    "--L", 20, "--directions", 1, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: N = 882 at L = 20 needs 9 MiB for the boundary-integral "
                               "operator and its workspace; 0 MiB available")
@@ -249,7 +283,7 @@ class TestExitCodes:
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
         self.no_bie_work(monkeypatch)
         assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
-                    "--L", 2, "--out", tmp_path / "x"]) == 4
+                    "--L", 2, "--directions", 1, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
             "error: N = 18 at L = 2 needs 1 MiB for the boundary-integral operator "
             "and its workspace; 0 MiB available\n")
@@ -283,6 +317,52 @@ class TestExitCodes:
                                       "for the lattice cloud; ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_directions_without_room_are_4(self, tmp_path, monkeypatch, capsys, command):
+        """The direction grid is admitted before it is built, at DIRECTION_BYTES
+        per direction, after the Foldy-Lax matrix and before any CSV."""
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**28)
+        capsys.readouterr()
+        assert run([command, cloud, "--directions", 10**6, "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err == (
+            "error: a grid of 1000000 directions needs 611 MiB for its far fields and "
+            "their CSV text; 256 MiB available\n")
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("patch", ["", "import foldylax.geometry as g; "
+                                           "g._available_bytes = lambda: 10**15; "])
+    def test_directions_beyond_memory_exit_4_in_a_fresh_process(self, tmp_path, patch):
+        """10^9 directions under a 1.5 GiB address-space limit: the guard
+        refuses them; with the guard fooled, numpy's MemoryError for the first
+        array of the grid exits 4 too, with no traceback and no CSV."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
+
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, FOLDYLAX_THREADS="1", PYTHONPATH=src)
+        code = patch + (f"from foldylax.cli import main; raise SystemExit(main("
+                        f"['solve', {str(cloud)!r}, '--directions', '1000000000', "
+                        f"'--out', {str(tmp_path / 'x')!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        if not patch:
+            assert proc.stderr.startswith("error: a grid of 1000000000 directions needs 610352 MiB")
+        assert not list(tmp_path.glob("x*"))
+
+    def test_stray_memory_error_is_4(self, tmp_path, monkeypatch, capsys):
+        def handler(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_generate", handler)
+        assert run(gen_args(tmp_path / "c.json")) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_check_invertibility_without_regime_is_2(self, tmp_path, capsys):
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
@@ -304,7 +384,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "_cmd_generate", handler)
         expected = {errors.InsufficientMemory: 4, errors.SingularSystem: 3,
-                    errors.SeriesNotConverged: 3}.get(error, 2)
+                    errors.SeriesNotConverged: 3, errors.RateUndetermined: 3}.get(error, 2)
         assert run(gen_args(tmp_path / "c.json")) == expected
         assert capsys.readouterr().err == "error: boom\n"
 
@@ -540,6 +620,19 @@ class TestSweepCommand:
         assert float(fit[0]) == pytest.approx(2.0, abs=0.05)
         assert float(fit[2]) >= 0.99
         assert "slope=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("oracle_kind", ["auto", "fl"])
+    def test_errors_below_the_noise_floor_are_3(self, tmp_path, capsys, oracle_kind):
+        """Errors of 1.3e-12, 1.6e-13 and 2.0e-14 (mie) or 0 (fl) all sit below
+        the noise floor: no slope can be fitted, so no study CSV and exit 3."""
+        out = tmp_path / "study.csv"
+        capsys.readouterr()
+        assert run(["sweep", "--a-values", "1e-4,5e-5,2.5e-5", "--s", 0,
+                    "--variant", "spherical", "--oracle", oracle_kind, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 0 of 3 far-field errors cleared the noise floor "
+                                "1e-11; a rate fit needs 2\n")
+        assert captured.out == "" and not out.exists()
 
     def test_quad_order_below_one_is_2(self, tmp_path):
         assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,

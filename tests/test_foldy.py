@@ -65,6 +65,14 @@ class TestCoefficient:
         with pytest.raises(ZeroImpedance):
             coefficient(0.0, "general", radius=0.1)
 
+    @pytest.mark.parametrize("lam", [1e-310, -1e-310, 1e-320])
+    def test_coefficient_without_finite_reciprocal(self, lam):
+        """C_m is finite and nonzero, but B's diagonal entry -1/C_m would overflow."""
+        c = -lam * 4.0 * math.pi * 0.025**2
+        assert c != 0 and math.isinf(abs(-1.0 / c))
+        with pytest.raises(ZeroImpedance):
+            coefficient(lam, "general", radius=0.025)
+
     def test_missing_dimensions(self):
         with pytest.raises(ValueError):
             coefficient(-1.0, "spherical")
@@ -259,10 +267,10 @@ def lu_charges(system):
     return foldy._checked_lu_solve(system.matrix, system.rhs, foldy.RESIDUAL_TOL)[0]
 
 
-def margin(system):
-    """The certificate mu of solve(), or None."""
-    return foldy._definite_margin(system.matrix, system.frobenius_offdiag_real,
-                                  system.norm_inf)
+def certified(system):
+    """Whether solve() certifies the system: 1 - q > PIVOT_REL_TOL for Weyl's ratio q."""
+    q = foldy._weyl_q(system.matrix, system.frobenius_offdiag_real)
+    return 1.0 - q > foldy.PIVOT_REL_TOL
 
 
 def jittered_lattice(a=0.05, lambda0=-0.5, seed=4):
@@ -284,16 +292,16 @@ class TestCertifiedSolve:
     @pytest.mark.parametrize("lambda0", [-0.5, 0.5 + 0.2j])
     def test_gmres_matches_lu_on_lattices(self, tilted_wave, variant, lambda0):
         system = assemble(jittered_lattice(lambda0=lambda0), tilted_wave, variant)
-        assert margin(system) is not None
+        assert certified(system)
         sol = solve(system)
-        assert 0 < sol.iterations <= 15  # mu is about 0.7 min|Re B_mm|: 8-9 products
+        assert 0 < sol.iterations <= 15  # 1 - q is about 0.7: 8-9 products
         ref = lu_charges(system)
         assert np.max(np.abs(sol.charges - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert sol.residual_inf <= math.sqrt(system.cloud.M) * foldy.GMRES_TOL
 
     def test_mixed_signs_take_the_lu_path(self, wave):
         system = assemble(with_one_flipped_sign(jittered_lattice()), wave, "general")
-        assert margin(system) is None
+        assert not certified(system)
         sol = solve(system)
         assert sol.iterations is None
         assert sol.diagnostics.applicable_case == "Mixed"
@@ -303,21 +311,33 @@ class TestCertifiedSolve:
         cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
         weak = with_matrix(assemble(cloud, wave, "general"),
                            np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex))
-        assert margin(weak) is None
+        assert not certified(weak)
         sol = solve(weak)
         assert sol.iterations is None
         assert np.allclose(weak.matrix @ sol.charges, weak.rhs, rtol=1e-14, atol=0)
 
     def test_margin_must_clear_the_pivot_tolerance(self):
-        # off-diagonal x with sqrt(2)*x just below 1: mu > 0 but within
-        # PIVOT_REL_TOL*||B||_inf of zero, so no certificate
+        # off-diagonal x with sqrt(2)*x just below 1: q < 1 but 1 - q is
+        # within PIVOT_REL_TOL of zero, so no certificate
         x = (1.0 - 4e-15) / math.sqrt(2.0)
         B = np.array([[1.0, x], [x, 1.0]], dtype=complex)
-        frob, norm_inf, _ = scan(B)
-        assert 0 < 1.0 - frob <= foldy.PIVOT_REL_TOL * norm_inf
-        assert foldy._definite_margin(B, frob, norm_inf) is None
-        assert foldy._definite_margin(-B, frob, norm_inf) is None
-        assert foldy._definite_margin(B, 0.5, norm_inf) == 0.5
+        frob, _ = scan(B)
+        rhs = np.array([1.0, 2.0], dtype=complex)
+        for A in (B, -B):
+            q = foldy._weyl_q(A, frob)
+            assert 0 < 1.0 - q <= foldy.PIVOT_REL_TOL
+            assert foldy._certified_solve(A, rhs, q, foldy.RESIDUAL_TOL)[2] is None
+        assert foldy._weyl_q(B, 0.5) == 0.5
+        assert foldy._certified_solve(B, rhs, 0.5, foldy.RESIDUAL_TOL)[2] > 0
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0])
+    def test_uncertified_q_takes_the_lu(self, q):
+        """A NaN q fails closed: the LU solves, as for q >= 1."""
+        B = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=complex)
+        rhs = np.array([1.0, 2.0], dtype=complex)
+        x, residual, iterations = foldy._certified_solve(B, rhs, q, foldy.RESIDUAL_TOL)
+        assert iterations is None and residual <= foldy.RESIDUAL_TOL
+        assert np.allclose(B @ x, rhs, rtol=1e-14, atol=0)
 
     def test_iteration_cap_falls_back_to_lu(self, wave, monkeypatch):
         system = assemble(jittered_lattice(), wave, "general")
@@ -346,7 +366,7 @@ class TestCertifiedSolve:
             cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=jitter, seed=1)
             system = assemble(cloud, wave, variant)
             assert invertibility_report(system).condition_applicable
-            assert margin(system) is not None
+            assert certified(system)
 
 
 @settings(max_examples=60, deadline=None)

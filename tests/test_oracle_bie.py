@@ -14,7 +14,8 @@ from scipy.special import spherical_jn, spherical_yn
 
 from foldylax import (RegimeParams, ResonanceGuard, ScattererCloud, assemble_bie,
                       bie_farfield, generate_grid_cloud, solve_bie)
-from foldylax import foldy, oracle
+from foldylax import foldy, geometry, oracle
+from foldylax.kernels import fibonacci_sphere
 from foldylax.spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
 from cloud_helpers import WatchedMatrix, make_cloud, make_wave
@@ -261,6 +262,24 @@ class TestFarField:
                               * np.exp(-1j * kappa * ys @ xhat) * vals)
             assert grid.values[i] == pytest.approx(acc, rel=1e-11)
 
+    def test_blocks_bit_identical_to_one_product(self, tilted_wave):
+        """Blocks of directions give the bits of the whole grid's harmonic
+        matrix, a lone last direction included."""
+        cloud = make_cloud([[0, 0, 0], [0.7, -0.2, 0.3], [-0.4, 0.5, 0.1]], 0.08, -1.1 + 0.2j)
+        L = 4
+        sol = solve_bie(assemble_bie(cloud, tilted_wave, L=L))
+        rows = geometry.PAIR_BLOCK // n_coeffs(L)  # directions per block
+        for n_dirs in (2 * rows + rows // 2, 2 * rows + 1, 1):
+            dirs = fibonacci_sphere(n_dirs)
+            Y, ref = harmonic_matrix(L, dirs), np.zeros(n_dirs, dtype=complex)
+            for dens in sol.densities:
+                r = dens.radius
+                weight = oracle._per_degree(4.0 * np.pi * r**2 * (-1j) ** np.arange(L + 1)
+                                            * oracle.spherical_jn(L, tilted_wave.kappa * r), L)
+                ref += (np.exp(-1j * tilted_wave.kappa * dirs @ cloud.centers[dens.sphere])
+                        * (Y @ (weight * dens.coefficients)))
+            assert np.array_equal(bie_farfield(sol, dirs).values, ref), n_dirs
+
     def test_grid_tagged_with_wave(self, wave):
         cloud = make_cloud([[0, 0, 0]], 0.1, -1.0)
         sol = solve_bie(assemble_bie(cloud, wave, L=4, quad_order=12))
@@ -334,6 +353,18 @@ class TestCertifiedSolve:
         d = A.diagonal()
         C = A - np.diag(d)
         assert system.neumann_q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-5, 1e-10])
+    def test_small_kappa_keeps_q_finite(self, kappa):
+        """compare_bie's cloud at small kappa: Coax grows like (kappa d)^-(l+l'+1),
+        so each entry is scaled before it is squared. q matches the dense
+        ||C D^-1||_F and certifies, with no overflow warning."""
+        cloud = grid_spheres(0.04, 0.32, 1)
+        system = assemble_bie(cloud, make_wave(kappa=kappa), L=12)
+        q, _ = neumann_scan(bie_matrix(cloud, make_wave(kappa=kappa), 12))
+        assert system.neumann_q == pytest.approx(q, rel=1e-12)
+        sol = solve_bie(system)
+        assert sol.iterations is not None and sol.iterations <= 10
 
     def test_certified_solve_never_densifies(self, monkeypatch):
         """compare_bie's cloud: GMRES reads A only through products and its diagonal."""
