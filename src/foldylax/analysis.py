@@ -2,9 +2,10 @@
 
 The error metric is the sup norm over a shared direction grid. Rates are
 fitted by least squares on (log a, log error); errors at or below the noise
-floor 1e-11 are excluded from the fit so roundoff plateaus cannot drag the
-slope, and the predicted slope is 3 - s - 2*beta for the general coefficient
-variant or 3 - s - beta for the spherical one.
+floor, 1e-11 of the reference far field's max|U_ref|, are excluded from the
+fit so roundoff plateaus cannot drag the slope, and the predicted slope is
+3 - s - 2*beta for the general coefficient variant or 3 - s - beta for the
+spherical one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_
 from .kernels import fibonacci_sphere
 from .oracle import assemble_bie, bie_farfield, mie_reference, solve_bie
 
-NOISE_FLOOR = 1e-11
+NOISE_FLOOR = 1e-11  # relative to max|U_ref|
 
 
 def farfield_error(grid_a: FarFieldGrid, grid_b: FarFieldGrid) -> float:
@@ -53,26 +54,33 @@ class RateFit:
     n_used: int
 
 
-def fit_rate(a_values, errors, predicted_slope: float) -> RateFit:
-    """Fit log(error) = slope*log(a) + intercept, ignoring noise-floor samples."""
+def fit_rate(a_values, errors, predicted_slope: float, scales=None) -> RateFit:
+    """Fit log(error) = slope*log(a) + intercept by centered sums, ignoring
+    samples at or below NOISE_FLOOR * scale; scales, one per sample, default
+    to 1 (an absolute floor)."""
     a_values = tuple(float(a) for a in a_values)
     errors = tuple(float(e) for e in errors)
     if len(a_values) < 3:
         raise ValueError("rate fit needs at least 3 samples")
-    usable = [(a, e) for a, e in zip(a_values, errors) if e > NOISE_FLOOR]
+    scales = [1.0] * len(errors) if scales is None else [float(s) for s in scales]
+    usable = [(math.log(a), math.log(e))
+              for a, e, scale in zip(a_values, errors, scales) if e > NOISE_FLOOR * scale]
     if len(usable) < 2:
         # everything at the noise floor: report a degenerate flat fit
         return RateFit(a_values=a_values, errors=errors, slope=0.0, intercept=0.0,
                        r_squared=0.0, predicted_slope=predicted_slope, n_used=len(usable))
-    x = np.log([a for a, _ in usable])
-    y = np.log([e for _, e in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return RateFit(a_values=a_values, errors=errors, slope=float(slope),
-                   intercept=float(intercept), r_squared=r2,
+    x_mean = math.fsum(x for x, _ in usable) / len(usable)
+    y_mean = math.fsum(y for _, y in usable) / len(usable)
+    sxx = math.fsum((x - x_mean) ** 2 for x, _ in usable)
+    if sxx == 0:
+        raise ValueError("rate fit needs two distinct radii above the noise floor")
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in usable)
+    syy = math.fsum((y - y_mean) ** 2 for _, y in usable)
+    slope = sxy / sxx
+    ss_res = math.fsum((y - y_mean - slope * (x - x_mean)) ** 2 for x, y in usable)
+    r2 = 1.0 if syy == 0 else 1.0 - ss_res / syy
+    return RateFit(a_values=a_values, errors=errors, slope=slope,
+                   intercept=y_mean - slope * x_mean, r_squared=r2,
                    predicted_slope=predicted_slope, n_used=len(usable))
 
 
@@ -173,7 +181,7 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
         raise ValueError("a_values must be strictly decreasing, length >= 3")
     variant = Variant(variant)
     directions = fibonacci_sphere(settings.n_directions)
-    records = []
+    records, scales = [], []
     for a in a_values:
         regime = dataclasses.replace(template, a=a)
         cloud = generate_grid_cloud(regime, box_side=box_side, jitter=jitter, seed=seed)
@@ -184,8 +192,9 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
                                    error=farfield_error(fl_grid, ref_grid),
                                    residual_fl=fl_sol.residual_inf,
                                    residual_bie=res_bie))
+        scales.append(float(np.max(np.abs(ref_grid.values))))
     fit = fit_rate([r.a for r in records], [r.error for r in records],
-                   predicted_slope(template, variant))
+                   predicted_slope(template, variant), scales)
     return ConvergenceStudy(records=tuple(records), fit=fit, variant=variant,
                             oracle_kind=settings.kind)
 

@@ -291,7 +291,7 @@ def _cmd_sweep(args) -> int:
     if study.fit.n_used < 2:
         raise errors.RateUndetermined(
             f"{study.fit.n_used} of {len(study.records)} far-field errors cleared the "
-            f"noise floor {analysis.NOISE_FLOOR:g}; a rate fit needs 2")
+            f"noise floor, {analysis.NOISE_FLOOR:g} of max|U_ref|; a rate fit needs 2")
     records = [dict(a=r.a, M=r.M, d=r.d, error=r.error, residual_fl=r.residual_fl,
                     residual_bie=r.residual_bie) for r in study.records]
     io.write_study_csv(args.out, records, study.fit, comments)

@@ -59,7 +59,8 @@ class ResonanceGuard(FoldylaxError, ValueError):
 
 
 class SeriesNotConverged(FoldylaxError, ArithmeticError):
-    """Truncated series failed its tail-magnitude convergence check."""
+    """Truncated series failed its tail-magnitude convergence check, or its
+    terms overflow."""
 
 
 class RateUndetermined(FoldylaxError, ArithmeticError):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,6 +422,66 @@ def layer_count(n: int) -> int:
     return 24 * n * n + 2
 
 
+# numpy's SeedSequence (pool of 4 words) and PCG64 (XSL-RR 128/64) constants
+_SEED_INIT_A, _SEED_MULT_A, _SEED_INIT_B, _SEED_MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                                          0x58F38DED)
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_state(seed: int):
+    """(state, increment) of numpy.random.PCG64(SeedSequence(seed)), in integers."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> 32 * k & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (_SEED_MIX_L * x - _SEED_MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    hashmix = hasher(_SEED_INIT_A, _SEED_MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word in entropy[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(word))
+    hashmix = hasher(_SEED_INIT_B, _SEED_MULT_B)  # generate_state(4, uint64)
+    words = [hashmix(pool[i % 4]) for i in range(8)]
+    u64 = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+    inc = (initseq << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _uniform_jitter(seed: int, count: int) -> np.ndarray:
+    """numpy.random.default_rng(seed).uniform(-1, 1, count), bit for bit, from
+    the PCG64 stream: each draw steps the state, takes the XSL-RR output x and
+    maps it to -1 + 2 ((x >> 11) 2^-53)."""
+    state, inc = _pcg64_state(seed)
+
+    def draws(state=state):
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            word, turn = (state >> 64 ^ state) & _MASK64, state >> 122
+            yield -1.0 + 2.0 * (((word >> turn | word << 64 - turn) & _MASK64) >> 11) * 2.0**-53
+
+    return np.fromiter(draws(), dtype=float, count=count)
+
+
 def generate_grid_cloud(regime: RegimeParams, box_side: float,
                         jitter: float = 0.0, seed: int = 0) -> ScattererCloud:
     """Deterministically place M = floor(M_max * a^(-s)) spheres on a cubic lattice.
@@ -428,8 +489,11 @@ def generate_grid_cloud(regime: RegimeParams, box_side: float,
     The lattice pitch is a + (1+jitter)*d_min*a^t, so adjacent spheres of
     diameter a sit at surface distance (1+jitter)*d_min*a^t before jitter and
     never closer than d_min*a^t after it: each center is displaced by at most
-    jitter*d_nominal/2 (d_nominal = d_min*a^t), uniformly per axis, via
-    numpy's seeded PCG64 generator (bitwise deterministic for a given seed).
+    jitter*d_nominal/2 (d_nominal = d_min*a^t), uniformly per axis, by the
+    package's own PCG64 stream, _uniform_jitter: bit for bit
+    numpy.random.default_rng(seed).uniform(-1, 1, (M, 3)), which
+    tests/test_geometry.py::TestOwnedJitterStream pins, without loading
+    numpy.random. A negative seed raises ValueError.
     Cells fill in lexicographic index order and the occupied block is centered
     at the origin; a single scatterer lands exactly at the origin.
 
@@ -459,9 +523,8 @@ def generate_grid_cloud(regime: RegimeParams, box_side: float,
         raise CapacityExceeded(
             f"cloud extent {extent.max():g} exceeds box_side {box_side:g}")
     if jitter > 0:
-        rng = np.random.default_rng(seed)
-        disp = rng.uniform(-1.0, 1.0, size=(M, 3)) * (jitter * d_nom / (2.0 * math.sqrt(3.0)))
-        centers = centers + disp
+        disp = _uniform_jitter(seed, 3 * M).reshape(M, 3)
+        centers = centers + disp * (jitter * d_nom / (2.0 * math.sqrt(3.0)))
     radii = np.full(M, a / 2.0)
     impedances = np.full(M, regime.impedance, dtype=complex)
     return ScattererCloud(centers=centers, radii=radii, impedances=impedances, regime=regime)

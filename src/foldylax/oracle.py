@@ -51,12 +51,21 @@ GMRES right-preconditioned by D^-1 solves where 1 - q > PIVOT_REL_TOL. A
 larger q, or GMRES at its iteration cap, falls back to the checked LU, the
 only step that makes a dense copy of A. The special functions come from
 spherical, so assembly and a certified solve load no scipy.
+
+A product with A runs over blocks of pairs in one layout, (l, m, column,
+pair) with pairs innermost and orders interleaved 0, 1, -1, 2, -2, ...: Delta
+degree by degree as a real GEMM on its (2l+1)^2 block, the phases row by
+row, and Coax entry by entry over all pairs of the block. The pairs are
+ordered by their gap j - m, so gathering the sources and scattering the sums
+are slices over spheres. The work buffers of one block and two per-sphere
+buffers are allocated with the operator; a product allocates O(N).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,21 +75,35 @@ from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
 from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_block_pass,
                        row_blocks)
-from .spherical import (harmonic_matrix, legendre_p, n_coeffs, sphere_quadrature,
-                        spherical_jn, spherical_yn, unit_angles)
+from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
+                        sphere_quadrature, spherical_jn, spherical_yn, unit_angles)
 
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
 DEFAULT_QUAD_ORDER = 24
 SERIES_TAIL_TOL = 1e-12
+UFUNC_BUFSIZE = 64  # numpy's ufunc buffer, in elements, during a BIE product
 # interior-resonance guard: diameter * kappa below (4 pi / 3)^(1/3) * pi,
 # which keeps kappa*r safely under the first Dirichlet sphere resonance pi
 RESONANCE_DIAMETER_LIMIT = (4.0 * math.pi / 3.0) ** (1.0 / 3.0) * math.pi
 
 
 def _hankel(L: int, z, derivative: bool = False) -> np.ndarray:
-    """h_l = j_l + i y_l (or h_l'), l = 0..L, on the trailing axis."""
-    return spherical_jn(L, z, derivative) + 1j * spherical_yn(L, z, derivative)
+    """h_l = j_l + i y_l (or h_l'), l = 0..L, on the trailing axis.
+
+    Raises SeriesNotConverged where y_l overflows: it grows like
+    (2l-1)!!/z^(l+1) as z -> 0, so a small enough kappa has no finite h_l."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = spherical_yn(L, z, derivative)
+    if not np.all(np.isfinite(y)):
+        raise _overflow(L, z)
+    return spherical_jn(L, z, derivative) + 1j * y
+
+
+def _overflow(L: int, z) -> SeriesNotConverged:
+    return SeriesNotConverged(f"spherical_yn overflows by degree {L} at kappa times a radius "
+                              f"or a distance = {float(np.min(z)):.3g}: kappa is too small "
+                              "for the boundary-integral oracle")
 
 
 @dataclass(frozen=True)
@@ -152,17 +175,17 @@ def _coaxial_table(L: int):
 
     Translation along +z couples equal orders only (Y_n^nu(zhat) = 0 for
     nu != 0), and order -m repeats order m (Y_l^-m = (-1)^m conj(Y_l^m)). So a
-    coaxial block is its E entries (l, l', m), 0 <= m <= min(l, l'), in that
-    order: Coax_{lm,l'm} = 4 pi sum_n i^(l+n-l') h_n Y_n^0(zhat) G, with
+    coaxial block is its E entries (l, l', m), 0 <= m <= min(l, l'), ordered
+    by m, then l', then l, so that the entries l = m..L of one (m, l') are
+    adjacent: Coax_{lm,l'm} = 4 pi sum_n i^(l+n-l') h_n Y_n^0(zhat) G, with
     G = int Y_l'm conj(Y_lm) Y_n^0 dS by Gauss-Legendre of order 2L+1, exact.
     Entries the selection rules forbid are exact zeros: roundoff in them times
     h_{2L} ~ (kappa d)^-(2L+1) would swamp the block. Returns read-only (table
-    (2L+1, E), index (L+1)^3 from (|m|, l, l') to the entry, E where
-    |m| > min(l, l'), and the (l, l', m) of each entry, (3, E)).
+    (2L+1, E), and the (l, l', m) of each entry, (3, E)).
     """
     g = np.arange(L + 1)
-    l, lp, m = np.nonzero(g <= np.minimum.outer(g, g)[:, :, None])
-    x, w = np.polynomial.legendre.leggauss(2 * L + 1)
+    m, lp, l = np.nonzero(g[:, None, None] <= np.minimum.outer(g, g))
+    x, w = gauss_legendre(2 * L + 1)
     polar = np.zeros((len(x), 3))
     polar[:, 0], polar[:, 2] = np.sqrt(1.0 - x**2), x
     Y = harmonic_matrix(L, polar).real  # Y_l^m(theta, 0), real
@@ -173,55 +196,101 @@ def _coaxial_table(L: int):
     allowed = (power % 2 == 0) & (np.abs(l - lp)[:, None] <= n) & (n <= (l + lp)[:, None])
     sign = np.where(power % 4 == 0, 2.0 * np.pi, -2.0 * np.pi)
     table = np.ascontiguousarray(np.where(allowed, sign * (2 * n + 1) * gaunt, 0.0).T)
-    index = np.full((L + 1, L + 1, L + 1), len(l))
-    index[m, l, lp] = np.arange(len(l))
     entries = np.stack([l, lp, m])
-    for arr in (table, index, entries):
+    for arr in (table, entries):
         arr.setflags(write=False)
-    return table, index, entries
+    return table, entries
+
+
+def _interleaved_orders(L: int) -> np.ndarray:
+    """The orders 0, 1, -1, 2, -2, ..., L, -L of the operator's m axis: degree
+    l holds the first 2l + 1, and orders m and -m sit side by side."""
+    m = np.arange(1, L + 1)
+    return np.concatenate([[0], np.stack([m, -m], axis=1).reshape(-1)])
 
 
 def _admitted_bytes(M: int, L: int):
     """(operator, workspace) bytes, as assemble_bie admits them: per sphere
-    pair E = (L+1)(L+2)(2L+3)/6 coaxial entries, a pad and two phase rows, and
-    per unknown D, t, o and the right-hand side; then the Gaunt table with its
-    quadrature, Delta, and eight complex arrays of a block of pairs, (L+1)^3
-    entries (a padded coaxial block) per pair."""
+    pair E = (L+1)(L+2)(2L+3)/6 coaxial entries, its two sphere indices and
+    two phase rows, and per unknown D, t, o and the right-hand side; then the
+    Gaunt table with its quadrature, Delta, and eight complex arrays of a
+    block of pairs, (L+1)^3 entries per pair. Those hold assembly's
+    temporaries and the product's buffers (_buffers): 8(L+1)^2 entries per
+    pair of a block, and 2(L+1)(2L+1) per sphere."""
     E, pairs, width = (L + 1) * (L + 2) * (2 * L + 3) // 6, M * (M - 1) // 2, (L + 1) ** 3
     return (16 * pairs * (E + 1 + 2 * (2 * L + 1)) + 64 * M * n_coeffs(L),
             48 * (2 * L + 1) * E + 24 * (L + 1) * (2 * L + 3) ** 2
             + 128 * min(pairs * width, max(PAIR_BLOCK, width)))
 
 
+def _buffers(L: int, columns: int, pairs: int, work: np.ndarray | None = None):
+    """The work arrays of one block of pairs, views of one flat array of
+    4(L+1)^2 columns pairs entries (work, else new zeros): S and T,
+    (L + 1, 2L + 1, columns, pairs), and tmp, (L + 1, 2, columns, pairs)."""
+    K, size = 2 * L + 1, (L + 1) * columns * pairs
+    if work is None:
+        work = np.zeros((2 * K + 2) * size, dtype=complex)
+    return (work[:K * size].reshape(L + 1, K, columns, pairs),
+            work[K * size:2 * K * size].reshape(L + 1, K, columns, pairs),
+            work[2 * K * size:(2 * K + 2) * size].reshape(L + 1, 2, columns, pairs))
+
+
+def _gemm(delta: np.ndarray, a: np.ndarray, out: np.ndarray):
+    """out = delta @ a over the leading axis of complex a, as one real GEMM."""
+    k = len(delta)
+    np.matmul(delta, a.reshape(k, -1).view(float), out=out.reshape(k, -1).view(float))
+
+
+def _times_conj(a: np.ndarray, phase: np.ndarray):
+    """a[1:] *= conj(phase[1:]) for phases e^{ik alpha} on the interleaved m
+    axis: conj of order k is order -k, the neighbour, so it is a view."""
+    half = (len(a) - 1) // 2
+    if half:
+        pairs = a[1:].reshape(half, 2, *a.shape[1:])
+        pairs *= phase[1:len(a)].reshape(half, 2, 1, -1)[:, ::-1]
+
+
 class _BieOperator:
     """The N x N matrix A of M spheres, N = M nc, applied without storing it.
 
-    Pair m < j keeps its coaxial block and the phases e^{ik(phi + pi/2)} and
-    e^{-ik theta}, k = -L..L, of d = z_m - z_j. U = diag(i^-m) Delta^T
-    diag(e^{-ik theta}) Delta diag(i^m e^{im phi}) rotates d to the z-axis,
-    and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m) commutes with Coax and
-    drops out. The factors t, o, P of the blocks depend on l only and are
-    applied per sphere. A product takes a block of pairs at a time in the
-    padded layout (l, m + L, column, pair): real GEMMs with the shared Delta,
-    the phases, and one batched matmul of the coaxial blocks over (pair, |m|).
+    Pair (m, j), m < j, keeps its coaxial block, the phases e^{ik(phi + pi/2)}
+    and e^{-ik theta}, k = -L..L, of d = z_m - z_j, and its two sphere
+    indices. U = diag(i^-m) Delta^T diag(e^{-ik theta}) Delta diag(i^m e^{im phi})
+    rotates d to the z-axis, and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m)
+    commutes with Coax and drops out. The factors t, o, P of the blocks depend
+    on l only and are applied per sphere.
+
+    The product's layout is (l, m, column, pair), m in _interleaved_orders
+    (see the module docstring). Coax multiplies, for each (|m|, l'), the rows
+    (l, +-m), l >= |m|, by its entries l = |m|..L. Column 0 of a pair takes
+    o_j x_j to row m, column 1 P o_m x_m to row j. Within a gap j - m the
+    sources and the targets of a run of pairs are consecutive spheres. The
+    work buffers live in the operator, so two products of one operator must
+    not run at the same time.
     """
 
     def __init__(self, centers: np.ndarray, kappa: float, L: int, diagonal: np.ndarray,
                  trace: np.ndarray, outgoing: np.ndarray):
         """diagonal, trace and outgoing are per sphere and degree, (M, L + 1)."""
-        M, nc = len(centers), n_coeffs(L)
-        table, self._index, (el, elp, em) = _coaxial_table(L)
-        self._delta = _rotation_factor(L)
+        M, nc, K = len(centers), n_coeffs(L), 2 * L + 1
+        table, (el, elp, em) = _coaxial_table(L)
+        orders = _interleaved_orders(L)
+        delta = _rotation_factor(L)
+        self._delta = [delta[l][np.ix_(L + orders[:2 * l + 1], L + orders[:2 * l + 1])]
+                       for l in range(L + 1)]
         self.L, self.shape, self.dtype = L, (M * nc, M * nc), np.dtype(complex)
         self._diagonal = _per_degree(diagonal, L).reshape(-1)
         self._trace, self._outgoing = _per_degree(trace, L), _per_degree(outgoing, L)
-        self._parity = _per_degree((-1.0) ** np.arange(L + 1), L)
-        self._l = _per_degree(np.arange(L + 1), L)
-        self._k = np.arange(nc) - self._l * (self._l + 1) + L  # m + L
-        self._pairs = first, second = np.triu_indices(M, 1)
+        ls, ms = _degrees_orders(L)
+        self._rows = (ls, 2 * np.abs(ms) - (ms > 0))  # (l, m) -> (l, position of m)
+        counts = np.arange(M - 1, 0, -1)  # pairs of gap j - m = 1..M-1
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        first = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+        second = first + np.repeat(np.arange(1, M), counts)
+        self._pairs = first, second
         E = table.shape[1]
-        self._coax = np.zeros((len(first), E + 1), dtype=complex)  # column E: the pad
-        self._phases = np.empty((2, 2 * L + 1, len(first)), dtype=complex)
+        self._coax = np.empty((E, len(first)), dtype=complex)
+        self._phases = np.empty((2, K, len(first)), dtype=complex)
         # ||C D^-1||_F^2 sums |t_m,l Coax_{lm',l'm'} o_j,l' / D_j,l'|^2 over both blocks
         # of each pair, orders -m' and m' alike, each entry scaled before it is
         # squared: at small kappa d Coax grows like (kappa d)^-(l+l'+1)
@@ -229,91 +298,127 @@ class _BieOperator:
         t = np.abs(trace)[:, el]
         v = np.abs(outgoing / diagonal)[:, elp] if nonsingular else np.zeros_like(t)
         weight = np.where(em > 0, 2.0, 1.0)
-        k, q2 = np.arange(-L, L + 1), 0.0
+        q2 = 0.0
         for p0, p1 in row_blocks(len(first), width=E + 1):
             m, j = first[p0:p1], second[p0:p1]
             d = centers[m] - centers[j]
             dist = np.linalg.norm(d, axis=1)
-            self._coax[p0:p1, :E] = coax = _hankel(2 * L, kappa * dist) @ table
+            coax = _hankel(2 * L, kappa * dist) @ table
+            if not np.all(np.isfinite(coax)):  # a finite h_2L times the table may not be
+                raise _overflow(2 * L, kappa * dist)
+            self._coax[:, p0:p1] = coax.T
             theta, phi = unit_angles(d / dist[:, None])
-            self._phases[0, :, p0:p1] = np.exp(1j * np.outer(k, phi + 0.5 * np.pi))
-            self._phases[1, :, p0:p1] = np.exp(-1j * np.outer(k, theta))
+            self._phases[0, :, p0:p1] = np.exp(1j * np.outer(orders, phi + 0.5 * np.pi))
+            self._phases[1, :, p0:p1] = np.exp(-1j * np.outer(orders, theta))
             c = np.abs(coax)
             for row, col in ((m, j), (j, m)):
                 x = c * t[row] * v[col]
                 q2 += float(np.einsum("pe,pe,e->", x, x, weight))
         self.neumann_q = math.sqrt(q2) if nonsingular else math.inf
-        self._blocks = []
+        # each block's runs of one gap: slices of its pairs, of spheres m and of spheres j
+        self._blocks, offsets = [], offsets.tolist()
         for p0, p1 in row_blocks(len(first), width=(L + 1) ** 3):
-            # column 0 of a pair takes o_j x_j to row m, column 1 P o_m x_m to row j
-            target = np.concatenate([first[p0:p1], M + second[p0:p1]])
-            put = np.argsort(target, kind="stable")
-            slots, starts = np.unique(target[put], return_index=True)
-            take = np.concatenate([second[p0:p1], M + first[p0:p1]])
-            self._blocks.append((p0, p1, take, put, starts, slots))
-        for arr in (self._diagonal, self._trace, self._outgoing, self._coax, self._phases):
+            runs = []
+            for gap in range(bisect_right(offsets, p0), bisect_right(offsets, p1 - 1) + 1):
+                lo, hi = max(p0, offsets[gap - 1]), min(p1, offsets[gap])
+                m0 = lo - offsets[gap - 1]
+                runs.append((slice(lo - p0, hi - p0), slice(m0, m0 + hi - lo),
+                             slice(m0 + gap, m0 + gap + hi - lo)))
+            self._blocks.append((p0, p1, runs))
+        width = max((p1 - p0 for p0, p1, _ in self._blocks), default=0)
+        self._work = np.zeros(4 * (L + 1) ** 2 * 2 * width, dtype=complex)  # see _buffers
+        self._spheres = np.zeros((2, L + 1, K, M), dtype=complex)  # sources, then sums
+        for arr in (self._diagonal, self._trace, self._outgoing, self._coax, self._phases,
+                    first, second):
             arr.setflags(write=False)
 
     @property
-    def nbytes(self) -> int:  # the coaxial blocks, the phases and the diagonal
-        return self._coax.nbytes + self._phases.nbytes + self._diagonal.nbytes
+    def nbytes(self) -> int:  # the coaxial blocks, the phases, the pairs and the diagonal
+        return (self._coax.nbytes + self._phases.nbytes + self._pairs[0].nbytes
+                + self._pairs[1].nbytes + self._diagonal.nbytes)
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
 
-    def _rotate(self, S: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """Delta^T diag(phase) Delta S, each degree a real GEMM with the shared Delta."""
-        n, K = S.shape[:2]
-        S = np.matmul(self._delta, S.reshape(n, K, -1).view(float)).view(complex).reshape(S.shape)
-        S *= phase
-        return np.matmul(self._delta.transpose(0, 2, 1), S.reshape(n, K, -1).view(float)).view(
-            complex).reshape(S.shape)
-
-    def _translate(self, S: np.ndarray, p0: int, p1: int) -> np.ndarray:
-        """(S|R) of the pairs p0:p1 applied to S, (L + 1, 2L + 1, columns, p1 - p0)."""
-        L, (n, K, c, B) = self.L, S.shape
-        zphase, tphase = self._phases[:, :, None, p0:p1]
-        S = self._rotate(np.multiply(S, zphase, order="C"), tphase)  # S may be a broadcast view
-        # Coax over (pair, |m|), the columns of orders m and -m side by side
-        V = np.empty((B, L + 1, n, 2, c), dtype=complex)
-        V[..., 0, :] = S[:, L:].transpose(3, 1, 0, 2)
-        V[..., 1, :] = S[:, L::-1].transpose(3, 1, 0, 2)
-        V = np.matmul(self._coax[p0:p1].take(self._index, axis=1),
-                      V.reshape(B, L + 1, n, 2 * c)).reshape(V.shape)
-        S = np.empty(S.shape, dtype=complex)
-        S[:, L:] = V[..., 0, :].transpose(2, 1, 3, 0)
-        S[:, L::-1] = V[..., 1, :].transpose(2, 1, 3, 0)
-        S = self._rotate(S, tphase.conj())
-        S *= zphase.conj()
-        return S
+    def _translate(self, S: np.ndarray, T: np.ndarray, tmp: np.ndarray, p0: int, p1: int):
+        """T = (S|R) S for the pairs p0:p1; S and T are (L + 1, 2L + 1, columns,
+        p1 - p0) in the interleaved layout, S is overwritten, and tmp is
+        (L + 1, 2, columns, p1 - p0) scratch. Order 0 has phase 1 and is not
+        multiplied."""
+        zphase, tphase = self._phases[:, :, p0:p1]
+        for l, delta in enumerate(self._delta):
+            k = 2 * l + 1
+            s, t = S[l, :k], T[l, :k]
+            s[1:] *= zphase[1:k, None]
+            _gemm(delta, s, t)
+            t[1:] *= tphase[1:k, None]
+            _gemm(delta.T, t, s)
+        coax, e, L = self._coax[:, p0:p1], 0, self.L
+        for m in range(L + 1):
+            orders, n = slice(max(2 * m - 1, 0), 2 * m + 1), L + 1 - m
+            out = T[m:, orders]
+            part = tmp[:n, :out.shape[1]]
+            for lp in range(m, L + 1):
+                entries = coax[e:e + n, None, None]
+                if lp == m:
+                    np.multiply(entries, S[lp, orders], out=out)
+                else:
+                    np.multiply(entries, S[lp, orders], out=part)
+                    out += part
+                e += n
+        for l, delta in enumerate(self._delta):
+            s, t = S[l, :2 * l + 1], T[l, :2 * l + 1]
+            _gemm(delta, t, s)
+            _times_conj(s, tphase)
+            _gemm(delta.T, s, t)
+            _times_conj(t, zphase)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # numpy buffers a ufunc whose contiguous core is shorter than its buffer
+        # size, up to that many elements per operand and call; the cores here are
+        # one block's pairs, so a small buffer keeps the product allocation-free
+        bufsize = np.setbufsize(UFUNC_BUFSIZE)
+        try:
+            return self._product(x)
+        finally:
+            np.setbufsize(bufsize)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
         M, nc = self._trace.shape
-        L, K = self.L, 2 * self.L + 1
         x = x.reshape(M, nc)
-        u = self._outgoing * x
-        src = np.zeros((L + 1, K, 2 * M), dtype=complex)  # o x, then P o x
-        src[self._l, self._k] = np.concatenate([u, self._parity * u]).T
-        acc = np.zeros_like(src)  # rows from o x, then rows from P o x
-        for p0, p1, take, put, starts, slots in self._blocks:
-            out = self._translate(src[:, :, take].reshape(L + 1, K, 2, p1 - p0), p0, p1)
-            acc[:, :, slots] += np.add.reduceat(out.reshape(L + 1, K, -1)[:, :, put], starts,
-                                                axis=2)
-        acc = acc[self._l, self._k]
-        y = self._trace * (acc[:, :M] + self._parity[:, None] * acc[:, M:]).T
-        return self._diagonal * x.reshape(-1) + y.reshape(-1)
+        src, acc = self._spheres
+        src[self._rows] = (self._outgoing * x).T
+        acc[...] = 0.0
+        for p0, p1, runs in self._blocks:
+            S, T, tmp = _buffers(self.L, 2, p1 - p0, self._work)
+            for pairs, first, second in runs:
+                S[:, :, 0, pairs] = src[:, :, second]
+                S[:, :, 1, pairs] = src[:, :, first]
+            np.negative(S[1::2, :, 1], out=S[1::2, :, 1])  # P o_m x_m
+            self._translate(S, T, tmp, p0, p1)
+            np.negative(T[1::2, :, 1], out=T[1::2, :, 1])
+            for pairs, first, second in runs:
+                acc[:, :, first] += T[:, :, 0, pairs]
+                acc[:, :, second] += T[:, :, 1, pairs]
+        y = self._diagonal * x.reshape(-1)
+        summed = acc[self._rows].T
+        summed *= self._trace
+        y.reshape(M, nc)[...] += summed
+        return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         M, nc = self._trace.shape
-        L, K = self.L, 2 * self.L + 1
-        t, o, P = self._trace, self._outgoing, self._parity
+        L = self.L
+        t, o = self._trace, self._outgoing
+        P = _per_degree((-1.0) ** np.arange(L + 1), L)
         A = np.zeros((M, nc, M, nc), dtype=complex)
-        unit = np.zeros((L + 1, K, nc, 1))
-        unit[self._l, self._k, np.arange(nc)] = 1.0
-        for p0, p1 in row_blocks(len(self._pairs[0]), width=(L + 1) * K * nc):
-            SR = self._translate(np.broadcast_to(unit, (L + 1, K, nc, p1 - p0)), p0, p1)
-            SR = SR[self._l, self._k].transpose(2, 0, 1)
-            m, j = (index[p0:p1] for index in self._pairs)
+        first, second = self._pairs
+        for p0, p1 in row_blocks(len(first), width=4 * (L + 1) ** 2 * nc):
+            S, T, tmp = _buffers(L, nc, p1 - p0)
+            S[self._rows + (np.arange(nc),)] = 1.0
+            self._translate(S, T, tmp, p0, p1)
+            SR = T[self._rows].transpose(2, 0, 1)
+            m, j = first[p0:p1], second[p0:p1]
             A[m, :, j, :] = t[m, :, None] * SR * o[j, None, :]
             A[j, :, m, :] = (P * t[j])[:, :, None] * SR * (P * o[m])[:, None, :]
         A = A.reshape(self.shape)

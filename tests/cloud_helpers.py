@@ -1,15 +1,19 @@
-"""Builders of the clouds and incident waves the tests share, and a packed
-matrix that fails any dense read.
+"""Builders of the clouds and incident waves the tests share, a packed
+matrix that fails any dense read, and a runner of code in a fresh interpreter.
 
 They live apart from conftest.py, which holds only fixtures: another test
 directory's conftest module of the same name may be loaded first in one
 pytest session, so nothing imports from conftest.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import foldylax
 from foldylax import IncidentWave, ScattererCloud, assemble
 
 THREADS = (1, 2, 3)  # 1 is the serial case; 3 oversubscribes a 2-core host
@@ -62,3 +66,13 @@ class WatchedMatrix:
 
     def __array__(self, *args, **kwargs):
         raise AssertionError("matrix densified")
+
+
+def run_python(code, cwd):
+    """Last line code prints in a fresh interpreter that imports this foldylax."""
+    src = str(Path(foldylax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=cwd, env=env)
+    return out.stdout.splitlines()[-1]

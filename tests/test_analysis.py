@@ -79,6 +79,28 @@ class TestRateFit:
         assert fit.slope == 0.0
         assert fit.r_squared == 0.0
 
+    def test_floor_is_relative_to_the_scales(self):
+        """Errors a^3 under a reference far field of size a^2: all below the
+        absolute floor 1e-11, all above 1e-11 of their scale."""
+        a = [1e-4, 5e-5, 2.5e-5]
+        errs = [x**3 for x in a]
+        assert fit_rate(a, errs, 3.0).n_used == 0
+        fit = fit_rate(a, errs, 3.0, scales=[x**2 for x in a])
+        assert fit.n_used == 3
+        assert fit.slope == pytest.approx(3.0, abs=1e-12)
+
+    def test_matches_least_squares(self):
+        a = [0.3, 0.17, 0.09, 0.04, 0.02]
+        errs = [0.7, 0.2, 0.11, 0.013, 0.004]
+        slope, intercept = np.polyfit(np.log(a), np.log(errs), 1)
+        fit = fit_rate(a, errs, 2.0)
+        assert fit.slope == pytest.approx(slope, rel=1e-13)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-13)
+        residual = np.log(errs) - slope * np.log(a) - intercept
+        spread = np.log(errs) - np.mean(np.log(errs))
+        assert fit.r_squared == pytest.approx(1 - residual @ residual / (spread @ spread),
+                                              rel=1e-13)
+
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             fit_rate([0.2, 0.1], [1.0, 0.5], 1.0)

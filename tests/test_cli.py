@@ -20,7 +20,7 @@ from foldylax.cli import main
 from foldylax.geometry import IncidentWave
 from foldylax.io import load_cloud, read_csv, save_cloud
 
-from cloud_helpers import make_cloud
+from cloud_helpers import make_cloud, run_python
 
 
 def run(args):
@@ -70,6 +70,30 @@ class TestExitCodes:
 
     def test_bad_regime_is_2(self, tmp_path):
         assert run(gen_args(tmp_path / "c.json", s=2.5)) == 2
+
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(gen_args(out, extra=["--jitter", 0.3, "--seed", -1])) == 2
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", ["1e-15", "1e-20"])
+    def test_bie_kappa_too_small_is_3(self, tmp_path, capsys, kappa):
+        """compare_bie's cloud: y_l of the translation overflows (y_24 below
+        kappa*d ~ 1e-11, y_12 of the spheres below kappa*r ~ 1e-21). The oracle
+        refuses, naming the overflow, with no RuntimeWarning and no CSV."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.04, s=1.0, lambda0="-1",
+                            extra=["--Mmax", 0.32, "--jitter", 0.3, "--seed", 1])) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                        "--L", 12, "--kappa", kappa, "--out", tmp_path / "x"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: spherical_yn overflows by degree ")
+        assert "kappa is too small for the boundary-integral oracle" in captured.err
+        assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("a, s, m_max, name", [
         ("0.04", "0", "inf", "0 < M_max < inf"),
@@ -621,23 +645,56 @@ class TestSweepCommand:
         assert float(fit[2]) >= 0.99
         assert "slope=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("oracle_kind", ["auto", "fl"])
+    @pytest.mark.parametrize("oracle_kind", ["fl"])
     def test_errors_below_the_noise_floor_are_3(self, tmp_path, capsys, oracle_kind):
-        """Errors of 1.3e-12, 1.6e-13 and 2.0e-14 (mie) or 0 (fl) all sit below
-        the noise floor: no slope can be fitted, so no study CSV and exit 3."""
+        """The fl oracle's errors are exact zeros, below any noise floor: no
+        slope can be fitted, so no study CSV and exit 3."""
         out = tmp_path / "study.csv"
         capsys.readouterr()
         assert run(["sweep", "--a-values", "1e-4,5e-5,2.5e-5", "--s", 0,
                     "--variant", "spherical", "--oracle", oracle_kind, "--out", out]) == 3
         captured = capsys.readouterr()
-        assert captured.err == ("error: 0 of 3 far-field errors cleared the noise floor "
-                                "1e-11; a rate fit needs 2\n")
+        assert captured.err == ("error: 0 of 3 far-field errors cleared the noise floor, "
+                                "1e-11 of max|U_ref|; a rate fit needs 2\n")
         assert captured.out == "" and not out.exists()
+
+    def test_tiny_spheres_clear_the_relative_noise_floor(self, tmp_path, capsys):
+        """Errors of 1.3e-12, 1.6e-13 and 2.0e-14 against the Mie far field of
+        spheres this small are 5e-4 of max|U_ref| or more: the floor is
+        relative, so they fit the predicted slope 3."""
+        out = tmp_path / "study.csv"
+        assert run(["sweep", "--a-values", "1e-4,5e-5,2.5e-5", "--s", 0,
+                    "--variant", "spherical", "--out", out]) == 0
+        _, lines = read_csv(out)
+        assert len(lines) == 6 and lines[4] == "slope,intercept,r2,predicted"
+        assert all(float(line.split(",")[3]) < 1e-11 for line in lines[1:4])
+        assert float(lines[5].split(",")[0]) == pytest.approx(3.0, abs=1e-3)
+        assert "slope=2.9999" in capsys.readouterr().out
 
     def test_quad_order_below_one_is_2(self, tmp_path):
         assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,
                     "--Mmax", 0.2, "--variant", "spherical", "--oracle", "bie",
                     "--L", 4, "--quad-order", 0, "--out", tmp_path / "s.csv"]) == 2
+
+
+def test_subcommands_import_only_numpy(tmp_path):
+    """generate, solve, compare --oracle bie and sweep, each on tiny input,
+    load no numpy.random, numpy.polynomial or scipy: the jitter stream, the
+    Gauss-Legendre nodes and the rate fit are the package's own, and scipy
+    loads for the LU fallback alone, which none of these runs takes. In a
+    subprocess: pytest and Hypothesis import numpy.random themselves."""
+    runs = ["generate --a 0.1 --s 1 --Mmax 0.5 --jitter 0.3 --seed 3 --out c.json",
+            "solve c.json --check-invertibility --out x",
+            "compare c.json --variant spherical --oracle bie --L 6 --directions 16 --out y",
+            "sweep --a-values 0.04,0.02,0.01 --s 1 --Mmax 0.2 --jitter 0.3 --variant "
+            "spherical --oracle bie --L 4 --directions 16 --out s.csv"]
+    code = ("import sys; from foldylax.cli import main; loaded = []\n"
+            f"for args in {runs!r}:\n"
+            "    assert main(args.split()) == 0, args\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                         or m.startswith(('numpy.random', 'numpy.polynomial'))))\n"
+            "print(loaded)")
+    assert run_python(code, tmp_path) == "[[], [], [], []]"
 
 
 class TestDeterminism:

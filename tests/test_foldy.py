@@ -1,17 +1,12 @@
 import cmath
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import foldylax
 from foldylax import (FarFieldGrid, MissingRegime,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       SingularSystem, SphericalPole, ZeroImpedance, assemble,
@@ -20,7 +15,7 @@ from foldylax import (FarFieldGrid, MissingRegime,
 from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
-from cloud_helpers import make_cloud, make_wave
+from cloud_helpers import make_cloud, make_wave, run_python
 from dense_reference import scan, with_matrix
 
 
@@ -399,16 +394,6 @@ def test_cos_and_sin_are_the_parts_of_exp(lo, hi):
     e = np.exp(1j * x)
     assert np.cos(x).tobytes() == e.real.tobytes()
     assert np.sin(x).tobytes() == e.imag.tobytes()
-
-
-def run_python(code, cwd):
-    """Last line code prints in a fresh interpreter that imports this foldylax."""
-    src = str(Path(foldylax.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=cwd, env=env)
-    return out.stdout.splitlines()[-1]
 
 
 def test_solver_imports_no_scipy_sparse(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from foldylax import (CapacityExceeded, IncidentWave, OverlappingSpheres,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       cloud_stats, generate_grid_cloud, layer_count)
+from foldylax import geometry
 from foldylax.geometry import CLOUD_BYTES_PER_SPHERE
 
 from cloud_helpers import make_cloud
@@ -248,3 +249,44 @@ def test_generated_cloud_invariants(a, s, seed, jitter):
         assert rg.d_min * a * (1 - 1e-12) <= cloud.d_eff <= rg.d_max * a * (1 + 1e-12)
     # rebuilding with the same data revalidates cleanly
     dataclasses.replace(cloud)
+
+
+EDGE_SEEDS = [2**32 - 1, 2**32, 2**128, 2**200 + 12345, 2**128 + 2**64 + 7]
+
+
+class TestOwnedJitterStream:
+    """generate_grid_cloud draws its jitter from its own PCG64 stream, which
+    must stay numpy.random.default_rng(seed).uniform(-1, 1, (M, 3)) bit for bit:
+    perfbench/references.json pins the clouds of 100 seeds."""
+
+    @staticmethod
+    def assert_bitwise(seed, M):
+        ref = np.random.default_rng(seed).uniform(-1.0, 1.0, (M, 3))
+        got = geometry._uniform_jitter(seed, 3 * M).reshape(M, 3)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (seed, M)
+
+    @pytest.mark.parametrize("seed", list(range(100)) + EDGE_SEEDS)
+    def test_matches_numpy_default_rng(self, seed):
+        for M in (1, 7):
+            self.assert_bitwise(seed, M)
+
+    @pytest.mark.parametrize("M", [2500, 10**4])
+    def test_matches_numpy_for_large_clouds(self, M):
+        for seed in (0, 1, 2**128):
+            self.assert_bitwise(seed, M)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_workload_clouds_unchanged(self, seed):
+        """The jittered clouds of the benchmark workloads, against numpy's stream."""
+        regimes = [RegimeParams(a=0.02, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)]
+        regimes += [RegimeParams(a=a, s=1.0, t=1.0, beta=0.0, M_max=m_max, lambda0=-1.0)
+                    for a, m_max in ((0.04, 0.32), (0.04, 0.2), (0.02, 0.2), (0.01, 0.2))]
+        for rg in regimes:
+            cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=seed)
+            n = math.ceil(rg.M ** (1 / 3) - 1e-9)
+            idx = np.column_stack(np.unravel_index(np.arange(rg.M), (n, n, n))).astype(float)
+            d_nom = rg.d_min * rg.a**rg.t
+            lattice = (idx - (idx.min(axis=0) + idx.max(axis=0)) / 2.0) * (rg.a + 1.3 * d_nom)
+            disp = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rg.M, 3))
+            ref = lattice + disp * (0.3 * d_nom / (2.0 * math.sqrt(3.0)))
+            assert np.array_equal(cloud.centers, ref)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
@@ -428,6 +428,24 @@ class TestPackedStore:
         q, _ = neumann_scan(A)
         assert system.neumann_q == pytest.approx(q, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("a, m_max, L", [(0.01, 0.2, 6), (0.04, 0.32, 12)])
+    def test_product_allocates_order_n(self, a, m_max, L):
+        """sweep_rate's M = 20 at L = 6 and compare_bie's cloud: a product
+        allocates at most 8 vectors of length N, since its work buffers come
+        with the operator, and it leaves numpy's ufunc buffer size as it was."""
+        A = assemble_bie(grid_spheres(a, m_max, 1), make_wave(), L=L).matrix
+        x = np.exp(0.37j * np.arange(A.shape[0]))
+        A @ x  # first-use allocations land outside the window
+        bufsize = np.getbufsize()
+        tracemalloc.start()
+        try:
+            A @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * A.shape[0]
+        assert np.getbufsize() == bufsize
+
     def test_solve_allocates_order_n_beyond_the_store(self):
         """compare_bie's cloud: the certified solve holds GMRES's Krylov basis
         of GMRES_RESTART + 1 vectors of length N, at most 24 more, and the
@@ -490,6 +508,8 @@ directions = st.one_of(
 @given(dhat=directions, dist=st.floats(0.5, 3.0), kappa=st.floats(0.3, 2.0),
        radii=st.tuples(st.floats(0.05, 0.2), st.floats(0.05, 0.2)),
        L=st.sampled_from([0, 1, 6, 12]))
+@example(dhat=(0.0, 5.960464477539063e-08, 0.75), dist=3.0, kappa=1.0,
+         radii=(0.125, 0.125), L=1)  # a tilt of 8e-8: arccos(z) put theta off by 1e-9
 def test_rotated_coaxial_blocks_match_the_table(dhat, dist, kappa, radii, L):
     """Both scaled blocks t_m (S|R) o_j of a pair against the full Gaunt
     table, per (l, l') sub-block: Coax entries span many decades, so a
