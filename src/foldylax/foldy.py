@@ -77,15 +77,20 @@ with kappa, while |G_i|^T |G_j| <= |F_i| |F_j| <= 1/(4 pi), because
 sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
 take eta = 2 (L+1) u.
 
-Assembly fills each strip in place through geometry.row_block_pass, into
-scratch buffers allocated once per pass. It is bound by sqrt, cos and sin,
-so its strips go to FOLDYLAX_THREADS worker threads; each writes its own
-strip, so B is the same bit for bit whatever the worker count. The pass also
-yields, while each strip is in cache, ||Re B_n||_F from per-row sums over
-j > i that do not depend on the layout, and gamma = min cos(kappa d) before
-scaling; neither depends on the worker count either. A certified solve then
-reads B only through GMRES products and its diagonal; only the LU fallback
-makes a dense copy. farfield evaluates the kernel over blocks of directions.
+Assembly fills each strip in place through geometry.row_block_pass, by row
+sub-blocks of about FILL_BLOCK entries: the distances, kappa d, cos and sin,
+-1/(4 pi d), the coincidence test and the gamma mask go through two float
+buffers of one sub-block per worker, allocated once per pass, and B's entries
+are written straight into the strip. It is bound by sqrt, cos and sin, so
+its strips go to FOLDYLAX_THREADS worker threads; each writes its own strip,
+so B is the same bit for bit whatever the worker count or the sub-block
+size. The pass also yields, while each sub-block is in cache, ||Re B_n||_F
+from per-row sums over j > i that do not depend on the layout, and
+gamma = min cos(kappa d) before scaling; neither depends on the worker count
+either. A certified solve then reads B only through GMRES products and its
+diagonal, and keeps the GMRES basis conjugated so that no step copies it;
+only the LU fallback makes a dense copy. farfield evaluates the kernel over
+blocks of a few directions, about 256 KiB each.
 """
 
 from __future__ import annotations
@@ -117,6 +122,9 @@ STRIP_ROWS = 64
 FACTOR_TAIL = 2.0**-53
 # bytes per entry of one block of F while it is computed (measured: 50 to 63)
 FACTOR_SCRATCH = 96
+# assembly fills each strip by row sub-blocks of about this many entries, in
+# two float buffers of this size per worker
+FILL_BLOCK = 1 << 15
 
 
 class Variant(str, enum.Enum):
@@ -478,42 +486,51 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
 
-    def fill(i0, i1, dist, tmp):
+    def fill(i0, i1, dist_buf, tmp_buf):
         k, w = i1 - i0, M - i0
-        dist = pair_distances(xyz, i0, i1, block_view(dist, k, w), block_view(tmp, k, w))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < 1e-14:
-            raise CoincidentCenters("two scatterer centers coincide")
-        np.fill_diagonal(dist, 1.0)  # overwritten below; keeps cos, sin and division finite
         S = B.strips[i0]
-        cos = np.multiply(kappa, dist, out=block_view(tmp, k, w))
-        if degree is None:
-            np.sin(cos, out=S.imag)
-        np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
-        # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
-        # it: times the reciprocal of 4 pi d
-        scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
-        np.multiply(cos, scale, out=S.real)
-        if degree is None:
-            np.multiply(S.imag, scale, out=S.imag)
-        # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
-        np.copyto(cos[:, :k], np.inf, where=lower[:k, :k])
-        gamma = float(cos.min())
-        np.fill_diagonal(S, strip_diagonal[i0:i1])
-        # each row's sum of (Re B_ij)^2 over exactly j > i: no strip layout in it
-        rows = min(k, w - 1)  # row M - 1 has no j > i
-        if rows:
-            with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, unsummed
-                square = np.multiply(S.real, S.real, out=block_view(tmp, k, w)).reshape(-1)
-            starts = np.empty(2 * rows - 1, dtype=np.intp)
-            starts[0::2] = np.arange(rows) * (w + 1) + 1
-            starts[1::2] = np.arange(1, rows) * w
-            row_frob2[i0:i0 + rows] = np.add.reduceat(square[:rows * w], starts)[0::2]
+        step = max(1, FILL_BLOCK // w)
+        gamma = math.inf
+        for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
+            r1 = min(r0 + step, k)
+            rows_r = r1 - r0
+            dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, rows_r, w),
+                                  block_view(tmp_buf, rows_r, w))
+            np.fill_diagonal(dist[:, r0:], np.inf)
+            if dist.min() < 1e-14:
+                raise CoincidentCenters("two scatterer centers coincide")
+            np.fill_diagonal(dist[:, r0:], 1.0)  # overwritten below; keeps cos, sin and division finite
+            part = S[r0:r1]
+            cos = np.multiply(kappa, dist, out=block_view(tmp_buf, rows_r, w))
+            if degree is None:
+                np.sin(cos, out=part.imag)
+            np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
+            # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
+            # it: times the reciprocal of 4 pi d
+            scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
+            np.multiply(cos, scale, out=part.real)
+            if degree is None:
+                np.multiply(part.imag, scale, out=part.imag)
+            # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
+            np.copyto(cos[:, :r1], np.inf, where=lower[r0:r1, :r1])
+            gamma = min(gamma, float(cos.min()))
+            np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
+            # each row's sum of (Re B_ij)^2 over exactly j > i: no strip layout in it
+            rows = min(r1, w - 1) - r0  # row M - 1 has no j > i
+            if rows > 0:
+                with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, unsummed
+                    square = np.multiply(part.real, part.real, out=cos).reshape(-1)
+                starts = np.empty(2 * rows - 1, dtype=np.intp)
+                starts[0::2] = np.arange(rows) * (w + 1) + r0 + 1
+                starts[1::2] = np.arange(1, rows) * w
+                row_frob2[i0 + r0:i0 + r0 + rows] = np.add.reduceat(square[:rows * w],
+                                                                    starts)[0::2]
         S.setflags(write=False)
         return gamma
 
-    # each strip writes its own part of B and of row_frob2
-    strips = row_block_pass(fill, M, scratch=(float, float), threaded=True,
+    # each strip writes its own part of B and of row_frob2, a row sub-block at a time
+    scratch = (float, min(B.strips[0].size, max(FILL_BLOCK, M)))  # the largest sub-block
+    strips = row_block_pass(fill, M, scratch=(scratch, scratch), threaded=True,
                             min_rows=STRIP_ROWS)
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     rhs.setflags(write=False)
@@ -586,7 +603,10 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
     m = GMRES_RESTART
     bnorm = float(np.linalg.norm(rhs))
     x, r = np.zeros(len(rhs), dtype=complex), np.array(rhs, dtype=complex)
-    V = np.empty((m + 1, len(rhs)), dtype=complex)
+    # the basis is stored conjugated, W = conj(V), so the projections W w need
+    # no copy; h V is conj(conj(h) W), bit for bit, since a product of exact
+    # conjugates rounds to the exact conjugate
+    W = np.empty((m + 1, len(rhs)), dtype=complex)
     R = np.zeros((m, m), dtype=complex)
     cs, sn = np.zeros(m), np.zeros(m, dtype=complex)
     iterations = 0
@@ -596,14 +616,14 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             return x, r, iterations
         if iterations >= GMRES_MAXITER:
             return None
-        V[0] = r / beta
+        np.conjugate(np.divide(r, beta, out=W[0]), out=W[0])
         g = np.zeros(m + 1, dtype=complex)
         g[0] = beta
         for j in range(m):
-            w = B @ (precond * V[j])
+            w = B @ (precond * W[j].conj())
             iterations += 1
-            h = V[:j + 1].conj() @ w
-            w -= h @ V[:j + 1]
+            h = W[:j + 1] @ w
+            w -= (h.conj() @ W[:j + 1]).conj()
             hn = float(np.linalg.norm(w))
             for i in range(j):
                 h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
@@ -615,12 +635,12 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             g[j], g[j + 1] = cs[j] * g[j], -np.conj(sn[j]) * g[j]
             if abs(g[j + 1]) <= GMRES_TOL * bnorm or hn == 0 or iterations >= GMRES_MAXITER:
                 break
-            V[j + 1] = w / hn
+            np.conjugate(np.divide(w, hn, out=W[j + 1]), out=W[j + 1])
         k = j + 1
         y = np.zeros(k, dtype=complex)
         for i in range(k - 1, -1, -1):  # back substitution on the triangular R
             y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-        x += precond * (y @ V[:k])
+        x += precond * (y.conj() @ W[:k]).conj()
         r = rhs - B @ x
 
 
@@ -689,9 +709,10 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
         K = farfield_kernel(system.wave.kappa, directions[lo:d1, None, :], centers)
         values[d0:d1] = (K @ solution.charges)[d0 - lo:]
 
-    # 3x wider blocks give the same bits, but at M = 2500, 200 directions and 2
-    # cores ran 30 ms, not 20, with a 4.2 MB tracemalloc peak, not 1.4 MB
-    row_block_pass(block, len(directions), width=3 * system.cloud.M)
+    # a block's kernel and exp's temporaries take about 40 bytes per direction
+    # and center: blocks of PAIR_BLOCK / (16 M) directions stay near 256 KiB
+    # (3 directions at M = 2500), and wider blocks give the same bits
+    row_block_pass(block, len(directions), width=16 * system.cloud.M)
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 

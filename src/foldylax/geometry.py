@@ -22,20 +22,21 @@ go in chunks of CELL_PAIRS, so a poor u costs time but never memory.
 
 Every pass over the rows of an M x M matrix goes through row_block_pass:
 the fixed blocks of row_blocks, about PAIR_BLOCK entries each, computed into
-scratch buffers allocated once per pass, so no pass allocates an M x M
-temporary or a new one per block. Passes bound by arithmetic (Foldy-Lax
-assembly) deal those blocks among FOLDYLAX_THREADS worker threads; passes
-bound by memory bandwidth keep one worker. The block layout never depends on
-the worker count, and each block's result is its own, so no pass's result
-does either.
+scratch buffers allocated once per worker and pass, a block's size or a
+smaller one the pass asks for, so no pass allocates an M x M temporary or a
+new one per block. Passes bound by arithmetic (Foldy-Lax assembly) deal those
+blocks among FOLDYLAX_THREADS threading.Thread workers; passes bound by
+memory bandwidth keep one worker. The block layout never depends on the
+worker count, and each block's result is its own, so no pass's result does
+either.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,49 +260,61 @@ def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=
                    min_rows: int = 1):
     """Apply body to row_blocks(n, width, min_rows); return its results in block order.
 
-    body(i0, i1, *bufs) handles rows i0:i1. scratch lists the dtypes of its
-    flat scratch buffers: each worker allocates one of each, rows*width
-    entries long, once per call, and body views a prefix with block_view.
-    A memory-bound pass runs on one worker. A threaded pass, one bound by
-    arithmetic (numpy releases the GIL inside ufunc loops), deals the same
-    blocks round-robin to thread_count() workers; body must not depend on
-    the order in which blocks run, and each block's result is the same for
+    body(i0, i1, *bufs) handles rows i0:i1. scratch lists its flat scratch
+    buffers, each a dtype, rows*width entries long, or a (dtype, entries)
+    pair for a body that works through its block in smaller pieces: each
+    worker allocates one of each once per call, and body views a prefix with
+    block_view. A memory-bound pass runs on one worker. A threaded pass, one
+    bound by arithmetic (numpy releases the GIL inside ufunc loops), deals the
+    same blocks round-robin to thread_count() threads; body must not depend
+    on the order in which blocks run, and each block's result is the same for
     any worker count. An exception raised by body is raised here once every
-    worker has stopped.
+    worker has stopped, the first worker's first.
     """
     width = width or n
     blocks = row_blocks(n, width, min_rows)
     workers = min(thread_count() if threaded else 1, len(blocks))
     size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
+    specs = [spec if isinstance(spec, tuple) else (spec, size) for spec in scratch]
+    results = [None] * len(blocks)
 
     def run(w):
-        bufs = [np.empty(size, dtype) for dtype in scratch]
-        return [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
+        bufs = [np.empty(entries, dtype) for dtype, entries in specs]
+        results[w::workers] = [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
 
     if workers <= 1:
-        results = run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+        run(0)
+        return results
+    errors = [None] * workers
 
-        with ThreadPoolExecutor(workers) as pool:
-            parts = [pool.submit(run, w) for w in range(workers)]
-        results = [None] * len(blocks)
-        for w, part in enumerate(parts):
-            results[w::workers] = part.result()
+    def guarded(w):
+        try:
+            run(w)
+        except BaseException as exc:  # re-raised below, in the caller's thread
+            errors[w] = exc
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results
 
 
-def pair_distances(xyz: np.ndarray, i0: int, i1: int, out: np.ndarray,
+def pair_distances(xyz: np.ndarray, i0: int, i1: int, j0: int, out: np.ndarray,
                    tmp: np.ndarray) -> np.ndarray:
-    """out[k, j - i0] = |z_(i0+k) - z_j| for j >= i0: rows i0:i1 of the upper triangle.
+    """out[k, j - j0] = |z_(i0+k) - z_j| for j >= j0: rows i0:i1 from column j0 on.
 
     xyz is the (3, n) contiguous transpose of the centers; out and tmp are
-    (i1 - i0, n - i0) scratch. The sum is (dx*dx + dy*dy) + dz*dz, in the
+    (i1 - i0, n - j0) scratch. The sum is (dx*dx + dy*dy) + dz*dz, in the
     order of the dense formula, so every distance is symmetric bit for bit.
     """
     for k, c in enumerate(xyz):
         dst = tmp if k else out
-        np.subtract(c[i0:i1, None], c[None, i0:], out=dst)
+        np.subtract(c[i0:i1, None], c[None, j0:], out=dst)
         np.multiply(dst, dst, out=dst)
         if k:
             np.add(out, tmp, out=out)

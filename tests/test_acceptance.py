@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from foldylax import (OracleSettings, RegimeParams, ScattererCloud, assemble,
+from foldylax import (OracleSettings, RegimeParams, assemble,
                       assemble_bie, bie_farfield, convergence_study, farfield,
                       farfield_error, layer_count, mie_reference,
                       optical_theorem_residual, regime_sweep, solve, solve_bie)

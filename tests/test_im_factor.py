@@ -200,16 +200,17 @@ def test_certificate_matches_the_dense_scan():
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """The real strips, F, each worker's two float buffers of a strip's rows
-    by M, the scratch of one block of F (an eighth of its rows, at least
-    STRIP_ROWS) and at most 256 KiB per worker besides."""
+    """The real strips, F, each worker's two float buffers of one row
+    sub-block (FILL_BLOCK entries each), the scratch of one block of F (an
+    eighth of its rows, at least STRIP_ROWS) and at most 256 KiB per worker
+    besides."""
     cloud = compact_cloud()
     wave = wave_at(cloud, 1.0)
     blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         workers = min(threads, len(blocks))
-        scratch = workers * (blocks[0][1] - blocks[0][0]) * M * (8 + 8)
+        scratch = workers * 2 * 8 * foldy.FILL_BLOCK
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -220,3 +221,23 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
         K = system.matrix.factor.shape[1]
         block = foldy.FACTOR_SCRATCH * max(foldy.STRIP_ROWS, math.ceil(M / 8)) * K
         assert peak <= system.matrix.nbytes + scratch + block + workers * 2**18, threads
+
+
+def test_certified_solve_peak_is_the_basis_plus_vectors(monkeypatch):
+    """GMRES holds its basis of GMRES_RESTART + 1 vectors, stored conjugated,
+    the Hessenberg factor and at most 11 vectors of M besides: no conjugated
+    (j+1) x M copy of the basis, which reaches 8 vectors in the 8 products here."""
+    monkeypatch.setenv("FOLDYLAX_THREADS", "2")
+    cloud = compact_cloud()
+    system = assemble(cloud, wave_at(cloud, 1.0), "general")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    vector = 16 * M
+    basis = (foldy.GMRES_RESTART + 1) * vector + 16 * foldy.GMRES_RESTART**2
+    assert sol.iterations == 8
+    assert peak <= basis + 11 * vector

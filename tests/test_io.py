@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foldylax import RegimeParams, ScattererCloud, generate_grid_cloud
+from foldylax import RegimeParams, generate_grid_cloud
 from foldylax.io import (dumps_document, fmt, load_cloud, read_csv, save_cloud,
                          write_charges_csv, write_density_csv,
                          write_farfield_csv, write_study_csv, write_text_atomic)

@@ -223,13 +223,14 @@ def test_coincident_centers_in_the_last_block_raise(monkeypatch):
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
     """No per-strip temporaries: the packed B, each worker's scratch (two float
-    buffers of a strip's rows by M) and at most 256 KiB per worker besides."""
+    buffers of one row sub-block, FILL_BLOCK entries each) and at most 256 KiB
+    per worker besides."""
     cloud = mixed_radii_cloud()
     blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         workers = min(threads, len(blocks))
-        scratch = workers * (blocks[0][1] - blocks[0][0]) * M * (8 + 8)
+        scratch = workers * 2 * 8 * foldy.FILL_BLOCK
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -254,7 +255,7 @@ def test_farfield_blocks_bit_identical_to_one_product():
     wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
     rng = np.random.default_rng(4)
     sol = solution_with(cloud, rng.normal(size=M) + 1j * rng.normal(size=M), wave)
-    rows = PAIR_BLOCK // (3 * M)  # directions per block
+    rows = PAIR_BLOCK // (16 * M)  # directions per block
     # a partial last block, and a last block of one direction
     for n_dirs in (2 * rows + rows // 2, 2 * rows + 1, 1):
         xhat = fibonacci_sphere(n_dirs)
@@ -263,7 +264,9 @@ def test_farfield_blocks_bit_identical_to_one_product():
 
 
 def test_farfield_peak_memory_is_blocked():
-    """M = 2500 and 200 directions: under 2 MB, where one (200, M, 3) product is 12 MB."""
+    """M = 2500 and 200 directions: one block of PAIR_BLOCK // (16 M) = 3
+    directions at a time, its kernel and exp's temporaries within 48 bytes per
+    direction and center, where one (200, M, 3) product is 12 MB."""
     rg = RegimeParams(a=0.02, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
     cloud = generate_grid_cloud(rg, box_side=math.inf)
     assert cloud.M == 2500
@@ -276,7 +279,8 @@ def test_farfield_peak_memory_is_blocked():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    rows = PAIR_BLOCK // (16 * cloud.M)
+    assert rows == 3 and peak < rows * cloud.M * 48
 
 
 def test_thread_count_defaults_to_the_cpus_available(monkeypatch):
