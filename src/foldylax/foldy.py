@@ -51,29 +51,35 @@ Scattering, CUP 2006, ch. 3)
 
 makes it -kappa (F F^H)_ij, F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m),
 a factor of rank (L+1)^2 that depends on kappa R, R = max r_m, and not on M.
-The series stops at the least L whose tail
-tau(L) = sum_{l>L} (2l+1) (kappa R)^(2l)/((2l+1)!!)^2 is below
+Each degree's sum over mu is real (Martin, ch. 3): Y_l^-mu =
+(-1)^mu conj(Y_l^mu) pairs the orders mu and -mu into
+2 Re(Y_l^mu(a) conj(Y_l^mu(b))). So F F^H = H H^T with H real, its (L+1)^2
+columns Re F for mu = 0, sqrt 2 Re F for mu > 0 and -sqrt 2 Im F for mu < 0
+(a column's sign cancels in H H^T). The series stops at the least L whose
+tail tau(L) = sum_{l>L} (2l+1) (kappa R)^(2l)/((2l+1)!!)^2 is below
 FACTOR_TAIL = 2^-53, by |j_l(x)| <= x^l/(2l+1)!! (DLMF sections 10.14
-and 10.47) and |P_l| <= 1. When F's 16 M (L+1)^2 bytes are fewer than the
-8 bytes per entry of the strips' imaginary halves, the strips are real and
-hold Re B, and Im B is applied off the diagonal as -kappa G (G^T x), where G
-is F's real view and G G^T = Re(F F^H); otherwise the strips are complex and
-hold B. The choice follows from M and kappa R alone: a cloud of a few
-thousand in a domain of fixed kappa diam takes the factor, a few dozen
-spheres keep the strips. On the factor path B takes about 4 M^2 bytes, not 8 M^2, assembly
-computes cos and no sin, and Re B, the diagonal -1/C_m and the certificate
-below are the same bits as on the strip path.
+and 10.47) and |P_l| <= 1. When 16 M (L+1)^2 bytes, those of a complex F
+and twice H's 8 M (L+1)^2, are fewer than the 8 bytes per entry of the
+strips' imaginary halves, the strips are real and hold Re B, and Im B is
+applied off the diagonal as -kappa H (H^T x); otherwise the strips are
+complex and hold B. The choice follows from M and kappa R alone: a cloud of
+a few thousand in a domain of fixed kappa diam takes the factor, a few
+dozen spheres keep the strips. On the factor path B takes about 4 M^2
+bytes, not 8 M^2, assembly computes cos and no sin, and Re B, the diagonal
+-1/C_m and the certificate below are the same bits as on the strip path.
 
 What the factor path applies differs from Im B by at most, entrywise and to
 first order in the unit roundoff u,
 
-    |Im B^_ij - Im B_ij| <= (kappa/4pi) (tau(L) + 2 eta + (2 (L+1)^2 + 1) u),
+    |Im B^_ij - Im B_ij| <= (kappa/4pi) (tau(L) + 2 eta + ((L+1)^2 + 5) u),
 
-where eta is the relative error of F's entries. Besides the truncation,
-each of the 2 (L+1)^2 terms of a row of G times a row of G rounds
-(Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002,
-ch. 3: |fl(a^T b) - a^T b| <= gamma_n |a|^T |b|), and so does the product
-with kappa, while |G_i|^T |G_j| <= |F_i| |F_j| <= 1/(4 pi), because
+where eta is the relative error of F's entries. Besides the truncation, an
+entry of H carries eta and, for mu != 0, 2 u more from rounding sqrt 2 and
+the product with it, so a product of two entries carries 2 eta + 4 u; each
+of the (L+1)^2 terms of a row of H times a row of H rounds (Higham, Accuracy
+and Stability of Numerical Algorithms, SIAM 2002, ch. 3:
+|fl(a^T b) - a^T b| <= gamma_n |a|^T |b|), and so does the product with
+kappa, while |H_i|^T |H_j| <= |F_i| |F_j| <= 1/(4 pi), because
 sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
 take eta = 2 (L+1) u.
 
@@ -120,7 +126,8 @@ STRIP_ROWS = 64
 # Im B's factor stops at the least degree whose addition-theorem tail, in
 # units of kappa/(4 pi), is below this
 FACTOR_TAIL = 2.0**-53
-# bytes per entry of one block of F while it is computed (measured: 50 to 63)
+# bytes per entry of one block of H while it is computed (measured: 35 to 78
+# for L >= 3; more below, where per-row arrays outweigh a few columns)
 FACTOR_SCRATCH = 96
 # assembly fills each strip by row sub-blocks of about this many entries, in
 # two float buffers of this size per worker
@@ -218,8 +225,8 @@ def _factor_frame(centers: np.ndarray):
 def _factor_degree(centers: np.ndarray, kappa: float, entries: int) -> int | None:
     """The degree L of Im B's factor, None where the strips keep Im B.
 
-    entries is the strips' entry count. The factor's (L+1)^2 complex columns
-    must take fewer bytes than the imaginary halves of the strips,
+    entries is the strips' entry count. (L+1)^2 complex columns, twice H's
+    bytes, must take fewer than the imaginary halves of the strips,
     16 M (L+1)^2 < 8 entries, and L is the least degree whose tail is below
     FACTOR_TAIL at x = kappa R, R = max |z_m - c|.
     """
@@ -230,36 +237,43 @@ def _factor_degree(centers: np.ndarray, kappa: float, entries: int) -> int | Non
 
 
 def _factor_rows(n: int) -> int:
-    """Rows per block while F of n rows is computed: an eighth of n, so that
-    the scratch, FACTOR_SCRATCH bytes per entry of a block, stays near F's own
+    """Rows per block while H of n rows is computed: an eighth of n, so that
+    the scratch, FACTOR_SCRATCH bytes per entry of a block, stays near H's own
     size, and at least STRIP_ROWS, so that small blocks do not cost numpy
     calls by the dozen."""
     return max(STRIP_ROWS, math.ceil(n / 8))
 
 
-def _fill_factor(F: np.ndarray, centers: np.ndarray, kappa: float, L: int):
-    """F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m), x_m = z_m - c, in blocks
-    of _factor_rows rows.
+def _fill_factor(H: np.ndarray, centers: np.ndarray, kappa: float, L: int):
+    """H[m, (l, mu)] = w_mu j_l(kappa r_m) Pbar_l^mu(cos theta_m) h_mu(phi_m),
+    x_m = z_m - c, in blocks of _factor_rows rows: h_mu is cos(mu phi) for
+    mu >= 0 and sin(|mu| phi) for mu < 0, and w_mu is 1 for mu = 0 and sqrt 2
+    otherwise, so that H H^T = Re(F F^H) (see the module docstring).
 
-    The columns run from the highest degree down: the inner products of F's
+    The columns run from the highest degree down: the inner products of H's
     rows then add the small terms first and the l = 0 term, nearly all of
     j_0, last, which keeps their rounding near one ulp of 1/(4 pi).
     """
     rel, r = _factor_frame(centers)
     rho = np.hypot(rel[:, 0], rel[:, 1])
     ls, ms = _degrees_orders(L)
-    rows = _factor_rows(len(F))
-    for i0 in range(0, len(F), rows):
-        i1 = min(i0 + rows, len(F))
+    # each column's place among the L + 1 cosines of m phi, m >= 0, and the L
+    # sines of m phi, m >= 1, that follow them
+    harmonic = np.where(ms >= 0, ms, L - ms)
+    weight = np.where(ms == 0, 1.0, math.sqrt(2.0))
+    rows = _factor_rows(len(H))
+    for i0 in range(0, len(H), rows):
+        i1 = min(i0 + rows, len(H))
         # cos and sin of the polar angle from the components: a center at c
         # takes the pole, where only j_0 is nonzero
         t = np.divide(rel[i0:i1, 2], r[i0:i1], out=np.ones(i1 - i0), where=r[i0:i1] > 0)
         u = np.divide(rho[i0:i1], r[i0:i1], out=np.zeros(i1 - i0), where=r[i0:i1] > 0)
-        radial = _legendre_columns(L, t, u) * spherical_jn(L, kappa * r[i0:i1])[:, ls]
-        # e^{i m phi} from cos and sin of the L + 1 orders m >= 0
+        block = _legendre_columns(L, t, u)
+        block *= spherical_jn(L, kappa * r[i0:i1])[:, ls]
         m_phi = np.arctan2(rel[i0:i1, 1], rel[i0:i1, 0])[:, None] * np.arange(L + 1)
-        F.real[i0:i1] = (radial * np.cos(m_phi)[:, np.abs(ms)])[:, ::-1]
-        F.imag[i0:i1] = (radial * (np.sign(ms) * np.sin(m_phi)[:, np.abs(ms)]))[:, ::-1]
+        block *= np.concatenate([np.cos(m_phi), np.sin(m_phi[:, 1:])], axis=1)[:, harmonic]
+        block *= weight
+        H[i0:i1] = block[:, ::-1]
 
 
 class _PackedSymmetric:
@@ -268,11 +282,11 @@ class _PackedSymmetric:
 
     strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n.
     With factor_degree None the strips are complex and hold B. With a degree
-    L they are real and hold Re B; factor is the n x (L+1)^2 complex F, and
-    off the diagonal Im B = -kappa Re(F F^H), applied through F's real view G,
-    Re(F F^H) = G G^T; diagonal() is the diagonal given. The constructor
-    raises InsufficientMemory if the strips, F and one block of F's scratch
-    do not fit in the memory available, else allocates them uninitialised.
+    L they are real and hold Re B; factor is H, n x (L+1)^2 real harmonics of
+    8 n (L+1)^2 bytes, and off the diagonal Im B = -kappa H H^T;
+    diagonal() is the diagonal given. The constructor raises
+    InsufficientMemory if the strips, H and one block of H's scratch do not
+    fit in the memory available, else allocates them uninitialised.
     """
 
     def __init__(self, diagonal: np.ndarray, factor_degree: int | None = None):
@@ -281,23 +295,25 @@ class _PackedSymmetric:
         dtype = complex if factor_degree is None else float
         K = 0 if factor_degree is None else n_coeffs(factor_degree)
         _require_memory(np.dtype(dtype).itemsize * sum(sizes)
-                        + 16 * n * K + FACTOR_SCRATCH * min(n, _factor_rows(n)) * K,
+                        + 8 * n * K + FACTOR_SCRATCH * min(n, _factor_rows(n)) * K,
                         f"M = {n}", "the matrix")
         self._buf = np.empty(sum(sizes), dtype=dtype)
         self.shape, self.dtype, self.strips = (n, n), np.dtype(complex), {}
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
-        self.factor = None if factor_degree is None else np.empty((n, K), dtype=complex)
+        self.factor = None if factor_degree is None else np.empty((n, K))
         self._diagonal = np.array(diagonal, dtype=complex)
         self._diagonal.setflags(write=False)
 
     def set_factor(self, centers: np.ndarray, kappa: float):
-        """Compute F, and keep what the product needs besides: kappa and
-        kappa (F F^H)_mm, which -kappa F F^H puts on the diagonal."""
+        """Compute H, and keep what the product needs besides: kappa, and
+        i (Im B_mm + kappa (H H^T)_mm), which restores Im B_mm on the diagonal
+        where -kappa H H^T puts -kappa (H H^T)_mm."""
         _fill_factor(self.factor, centers, kappa, math.isqrt(self.factor.shape[1]) - 1)
         self.factor.setflags(write=False)
-        G = self.factor.view(float)
-        self.kappa, self.self_terms = kappa, kappa * np.einsum("ij,ij->i", G, G)
+        H = self.factor
+        self.kappa = kappa
+        self._im_diagonal = 1j * (self._diagonal.imag + kappa * np.einsum("ij,ij->i", H, H))
 
     @property
     def nbytes(self) -> int:
@@ -321,23 +337,24 @@ class _PackedSymmetric:
             i1 = i0 + len(S)
             Y[i0:i1] += S @ X[i0:]
             Y[i1:] += S[:, len(S):].T @ X[i0:i1]
-        G = self.factor.view(float)
         y = Y.view(complex).reshape(-1)
-        y += -1j * self.kappa * (G @ (G.T @ X)).view(complex).reshape(-1)
-        y += 1j * (self._diagonal.imag + self.self_terms) * x
+        H = self.factor
+        z = (H @ (H.T @ X)).view(complex).reshape(-1)  # (H H^T) x
+        y += np.multiply(-1j * self.kappa, z, out=z)
+        y += np.multiply(self._im_diagonal, x, out=z)
         return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         B = np.empty(self.shape, dtype=complex)
-        G = None if self.factor is None else self.factor.view(float)
+        H = self.factor
         for i0, S in self.strips.items():
             k = len(S)
             i1 = i0 + k
-            if G is None:
+            if H is None:
                 B[i0:i1, i0:] = S
             else:
                 B.real[i0:i1, i0:] = S
-                im = np.matmul(G[i0:i1], G[i0:].T)
+                im = np.matmul(H[i0:i1], H[i0:].T)
                 im *= -self.kappa
                 im[:, :k] = np.triu(im[:, :k]) + np.triu(im[:, :k], 1).T  # symmetric square
                 B.imag[i0:i1, i0:] = im
@@ -351,7 +368,7 @@ class FoldyLaxSystem:
     """Assembled system B Q = U^I, B complex symmetric and packed.
 
     matrix is B in packed form (see the module docstring): complex strips, or
-    real strips of Re B and the factor F of Im B. Either way it has shape,
+    real strips of Re B and the real factor H of Im B. Either way it has shape,
     dtype, nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
     and np.asarray(matrix) is the dense B. The assembly pass also yields
     frobenius_offdiag_real = ||Re B_n||_F, for the certificate and the report,
@@ -449,9 +466,10 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     """Build the packed system for a cloud and an incident plane wave.
 
     coefficients are coefficient()'s C_m, bit for bit, and B's diagonal is
-    -1/C_m. Im B is stored in the complex strips, or as its factor F where F
-    takes fewer bytes than the strips' imaginary halves (the module docstring
-    gives the rule and F's error bound).
+    -1/C_m. Im B is stored in the complex strips, or as its real factor H,
+    8 M (L+1)^2 bytes, where a complex F would take fewer bytes than the
+    strips' imaginary halves (the module docstring gives the rule and H's
+    error bound).
 
     Raises:
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
@@ -461,8 +479,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             first obstacle that fails.
         InsufficientMemory: the packed matrix exceeds the memory available:
             complex strips of about 8 M^2 bytes, or, where Im B takes the
-            factor, real strips of about 4 M^2 bytes, F's 16 M (L+1)^2 and
-            FACTOR_SCRATCH bytes per entry of one block of F, an eighth of
+            factor, real strips of about 4 M^2 bytes, H's 8 M (L+1)^2 and
+            FACTOR_SCRATCH bytes per entry of one block of H, an eighth of
             its rows and at least STRIP_ROWS.
     """
     variant = Variant(variant)

@@ -220,15 +220,15 @@ class TestExitCodes:
     def packed_bytes(m, degree=None):
         """The packed Foldy-Lax matrix: complex strips from the diagonal on,
         about 8 m^2 bytes; where Im B takes a factor of degree L, real strips,
-        about 4 m^2 bytes, the m x (L+1)^2 complex F and the scratch of one
-        block of F."""
+        about 4 m^2 bytes, the m x (L+1)^2 real H and the scratch of one
+        block of H."""
         strips = geometry.row_blocks(m, min_rows=foldy.STRIP_ROWS)
         entries = sum((i1 - i0) * (m - i0) for i0, i1 in strips)
         if degree is None:
             return 16 * entries
         K = (degree + 1) ** 2
-        rows = max(foldy.STRIP_ROWS, math.ceil(m / 8))  # a block of F while it is computed
-        return 8 * entries + 16 * m * K + foldy.FACTOR_SCRATCH * min(m, rows) * K
+        rows = max(foldy.STRIP_ROWS, math.ceil(m / 8))  # a block of H while it is computed
+        return 8 * entries + 8 * m * K + foldy.FACTOR_SCRATCH * min(m, rows) * K
 
     def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
         """Nor for a dense B: the exit-4 boundary is the packed matrix's bytes."""
