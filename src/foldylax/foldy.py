@@ -245,10 +245,11 @@ def _factor_rows(n: int) -> int:
 
 
 def _fill_factor(H: np.ndarray, centers: np.ndarray, kappa: float, L: int):
-    """H[m, (l, mu)] = w_mu j_l(kappa r_m) Pbar_l^mu(cos theta_m) h_mu(phi_m),
-    x_m = z_m - c, in blocks of _factor_rows rows: h_mu is cos(mu phi) for
-    mu >= 0 and sin(|mu| phi) for mu < 0, and w_mu is 1 for mu = 0 and sqrt 2
-    otherwise, so that H H^T = Re(F F^H) (see the module docstring).
+    """H[m, (l, mu)] = w_mu Re F[m, (l, mu)] for mu >= 0 and -w_mu Im F[m, (l, mu)]
+    for mu < 0, F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m), x_m = z_m - c,
+    with w_mu = 1 for mu = 0 and sqrt 2 otherwise, so that H H^T = Re(F F^H)
+    (see the module docstring). It is computed in blocks of _factor_rows rows,
+    with cos(mu phi) or sin(|mu| phi) in place of e^{i mu phi}.
 
     The columns run from the highest degree down: the inner products of H's
     rows then add the small terms first and the l = 0 term, nearly all of
@@ -511,15 +512,16 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         gamma = math.inf
         for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
             r1 = min(r0 + step, k)
-            rows_r = r1 - r0
-            dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, rows_r, w),
-                                  block_view(tmp_buf, rows_r, w))
+            height = r1 - r0
+            dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, height, w),
+                                  block_view(tmp_buf, height, w))
             np.fill_diagonal(dist[:, r0:], np.inf)
             if dist.min() < 1e-14:
                 raise CoincidentCenters("two scatterer centers coincide")
-            np.fill_diagonal(dist[:, r0:], 1.0)  # overwritten below; keeps cos, sin and division finite
+            # overwritten below; keeps cos, sin and division finite
+            np.fill_diagonal(dist[:, r0:], 1.0)
             part = S[r0:r1]
-            cos = np.multiply(kappa, dist, out=block_view(tmp_buf, rows_r, w))
+            cos = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
             if degree is None:
                 np.sin(cos, out=part.imag)
             np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
@@ -729,8 +731,9 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
 
     # a block's kernel and exp's temporaries take about 40 bytes per direction
     # and center: blocks of PAIR_BLOCK / (16 M) directions stay near 256 KiB
-    # (3 directions at M = 2500), and wider blocks give the same bits
-    row_block_pass(block, len(directions), width=16 * system.cloud.M)
+    # (3 directions at M = 2500), and wider blocks give the same bits; at
+    # least 2, so that past M = 8192 no block is a lone row evaluated twice
+    row_block_pass(block, len(directions), width=16 * system.cloud.M, min_rows=2)
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 

@@ -263,6 +263,31 @@ def test_farfield_blocks_bit_identical_to_one_product():
         assert np.array_equal(farfield(sol, xhat).values, ref), n_dirs
 
 
+def test_farfield_blocks_of_a_large_cloud_take_two_directions(monkeypatch):
+    """Past M = 8192 PAIR_BLOCK // (16 M) is one direction, and a lone row is
+    evaluated with its predecessor: blocks take two directions, so only a lone
+    last one is evaluated twice, and the values are one product's bits."""
+    n = 21  # 9261 centers
+    centers = np.indices((n, n, n)).reshape(3, -1).T.astype(float)
+    cloud = ScattererCloud(centers=centers, radii=np.full(n**3, 0.1),
+                           impedances=np.full(n**3, -1.0 + 0.2j))
+    assert PAIR_BLOCK // (16 * cloud.M) == 0
+    wave = make_wave(kappa=1.3, theta=(1.0, 2.0, -0.5))
+    rng = np.random.default_rng(6)
+    sol = solution_with(cloud, rng.normal(size=cloud.M) + 1j * rng.normal(size=cloud.M), wave)
+    xhat = fibonacci_sphere(5)
+    ref = farfield_kernel(wave.kappa, xhat[:, None, :], cloud.centers[None]) @ sol.charges
+    rows = []
+
+    def counted(kappa, directions, z):
+        rows.append(len(directions))
+        return farfield_kernel(kappa, directions, z)
+
+    monkeypatch.setattr(foldy, "farfield_kernel", counted)
+    assert np.array_equal(farfield(sol, xhat).values, ref)
+    assert rows == [2, 2, 2]
+
+
 def test_farfield_peak_memory_is_blocked():
     """M = 2500 and 200 directions: one block of PAIR_BLOCK // (16 M) = 3
     directions at a time, its kernel and exp's temporaries within 48 bytes per
