@@ -264,9 +264,10 @@ def test_farfield_blocks_bit_identical_to_one_product():
 
 
 def test_farfield_blocks_of_a_large_cloud_take_two_directions(monkeypatch):
-    """Past M = 8192 PAIR_BLOCK // (16 M) is one direction, and a lone row is
-    evaluated with its predecessor: blocks take two directions, so only a lone
-    last one is evaluated twice, and the values are one product's bits."""
+    """Past M = 8192 a block of PAIR_BLOCK / (16 M) directions would hold a
+    single one, and a lone row is evaluated with its predecessor: blocks take
+    two directions, so only a lone last one is evaluated twice, and the values
+    are one product's bits."""
     n = 21  # 9261 centers
     centers = np.indices((n, n, n)).reshape(3, -1).T.astype(float)
     cloud = ScattererCloud(centers=centers, radii=np.full(n**3, 0.1),
