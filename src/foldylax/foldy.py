@@ -636,7 +636,7 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             return x, r, iterations
         if iterations >= GMRES_MAXITER:
             return None
-        np.conjugate(np.divide(r, beta, out=W[0]), out=W[0])
+        W[0] = np.conj(r / beta)
         g = np.zeros(m + 1, dtype=complex)
         g[0] = beta
         for j in range(m):
@@ -655,7 +655,7 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             g[j], g[j + 1] = cs[j] * g[j], -np.conj(sn[j]) * g[j]
             if abs(g[j + 1]) <= GMRES_TOL * bnorm or hn == 0 or iterations >= GMRES_MAXITER:
                 break
-            np.conjugate(np.divide(w, hn, out=W[j + 1]), out=W[j + 1])
+            W[j + 1] = np.conj(w / hn)
         k = j + 1
         y = np.zeros(k, dtype=complex)
         for i in range(k - 1, -1, -1):  # back substitution on the triangular R
