@@ -27,7 +27,7 @@ _EXPORTS = {
     # boundary-integral oracle
     "SphereSpectra": "oracle", "sphere_operator_spectra": "oracle",
     "BieSystem": "oracle", "assemble_bie": "oracle", "solve_bie": "oracle",
-    "SurfaceDensity": "oracle", "bie_farfield": "oracle",
+    "bie_farfield": "oracle",
     "mie_reference": "oracle", "optical_theorem_residual": "oracle",
     # analysis
     "OracleSettings": "analysis", "RateFit": "analysis", "fit_rate": "analysis",

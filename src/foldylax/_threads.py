@@ -1,7 +1,7 @@
 """FOLDYLAX_THREADS, parsed in one place.
 
 The value caps the BLAS/OpenMP threads (cli sets their variables before numpy
-loads) and is the worker count of the compute-bound row-block passes
+loads) and is the worker count of Foldy-Lax assembly's strip fill
 (geometry.row_block_pass). Unset or empty, it is the number of CPUs this
 process may run on. This module imports the standard library only.
 """

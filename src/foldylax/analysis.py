@@ -135,8 +135,9 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
                     fl_grid: FarFieldGrid | None = None):
     """Reference far field per the oracle settings.
 
-    Returns (grid, residual_bie, densities); residual is nan and densities
-    None for the analytic routes. For an off-origin single sphere the
+    Returns (grid, residual_bie, coefficients), coefficients the BIE
+    solution's (M, (L+1)^2) array; residual is nan and coefficients None for
+    the analytic routes. For an off-origin single sphere the
     separation-of-variables reference is translated exactly:
     Uinf -> e^{i kappa (theta - xhat).z} Uinf.
     """
@@ -161,8 +162,7 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
         return grid, float("nan"), None
     sol = solve_bie(assemble_bie(cloud, wave, L=settings.L,
                                  quad_order=settings.quad_order))
-    densities = tuple(d.coefficients for d in sol.densities)
-    return bie_farfield(sol, directions), sol.residual_inf, densities
+    return bie_farfield(sol, directions), sol.residual_inf, sol.coefficients
 
 
 def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,

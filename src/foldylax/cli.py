@@ -254,7 +254,7 @@ def _cmd_compare(args) -> int:
     settings = analysis.OracleSettings(kind=args.oracle, L=args.L,
                                        quad_order=args.quad_order,
                                        n_directions=args.directions)
-    ref_grid, res_bie, densities = analysis.oracle_farfield(
+    ref_grid, res_bie, coefficients = analysis.oracle_farfield(
         cloud, wave, fl_grid.directions, settings, fl_grid)
     err = analysis.farfield_error(fl_grid, ref_grid)
     comments = _config_comments(
@@ -264,8 +264,8 @@ def _cmd_compare(args) -> int:
                           comments)
     io.write_farfield_csv(args.out + "_oracle.csv", ref_grid.directions,
                           ref_grid.values, comments)
-    if densities is not None:
-        io.write_density_csv(args.out + "_density.csv", densities, comments)
+    if coefficients is not None:
+        io.write_density_csv(args.out + "_density.csv", coefficients, comments)
     print(f"sup_error={err:.17g} residual_fl={sol.residual_inf:.3e} "
           f"residual_oracle={res_bie:.3e}")
     return EXIT_OK

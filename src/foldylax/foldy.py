@@ -83,17 +83,18 @@ kappa, while |H_i|^T |H_j| <= |F_i| |F_j| <= 1/(4 pi), because
 sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
 take eta = 2 (L+1) u.
 
-Assembly fills each strip in place through geometry.row_block_pass, by row
-sub-blocks of about FILL_BLOCK entries: the distances, kappa d, cos and sin,
--1/(4 pi d), the coincidence test and the gamma mask go through two float
-buffers of one sub-block per worker, allocated once per pass, and B's entries
-are written straight into the strip. It is bound by sqrt, cos and sin, so
-its strips go to FOLDYLAX_THREADS worker threads; each writes its own strip,
-so B is the same bit for bit whatever the worker count or the sub-block
-size. The pass also yields, while each sub-block is in cache, ||Re B_n||_F
-from per-row sums over j > i that do not depend on the layout, and
-gamma = min cos(kappa d) before scaling; neither depends on the worker count
-either. A certified solve then reads B only through GMRES products and its
+Assembly fills each strip in place, by row sub-blocks of about FILL_BLOCK
+entries: the distances, kappa d, cos and sin, -1/(4 pi d), the coincidence
+test and the gamma mask go through two float buffers of one sub-block per
+worker, allocated once per pass, and B's entries are written straight into
+the strip. It is bound by sqrt, cos and sin, so geometry.row_block_pass deals
+its strips to FOLDYLAX_THREADS worker threads; each writes its own strip, so
+B is the same bit for bit whatever the worker count or the sub-block size.
+The last strip may have a row more than the others (row_blocks merges a lone
+last row), so the mask is sized by the largest. The pass also yields, while
+each sub-block is in cache, ||Re B_n||_F from per-row sums over j > i that do
+not depend on the layout, and gamma = min cos(kappa d) before scaling;
+neither depends on the worker count either. A certified solve then reads B only through GMRES products and its
 diagonal, and keeps the GMRES basis conjugated so that no step copies it;
 only the LU fallback makes a dense copy. farfield evaluates the kernel over
 blocks of a few directions, about 256 KiB each.
@@ -126,8 +127,9 @@ STRIP_ROWS = 64
 # Im B's factor stops at the least degree whose addition-theorem tail, in
 # units of kappa/(4 pi), is below this
 FACTOR_TAIL = 2.0**-53
-# bytes per entry of one block of H while it is computed (measured: 35 to 78
-# for L >= 3; more below, where per-row arrays outweigh a few columns)
+# bytes per entry of one block of H while it is computed, the block counted
+# (L+1)^2 + 16 columns wide (tracemalloc: at most 0.62 of that for L = 0..12
+# and M = 400 to 10^4)
 FACTOR_SCRATCH = 96
 # assembly fills each strip by row sub-blocks of about this many entries, in
 # two float buffers of this size per worker
@@ -295,8 +297,8 @@ class _PackedSymmetric:
         blocks, sizes = _strip_sizes(n)
         dtype = complex if factor_degree is None else float
         K = 0 if factor_degree is None else n_coeffs(factor_degree)
-        _require_memory(np.dtype(dtype).itemsize * sum(sizes)
-                        + 8 * n * K + FACTOR_SCRATCH * min(n, _factor_rows(n)) * K,
+        scratch = 0 if K == 0 else FACTOR_SCRATCH * min(n, _factor_rows(n)) * (K + 16)
+        _require_memory(np.dtype(dtype).itemsize * sum(sizes) + 8 * n * K + scratch,
                         f"M = {n}", "the matrix")
         self._buf = np.empty(sum(sizes), dtype=dtype)
         self.shape, self.dtype, self.strips = (n, n), np.dtype(complex), {}
@@ -482,7 +484,7 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             complex strips of about 8 M^2 bytes, or, where Im B takes the
             factor, real strips of about 4 M^2 bytes, H's 8 M (L+1)^2 and
             FACTOR_SCRATCH bytes per entry of one block of H, an eighth of
-            its rows and at least STRIP_ROWS.
+            its rows, at least STRIP_ROWS, by (L+1)^2 + 16 columns.
     """
     variant = Variant(variant)
     if wave.kappa * cloud.a_eff >= 1.0:
@@ -496,13 +498,14 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
     diagonal = -1.0 / coeffs
     kappa = wave.kappa
-    degree = _factor_degree(cloud.centers, kappa, sum(_strip_sizes(M)[1]))
+    blocks, sizes = _strip_sizes(M)
+    degree = _factor_degree(cloud.centers, kappa, sum(sizes))
     B = _PackedSymmetric(diagonal, degree)
     if degree is not None:
         B.set_factor(cloud.centers, kappa)
     strip_diagonal = diagonal if degree is None else diagonal.real
     xyz = np.ascontiguousarray(cloud.centers.T)
-    lower = np.tri(len(B.strips[0]), dtype=bool)  # no strip has more rows
+    lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
 
     def fill(i0, i1, dist_buf, tmp_buf):
@@ -550,8 +553,7 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
 
     # each strip writes its own part of B and of row_frob2, a row sub-block at a time
     scratch = (float, min(B.strips[0].size, max(FILL_BLOCK, M)))  # the largest sub-block
-    strips = row_block_pass(fill, M, scratch=(scratch, scratch), threaded=True,
-                            min_rows=STRIP_ROWS)
+    strips = row_block_pass(fill, blocks, scratch=(scratch, scratch))
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     rhs.setflags(write=False)
     return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
@@ -584,16 +586,15 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     _require_memory(17 * n * n, f"{n}x{n} system", "its LU factors")
     dense = np.array(A)
     row_norms = np.empty(n)
-
-    def equilibrate(i0, i1, buf):
+    blocks = row_blocks(n)
+    buf = np.empty(max(i1 - i0 for i0, i1 in blocks) * n)
+    for i0, i1 in blocks:
         rows = dense[i0:i1]
         norms = np.abs(rows, out=block_view(buf, i1 - i0, n)).sum(axis=1, out=row_norms[i0:i1])
         bad = np.flatnonzero(~(norms > 0))
         if bad.size:
             raise SingularSystem(f"row {i0 + bad[0]} of the system is zero or NaN")
         rows /= norms[:, None]
-
-    row_block_pass(equilibrate, n, scratch=(float,))
     # dense is in C order, so dense.T is A^T in the Fortran order that LAPACK
     # factors in place; the solve with trans=1 then gives A x = rhs
     lu, piv = la.lu_factor(dense.T, overwrite_a=True)
@@ -720,20 +721,14 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
     directions = np.asarray(directions, dtype=float)
     centers = system.cloud.centers[None, :, :]
     values = np.empty(len(directions), dtype=complex)
-
-    def block(d0, d1):
-        # numpy takes a one-row product as a dot product, which sums in another
-        # order than the matrix-vector product of longer blocks: a lone last
-        # row is evaluated with its predecessor
-        lo = max(0, min(d0, d1 - 2))
-        K = farfield_kernel(system.wave.kappa, directions[lo:d1, None, :], centers)
-        values[d0:d1] = (K @ solution.charges)[d0 - lo:]
-
     # a block's kernel and exp's temporaries take about 40 bytes per direction
     # and center: blocks of PAIR_BLOCK / (16 M) directions stay near 256 KiB
     # (3 directions at M = 2500), and wider blocks give the same bits; at
-    # least 2, so that past M = 8192 no block is a lone row evaluated twice
-    row_block_pass(block, len(directions), width=16 * system.cloud.M, min_rows=2)
+    # least 2, since numpy takes a one-row product as a dot product, which
+    # sums in another order
+    for d0, d1 in row_blocks(len(directions), 16 * system.cloud.M, min_rows=2):
+        values[d0:d1] = (farfield_kernel(system.wave.kappa, directions[d0:d1, None, :], centers)
+                         @ solution.charges)
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 

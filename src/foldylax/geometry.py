@@ -20,15 +20,16 @@ neighbours only. Each candidate pair is evaluated with the formula of
 pair_distances, so d is the brute-force minimum bit for bit, and candidates
 go in chunks of CELL_PAIRS, so a poor u costs time but never memory.
 
-Every pass over the rows of an M x M matrix goes through row_block_pass:
-the fixed blocks of row_blocks, about PAIR_BLOCK entries each, computed into
-scratch buffers allocated once per worker and pass, a block's size or a
-smaller one the pass asks for, so no pass allocates an M x M temporary or a
-new one per block. Passes bound by arithmetic (Foldy-Lax assembly) deal those
-blocks among FOLDYLAX_THREADS threading.Thread workers; passes bound by
-memory bandwidth keep one worker. The block layout never depends on the
-worker count, and each block's result is its own, so no pass's result does
-either.
+A pass over the rows of an M x M matrix takes the fixed blocks of
+row_blocks, about PAIR_BLOCK entries each, so that it allocates no M x M
+temporary. A lone last row joins the block before it: numpy takes a one-row
+product as a dot product, which sums in another order, so a pass whose bits
+must not depend on the layout asks for blocks of at least two rows. Foldy-Lax
+assembly, bound by arithmetic, deals its blocks among FOLDYLAX_THREADS
+threading.Thread workers through row_block_pass, each with scratch buffers
+allocated once per pass; passes bound by memory bandwidth are plain loops.
+The block layout never depends on the worker count, and each block's result
+is its own, so no pass's result does either.
 """
 
 from __future__ import annotations
@@ -246,9 +247,14 @@ class ScattererCloud:
 
 def row_blocks(n: int, width: int | None = None, min_rows: int = 1):
     """Row slices (i0, i1) of an n-row array of width (default n) columns,
-    about PAIR_BLOCK entries each and at least min_rows rows."""
+    about PAIR_BLOCK entries each and at least min_rows rows. A lone last row
+    joins the block before it, so the last block may have one row more than
+    the others, or fewer."""
     rows = max(min_rows, PAIR_BLOCK // (width or n))
-    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
+    blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
+    if len(blocks) > 1 and blocks[-1][0] == n - 1:
+        blocks[-2:] = [(blocks[-2][0], n)]
+    return blocks
 
 
 def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -256,35 +262,25 @@ def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=False,
-                   min_rows: int = 1):
-    """Apply body to row_blocks(n, width, min_rows); return its results in block order.
+def row_block_pass(body, blocks, scratch=()):
+    """Apply body to each row block (i0, i1) of blocks on thread_count()
+    threads, the caller's among them; return its results in block order.
 
-    body(i0, i1, *bufs) handles rows i0:i1. scratch lists its flat scratch
-    buffers, each a dtype, rows*width entries long, or a (dtype, entries)
-    pair for a body that works through its block in smaller pieces: each
-    worker allocates one of each once per call, and body views a prefix with
-    block_view. A memory-bound pass runs on one worker. A threaded pass, one
-    bound by arithmetic (numpy releases the GIL inside ufunc loops), deals the
-    same blocks round-robin to thread_count() threads; body must not depend
-    on the order in which blocks run, and each block's result is the same for
-    any worker count. An exception raised by body is raised here once every
-    worker has stopped, the first worker's first.
+    body(i0, i1, *bufs) handles rows i0:i1. scratch lists (dtype, entries)
+    pairs: each worker allocates one flat buffer of each once per call, and
+    body views a prefix with block_view. The blocks are dealt round-robin to
+    the workers, for a body bound by arithmetic (numpy releases the GIL inside
+    ufunc loops); body must not depend on the order in which blocks run. An
+    exception raised by body is raised here once every worker has stopped,
+    the first worker's first.
     """
-    width = width or n
-    blocks = row_blocks(n, width, min_rows)
-    workers = min(thread_count() if threaded else 1, len(blocks))
-    size = max((i1 - i0 for i0, i1 in blocks), default=0) * width
-    specs = [spec if isinstance(spec, tuple) else (spec, size) for spec in scratch]
+    workers = min(thread_count(), len(blocks))
     results = [None] * len(blocks)
 
     def run(w):
-        bufs = [np.empty(entries, dtype) for dtype, entries in specs]
+        bufs = [np.empty(entries, dtype) for dtype, entries in scratch]
         results[w::workers] = [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
 
-    if workers <= 1:
-        run(0)
-        return results
     errors = [None] * workers
 
     def guarded(w):
@@ -293,9 +289,10 @@ def row_block_pass(body, n: int, width: int | None = None, scratch=(), threaded=
         except BaseException as exc:  # re-raised below, in the caller's thread
             errors[w] = exc
 
-    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(workers)]
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
+    guarded(0)  # the caller's thread is worker 0
     for thread in threads:
         thread.join()
     for exc in errors:

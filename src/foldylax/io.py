@@ -223,22 +223,16 @@ def write_farfield_csv(path: str, directions: np.ndarray, values: np.ndarray, co
     write_text_atomic(path, _csv_text(comments, "xhat_x,xhat_y,xhat_z,re_U,im_U", rows))
 
 
-def write_density_csv(path: str, densities, comments=()):
-    """Columns sphere,l,m,re,im for per-sphere harmonic coefficients.
-
-    densities: sequence of per-sphere coefficient vectors ordered
+def write_density_csv(path: str, coefficients: np.ndarray, comments=()):
+    """Columns sphere,l,m,re,im of the (M, (L+1)^2) harmonic coefficients of a
+    BIE solution: a row per sphere, its columns ordered
     (l, m) = (0,0), (1,-1), (1,0), (1,1), ...
     """
-    def rows():
-        for si, coeffs in enumerate(densities):
-            i = 0
-            L = int(round(np.sqrt(len(coeffs)))) - 1
-            for l in range(L + 1):
-                for m in range(-l, l + 1):
-                    c = coeffs[i]
-                    yield [str(si + 1), str(l), str(m), fmt(c.real), fmt(c.imag)]
-                    i += 1
-    write_text_atomic(path, _csv_text(comments, "sphere,l,m,re,im", rows()))
+    L = math.isqrt(coefficients.shape[1]) - 1
+    lm = [(str(l), str(m)) for l in range(L + 1) for m in range(-l, l + 1)]
+    rows = ([str(s + 1), l, m, fmt(c.real), fmt(c.imag)]
+            for s, row in enumerate(coefficients) for (l, m), c in zip(lm, row))
+    write_text_atomic(path, _csv_text(comments, "sphere,l,m,re,im", rows))
 
 
 def write_study_csv(path: str, records, ratefit=None, comments=()):

@@ -32,7 +32,9 @@ where (S|R)(d) = U^H Coax(|d|) U rotates d to the z-axis, translates
 coaxially and rotates back (Gumerov & Duraiswami 2004, ch. 3): U is
 block-diagonal in l and Coax in m. The tests check the blocks against the
 unrotated Gaunt sum and against brute-force product quadrature.
-The far field of the solved densities is
+solve_bie returns the solve vector as coefficients, one row c^{(m)} per
+sphere in spherical's flat (l, m) order, and the far field of the densities
+they expand is
 
     Uinf(xhat) = sum_m e^{-i kappa xhat.z_m} 4 pi r_m^2
                  sum_{l,m'} (-i)^l j_l(kappa r_m) c^{(m)}_{lm'} Y_lm'(xhat),
@@ -73,8 +75,7 @@ import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
-from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_block_pass,
-                       row_blocks)
+from .geometry import PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_blocks
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
                         sphere_quadrature, spherical_jn, spherical_yn, unit_angles)
 
@@ -446,26 +447,17 @@ class BieSystem:
 
 
 @dataclass(frozen=True)
-class SurfaceDensity:
-    """Harmonic coefficients of one sphere's layer density (flat (l,m) order)."""
-
-    sphere: int
-    radius: float
-    L: int
-    coefficients: np.ndarray
-
-    @property
-    def l2_norm(self) -> float:
-        """||sigma||_{L^2(dD)} = r * ||c||_2 (orthonormal unit-sphere basis)."""
-        return float(self.radius * np.linalg.norm(self.coefficients))
-
-
-@dataclass(frozen=True)
 class BieSolution:
-    """Layer densities with their relative inf-norm residual; iterations is the
-    GMRES matrix-vector count, None where the dense LU solved the system."""
+    """The layer densities' harmonic coefficients with their relative inf-norm
+    residual; iterations is the GMRES matrix-vector count, None where the dense
+    LU solved the system.
 
-    densities: tuple
+    coefficients is the solve vector, read-only, as an (M, (L+1)^2) array: row
+    m holds sphere m's coefficients in spherical's flat (l, m) order, so that
+    ||sigma_m||_{L^2(dD_m)} = r_m ||coefficients[m]||_2.
+    """
+
+    coefficients: np.ndarray
     residual_inf: float
     system: BieSystem
     iterations: int | None = None
@@ -547,14 +539,9 @@ def solve_bie(system: BieSystem) -> BieSolution:
     """
     x, residual, iterations = _certified_solve(system.matrix, system.rhs, system.neumann_q,
                                                BIE_RESIDUAL_TOL)
-    nc = n_coeffs(system.L)
-    densities = []
-    for m in range(system.cloud.M):
-        c = x[m * nc:(m + 1) * nc].copy()
-        c.setflags(write=False)
-        densities.append(SurfaceDensity(sphere=m, radius=float(system.cloud.radii[m]),
-                                        L=system.L, coefficients=c))
-    return BieSolution(densities=tuple(densities), residual_inf=residual, system=system,
+    coefficients = x.reshape(system.cloud.M, n_coeffs(system.L))
+    coefficients.setflags(write=False)
+    return BieSolution(coefficients=coefficients, residual_inf=residual, system=system,
                        iterations=iterations)
 
 
@@ -564,21 +551,17 @@ def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
     system = solution.system
     cloud, wave, L = system.cloud, system.wave, system.L
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
-    values = np.empty(len(directions), dtype=complex)
+    values = np.zeros(len(directions), dtype=complex)
     ls = np.arange(L + 1)
-    weighted = [_per_degree(4.0 * np.pi * dens.radius**2 * (-1j) ** ls
-                            * spherical_jn(L, wave.kappa * dens.radius), L) * dens.coefficients
-                for dens in solution.densities]
-
-    def block(d0, d1):
-        lo = max(0, min(d0, d1 - 2))  # a lone last row joins its predecessor, as in foldy.farfield
-        Yd, xhat = harmonic_matrix(L, directions[lo:d1]), directions[lo:d1]
-        acc = np.zeros(d1 - lo, dtype=complex)
-        for dens, w in zip(solution.densities, weighted):
-            acc += np.exp(-1j * wave.kappa * xhat @ cloud.centers[dens.sphere]) * (Yd @ w)
-        values[d0:d1] = acc[d0 - lo:]
-
-    row_block_pass(block, len(directions), width=n_coeffs(L))
+    weighted = [_per_degree(4.0 * np.pi * r**2 * (-1j) ** ls * jl, L) * c
+                for r, jl, c in zip(cloud.radii.tolist(), spherical_jn(L, wave.kappa * cloud.radii),
+                                    solution.coefficients)]
+    # at least 2 rows, since numpy takes a one-row product as a dot product
+    for d0, d1 in row_blocks(len(directions), n_coeffs(L), min_rows=2):
+        Yd, xhat = harmonic_matrix(L, directions[d0:d1]), directions[d0:d1]
+        for z, w in zip(cloud.centers, weighted):
+            values[d0:d1] += np.exp(-1j * wave.kappa * xhat @ z) * (Yd @ w)
+        del Yd  # before the next block's harmonics are computed
     return FarFieldGrid(directions=directions, values=values, wave=wave)
 
 

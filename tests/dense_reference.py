@@ -17,40 +17,26 @@ from functools import lru_cache
 import numpy as np
 
 from foldylax import foldy, oracle
-from foldylax.geometry import block_view, row_block_pass
+from foldylax.geometry import row_blocks
 from foldylax.spherical import harmonic_matrix, n_coeffs, spherical_jn
 
 
-def _abs_rows(A: np.ndarray, i0: int, i1: int, buf: np.ndarray):
-    """|A[i0:i1]| written into the scratch buf, and its largest row sum."""
-    absa = np.abs(A[i0:i1], out=block_view(buf, i1 - i0, A.shape[1]))
-    return absa, float(absa.sum(axis=1).max())
-
-
 def scan(B: np.ndarray):
-    """One row-block pass over B: (||Re B_n||_F, gamma).
+    """One pass over the row blocks of B: (||Re B_n||_F, gamma).
 
     Off the diagonal B = -e^{i kappa d}/(4 pi d), so Re B_n = -Re B and
     gamma = min cos(kappa d) = min -Re B/|B| (+inf for a 1x1 B).
     """
-    n = len(B)
-
-    def block(i0, i1, absb, re, cos):
-        absb, _ = _abs_rows(B, i0, i1, absb)
-        re = block_view(re, i1 - i0, n)
-        np.copyto(re, B[i0:i1].real)
-        cos = np.negative(re, out=block_view(cos, i1 - i0, n))
+    frob2, gamma = 0.0, math.inf
+    for i0, i1 in row_blocks(len(B)):
+        re = B[i0:i1].real.copy()
         with np.errstate(invalid="ignore"):  # a hand-built B may hold zeros
-            np.divide(cos, absb, out=cos)
+            cos = -re / np.abs(B[i0:i1])
         np.fill_diagonal(cos[:, i0:], math.inf)
         np.fill_diagonal(re[:, i0:], 0.0)
-        return float(np.vdot(re, re)), float(cos.min())
-
-    blocks = row_block_pass(block, n, scratch=(float, float, float))
-    frob2 = 0.0
-    for block_frob2, _ in blocks:  # in block order, as one running sum
-        frob2 += block_frob2
-    return math.sqrt(frob2), min(gamma for _, gamma in blocks)
+        frob2 += float(np.vdot(re, re))
+        gamma = min(gamma, float(cos.min()))
+    return math.sqrt(frob2), gamma
 
 
 def dense_distances(centers):
@@ -185,22 +171,19 @@ def bie_matrix(cloud, wave, L: int) -> np.ndarray:
 
 
 def neumann_scan(A: np.ndarray):
-    """One row-block pass over A = D + C, D = diag(A): (q = ||C D^-1||_F, ||A||_inf).
+    """One pass over the row blocks of A = D + C, D = diag(A):
+    (q = ||C D^-1||_F, ||A||_inf).
 
     q is inf, and the norm None, when an entry of D vanishes.
     """
     d = np.abs(A.diagonal())
     if not np.all(d > 0):
         return math.inf, None
-
-    def block(i0, i1, buf):
-        absa, norm = _abs_rows(A, i0, i1, buf)
+    frob2, norm = 0.0, 0.0
+    for i0, i1 in row_blocks(len(A)):
+        absa = np.abs(A[i0:i1])
+        norm = max(norm, float(absa.sum(axis=1).max()))
         np.fill_diagonal(absa[:, i0:], 0.0)
         absa /= d
-        return float(np.vdot(absa, absa)), norm
-
-    frob2 = 0.0
-    blocks = row_block_pass(block, len(A), scratch=(float,))
-    for block_frob2, _ in blocks:  # in block order, as one running sum
-        frob2 += block_frob2
-    return math.sqrt(frob2), max(norm for _, norm in blocks)
+        frob2 += float(np.vdot(absa, absa))
+    return math.sqrt(frob2), norm

@@ -162,7 +162,9 @@ def test_criterion_07_density_norm_scaling():
             lam = -1.0 * a ** (-beta)
             cloud = make_cloud([[0.0, 0.0, 0.0]], a / 2.0, lam)
             sol = solve_bie(assemble_bie(cloud, wave))
-            norms.append(sol.densities[0].l2_norm / a ** (1.0 - beta))
+            # ||sigma||_{L^2} = r ||c||_2 in the orthonormal unit-sphere basis
+            l2_norm = float(cloud.radii[0] * np.linalg.norm(sol.coefficients[0]))
+            norms.append(l2_norm / a ** (1.0 - beta))
         band = max(norms) / min(norms)
         ok = ok and band <= 2.0
         parts.append(f"beta={beta:g}: band={band:.3f} <= 2")

@@ -221,14 +221,14 @@ class TestExitCodes:
         """The packed Foldy-Lax matrix: complex strips from the diagonal on,
         about 8 m^2 bytes; where Im B takes a factor of degree L, real strips,
         about 4 m^2 bytes, the m x (L+1)^2 real H and the scratch of one
-        block of H."""
+        block of H, (L+1)^2 + 16 columns wide."""
         strips = geometry.row_blocks(m, min_rows=foldy.STRIP_ROWS)
         entries = sum((i1 - i0) * (m - i0) for i0, i1 in strips)
         if degree is None:
             return 16 * entries
         K = (degree + 1) ** 2
         rows = max(foldy.STRIP_ROWS, math.ceil(m / 8))  # a block of H while it is computed
-        return 8 * entries + 8 * m * K + foldy.FACTOR_SCRATCH * min(m, rows) * K
+        return 8 * entries + 8 * m * K + foldy.FACTOR_SCRATCH * min(m, rows) * (K + 16)
 
     def test_certified_solve_needs_no_room_for_lu(self, tmp_path, monkeypatch, capsys):
         """Nor for a dense B: the exit-4 boundary is the packed matrix's bytes."""
@@ -730,6 +730,7 @@ def test_every_lazy_export_resolves():
 
     import foldylax
     assert "ScatteringCoefficient" not in foldylax.__all__
+    assert "SurfaceDensity" not in foldylax.__all__
     for name, module in foldylax._EXPORTS.items():
         assert name in foldylax.__all__
         assert getattr(foldylax, name) is getattr(

@@ -198,10 +198,10 @@ def test_certificate_matches_the_dense_scan():
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """The real strips, F, each worker's two float buffers of one row
-    sub-block (FILL_BLOCK entries each), the scratch of one block of F (an
-    eighth of its rows, at least STRIP_ROWS) and at most 256 KiB per worker
-    besides."""
+    """The real strips, H, each worker's two float buffers of one row
+    sub-block (FILL_BLOCK entries each), the scratch of one block of H (an
+    eighth of its rows, at least STRIP_ROWS, by (L+1)^2 + 16 columns) and at
+    most 256 KiB per worker besides."""
     cloud = compact_cloud()
     wave = wave_at(cloud, 1.0)
     blocks = row_blocks(M)
@@ -217,8 +217,26 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
         finally:
             tracemalloc.stop()
         K = system.matrix.factor.shape[1]
-        block = foldy.FACTOR_SCRATCH * max(foldy.STRIP_ROWS, math.ceil(M / 8)) * K
+        block = foldy.FACTOR_SCRATCH * max(foldy.STRIP_ROWS, math.ceil(M / 8)) * (K + 16)
         assert peak <= system.matrix.nbytes + scratch + block + workers * 2**18, threads
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 7])
+def test_factor_scratch_is_within_its_admission(L):
+    """At M = 400, computing H peaks within the FACTOR_SCRATCH bytes per entry
+    of one block that the matrix admits, the block counted (L+1)^2 + 16
+    columns wide: at small L its per-row arrays outweigh its columns."""
+    m, K = 400, (L + 1) ** 2
+    centers = np.indices((8, 10, 5)).reshape(3, -1).T.astype(float)
+    H = np.empty((m, K))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        foldy._fill_factor(H, centers, 0.1, L)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= foldy.FACTOR_SCRATCH * min(m, foldy._factor_rows(m)) * (K + 16)
 
 
 def test_certified_solve_peak_is_the_basis_plus_vectors(monkeypatch):

@@ -113,7 +113,7 @@ class TestCsvWriters:
         path = str(tmp_path / "d.csv")
         # two spheres, L = 1: 4 coefficients each
         c = np.arange(4, dtype=complex)
-        write_density_csv(path, [c, 10 + c])
+        write_density_csv(path, np.stack([c, 10 + c]))
         _, lines = read_csv(path)
         assert lines[0] == "sphere,l,m,re,im"
         assert lines[1].split(",")[:3] == ["1", "0", "0"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldylax import CoincidentPoints, NonUnitDirection, kernels
@@ -105,10 +105,18 @@ def test_phi_symmetry_and_modulus(x, y, kappa):
 
 @settings(max_examples=100, deadline=None)
 @given(x=point, y=point, v=point, kappa=st.floats(0.1, 6.0))
+@example(x=np.zeros(3), y=np.array([2.0915112154849576e-06, 0.0, 0.0]),
+         v=np.array([1.0, 0.0, 0.0]), kappa=1.0)
 def test_phi_translation_invariance(x, y, v, kappa):
-    if np.linalg.norm(x - y) < 1e-6:
+    """Rounding x + v and y + v moves r = |x - y| by a few u (|x + v| + |y + v|),
+    which cancellation can make large against r, and phi by (kappa + 1/r)
+    times that, relative."""
+    r = np.linalg.norm(x - y)
+    if r < 1e-6:
         return
-    assert phi(kappa, x + v, y + v) == pytest.approx(phi(kappa, x, y), rel=1e-12)
+    dr = 8 * np.finfo(float).eps / 2 * (np.linalg.norm(x + v) + np.linalg.norm(y + v))
+    rel = max(1e-12, (kappa + 1 / r) * dr)
+    assert phi(kappa, x + v, y + v) == pytest.approx(phi(kappa, x, y), rel=rel)
 
 
 @settings(max_examples=100, deadline=None)

@@ -43,7 +43,7 @@ class TestSingleSphere:
         sol = solve_bie(assemble_bie(cloud, wave, L=L, quad_order=16))
         kappa = wave.kappa
         z = kappa * r
-        c = sol.densities[0].coefficients
+        c = sol.coefficients[0]
         Yt = harmonic_matrix(L, wave.theta.reshape(1, 3))[0]
         for l in range(L + 1):
             j = spherical_jn(l, z)
@@ -142,12 +142,12 @@ class TestCouplingBlock:
         """Coupling correction decays like the inverse separation."""
         r, lam = 0.1, -1.0
         iso = solve_bie(assemble_bie(make_cloud([[0, 0, 0]], r, lam), wave,
-                                     L=6, quad_order=16)).densities[0].coefficients
+                                     L=6, quad_order=16)).coefficients[0]
         gaps = []
         for d in (25.0, 50.0):
             cloud = make_cloud([[0, 0, 0], [d, 0, 0]], r, lam)
             sol = solve_bie(assemble_bie(cloud, wave, L=6, quad_order=16))
-            gaps.append(np.max(np.abs(sol.densities[0].coefficients - iso)))
+            gaps.append(np.max(np.abs(sol.coefficients[0] - iso)))
         scale = np.max(np.abs(iso))
         assert gaps[1] < 1e-2 * scale
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.25)
@@ -160,9 +160,8 @@ class TestCoupledSolve:
         c = 0.4
         cloud = make_cloud([[0, 0, -c], [0, 0, c]], 0.1, -1.0 + 0.5j)
         sol = solve_bie(assemble_bie(cloud, wave, L=8, quad_order=20))
-        c1 = sol.densities[0].coefficients
-        c2 = sol.densities[1].coefficients
-        L = sol.densities[0].L
+        c1, c2 = sol.coefficients
+        L = sol.system.L
         for l in range(L + 1):
             for m in range(-l, l + 1):
                 idx = l * l + l + m
@@ -253,10 +252,8 @@ class TestFarField:
         Y = harmonic_matrix(L, quad.points)
         for i, xhat in enumerate(dirs):
             acc = 0j
-            for dens in sol.densities:
-                r = dens.radius
-                center = cloud.centers[dens.sphere]
-                vals = Y @ dens.coefficients
+            for r, center, c in zip(cloud.radii, cloud.centers, sol.coefficients):
+                vals = Y @ c
                 ys = center + r * quad.points
                 acc += np.sum(quad.weights * r**2
                               * np.exp(-1j * kappa * ys @ xhat) * vals)
@@ -272,12 +269,10 @@ class TestFarField:
         for n_dirs in (2 * rows + rows // 2, 2 * rows + 1, 1):
             dirs = fibonacci_sphere(n_dirs)
             Y, ref = harmonic_matrix(L, dirs), np.zeros(n_dirs, dtype=complex)
-            for dens in sol.densities:
-                r = dens.radius
+            for r, center, c in zip(cloud.radii.tolist(), cloud.centers, sol.coefficients):
                 weight = oracle._per_degree(4.0 * np.pi * r**2 * (-1j) ** np.arange(L + 1)
                                             * oracle.spherical_jn(L, tilted_wave.kappa * r), L)
-                ref += (np.exp(-1j * tilted_wave.kappa * dirs @ cloud.centers[dens.sphere])
-                        * (Y @ (weight * dens.coefficients)))
+                ref += np.exp(-1j * tilted_wave.kappa * dirs @ center) * (Y @ (weight * c))
             assert np.array_equal(bie_farfield(sol, dirs).values, ref), n_dirs
 
     def test_grid_tagged_with_wave(self, wave):
@@ -308,15 +303,12 @@ class TestCertifiedSolve:
         assert system.neumann_q < 0.5
         sol = solve_bie(system)
         assert sol.iterations is not None and sol.iterations <= 10
-        x = np.concatenate([d.coefficients for d in sol.densities])
+        x = sol.coefficients.reshape(-1)
         ref, _ = foldy._checked_lu_solve(system.matrix, system.rhs, oracle.BIE_RESIDUAL_TOL)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         dirs = sphere_quadrature(6).points
-        lu = oracle.BieSolution(densities=tuple(
-            oracle.SurfaceDensity(sphere=d.sphere, radius=d.radius, L=L,
-                                  coefficients=ref[d.sphere * n_coeffs(L):
-                                                   (d.sphere + 1) * n_coeffs(L)])
-            for d in sol.densities), residual_inf=0.0, system=system)
+        lu = oracle.BieSolution(coefficients=ref.reshape(sol.coefficients.shape),
+                                residual_inf=0.0, system=system)
         far, far_lu = bie_farfield(sol, dirs).values, bie_farfield(lu, dirs).values
         assert np.max(np.abs(far - far_lu)) <= 1e-12 * np.max(np.abs(far_lu))
 
@@ -342,8 +334,7 @@ class TestCertifiedSolve:
         monkeypatch.setattr(foldy, "GMRES_MAXITER", 3)
         capped = solve_bie(system)
         assert certified.iterations > 3 and capped.iterations is None
-        x, ref = (np.concatenate([d.coefficients for d in sol.densities])
-                  for sol in (certified, capped))
+        x, ref = (sol.coefficients.reshape(-1) for sol in (certified, capped))
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_q_is_the_frobenius_norm_of_c_over_d(self):
@@ -376,8 +367,7 @@ class TestCertifiedSolve:
         sol = solve_bie(watched)
         assert sol.iterations == reference.iterations <= 10
         assert WatchedMatrix.products > sol.iterations  # and one residual per restart
-        for mine, ref in zip(sol.densities, reference.densities):
-            assert np.array_equal(mine.coefficients, ref.coefficients)
+        assert np.array_equal(sol.coefficients, reference.coefficients)
 
 
 def assert_subblocks_close(A, ref, M, L, rtol):

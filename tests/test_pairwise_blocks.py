@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 # _checked_lu_solve imports scipy.linalg on first use; loading it here keeps
 # the import's allocations out of every tracemalloc window below
@@ -47,8 +47,83 @@ def test_block_layout_is_exercised():
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5000), width=st.integers(1, 10**6), min_rows=st.sampled_from([1, 2, 64]))
+@example(n=129, width=10**6, min_rows=64)
+def test_row_blocks_tile_the_rows_and_merge_a_lone_last_row(n, width, min_rows):
+    """In order and without gaps; every block but the last has the common row
+    count, and the last is no lone row unless it is the only block."""
+    blocks = row_blocks(n, width, min_rows)
+    rows = max(min_rows, PAIR_BLOCK // width)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [i1 - i0 for i0, i1 in blocks]
+    assert all(size == rows for size in sizes[:-1])
+    assert 0 < sizes[-1] <= rows + 1 and (sizes[-1] > 1 or len(blocks) == 1)
+    if min_rows >= 2:
+        assert min(sizes) > 1 or n == 1
+
+
 def strip_layout(B):
     return [(i0, S.shape) for i0, S in B.strips.items()]
+
+
+MERGED = 321  # with PAIR_BLOCK = 2^14, strips of 64 rows and a lone last row
+
+
+@pytest.mark.parametrize("kappa_r", [3.0, 0.25])  # the strip path, the factor path
+def test_a_merged_last_strip_is_filled_like_the_others(monkeypatch, kappa_r):
+    """The lone last row joins the strip before it, of 65 rows where the
+    others have 64: the gamma mask and the fill scratch hold it, Re B is the
+    dense formula bit for bit on both paths (all of B on the strip path), and
+    the certificate matches the dense scan, for every worker count."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
+    cloud = mixed_radii_cloud(MERGED, seed=9)
+    radius = float(foldy._factor_frame(cloud.centers)[1].max())
+    wave = make_wave(kappa=kappa_r / radius, theta=(1.0, 2.0, -0.5))
+    ref = dense_formula(cloud, wave)
+    frob, gamma = scan(ref)
+    layout = [(i0, (64, MERGED - i0)) for i0 in range(0, 256, 64)] + [(256, (65, 65))]
+    for threads, system in assembled_per_thread_count(monkeypatch, cloud, wave):
+        B = system.matrix
+        assert strip_layout(B) == layout, threads
+        assert (B.factor is None) == (kappa_r > 1), threads
+        dense = np.asarray(B)
+        assert np.array_equal(dense.real, ref.real), threads
+        if B.factor is None:  # the factor path's Im B is bounded in test_im_factor
+            assert np.array_equal(dense.imag, ref.imag), threads
+        assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-13, abs=0)
+        assert system.gamma == pytest.approx(gamma, rel=0, abs=1e-15)
+
+
+def test_a_merged_last_strip_solves(monkeypatch):
+    """The certified GMRES and, with mixed signs, the LU over strips whose
+    last one has a row more than the others."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
+    centers = mixed_radii_cloud(MERGED, seed=9).centers
+    impedances = np.full(MERGED, -1.0 + 0.2j)
+    for certified in (True, False):
+        impedances[0] = -1.0 + 0.2j if certified else 1.0 + 0.2j
+        cloud = ScattererCloud(centers=centers, radii=np.full(MERGED, 0.05),
+                               impedances=impedances)
+        sol = solve(assemble(cloud, make_wave(kappa=0.7), "general"))
+        assert list(sol.system.matrix.strips)[-1] == 256
+        assert (sol.iterations is not None) == certified
+        assert sol.residual_inf <= 1e-10
+
+
+def test_lu_equilibrates_a_merged_last_block(monkeypatch):
+    """The LU's row scaling runs over row_blocks(n); at n = 313 its last block
+    has 53 rows where the others have 52, and its buffer holds them."""
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
+    n = 313
+    sizes = [i1 - i0 for i0, i1 in row_blocks(n)]
+    assert sizes[-1] == sizes[0] + 1 == 53
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 4 * n**0.5 * np.eye(n)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    _, residual = foldy._checked_lu_solve(A, rhs, foldy.RESIDUAL_TOL)
+    assert residual <= 1e-10
 
 
 def test_assemble_bit_identical_to_dense_formula(monkeypatch):
@@ -265,9 +340,9 @@ def test_farfield_blocks_bit_identical_to_one_product():
 
 def test_farfield_blocks_of_a_large_cloud_take_two_directions(monkeypatch):
     """Past M = 8192 a block of PAIR_BLOCK / (16 M) directions would hold a
-    single one, and a lone row is evaluated with its predecessor: blocks take
-    two directions, so only a lone last one is evaluated twice, and the values
-    are one product's bits."""
+    single one, which numpy would take as a dot product: blocks take two
+    directions, a lone last one joins the block before it, no direction is
+    evaluated twice, and the values are one product's bits."""
     n = 21  # 9261 centers
     centers = np.indices((n, n, n)).reshape(3, -1).T.astype(float)
     cloud = ScattererCloud(centers=centers, radii=np.full(n**3, 0.1),
@@ -286,7 +361,7 @@ def test_farfield_blocks_of_a_large_cloud_take_two_directions(monkeypatch):
 
     monkeypatch.setattr(foldy, "farfield_kernel", counted)
     assert np.array_equal(farfield(sol, xhat).values, ref)
-    assert rows == [2, 2, 2]
+    assert rows == [2, 3]
 
 
 def test_farfield_peak_memory_is_blocked():
