@@ -3,9 +3,10 @@
 The error metric is the sup norm over a shared direction grid. Rates are
 fitted by least squares on (log a, log error); errors at or below the noise
 floor, 1e-11 of the reference far field's max|U_ref|, are excluded from the
-fit so roundoff plateaus cannot drag the slope, and the predicted slope is
-3 - s - 2*beta for the general coefficient variant or 3 - s - beta for the
-spherical one.
+fit so roundoff plateaus cannot drag the slope; with fewer than two errors
+above it the rate is undetermined and fit_rate raises RateUndetermined. The
+predicted slope is 3 - s - 2*beta for the general coefficient variant or
+3 - s - beta for the spherical one.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, RateUndetermined
 from .foldy import (FarFieldGrid, InvertibilityReport, Variant, assemble,
                     charge_bound_check, farfield, solve)
 from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
 from .kernels import fibonacci_sphere
-from .oracle import assemble_bie, bie_farfield, mie_reference, solve_bie
+from .oracle import (DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, mie_reference,
+                     solve_bie)
 
 NOISE_FLOOR = 1e-11  # relative to max|U_ref|
 
@@ -57,7 +59,10 @@ class RateFit:
 def fit_rate(a_values, errors, predicted_slope: float, scales=None) -> RateFit:
     """Fit log(error) = slope*log(a) + intercept by centered sums, ignoring
     samples at or below NOISE_FLOOR * scale; scales, one per sample, default
-    to 1 (an absolute floor)."""
+    to 1 (an absolute floor).
+
+    Raises RateUndetermined when fewer than two samples clear the floor.
+    """
     a_values = tuple(float(a) for a in a_values)
     errors = tuple(float(e) for e in errors)
     if len(a_values) < 3:
@@ -66,9 +71,9 @@ def fit_rate(a_values, errors, predicted_slope: float, scales=None) -> RateFit:
     usable = [(math.log(a), math.log(e))
               for a, e, scale in zip(a_values, errors, scales) if e > NOISE_FLOOR * scale]
     if len(usable) < 2:
-        # everything at the noise floor: report a degenerate flat fit
-        return RateFit(a_values=a_values, errors=errors, slope=0.0, intercept=0.0,
-                       r_squared=0.0, predicted_slope=predicted_slope, n_used=len(usable))
+        raise RateUndetermined(
+            f"{len(usable)} of {len(errors)} far-field errors cleared the noise floor, "
+            f"{NOISE_FLOOR:g} of max|U_ref|; a rate fit needs 2")
     x_mean = math.fsum(x for x, _ in usable) / len(usable)
     y_mean = math.fsum(y for _, y in usable) / len(usable)
     sxx = math.fsum((x - x_mean) ** 2 for x, _ in usable)
@@ -103,8 +108,8 @@ class OracleSettings:
     """
 
     kind: str = "auto"
-    L: int = 12
-    quad_order: int = 24
+    L: int = DEFAULT_L
+    quad_order: int = DEFAULT_QUAD_ORDER
     n_directions: int = 200
 
     def __post_init__(self):
@@ -174,7 +179,8 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
 
     a_values must be strictly decreasing with at least 3 entries. Every
     sample reuses the same incident wave, direction grid, coefficient
-    variant, and cloud-generation seed.
+    variant, and cloud-generation seed. Raises RateUndetermined, as
+    fit_rate does, when fewer than two errors clear the noise floor.
     """
     a_values = [float(a) for a in a_values]
     if len(a_values) < 3 or any(b >= a for a, b in zip(a_values, a_values[1:])):

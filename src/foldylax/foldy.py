@@ -91,13 +91,16 @@ the strip. It is bound by sqrt, cos and sin, so geometry.row_block_pass deals
 its strips to FOLDYLAX_THREADS worker threads; each writes its own strip, so
 B is the same bit for bit whatever the worker count or the sub-block size.
 The last strip may have a row more than the others (row_blocks merges a lone
-last row), so the mask is sized by the largest. The pass also yields, while
-each sub-block is in cache, ||Re B_n||_F from per-row sums over j > i that do
-not depend on the layout, and gamma = min cos(kappa d) before scaling;
-neither depends on the worker count either. A certified solve then reads B only through GMRES products and its
-diagonal, and keeps the GMRES basis conjugated so that no step copies it;
-only the LU fallback makes a dense copy. farfield evaluates the kernel over
-blocks of a few directions, about 256 KiB each.
+last row), so the mask of pairs j > i is sized by the largest. The pass also
+yields, while each sub-block is in cache, gamma = min cos(kappa d) before
+scaling and ||Re B_n||_F from per-row sums of (Re B_ij)^2, the same mask
+zeroing j <= i. A row's sum runs over its strip's width, so its bits follow
+the strip layout, which row_blocks(M, min_rows=STRIP_ROWS) fixes from M
+alone: neither depends on the worker count. A certified solve then reads B
+only through GMRES products and its diagonal, and keeps the GMRES basis
+conjugated so that no step copies it; only the LU fallback makes a dense
+copy. farfield evaluates the kernel over blocks of a few directions, about
+256 KiB each.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, Singular
                      SphericalPole, ZeroImpedance)
 from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
                        pair_distances, row_block_pass, row_blocks)
-from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
+from .kernels import UNIT_TOL, farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
 RESIDUAL_TOL = 1e-10
@@ -454,7 +457,7 @@ class FarFieldGrid:
         values = np.array(self.values, dtype=complex).reshape(-1)
         if len(directions) != len(values):
             raise ValueError("directions/values length mismatch")
-        if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > 1e-10):
+        if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > UNIT_TOL):
             raise ValueError("far-field directions must be unit vectors")
         if not (np.all(np.isfinite(directions)) and np.all(np.isfinite(values.view(float)))):
             raise ValueError("far-field data must be finite")
@@ -534,20 +537,17 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             np.multiply(cos, scale, out=part.real)
             if degree is None:
                 np.multiply(part.imag, scale, out=part.imag)
-            # gamma: min cos(kappa d) over j > i; the leading square holds j <= i too
-            np.copyto(cos[:, :r1], np.inf, where=lower[r0:r1, :r1])
+            # the leading square holds j <= i too: one mask leaves the pairs j > i
+            no_pair = lower[r0:r1, :r1]
+            # gamma: min cos(kappa d) over j > i
+            np.copyto(cos[:, :r1], np.inf, where=no_pair)
             gamma = min(gamma, float(cos.min()))
             np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
-            # each row's sum of (Re B_ij)^2 over exactly j > i: no strip layout in it
-            rows = min(r1, w - 1) - r0  # row M - 1 has no j > i
-            if rows > 0:
-                with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, unsummed
-                    square = np.multiply(part.real, part.real, out=cos).reshape(-1)
-                starts = np.empty(2 * rows - 1, dtype=np.intp)
-                starts[0::2] = np.arange(rows) * (w + 1) + r0 + 1
-                starts[1::2] = np.arange(1, rows) * w
-                row_frob2[i0 + r0:i0 + r0 + rows] = np.add.reduceat(square[:rows * w],
-                                                                    starts)[0::2]
+            # each row's sum of (Re B_ij)^2 over j > i, the rest zeroed
+            with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, zeroed
+                square = np.multiply(part.real, part.real, out=cos)
+            np.copyto(square[:, :r1], 0.0, where=no_pair)
+            square.sum(axis=1, out=row_frob2[i0 + r0:i0 + r1])
         S.setflags(write=False)
         return gamma
 

@@ -1,9 +1,11 @@
 """Serialization: cloud documents and CSV artifacts.
 
-All floats are emitted with 17 significant digits (%.17g), enough to
-round-trip IEEE doubles exactly, and every writer is deterministic for a
-given payload. Files are written atomically (temp file + os.replace) so a
-crashed run never leaves a truncated artifact behind.
+Cloud documents are written and read by the json module, its floats in
+Python's shortest round-trip form; CSV floats are emitted with 17
+significant digits (%.17g). Both round-trip IEEE doubles exactly, and every
+writer is deterministic for a given payload. Files are written atomically
+(temp file + os.replace) so a crashed run never leaves a truncated artifact
+behind.
 
 Cloud document schema (JSON):
 
@@ -17,7 +19,7 @@ Every regime value must be a JSON number (not a string or a bool), centers a
 list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
 a non-null areas flat lists of numbers, each within the float range (an
 integer literal such as 10**400 is not); anything else is a ValueError that
-names the key. dumps_document refuses a non-finite float, which JSON cannot
+names the key. save_cloud refuses a non-finite float, which JSON cannot
 hold.
 """
 
@@ -38,33 +40,6 @@ from .geometry import RegimeParams, ScattererCloud
 def fmt(x) -> str:
     """17-significant-digit decimal form of a float (exact double round-trip)."""
     return format(float(x), ".17g")
-
-
-def _emit(obj) -> str:
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {obj} to a JSON document")
-        return fmt(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps_document(obj: dict) -> str:
-    """Serialize a nested dict/list document with %.17g floats.
-
-    Raises ValueError on a non-finite float, which JSON cannot hold.
-    """
-    return _emit(obj) + "\n"
 
 
 def write_text_atomic(path: str, text: str):
@@ -99,17 +74,19 @@ def cloud_document(cloud: ScattererCloud) -> dict:
               "lambda0_re": r.lambda0.real, "lambda0_im": r.lambda0.imag}
     return {
         "version": __version__,
-        "centers": [list(row) for row in cloud.centers],
-        "radii": list(cloud.radii),
-        "impedance_re": list(cloud.impedances.real),
-        "impedance_im": list(cloud.impedances.imag),
+        "centers": cloud.centers.tolist(),
+        "radii": cloud.radii.tolist(),
+        "impedance_re": cloud.impedances.real.tolist(),
+        "impedance_im": cloud.impedances.imag.tolist(),
         "regime": rg,
-        "areas": None if cloud.is_spherical else list(cloud.areas),
+        "areas": None if cloud.is_spherical else cloud.areas.tolist(),
     }
 
 
 def save_cloud(path: str, cloud: ScattererCloud):
-    write_text_atomic(path, dumps_document(cloud_document(cloud)))
+    """Write cloud_document(cloud) as JSON; a non-finite number, which JSON
+    cannot hold, is a ValueError before the file is opened."""
+    write_text_atomic(path, json.dumps(cloud_document(cloud), allow_nan=False) + "\n")
 
 
 def load_cloud(path: str) -> ScattererCloud:

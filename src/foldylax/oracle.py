@@ -465,7 +465,7 @@ class BieSolution:
 
 def _per_degree(values_by_l: np.ndarray, L: int) -> np.ndarray:
     """Expand per-degree values (trailing axis L+1) to the flat (l, m) order."""
-    return np.repeat(values_by_l, 2 * np.arange(L + 1) + 1, axis=-1)
+    return values_by_l[..., _degrees_orders(L)[0]]
 
 
 def _incident_coeffs(wave: IncidentWave, centers: np.ndarray, radial: np.ndarray,

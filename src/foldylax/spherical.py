@@ -153,7 +153,8 @@ def spherical_jn(L: int, z, derivative: bool = False) -> np.ndarray:
     Below SERIES_MAX_Z the power series
     j_l = z^l/(2l+1)!! sum_k (-z^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1)).
     Above it Miller's downward recurrence from a degree N past both L and z,
-    where j_N/y_N is below roundoff, normalized by sin z/z or by
+    where j_N/y_N is below roundoff, N set by each element's own z so that no
+    value depends on the other arguments, normalized by sin z/z or by
     j_1 = (j_0 - cos z)/z, whichever is larger, so that a zero of sin z cannot
     amplify roundoff; j_0 and j_1 are then taken from those closed forms.
     """
@@ -179,12 +180,12 @@ def _jn_series(L: int, z: np.ndarray) -> np.ndarray:
 def _jn_miller(L: int, z: np.ndarray) -> np.ndarray:
     if z.size == 0:
         return np.empty(z.shape + (L + 1,))
-    zmax = float(z.max())
-    N = L + 15 + int(zmax + 4.0 * zmax ** (1.0 / 3.0))
+    start = L + 15 + (z + 4.0 * z ** (1.0 / 3.0)).astype(int)
+    N = int(start.max())
     f = np.zeros(z.shape + (N + 2,))
-    f[..., N] = 1.0
+    f[..., N] = start == N
     for l in range(N, 0, -1):
-        f[..., l - 1] = (2 * l + 1) / z * f[..., l] - f[..., l + 1]
+        f[..., l - 1] = (2 * l + 1) / z * f[..., l] - f[..., l + 1] + (start == l - 1)
         big = np.abs(f[..., l - 1]) > MILLER_RESCALE
         if big.any():
             f[big, l - 1:] /= MILLER_RESCALE

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from foldylax import (FarFieldGrid, GridMismatch, InvertibilityReport, OracleSettings,
                       RegimeParams, assemble, convergence_study, farfield, farfield_error,
                       fit_rate, oracle_farfield, predicted_slope, regime_sweep, solve)
+from foldylax.errors import RateUndetermined
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import WatchedMatrix, make_cloud, make_wave
@@ -74,17 +76,22 @@ class TestRateFit:
         assert fit.slope == pytest.approx(3.0, abs=1e-12)
 
     def test_all_below_floor_degenerate(self):
-        fit = fit_rate([0.2, 0.1, 0.05], [0.0, 1e-13, 1e-12], 3.0)
-        assert fit.n_used == 0
-        assert fit.slope == 0.0
-        assert fit.r_squared == 0.0
+        message = ("0 of 3 far-field errors cleared the noise floor, 1e-11 of "
+                   "max|U_ref|; a rate fit needs 2")
+        with pytest.raises(RateUndetermined, match=f"^{re.escape(message)}$"):
+            fit_rate([0.2, 0.1, 0.05], [0.0, 1e-13, 1e-12], 3.0)
+
+    def test_one_usable_sample_is_undetermined(self):
+        with pytest.raises(RateUndetermined, match="^1 of 3 "):
+            fit_rate([0.2, 0.1, 0.05], [1e-3, 1e-13, 1e-12], 3.0)
 
     def test_floor_is_relative_to_the_scales(self):
         """Errors a^3 under a reference far field of size a^2: all below the
         absolute floor 1e-11, all above 1e-11 of their scale."""
         a = [1e-4, 5e-5, 2.5e-5]
         errs = [x**3 for x in a]
-        assert fit_rate(a, errs, 3.0).n_used == 0
+        with pytest.raises(RateUndetermined):
+            fit_rate(a, errs, 3.0)
         fit = fit_rate(a, errs, 3.0, scales=[x**2 for x in a])
         assert fit.n_used == 3
         assert fit.slope == pytest.approx(3.0, abs=1e-12)
@@ -179,13 +186,12 @@ class TestConvergenceStudy:
         assert errs[0] > errs[1] > errs[2]
 
     def test_noise_floor_tolerated(self, wave):
-        """fl oracle yields exact zeros; the fit degrades gracefully."""
+        """fl oracle yields exact zeros, below the floor: the rate is
+        undetermined, not a flat fit."""
         rg = RegimeParams(a=0.1, s=0.0, t=1.0, beta=0.0, lambda0=-1.0)
-        st_out = convergence_study(rg, [0.2, 0.1, 0.05], wave, "spherical",
-                                   OracleSettings(kind="fl", n_directions=20))
-        assert all(r.error == 0.0 for r in st_out.records)
-        assert st_out.fit.n_used == 0
-        assert st_out.fit.slope == 0.0
+        with pytest.raises(RateUndetermined, match="^0 of 3 "):
+            convergence_study(rg, [0.2, 0.1, 0.05], wave, "spherical",
+                              OracleSettings(kind="fl", n_directions=20))
 
 
 class TestRegimeSweep:

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foldylax import RegimeParams, generate_grid_cloud
-from foldylax.io import (dumps_document, fmt, load_cloud, read_csv, save_cloud,
-                         write_charges_csv, write_density_csv,
-                         write_farfield_csv, write_study_csv, write_text_atomic)
+from foldylax.io import (fmt, load_cloud, read_csv, save_cloud, write_charges_csv,
+                         write_density_csv, write_farfield_csv, write_study_csv,
+                         write_text_atomic)
 
 from cloud_helpers import make_cloud
 
@@ -57,6 +57,17 @@ class TestCloudRoundTrip:
         assert not back.is_spherical
         assert back.areas[0] == 0.07
 
+    def test_jittered_lattice_round_trips_bit_for_bit(self, tmp_path):
+        rg = RegimeParams(a=0.02, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
+        cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=5)
+        assert cloud.M == 2500
+        path = tmp_path / "c.json"
+        save_cloud(path, cloud)
+        back = load_cloud(path)
+        for name in ("centers", "radii", "impedances"):
+            assert getattr(back, name).tobytes() == getattr(cloud, name).tobytes()
+        assert back.regime == cloud.regime
+
     def test_double_round_trip_is_identity(self, tmp_path):
         cloud = make_cloud([[0.1, -0.2, 0.9]], 0.033, -1.1 + 0.7j)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -73,10 +84,17 @@ class TestCloudRoundTrip:
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
-def test_dumps_document_refuses_non_finite_floats(value):
-    """JSON has no inf or NaN: the writer must not emit them."""
-    with pytest.raises(ValueError, match="non-finite"):
-        dumps_document({"regime": {"t": 1.0, "d_max": [2.0, value]}})
+def test_dumps_document_refuses_non_finite_floats(tmp_path, value):
+    """JSON has no inf or NaN: save_cloud's json.dumps of the cloud document
+    refuses them, before the file is opened."""
+    cloud = make_cloud([[0.1, 0.2, 0.3], [1.0, 0, 0]], 0.05, -1.5 + 0.25j)
+    radii = np.array(cloud.radii)
+    radii[1] = value
+    # construction refuses the value, so swap the radii in afterwards
+    object.__setattr__(cloud, "radii", radii)
+    with pytest.raises(ValueError):
+        save_cloud(tmp_path / "c.json", cloud)
+    assert os.listdir(tmp_path) == []
 
 
 class TestAtomicWrite:

@@ -74,6 +74,16 @@ def test_miller_rescales_where_the_recurrence_would_overflow():
     assert relative(got, scipy_table(spherical_jn, 100, z)) <= TOL
 
 
+def test_miller_values_do_not_depend_on_the_other_arguments():
+    """Each element enters the downward recurrence at its own degree: one call
+    over radii in [0.3, 3] at kappa = 1.3 gives, bit for bit, the per-element
+    calls."""
+    z = 1.3 * np.linspace(0.3, 3.0, 50)
+    together = spherical.spherical_jn(12, z)
+    alone = np.array([spherical.spherical_jn(12, x) for x in z])
+    assert together.tobytes() == alone.tobytes()
+
+
 def test_shapes_and_degree_zero():
     assert spherical.spherical_jn(3, 0.5).shape == (4,)
     assert spherical.spherical_yn(2, np.ones((5, 1))).shape == (5, 1, 3)
