@@ -9,12 +9,15 @@ Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
 two errors above the noise floor), 4 too little memory: a memory guard's
 refusal (README.md lists what each admits) or a MemoryError none foresaw.
 
-FOLDYLAX_THREADS caps BLAS/OpenMP worker threads and sets the number of
-worker threads of Foldy-Lax assembly. Unset, BLAS keeps its own default and
-assembly uses every CPU the process may run on; a value that is not a
-positive integer exits 2. The cap must land in the environment before numpy
-loads, so every heavy import in this module lives inside a command handler,
-not at the top.
+numpy's BLAS runs on one thread, whatever FOLDYLAX_THREADS is and whatever
+the caller exported: its level-2 products are too small to split, and one
+thread sums each in one fixed order, so the output bytes do not depend on
+the thread count. FOLDYLAX_THREADS sets the worker threads of Foldy-Lax
+assembly and the threads of scipy's BLAS when the dense LU runs (see
+foldy._checked_lu_solve). Unset, both use every CPU the process may run on;
+a value that is not a positive integer exits 2. The one-thread setting must
+land in the environment before numpy loads, so every heavy import in this
+module lives inside a command handler, not at the top.
 
 Every subcommand loads numpy only: the oracles' special functions are numpy
 recurrences, and both systems solve by certified GMRES. scipy.linalg loads
@@ -38,14 +41,13 @@ EXIT_NUMERICAL = 3
 EXIT_NO_MEMORY = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+                "VECLIB_MAXIMUM_THREADS")
 
 
-def _apply_thread_cap():
-    n = thread_count()
-    if os.environ.get("FOLDYLAX_THREADS"):
-        for var in _THREAD_VARS:
-            os.environ[var] = str(n)
+def _pin_blas_threads():
+    """Check FOLDYLAX_THREADS and make every BLAS load with one thread."""
+    thread_count()
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
 
 def _complex_arg(text: str) -> complex:
@@ -298,7 +300,7 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
+        _pin_blas_threads()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -30,7 +30,8 @@ included), or at GMRES's iteration cap, the checked dense LU solves, its
 pivot test reading a copy with each row scaled to unit inf-norm.
 
 Assembly, the report and the certified solve need numpy only. scipy.linalg
-loads inside _checked_lu_solve, so only the LU fallback pays for it.
+loads inside _checked_lu_solve, so only the LU fallback pays for it, and
+the LU runs scipy's BLAS on FOLDYLAX_THREADS threads (_set_lu_threads).
 
 B is stored once, packed by row strips (in the spirit of LAPACK's packed
 symmetric storage, zspmv; Anderson et al., LAPACK Users' Guide, SIAM 1999):
@@ -111,6 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import thread_count
 from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, SingularSystem,
                      SphericalPole, ZeroImpedance)
 from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
@@ -570,6 +572,23 @@ def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> f
     return residual
 
 
+def _set_lu_threads():
+    """Give scipy's bundled OpenBLAS thread_count() threads.
+
+    The CLI loads every BLAS with one thread; the LU is the call that more
+    threads speed up. scipy_openblas_set_num_threads is looked up through
+    one of scipy's LAPACK modules, which links the library the LU calls; a
+    scipy built on another BLAS has no such symbol, and its LU keeps that
+    library's default.
+    """
+    import ctypes
+
+    import scipy.linalg.cython_lapack as lapack
+    blas = ctypes.CDLL(lapack.__file__)
+    if hasattr(blas, "scipy_openblas_set_num_threads"):
+        blas.scipy_openblas_set_num_threads(thread_count())
+
+
 def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     """LU solve returning (x, relative inf-norm residual).
 
@@ -582,6 +601,7 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     """
     import scipy.linalg as la  # here, not at the top: the certified solve needs numpy only
 
+    _set_lu_threads()
     n = A.shape[0]
     _require_memory(17 * n * n, f"{n}x{n} system", "its LU factors")
     dense = np.array(A)

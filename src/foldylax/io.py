@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -45,14 +44,21 @@ def fmt(x) -> str:
 def write_text_atomic(path: str, text: str):
     """Write text to path via a same-directory temp file and atomic rename.
 
-    An OSError names path (and its directory where the temp file cannot be
-    made there), never the temp file.
+    The temp file is created with mode 0666 less the umask, as open() would
+    create path itself. An OSError names path (and its directory where the
+    temp file cannot be made there), never the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:
-        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}: {directory}") from None
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno,
+                          f"cannot write {path}: {exc.strerror}: {directory}") from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -578,8 +578,8 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
             or a modal denominator vanished.
     """
     kappa = wave.kappa
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if radius <= 0 or L < 0:
+        raise ValueError("need radius > 0, L >= 0")
     z = kappa * radius
     j = spherical_jn(L, z)
     jp = spherical_jn(L, z, derivative=True)

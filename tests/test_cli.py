@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from foldylax import cli, errors, foldy, geometry, oracle
@@ -58,6 +58,79 @@ JSON_VALUES = st.recursive(
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(max_size=3), children, max_size=2)),
     max_leaves=6)
+
+
+# command-line fuzzing: each flag takes a value from its valid range, or one
+# of BAD_VALUES; the valid ranges keep every cloud at M <= 8 (M = floor(Mmax
+# a^-s) <= floor(0.8 / 0.1)), L <= 4 and --directions <= 20
+BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "x", ""]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _csv(strategy, size):
+    return st.lists(strategy, min_size=size, max_size=size).map(",".join)
+
+
+REGIME_FLAGS = {"--s": _floats(0, 1), "--t": _floats(0.5, 2), "--beta": _floats(0, 2),
+                "--lambda0": _csv(_floats(-2, 2), 2), "--Mmax": _floats(0.01, 0.8),
+                "--dmin": _floats(0.1, 1), "--dmax": _floats(1, 3),
+                "--box-side": _floats(0.1, 10), "--jitter": _floats(0, 0.9),
+                "--seed": st.integers(0, 99).map(str)}
+WAVE_FLAGS = {"--kappa": _floats(0.1, 6), "--theta": _csv(_floats(-1, 1), 3),
+              "--variant": st.sampled_from(["general", "spherical"]),
+              "--directions": st.integers(1, 20).map(str)}
+ORACLE_FLAGS = {"--oracle": st.sampled_from(["auto", "mie", "bie", "fl"]),
+                "--L": st.integers(0, 4).map(str), "--quad-order": st.integers(1, 8).map(str)}
+A_VALUES = st.lists(st.floats(0.1, 0.5), min_size=3, max_size=4).map(
+    lambda a: ",".join(map(repr, sorted(a, reverse=True))))
+COMMAND_FLAGS = {  # None: a switch without a value
+    "generate": {"--a": _floats(0.1, 0.5), **REGIME_FLAGS},
+    "solve": {**WAVE_FLAGS, "--check-invertibility": None},
+    "compare": {**WAVE_FLAGS, **ORACLE_FLAGS},
+    "sweep": {"--a-values": A_VALUES, **REGIME_FLAGS, **WAVE_FLAGS, **ORACLE_FLAGS},
+}
+REQUIRED_FLAGS = {"generate": ["--a"], "sweep": ["--a-values"]}
+TINY_CLOUDS = ["lattice.json", "single.json", "mixed.json"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and a random subset of its flags, required ones always;
+    solve and compare read one of TINY_CLOUDS, named bare."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    optional = sorted(set(flags) - set(REQUIRED_FLAGS.get(command, ())))
+    argv = [command]
+    if command in ("solve", "compare"):
+        argv.append(draw(st.sampled_from(TINY_CLOUDS)))
+    for flag in REQUIRED_FLAGS.get(command, []) + draw(
+            st.lists(st.sampled_from(optional), unique=True)):
+        if flags[flag] is None:
+            argv.append(flag)
+        else:  # --flag=value: a value such as -0.5,0,1 is not taken for a flag
+            bad = draw(st.integers(0, 7)) == 0
+            argv.append(f"{flag}={draw(st.sampled_from(BAD_VALUES) if bad else flags[flag])}")
+    return argv
+
+
+def assert_whole_csv(path):
+    """Every row of a CLI CSV has its header's cell count, and the file ends
+    with its last row's newline."""
+    text = path.read_text()
+    assert text.endswith("\n"), path.name
+    cells = None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        try:
+            [float(c) for c in line.split(",")]
+        except ValueError:  # a header
+            cells = line.count(",")
+            continue
+        assert cells is not None and line.count(",") == cells, (path.name, line)
 
 
 class TestExitCodes:
@@ -508,6 +581,49 @@ class TestExitCodes:
             if code:
                 assert sorted(p.name for p in Path(work).iterdir()) == ["c.json"]
 
+    @pytest.fixture(scope="class")
+    def tiny_clouds(self, tmp_path_factory):
+        """TINY_CLOUDS: a jittered lattice of M = 8, one sphere, and three
+        spheres of mixed-sign impedance, which the dense LU solves."""
+        work = tmp_path_factory.mktemp("tiny")
+        assert run(["generate", "--a", 0.1, "--s", 1, "--Mmax", 0.8, "--jitter", 0.3,
+                    "--out", work / "lattice.json"]) == 0
+        assert run(["generate", "--a", 0.1, "--out", work / "single.json"]) == 0
+        save_cloud(work / "mixed.json", geometry.ScattererCloud(
+            centers=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]),
+            radii=np.full(3, 0.05), impedances=np.array([-1.0, 1.0, -1.0 + 0.5j])))
+        return work
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=command_lines())
+    @example(argv=["compare", "single.json", "--L=-1"])  # the Mie series at L < 0
+    def test_fuzzed_command_line_is_0_2_3_or_4(self, capsys, tiny_clouds, argv):
+        """Random flags of the four subcommands on tiny clouds: the CLI exits
+        0, 2, 3 or 4 and prints no traceback. A failed run writes nothing; a
+        run that succeeds writes whole CSVs and leaves no temp file."""
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            argv = [str(tiny_clouds / a) if a in TINY_CLOUDS else a for a in argv]
+            out = work / ("x.json" if argv[0] == "generate" else
+                          "x.csv" if argv[0] == "sweep" else "x")
+            capsys.readouterr()
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse's refusal of a flag
+                code = exc.code
+            err = capsys.readouterr().err
+            event(f"{argv[0]} exits {code}")
+            assert code in (0, 2, 3, 4), err
+            assert "Traceback" not in err
+            written = sorted(work.iterdir())
+            if code:
+                assert written == [], err
+            for path in written:
+                assert not path.name.startswith(".tmp-")
+                if path.suffix == ".csv":
+                    assert_whole_csv(path)
+
     @pytest.mark.parametrize("missing_dir", [True, False])
     def test_unwritable_out_is_2(self, tmp_path, capsys, missing_dir):
         cloud = tmp_path / "c.json"
@@ -537,12 +653,17 @@ class TestExitCodes:
         monkeypatch.setenv("FOLDYLAX_THREADS", "many")
         assert run(gen_args(tmp_path / "c.json")) == 2
 
-    def test_threads_env_applied(self, tmp_path, monkeypatch):
+    def test_blas_threads_set_to_one(self, tmp_path, monkeypatch):
+        """Whatever FOLDYLAX_THREADS is and the caller exported, the CLI sets
+        every BLAS to load with one thread (tests/test_threads.py reads what
+        the libraries run in a fresh process)."""
         monkeypatch.setenv("FOLDYLAX_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "4")
         assert run(gen_args(tmp_path / "c.json")) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert {var: os.environ[var] for var in cli._THREAD_VARS} == dict.fromkeys(
+            cli._THREAD_VARS, "1")
+        assert os.environ["FOLDYLAX_THREADS"] == "2"
 
 
 class TestSolveCommand:

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestAtomicWrite:
         write_text_atomic(str(target), "second\n")
         assert target.read_text() == "second\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".tmp-{bytes(6).hex()}~"
+        taken.write_text("another writer's\n")
+        names = iter([bytes(6), bytes([1] * 6)])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        write_text_atomic(str(tmp_path / "out.txt"), "mine\n")
+        assert taken.read_text() == "another writer's\n"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "out.txt"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_files_honour_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            save_cloud(tmp_path / "c.json", make_cloud([[0, 0, 0], [1, 0, 0]], 0.1, -1.0))
+            write_charges_csv(str(tmp_path / "q.csv"), np.array([1 + 2j]))
+        finally:
+            os.umask(old)
+        for name in ("c.json", "q.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
 
 class TestCsvWriters:
