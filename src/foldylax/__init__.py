@@ -14,7 +14,6 @@ _EXPORTS = {
     "RegimeParams": "geometry", "IncidentWave": "geometry",
     "ScattererCloud": "geometry", "CloudStats": "geometry",
     "generate_grid_cloud": "geometry", "cloud_stats": "geometry",
-    "layer_count": "geometry",
     # kernels
     "phi": "kernels", "plane_wave": "kernels", "farfield_kernel": "kernels",
     "fibonacci_sphere": "kernels",
@@ -23,17 +22,16 @@ _EXPORTS = {
     "FoldyLaxSystem": "foldy", "FoldyLaxSolution": "foldy", "FarFieldGrid": "foldy",
     "InvertibilityReport": "foldy", "assemble": "foldy", "solve": "foldy",
     "farfield": "foldy", "invertibility_report": "foldy",
-    "charge_bound_check": "foldy",
     # boundary-integral oracle
     "SphereSpectra": "oracle", "sphere_operator_spectra": "oracle",
     "BieSystem": "oracle", "assemble_bie": "oracle", "solve_bie": "oracle",
     "bie_farfield": "oracle",
-    "mie_reference": "oracle", "optical_theorem_residual": "oracle",
+    "mie_reference": "oracle",
     # analysis
     "OracleSettings": "analysis", "RateFit": "analysis", "fit_rate": "analysis",
     "farfield_error": "analysis", "convergence_study": "analysis",
     "ConvergenceStudy": "analysis", "oracle_farfield": "analysis",
-    "regime_sweep": "analysis", "predicted_slope": "analysis",
+    "predicted_slope": "analysis",
     # io
     "save_cloud": "io", "load_cloud": "io",
 }

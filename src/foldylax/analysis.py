@@ -1,4 +1,4 @@
-"""Far-field comparison, convergence-rate studies, and regime sweeps.
+"""Far-field comparison and convergence-rate studies.
 
 The error metric is the sup norm over a shared direction grid. Rates are
 fitted by least squares on (log a, log error); errors at or below the noise
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, RateUndetermined
-from .foldy import (FarFieldGrid, InvertibilityReport, Variant, assemble,
-                    charge_bound_check, farfield, solve)
+from .foldy import FarFieldGrid, Variant, assemble, farfield, solve
 from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
 from .kernels import fibonacci_sphere
 from .oracle import (DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, mie_reference,
@@ -204,30 +203,3 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
     return ConvergenceStudy(records=tuple(records), fit=fit, variant=variant,
                             oracle_kind=settings.kind)
 
-
-@dataclass(frozen=True)
-class RegimeSweepRow:
-    a: float
-    M: int
-    d_eff: float
-    report: InvertibilityReport
-    residual: float
-    charge_ratio: float  # max|Q_m| / a^(2-beta)
-    charge_bound_ok: bool
-
-
-def regime_sweep(template: RegimeParams, a_values, wave: IncidentWave,
-                 variant: Variant | str = Variant.GENERAL,
-                 box_side: float = math.inf, jitter: float = 0.0, seed: int = 0,
-                 c_tilde: float = 10.0):
-    """Invertibility diagnostics and charge-bound ratios across an a sweep."""
-    rows = []
-    for a in (float(a) for a in a_values):
-        regime = dataclasses.replace(template, a=a)
-        cloud = generate_grid_cloud(regime, box_side=box_side, jitter=jitter, seed=seed)
-        sol = solve(assemble(cloud, wave, variant))
-        ratio = float(np.max(np.abs(sol.charges)) / a ** (2.0 - regime.beta))
-        rows.append(RegimeSweepRow(a=a, M=cloud.M, d_eff=cloud.d_eff, report=sol.diagnostics,
-                                   residual=sol.residual_inf, charge_ratio=ratio,
-                                   charge_bound_ok=charge_bound_check(sol, regime, c_tilde)))
-    return rows

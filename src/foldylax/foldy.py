@@ -400,10 +400,11 @@ class InvertibilityReport:
     frobenius_offdiag_real is ||Re B_n||_F for the off-diagonal matrix B_n
     with entries Phi_kappa(z_i, z_j); bound_rhs is the counting estimate
     sqrt(2*M*a^s)/pi * a^(-s/t) it is guaranteed to stay below on lattice
-    clouds. The condition booleans compare min Re(+/-C_m)/max|C_m|^2 against
-    the lemma threshold sqrt(2*M*a^s)/(pi*d^(s/t)) with the cloud's actual
-    minimal surface distance d; for mixed signs the row-sign-flip reduction
-    applies and both booleans carry the flipped verdict min|Re C_m|/max|C_m|^2.
+    clouds. condition_applicable compares min Re(+/-C_m)/max|C_m|^2, the sign
+    taken from applicable_case, against the lemma threshold
+    sqrt(2*M*a^s)/(pi*d^(s/t)) with the cloud's actual minimal surface
+    distance d; for mixed signs the row-sign-flip reduction applies and the
+    numerator is min|Re C_m|.
     remark_gamma_condition is the alternative distance-free check
     (5*pi/3) * min Re(+/-C_m)/max|C_m|^2 > gamma/d, evaluated when
     gamma = min cos(kappa*|z_i - z_j|) >= 0 (None otherwise).
@@ -419,19 +420,11 @@ class InvertibilityReport:
 
     frobenius_offdiag_real: float
     bound_rhs: float
-    condition_negRe: bool
-    condition_posRe: bool
+    condition_applicable: bool
     gamma: float
     applicable_case: str
     lemma_threshold: float
     remark_gamma_condition: bool | None
-
-    @property
-    def condition_applicable(self) -> bool:
-        """The lemma condition for the detected sign case."""
-        if self.applicable_case == "PosRealLambda":
-            return self.condition_posRe
-        return self.condition_negRe
 
 
 @dataclass(frozen=True)
@@ -752,17 +745,14 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 
-def invertibility_report(system: FoldyLaxSystem,
-                         regime: RegimeParams | None = None) -> InvertibilityReport:
+def invertibility_report(system: FoldyLaxSystem) -> InvertibilityReport:
     """Evaluate the a-priori invertibility estimates for an assembled system.
 
-    Raises MissingRegime if neither the argument nor the cloud provides
-    regime parameters.
+    Raises MissingRegime if the cloud carries no regime parameters.
     """
-    regime = regime if regime is not None else system.cloud.regime
-    if regime is None:
+    if system.cloud.regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
-    return _report(system, regime)
+    return _report(system, system.cloud.regime)
 
 
 def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport:
@@ -779,7 +769,7 @@ def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport
         # no off-diagonal part: the system is the scalar -1/C_1, always invertible
         return InvertibilityReport(
             frobenius_offdiag_real=0.0, bound_rhs=bound_rhs,
-            condition_negRe=True, condition_posRe=True, gamma=1.0,
+            condition_applicable=True, gamma=1.0,
             applicable_case=_sign_case(cloud.impedances), lemma_threshold=0.0,
             remark_gamma_condition=True)
 
@@ -788,18 +778,16 @@ def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport
     with np.errstate(over="ignore"):  # a |C_m| past 1e154 squares to inf: the lemma fails
         max_c2 = float(np.max(np.abs(coeffs)) ** 2)
     case = _sign_case(cloud.impedances)
-    # numerator min Re(+/-C_m): only the detected sign case's condition can hold;
-    # Mixed flips row signs and gives both booleans the min|Re C_m| verdict
+    # numerator min Re(+/-C_m) with the detected sign case's sign; Mixed flips
+    # row signs, which gives min|Re C_m|
     sign = {"NegRealLambda": 1.0, "PosRealLambda": -1.0}.get(case)
     num = float(np.min(sign * coeffs.real if sign else np.abs(coeffs.real)))
-    ok = num / max_c2 > threshold
-    cond_neg, cond_pos = ok and sign != -1.0, ok and sign != 1.0
     remark = None
     if gamma >= 0:
         remark = (5.0 * math.pi / 3.0) * num / max_c2 > gamma / d_eff
     return InvertibilityReport(
         frobenius_offdiag_real=frob, bound_rhs=bound_rhs,
-        condition_negRe=cond_neg, condition_posRe=cond_pos, gamma=gamma,
+        condition_applicable=num / max_c2 > threshold, gamma=gamma,
         applicable_case=case, lemma_threshold=threshold,
         remark_gamma_condition=remark)
 
@@ -813,12 +801,3 @@ def _sign_case(impedances: np.ndarray) -> str:
         return "PosRealLambda"
     return "Mixed"
 
-
-def charge_bound_check(solution: FoldyLaxSolution, regime: RegimeParams | None = None,
-                       c_tilde: float = 10.0) -> bool:
-    """Check the a-priori charge bound max|Q_m| <= c_tilde * a^(2-beta)."""
-    regime = regime if regime is not None else solution.system.cloud.regime
-    if regime is None:
-        raise MissingRegime("charge bound check requires regime parameters")
-    return bool(np.max(np.abs(solution.charges))
-                <= c_tilde * regime.a ** (2.0 - regime.beta))

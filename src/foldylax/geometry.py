@@ -425,13 +425,6 @@ def cloud_stats(cloud: ScattererCloud) -> CloudStats:
     )
 
 
-def layer_count(n: int) -> int:
-    """Number of cells in cubic layer n around a center cell: (2n+1)^3 - (2n-1)^3."""
-    if n < 1:
-        raise ValueError("layer index must be >= 1")
-    return 24 * n * n + 2
-
-
 # numpy's SeedSequence (pool of 4 words) and PCG64 (XSL-RR 128/64) constants
 _SEED_INIT_A, _SEED_MULT_A, _SEED_INIT_B, _SEED_MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
                                                           0x58F38DED)

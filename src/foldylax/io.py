@@ -34,6 +34,7 @@ import numpy as np
 
 from ._version import __version__
 from .geometry import RegimeParams, ScattererCloud
+from .spherical import _degrees_orders
 
 
 def fmt(x) -> str:
@@ -211,14 +212,14 @@ def write_density_csv(path: str, coefficients: np.ndarray, comments=()):
     BIE solution: a row per sphere, its columns ordered
     (l, m) = (0,0), (1,-1), (1,0), (1,1), ...
     """
-    L = math.isqrt(coefficients.shape[1]) - 1
-    lm = [(str(l), str(m)) for l in range(L + 1) for m in range(-l, l + 1)]
+    ls, ms = _degrees_orders(math.isqrt(coefficients.shape[1]) - 1)
+    lm = [(str(l), str(m)) for l, m in zip(ls.tolist(), ms.tolist())]
     rows = ([str(s + 1), l, m, fmt(c.real), fmt(c.imag)]
             for s, row in enumerate(coefficients) for (l, m), c in zip(lm, row))
     write_text_atomic(path, _csv_text(comments, "sphere,l,m,re,im", rows))
 
 
-def write_study_csv(path: str, records, ratefit=None, comments=()):
+def write_study_csv(path: str, records, ratefit, comments=()):
     """Per-a study rows plus a trailing slope,intercept,r2,predicted summary.
 
     records: iterable of dicts with keys a, M, d, error, residual_fl,
@@ -227,20 +228,8 @@ def write_study_csv(path: str, records, ratefit=None, comments=()):
     text = _csv_text(comments, "a,M,d,error,residual_fl,residual_bie",
                      ([fmt(r["a"]), str(r["M"]), fmt(r["d"]), fmt(r["error"]),
                        fmt(r["residual_fl"]), fmt(r["residual_bie"])] for r in records))
-    if ratefit is not None:
-        text += "slope,intercept,r2,predicted\n"
-        text += ",".join([fmt(ratefit.slope), fmt(ratefit.intercept),
-                          fmt(ratefit.r_squared), fmt(ratefit.predicted_slope)]) + "\n"
+    text += "slope,intercept,r2,predicted\n"
+    text += ",".join([fmt(ratefit.slope), fmt(ratefit.intercept),
+                      fmt(ratefit.r_squared), fmt(ratefit.predicted_slope)]) + "\n"
     write_text_atomic(path, text)
 
-
-def read_csv(path: str):
-    """Read back a CSV written by this module: (comment lines, data lines)."""
-    comments, lines = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            (comments if line.startswith("#") else lines).append(line)
-    return comments, lines

@@ -40,8 +40,8 @@ they expand is
                  sum_{l,m'} (-i)^l j_l(kappa r_m) c^{(m)}_{lm'} Y_lm'(xhat),
 
 matching the e^{i kappa r}/(4 pi r) normalization used everywhere else.
-A separation-of-variables reference for one sphere (mie_reference) and the
-energy (optical-theorem) check live here too.
+A separation-of-variables reference for one sphere (mie_reference) lives
+here too.
 
 The self blocks are diagonal, so A = D + C with D = diag(A). A is never
 stored: a sphere pair keeps its coaxial block and direction phases
@@ -77,7 +77,7 @@ from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
 from .geometry import PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_blocks
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
-                        sphere_quadrature, spherical_jn, spherical_yn, unit_angles)
+                        spherical_jn, spherical_yn, unit_angles)
 
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
@@ -600,41 +600,3 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
             f"degree-{L} tail {tail:g} above {SERIES_TAIL_TOL:g} of |Uinf| ~ {ref:g}")
     return FarFieldGrid(directions=directions, values=values, wave=wave)
 
-
-@dataclass(frozen=True)
-class OpticalTheoremCheck:
-    """Scattered power integral vs extinction (16*pi^2/kappa)*Im Uinf(theta)."""
-
-    scattered: float
-    extinction: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.scattered - self.extinction) / max(self.scattered, 1e-300)
-
-    @property
-    def absorbing_sign_ok(self) -> bool:
-        """Extinction >= scattered power (equality for real impedance)."""
-        return self.extinction >= self.scattered * (1.0 - 1e-9)
-
-
-def optical_theorem_residual(evaluate, wave: IncidentWave,
-                             quad_order: int = 32) -> OpticalTheoremCheck:
-    """Energy-identity check for a far field given as a callable on directions.
-
-    evaluate(directions (N,3)) must return Uinf values (N,). The identity,
-    derived from Green's identity under the e^{i kappa r}/(4 pi r) farfield
-    normalization, is
-
-        int_{S^2} |Uinf|^2 dOmega = (16 pi^2 / kappa) Im Uinf(theta)
-
-    for non-absorbing (real-impedance) scatterers, and <= for Im(lambda) > 0.
-    """
-    quad = sphere_quadrature(quad_order)
-    vals = np.asarray(evaluate(quad.points), dtype=complex).reshape(-1)
-    if len(vals) != quad.size:
-        raise ValueError("evaluate() returned wrong number of values")
-    scattered = float(np.sum(quad.weights * np.abs(vals) ** 2))
-    forward = complex(np.asarray(evaluate(wave.theta.reshape(1, 3))).reshape(()))
-    extinction = float(16.0 * np.pi**2 / wave.kappa * forward.imag)
-    return OpticalTheoremCheck(scattered=scattered, extinction=extinction)

@@ -1,5 +1,6 @@
 """Builders of the clouds and incident waves the tests share, a packed
-matrix that fails any dense read, and a runner of code in a fresh interpreter.
+matrix that fails any dense read, a runner of code in a fresh interpreter, a
+reader of the CSVs foldylax.io writes, and the a-priori charge bound.
 
 They live apart from conftest.py, which holds only fixtures: another test
 directory's conftest module of the same name may be loaded first in one
@@ -66,6 +67,23 @@ class WatchedMatrix:
 
     def __array__(self, *args, **kwargs):
         raise AssertionError("matrix densified")
+
+
+def read_csv(path):
+    """Read back a CSV written by foldylax.io: (comment lines, data lines)."""
+    comments, lines = [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            (comments if line.startswith("#") else lines).append(line)
+    return comments, lines
+
+
+def charge_bound_check(solution, regime, c_tilde=10.0):
+    """The a-priori charge bound max|Q_m| <= c_tilde * a^(2-beta)."""
+    return bool(np.max(np.abs(solution.charges)) <= c_tilde * regime.a ** (2.0 - regime.beta))
 
 
 def run_python(code, cwd):

@@ -1,5 +1,8 @@
 """Brute-force quadrature references that the closed forms in foldylax.oracle
-are checked against. Written independently of the package's formulas."""
+are checked against, and the energy identity that far fields are checked
+against. Written independently of the package's formulas."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,3 +93,41 @@ def _rotation_to(xhat: np.ndarray) -> np.ndarray:
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + s * K + (1 - c) * (K @ K)
+
+
+@dataclass(frozen=True)
+class OpticalTheoremCheck:
+    """Scattered power integral vs extinction (16*pi^2/kappa)*Im Uinf(theta)."""
+
+    scattered: float
+    extinction: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.scattered - self.extinction) / max(self.scattered, 1e-300)
+
+    @property
+    def absorbing_sign_ok(self) -> bool:
+        """Extinction >= scattered power (equality for real impedance)."""
+        return self.extinction >= self.scattered * (1.0 - 1e-9)
+
+
+def optical_theorem_residual(evaluate, wave, quad_order: int = 32) -> OpticalTheoremCheck:
+    """Energy-identity check for a far field given as a callable on directions.
+
+    evaluate(directions (N,3)) must return Uinf values (N,). The identity,
+    derived from Green's identity under the e^{i kappa r}/(4 pi r) farfield
+    normalization, is
+
+        int_{S^2} |Uinf|^2 dOmega = (16 pi^2 / kappa) Im Uinf(theta)
+
+    for non-absorbing (real-impedance) scatterers, and <= for Im(lambda) > 0.
+    """
+    quad = sphere_quadrature(quad_order)
+    vals = np.asarray(evaluate(quad.points), dtype=complex).reshape(-1)
+    if len(vals) != quad.size:
+        raise ValueError("evaluate() returned wrong number of values")
+    scattered = float(np.sum(quad.weights * np.abs(vals) ** 2))
+    forward = complex(np.asarray(evaluate(wave.theta.reshape(1, 3))).reshape(()))
+    extinction = float(16.0 * np.pi**2 / wave.kappa * forward.imag)
+    return OpticalTheoremCheck(scattered=scattered, extinction=extinction)

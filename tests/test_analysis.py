@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from foldylax import (FarFieldGrid, GridMismatch, InvertibilityReport, OracleSettings,
                       RegimeParams, assemble, convergence_study, farfield, farfield_error,
-                      fit_rate, oracle_farfield, predicted_slope, regime_sweep, solve)
+                      fit_rate, generate_grid_cloud, oracle_farfield, predicted_slope, solve)
 from foldylax.errors import RateUndetermined
 from foldylax.kernels import fibonacci_sphere
 
-from cloud_helpers import WatchedMatrix, make_cloud, make_wave
+from cloud_helpers import WatchedMatrix, charge_bound_check, make_cloud, make_wave
 
 
 def grid_of(values, wave, n=None):
@@ -198,23 +198,24 @@ class TestRegimeSweep:
     def test_rows_and_diagnostics(self, wave, monkeypatch):
         rg = RegimeParams(a=0.1, s=2.0, t=1.0, beta=0.0, M_max=1.0,
                           d_min=1.0, d_max=2.0, lambda0=-0.5)
-        from foldylax import analysis, foldy
-
-        def watched(*args):
-            system = assemble(*args)
-            return dataclasses.replace(system, matrix=WatchedMatrix(system.matrix))
+        from foldylax import foldy
 
         # after assembly a certified solve reads B only through GMRES products
-        monkeypatch.setattr(analysis, "assemble", watched)
         monkeypatch.setattr(foldy, "_checked_lu_solve", None)
         monkeypatch.setattr(WatchedMatrix, "products", 0)
-        rows = regime_sweep(rg, [0.1, 0.05], wave)
-        assert [r.M for r in rows] == [100, 400]
+        sweep = []
+        for a in (0.1, 0.05):
+            regime = dataclasses.replace(rg, a=a)
+            system = assemble(generate_grid_cloud(regime, box_side=math.inf), wave, "general")
+            sweep.append((regime, solve(dataclasses.replace(
+                system, matrix=WatchedMatrix(system.matrix)))))
+        assert [sol.system.cloud.M for _, sol in sweep] == [100, 400]
         assert WatchedMatrix.products > 2
-        for row in rows:
-            assert isinstance(row.report, InvertibilityReport)
-            assert row.residual <= 1e-10
-            assert row.report.condition_applicable
-            assert row.report.frobenius_offdiag_real <= row.report.bound_rhs
-            assert row.charge_bound_ok
-            assert 0.1 < row.charge_ratio < 10.0
+        for regime, sol in sweep:
+            report = sol.diagnostics
+            assert isinstance(report, InvertibilityReport)
+            assert sol.residual_inf <= 1e-10
+            assert report.condition_applicable
+            assert report.frobenius_offdiag_real <= report.bound_rhs
+            assert charge_bound_check(sol, regime)
+            assert 0.1 < np.max(np.abs(sol.charges)) / regime.a ** (2.0 - regime.beta) < 10.0

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from foldylax import cli, errors, foldy, geometry, oracle
 from foldylax.cli import main
 from foldylax.geometry import IncidentWave
-from foldylax.io import load_cloud, read_csv, save_cloud
+from foldylax.io import load_cloud, save_cloud
 
-from cloud_helpers import make_cloud, run_python
+from cloud_helpers import make_cloud, read_csv, run_python
 
 
 def run(args):
@@ -850,8 +850,9 @@ def test_every_lazy_export_resolves():
     import importlib
 
     import foldylax
-    assert "ScatteringCoefficient" not in foldylax.__all__
-    assert "SurfaceDensity" not in foldylax.__all__
+    for gone in ("ScatteringCoefficient", "SurfaceDensity", "optical_theorem_residual",
+                 "regime_sweep", "layer_count", "charge_bound_check"):
+        assert gone not in foldylax.__all__
     for name, module in foldylax._EXPORTS.items():
         assert name in foldylax.__all__
         assert getattr(foldylax, name) is getattr(

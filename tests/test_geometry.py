@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from foldylax import (CapacityExceeded, IncidentWave, OverlappingSpheres,
                       RegimeParams, RegimeViolation, ScattererCloud,
-                      cloud_stats, generate_grid_cloud, layer_count)
+                      cloud_stats, generate_grid_cloud)
 from foldylax import geometry
 from foldylax.geometry import CLOUD_BYTES_PER_SPHERE
 
@@ -63,26 +63,6 @@ class TestRegimeParams:
     def test_invalid_parameters(self, bad):
         with pytest.raises((RegimeViolation, ValueError)):
             std_regime(**bad)
-
-
-class TestLayerCount:
-    def test_small_values(self):
-        assert layer_count(1) == 26
-        assert layer_count(2) == 98
-        assert layer_count(3) == 218
-
-    def test_closed_form_and_telescoping(self):
-        # layer n = (2n+1)^3 - (2n-1)^3 and layers 1..N fill the shell (2N+1)^3 - 1
-        total = 0
-        for n in range(1, 1001):
-            ln = layer_count(n)
-            assert ln == (2 * n + 1) ** 3 - (2 * n - 1) ** 3
-            total += ln
-        assert total == (2 * 1000 + 1) ** 3 - 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            layer_count(0)
 
 
 class TestGenerateGridCloud:

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foldylax import RegimeParams, generate_grid_cloud
-from foldylax.io import (fmt, load_cloud, read_csv, save_cloud, write_charges_csv,
+from foldylax.io import (fmt, load_cloud, save_cloud, write_charges_csv,
                          write_density_csv, write_farfield_csv, write_study_csv,
                          write_text_atomic)
 
-from cloud_helpers import make_cloud
+from cloud_helpers import make_cloud, read_csv
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from foldylax import (SeriesNotConverged, assemble, bie_farfield, assemble_bie,
-                      farfield, mie_reference, optical_theorem_residual,
-                      solve, solve_bie)
+                      farfield, mie_reference, solve, solve_bie)
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import make_cloud, make_wave
+from quadrature_oracles import optical_theorem_residual
 
 
 def test_agrees_with_bie_single_sphere(tilted_wave):
