@@ -15,8 +15,7 @@ _EXPORTS = {
     "ScattererCloud": "geometry", "CloudStats": "geometry",
     "generate_grid_cloud": "geometry", "cloud_stats": "geometry",
     # kernels
-    "phi": "kernels", "plane_wave": "kernels", "farfield_kernel": "kernels",
-    "fibonacci_sphere": "kernels",
+    "plane_wave": "kernels", "farfield_kernel": "kernels", "fibonacci_sphere": "kernels",
     # point-scatterer solver
     "Variant": "foldy", "coefficient": "foldy",
     "FoldyLaxSystem": "foldy", "FoldyLaxSolution": "foldy", "FarFieldGrid": "foldy",

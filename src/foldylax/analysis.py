@@ -46,8 +46,6 @@ def farfield_error(grid_a: FarFieldGrid, grid_b: FarFieldGrid) -> float:
 class RateFit:
     """Least-squares power-law fit error ~ C * a^slope."""
 
-    a_values: tuple
-    errors: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -83,8 +81,7 @@ def fit_rate(a_values, errors, predicted_slope: float, scales=None) -> RateFit:
     slope = sxy / sxx
     ss_res = math.fsum((y - y_mean - slope * (x - x_mean)) ** 2 for x, y in usable)
     r2 = 1.0 if syy == 0 else 1.0 - ss_res / syy
-    return RateFit(a_values=a_values, errors=errors, slope=slope,
-                   intercept=y_mean - slope * x_mean, r_squared=r2,
+    return RateFit(slope=slope, intercept=y_mean - slope * x_mean, r_squared=r2,
                    predicted_slope=predicted_slope, n_used=len(usable))
 
 
@@ -130,8 +127,6 @@ class StudyRecord:
 class ConvergenceStudy:
     records: tuple
     fit: RateFit
-    variant: Variant
-    oracle_kind: str
 
 
 def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
@@ -200,6 +195,5 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
         scales.append(float(np.max(np.abs(ref_grid.values))))
     fit = fit_rate([r.a for r in records], [r.error for r in records],
                    predicted_slope(template, variant), scales)
-    return ConvergenceStudy(records=tuple(records), fit=fit, variant=variant,
-                            oracle_kind=settings.kind)
+    return ConvergenceStudy(records=tuple(records), fit=fit)
 

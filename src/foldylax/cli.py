@@ -70,7 +70,7 @@ def _direction_arg(text: str):
         raise argparse.ArgumentTypeError("expected X,Y,Z") from None
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected X,Y,Z")
-    norm = math.sqrt(sum(p * p for p in parts))
+    norm = math.hypot(*parts)
     if norm == 0.0 or not math.isfinite(norm):
         raise argparse.ArgumentTypeError("direction must be finite and nonzero")
     return tuple(p / norm for p in parts)
@@ -85,8 +85,6 @@ def _float_list(text: str):
 
 def _cfg_value(v) -> str:
     from .io import fmt
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, complex):
         return f"{fmt(v.real)},{fmt(v.imag)}"
     if isinstance(v, float):

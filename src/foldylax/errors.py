@@ -22,10 +22,6 @@ class OverlappingSpheres(FoldylaxError, ValueError):
     """Two scatterers overlap or touch (min surface distance <= 0)."""
 
 
-class CoincidentPoints(FoldylaxError, ValueError):
-    """Fundamental solution evaluated on (or too near) its singularity."""
-
-
 class CoincidentCenters(FoldylaxError, ValueError):
     """Two scatterer centers coincide during system assembly."""
 
@@ -44,10 +40,6 @@ class SphericalPole(FoldylaxError, ZeroDivisionError):
 
 class SingularSystem(FoldylaxError, ArithmeticError):
     """Linear system factorization failed or residual is out of tolerance."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class MissingRegime(FoldylaxError, ValueError):

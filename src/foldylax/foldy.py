@@ -306,7 +306,7 @@ class _PackedSymmetric:
         _require_memory(np.dtype(dtype).itemsize * sum(sizes) + 8 * n * K + scratch,
                         f"M = {n}", "the matrix")
         self._buf = np.empty(sum(sizes), dtype=dtype)
-        self.shape, self.dtype, self.strips = (n, n), np.dtype(complex), {}
+        self.shape, self.strips = (n, n), {}
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
         self.factor = None if factor_degree is None else np.empty((n, K))
@@ -377,7 +377,7 @@ class FoldyLaxSystem:
 
     matrix is B in packed form (see the module docstring): complex strips, or
     real strips of Re B and the real factor H of Im B. Either way it has shape,
-    dtype, nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
+    nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
     and np.asarray(matrix) is the dense B. The assembly pass also yields
     frobenius_offdiag_real = ||Re B_n||_F, for the certificate and the report,
     and gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one scatterer).
@@ -388,7 +388,6 @@ class FoldyLaxSystem:
     coefficients: np.ndarray
     cloud: ScattererCloud
     wave: IncidentWave
-    variant: Variant
     frobenius_offdiag_real: float
     gamma: float
 
@@ -552,7 +551,6 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
     rhs.setflags(write=False)
     return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
-                          variant=variant,
                           frobenius_offdiag_real=math.sqrt(2.0 * float(row_frob2.sum())),
                           gamma=min(strips))
 
@@ -707,17 +705,12 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     iterations records its matrix-vector count. Otherwise, or when GMRES
     reaches GMRES_MAXITER, the dense LU solves with its pivot test and
     iterations is None. Either way the inf-norm residual is checked against
-    RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution
-    and on SingularSystem.
+    RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution.
     """
     B, regime = system.matrix, system.cloud.regime
     diagnostics = _report(system, regime) if regime is not None else None
     q = _weyl_q(B, system.frobenius_offdiag_real)
-    try:
-        charges, residual, iterations = _certified_solve(B, system.rhs, q, RESIDUAL_TOL)
-    except SingularSystem as exc:
-        exc.diagnostics = diagnostics
-        raise
+    charges, residual, iterations = _certified_solve(B, system.rhs, q, RESIDUAL_TOL)
     charges.setflags(write=False)
     return FoldyLaxSolution(charges=charges, residual_inf=residual, system=system,
                             diagnostics=diagnostics, iterations=iterations)

@@ -5,7 +5,8 @@ Conventions used throughout the package:
     Phi_kappa(x, y) = exp(i*kappa*|x - y|) / (4*pi*|x - y|)
 
 is the radiating fundamental solution of Delta + kappa^2 (time convention
-exp(-i*omega*t)), and far fields are normalized by
+exp(-i*omega*t)); foldy.assemble writes -Phi_kappa(z_m, z_j) off the diagonal
+of its system. Far fields are normalized by
 
     u_s(x) ~ exp(i*kappa*|x|) / (4*pi*|x|) * Uinf(xhat),
 
@@ -17,34 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoincidentPoints, NonUnitDirection
+from .errors import NonUnitDirection
 from .geometry import _require_memory
 
-# below this separation the fundamental solution is treated as singular
-MIN_SEPARATION = 1e-300
 UNIT_TOL = 1e-10
 # a run's peak bytes per direction, its grids and their CSV text (measured
 # on 10^6 directions: 468 for solve, 513 for compare at L = 12)
 DIRECTION_BYTES = 640
-
-
-def phi(kappa: float, x, y) -> complex | np.ndarray:
-    """Fundamental solution Phi_kappa(x, y) = e^{i kappa |x-y|} / (4 pi |x-y|).
-
-    Args:
-        kappa: wavenumber (>= 0; kappa = 0 gives the Laplace kernel).
-        x, y: points, arrays broadcastable to shape (..., 3).
-
-    Raises:
-        CoincidentPoints: if any |x - y| < 1e-300.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(x - y, axis=-1)
-    if np.any(r < MIN_SEPARATION):
-        raise CoincidentPoints("fundamental solution evaluated at coincident points")
-    val = np.exp(1j * kappa * r) / (4.0 * np.pi * r)
-    return val[()] if val.ndim == 0 else val
 
 
 def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -111,9 +111,6 @@ def _overflow(L: int, z) -> SeriesNotConverged:
 class SphereSpectra:
     """Self-operator eigenvalues of one sphere, degrees l = 0..L."""
 
-    kappa: float
-    radius: float
-    L: int
     single_layer: np.ndarray   # s_l
     adjoint_double: np.ndarray  # dstar_l
 
@@ -139,8 +136,7 @@ def sphere_operator_spectra(kappa: float, radius: float, L: int) -> SphereSpectr
     s_l, dstar_l = (arr[0] for arr in _self_spectra(kappa, np.array([float(radius)]), L))
     s_l.setflags(write=False)
     dstar_l.setflags(write=False)
-    return SphereSpectra(kappa=kappa, radius=radius, L=L,
-                         single_layer=s_l, adjoint_double=dstar_l)
+    return SphereSpectra(single_layer=s_l, adjoint_double=dstar_l)
 
 
 # d^1_{mm'}(pi/2), m, m' = -1, 0, 1
@@ -279,7 +275,7 @@ class _BieOperator:
         delta = _rotation_factor(L)
         self._delta = [delta[l][np.ix_(L + orders[:2 * l + 1], L + orders[:2 * l + 1])]
                        for l in range(L + 1)]
-        self.L, self.shape, self.dtype = L, (M * nc, M * nc), np.dtype(complex)
+        self.L, self.shape = L, (M * nc, M * nc)
         self._diagonal = _per_degree(diagonal, L).reshape(-1)
         self._trace, self._outgoing = _per_degree(trace, L), _per_degree(outgoing, L)
         ls, ms = _degrees_orders(L)
@@ -431,10 +427,9 @@ class _BieOperator:
 class BieSystem:
     """Assembled boundary-integral system A c = rhs for a sphere cloud.
 
-    matrix is A, matrix-free (_BieOperator): shape, dtype, nbytes, diagonal(),
-    the product with a vector, and np.asarray(matrix), the dense A. neumann_q
-    = ||C D^-1||_F, D = diag(A), certifies solve_bie (inf where D has a zero).
-    quad_order is validated and kept; the exact cross blocks ignore it.
+    matrix is A, matrix-free (_BieOperator): shape, nbytes, diagonal(), the
+    product with a vector, and np.asarray(matrix), the dense A. neumann_q =
+    ||C D^-1||_F, D = diag(A), certifies solve_bie (inf where D has a zero).
     """
 
     matrix: _BieOperator
@@ -442,7 +437,6 @@ class BieSystem:
     cloud: ScattererCloud
     wave: IncidentWave
     L: int
-    quad_order: int
     neumann_q: float
 
 
@@ -489,7 +483,7 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
     """Assemble the coupled boundary-integral system for a sphere cloud.
 
     Cross blocks are exact (addition theorem), so quad_order does not change
-    the system; it is still validated and kept on the BieSystem.
+    the system; it is still validated.
 
     Raises:
         ValueError: cloud carries non-spherical obstacles, or quad_order < 1.
@@ -517,8 +511,7 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                      1j * kappa * cloud.radii[:, None] ** 2 * jl)
     rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
     rhs.setflags(write=False)
-    return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L,
-                     quad_order=quad_order, neumann_q=A.neumann_q)
+    return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L, neumann_q=A.neumann_q)
 
 
 def solve_bie(system: BieSystem) -> BieSolution:

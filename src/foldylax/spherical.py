@@ -45,7 +45,6 @@ class SphereQuadrature:
 
     points: np.ndarray   # (P, 3) unit vectors
     weights: np.ndarray  # (P,)
-    order: int
 
     @property
     def size(self) -> int:
@@ -69,7 +68,7 @@ def sphere_quadrature(order: int) -> SphereQuadrature:
     weights = np.ascontiguousarray(w.reshape(-1))
     points.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(points=points, weights=weights, order=order)
+    return SphereQuadrature(points=points, weights=weights)
 
 
 def gauss_legendre(n: int):

@@ -5,7 +5,7 @@ oracle.assemble_bie yields q = ||C D^-1||_F from the coaxial blocks of A, and
 geometry finds d by a cell list. These functions compute the same quantities
 the direct way, from a finished dense matrix and from all pairs of centers,
 for the tests to check against and to give hand-built systems their
-certificate inputs; pack stores a hand-built B the way assembly does, and
+certificate inputs; phi is the fundamental solution itself; pack stores a hand-built B the way assembly does, and
 bie_matrix writes the dense A block by block, each (S|R) summed from the full
 Gaunt table of translation_table, with no rotation.
 """
@@ -37,6 +37,15 @@ def scan(B: np.ndarray):
         frob2 += float(np.vdot(re, re))
         gamma = min(gamma, float(cos.min()))
     return math.sqrt(frob2), gamma
+
+
+def phi(kappa: float, x, y):
+    """The fundamental solution Phi_kappa(x, y) = e^{i kappa |x-y|} / (4 pi |x-y|)
+    of the kernels module's convention, for points broadcast on the last axis;
+    foldy.assemble writes -Phi_kappa(z_m, z_j) off the diagonal of B."""
+    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+    val = np.exp(1j * kappa * r) / (4.0 * np.pi * r)
+    return val[()] if val.ndim == 0 else val
 
 
 def dense_distances(centers):

@@ -112,6 +112,12 @@ class TestRateFit:
         with pytest.raises(ValueError):
             fit_rate([0.2, 0.1], [1.0, 0.5], 1.0)
 
+    def test_usable_samples_at_one_radius_are_refused(self):
+        """Three usable errors at one radius leave the slope undetermined;
+        the one sample at another radius is below the floor."""
+        with pytest.raises(ValueError, match="^rate fit needs two distinct radii"):
+            fit_rate([0.1, 0.1, 0.1, 0.05], [1e-3, 2e-3, 3e-3, 0.0], 2.0)
+
     @settings(max_examples=30, deadline=None)
     @given(p=st.floats(0.5, 4.0), c=st.floats(0.01, 100.0))
     def test_recovers_any_power(self, p, c):

@@ -1,3 +1,4 @@
+import ast
 import errno
 import functools
 import json
@@ -25,6 +26,14 @@ from cloud_helpers import make_cloud, read_csv, run_python
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """run's exit code, or that of argparse's refusal of a flag."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def gen_args(out, a=0.05, s=2.0, lambda0="-0.5", extra=()):
@@ -195,6 +204,19 @@ class TestExitCodes:
     def test_bad_a_values_is_2(self, tmp_path):
         assert run(["sweep", "--a-values", "0.1,0.2,0.3",
                     "--out", tmp_path / "s.csv"]) == 2
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("generate", "--lambda0", "1,2,3", "expected RE or RE,IM"),
+        ("generate", "--lambda0", "x", "expected RE or RE,IM"),
+        ("sweep", "--a-values", "0.1,x", "expected comma-separated floats"),
+        ("sweep", "--a-values", "", "--a-values must be non-empty")])
+    def test_unparsable_flag_is_2(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "x"
+        args = gen_args(out) if command == "generate" else ["sweep", "--out", out]
+        args += [flag, value]
+        assert exit_code(args) == 2
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert not out.exists()
 
     def test_mie_oracle_multi_sphere_is_2(self, tmp_path):
         cloud = tmp_path / "c.json"
@@ -608,10 +630,7 @@ class TestExitCodes:
             out = work / ("x.json" if argv[0] == "generate" else
                           "x.csv" if argv[0] == "sweep" else "x")
             capsys.readouterr()
-            try:
-                code = main([*argv, "--out", str(out)])
-            except SystemExit as exc:  # argparse's refusal of a flag
-                code = exc.code
+            code = exit_code([*argv, "--out", out])
             err = capsys.readouterr().err
             event(f"{argv[0]} exits {code}")
             assert code in (0, 2, 3, 4), err
@@ -690,6 +709,25 @@ class TestSolveCommand:
         # non-unit input direction is accepted and normalized
         assert run(["solve", cloud, "--theta", "0,0,5",
                     "--out", tmp_path / "r"]) == 0
+
+    def test_theta_of_any_finite_nonzero_size(self, tmp_path):
+        """Directions whose squares overflow or underflow normalize to the
+        default's bits, so the files match the default's byte for byte."""
+        cloud = tmp_path / "c.json"
+        run(gen_args(cloud, a=0.1))
+        assert run(["solve", cloud, "--out", tmp_path / "ref"]) == 0
+        for i, theta in enumerate(["0,0,1e200", "0,0,1e-200"]):
+            assert run(["solve", cloud, "--theta", theta, "--out", tmp_path / f"r{i}"]) == 0
+            for suffix in ("_charges.csv", "_farfield.csv"):
+                assert (Path(f"{tmp_path / f'r{i}'}{suffix}").read_bytes()
+                        == Path(f"{tmp_path / 'ref'}{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("theta", ["0,0,inf", "nan,0,1", "0,0,0"])
+    def test_theta_not_finite_and_nonzero_is_2(self, tmp_path, capsys, theta):
+        cloud = tmp_path / "c.json"
+        run(gen_args(cloud, a=0.1))
+        assert exit_code(["solve", cloud, "--theta", theta, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err.endswith("direction must be finite and nonzero\n")
 
 
 class TestCompareCommand:
@@ -851,13 +889,34 @@ def test_every_lazy_export_resolves():
 
     import foldylax
     for gone in ("ScatteringCoefficient", "SurfaceDensity", "optical_theorem_residual",
-                 "regime_sweep", "layer_count", "charge_bound_check"):
+                 "regime_sweep", "layer_count", "charge_bound_check", "phi",
+                 "CoincidentPoints"):
         assert gone not in foldylax.__all__
     for name, module in foldylax._EXPORTS.items():
         assert name in foldylax.__all__
         assert getattr(foldylax, name) is getattr(
             importlib.import_module(f"foldylax.{module}"), name)
     assert all(hasattr(foldylax, name) for name in foldylax.__all__)
+
+
+def unconstructed(classes, sources) -> set:
+    """The names among classes that no call in sources constructs."""
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for code in sources for node in ast.walk(ast.parse(code))
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+    return set(classes) - called
+
+
+def test_every_error_class_is_raised():
+    """No error type outlives the code that raises it: src/foldylax constructs
+    every FoldylaxError subclass but the base, and a class it never
+    constructs is found."""
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.FoldylaxError) and obj is not errors.FoldylaxError}
+    sources = [p.read_text() for p in Path(errors.__file__).parent.glob("*.py")]
+    assert unconstructed(classes, sources) == set()
+    dummy = "class NeverRaised(FoldylaxError):\n    pass\n"
+    assert unconstructed(classes | {"NeverRaised"}, sources + [dummy]) == {"NeverRaised"}
 
 
 def test_every_error_class_is_exported():

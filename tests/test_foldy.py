@@ -16,12 +16,7 @@ from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import charge_bound_check, make_cloud, make_wave, run_python
-from dense_reference import scan, with_matrix
-
-
-def ref_phi(kappa, x, y):
-    r = math.dist(x, y)
-    return cmath.exp(1j * kappa * r) / (4 * math.pi * r)
+from dense_reference import phi, scan, with_matrix
 
 
 class TestCoefficient:
@@ -154,7 +149,7 @@ class TestAssemble:
         sol = solve(assemble(cloud, wave, "general"))
         area = 4 * math.pi * r * r
         b = [-1.0 / (-lams[0] * area), -1.0 / (-lams[1] * area)]
-        ph = ref_phi(wave.kappa, z[0], z[1])
+        ph = phi(wave.kappa, z[0], z[1])
         u = [cmath.exp(1j * wave.kappa * float(wave.theta @ zz)) for zz in z]
         det = b[0] * b[1] - ph * ph
         q0 = (u[0] * b[1] + ph * u[1]) / det
@@ -178,7 +173,7 @@ class TestAssemble:
             B[i][i] = -1.0 / C
             for j in range(3):
                 if i != j:
-                    B[i][j] = -ref_phi(wave.kappa, z[i], z[j])
+                    B[i][j] = -phi(wave.kappa, z[i], z[j])
         u = [cmath.exp(1j * wave.kappa * float(wave.theta @ zz)) for zz in z]
 
         def det2(a, b, c, d):
@@ -512,6 +507,11 @@ class TestFarField:
         with pytest.raises(ValueError):
             FarFieldGrid(directions=np.array([[0.0, 0.0, 1.0]]),
                          values=np.array([np.nan + 0j]), wave=wave)
+
+    def test_grid_length_mismatch_rejected(self, wave):
+        with pytest.raises(ValueError, match="^directions/values length mismatch$"):
+            FarFieldGrid(directions=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                         values=np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j]), wave=wave)
 
 
 class TestInvertibilityReport:

@@ -175,6 +175,26 @@ class TestScattererCloud:
         with pytest.raises(ValueError):
             make_cloud([[0, 0, 0]], 0.1, 0.0)
 
+    @pytest.mark.parametrize("centers, radii, areas, message", [
+        (np.empty((0, 3)), [], None, "^cloud must contain at least one scatterer$"),
+        ([[0.0, 0.0, np.nan]], [0.1], None, "^cloud data must be finite$"),
+        ([[0.0, 0.0, 0.0]], [0.0], None, "^radii must be positive$"),
+        ([[0.0, 0.0, 0.0]], [0.1], [0.0], "^areas must be positive, one per scatterer$")])
+    def test_invalid_cloud_rejected(self, centers, radii, areas, message):
+        with pytest.raises(ValueError, match=message):
+            ScattererCloud(centers=centers, radii=radii,
+                           impedances=np.full(len(radii), -1.0 + 0j), areas=areas)
+
+    @pytest.mark.parametrize("centers, radius, message", [
+        ([[0, 0, 0], [0.125, 0, 0]], 0.025, r"M <= M_max \* a\^\(-s\)$"),
+        ([[0, 0, 0]], 0.03, r"2\*max\(r_m\) <= a$")])
+    def test_regime_count_and_radius_enforced(self, centers, radius, message):
+        """At a = 0.05, s = 0 and M_max = 1 the regime admits one sphere of
+        radius at most 0.025; two in the separation window are one too many."""
+        rg = std_regime(a=0.05, s=0.0)
+        with pytest.raises(RegimeViolation, match=message):
+            make_cloud(centers, radius, -0.5, regime=rg)
+
     def test_regime_window_enforced(self):
         rg = std_regime(a=0.05, s=2.0)
         # separation 0.3 is far above d_max * a = 0.1
@@ -213,6 +233,10 @@ class TestIncidentWave:
         with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 6\.283185307179586\]$"):
             IncidentWave(kappa=7.0, theta=np.array([0.0, 0.0, 1.0]))
         IncidentWave(kappa=2 * math.pi, theta=np.array([0.0, 0.0, 1.0]))
+
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            IncidentWave(kappa=1.0, theta=np.array([0.0, 0.0, np.nan]))
 
 
 @settings(max_examples=50, deadline=None)

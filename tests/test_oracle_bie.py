@@ -1,6 +1,5 @@
 """Coupled boundary-integral solver vs brute-force quadrature oracles."""
 
-import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -19,13 +18,8 @@ from foldylax.kernels import fibonacci_sphere
 from foldylax.spherical import harmonic_matrix, n_coeffs, sphere_quadrature
 
 from cloud_helpers import WatchedMatrix, make_cloud, make_wave
-from dense_reference import bie_matrix, neumann_scan
+from dense_reference import bie_matrix, neumann_scan, phi
 from quadrature_oracles import coupling_block
-
-
-def ref_phi(kappa, x, y):
-    r = np.linalg.norm(np.asarray(x) - np.asarray(y))
-    return cmath.exp(1j * kappa * r) / (4 * math.pi * r)
 
 
 class TestSingleSphere:
@@ -104,7 +98,7 @@ class TestCouplingBlock:
             acc = 0j
             for q in range(quad.size):
                 y = c2 + r2 * quad.points[q]
-                acc += quad.weights[q] * r2**2 * ref_phi(kappa, x, y) * sigma[q]
+                acc += quad.weights[q] * r2**2 * phi(kappa, x, y) * sigma[q]
             return acc
 
         h = 1e-5
@@ -403,8 +397,9 @@ class TestPackedStore:
         system = assemble_bie(cloud, tilted_wave, L=L)
         A = bie_matrix(cloud, tilted_wave, L)
         operator = system.matrix
-        assert operator.shape == A.shape and operator.dtype == A.dtype
-        assert_subblocks_close(np.asarray(operator), A, m, L, 1e-12)
+        dense = np.asarray(operator)
+        assert operator.shape == A.shape and dense.dtype == A.dtype
+        assert_subblocks_close(dense, A, m, L, 1e-12)
         assert np.array_equal(operator.diagonal(), A.diagonal())
         # per pair: the (l, l', |m|) coaxial entries, a zero pad and two phase rows
         coaxial = (L + 1) * (L + 2) * (2 * L + 3) // 6

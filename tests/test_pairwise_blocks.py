@@ -319,8 +319,7 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
 def solution_with(cloud, charges, wave):
     """A solution carrying given charges, for far-field tests that need no solve."""
     system = foldy.FoldyLaxSystem(matrix=None, rhs=None, coefficients=None, cloud=cloud,
-                                  wave=wave, variant=foldy.Variant.GENERAL,
-                                  frobenius_offdiag_real=math.nan, gamma=math.nan)
+                                  wave=wave, frobenius_offdiag_real=math.nan, gamma=math.nan)
     return foldy.FoldyLaxSolution(charges=charges, residual_inf=0.0, system=system,
                                   diagnostics=None)
 
