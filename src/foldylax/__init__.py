@@ -12,8 +12,7 @@ from ._version import __version__
 _EXPORTS = {
     # geometry
     "RegimeParams": "geometry", "IncidentWave": "geometry",
-    "ScattererCloud": "geometry", "CloudStats": "geometry",
-    "generate_grid_cloud": "geometry", "cloud_stats": "geometry",
+    "ScattererCloud": "geometry", "generate_grid_cloud": "geometry",
     # kernels
     "plane_wave": "kernels", "farfield_kernel": "kernels", "fibonacci_sphere": "kernels",
     # point-scatterer solver

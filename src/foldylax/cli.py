@@ -206,16 +206,13 @@ def _oracle_settings(args):
 
 def _cmd_generate(args) -> int:
     from . import io
-    from .geometry import cloud_stats, generate_grid_cloud
+    from .geometry import generate_grid_cloud
     regime = _regime_from_args(args, args.a)
     cloud = generate_grid_cloud(regime, box_side=args.box_side,
                                 jitter=args.jitter, seed=args.seed)
     io.save_cloud(args.out, cloud)
-    stats = cloud_stats(cloud)
     print(f"wrote {args.out}: M={cloud.M} a={args.a:g} d_eff={cloud.d_eff:g} "
           f"impedance={_cfg_value(complex(regime.impedance))}")
-    print(f"a_eff={stats.a_eff:g} lambda_plus={stats.lambda_plus:g} "
-          f"lambda_minus={stats.lambda_minus:g}")
     return EXIT_OK
 
 
@@ -307,7 +304,7 @@ def main(argv=None) -> int:
     from . import errors
     try:
         return args.handler(args)
-    except (errors.FoldylaxError, ValueError, OSError, KeyError, MemoryError) as exc:
+    except (errors.FoldylaxError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, MemoryError):  # InsufficientMemory is one
             return EXIT_NO_MEMORY

@@ -65,9 +65,13 @@ strips' imaginary halves, the strips are real and hold Re B, and Im B is
 applied off the diagonal as -kappa H (H^T x); otherwise the strips are
 complex and hold B. The choice follows from M and kappa R alone: a cloud of
 a few thousand in a domain of fixed kappa diam takes the factor, a few
-dozen spheres keep the strips. On the factor path B takes about 4 M^2
-bytes, not 8 M^2, assembly computes cos and no sin, and Re B, the diagonal
--1/C_m and the certificate below are the same bits as on the strip path.
+dozen spheres keep the strips. _PackedSymmetric's constructor makes the
+choice in one step: it sizes the strips, takes L from the centers' frame,
+admits the strips, H and H's scratch against the memory available, then
+allocates them and computes H, so assemble only fills the strips. On the
+factor path B takes about 4 M^2 bytes, not 8 M^2, assembly computes cos and
+no sin, and Re B, the diagonal -1/C_m and the certificate below are the same
+bits as on the strip path.
 
 What the factor path applies differs from Im B by at most, entrywise and to
 first order in the unit roundoff u,
@@ -113,10 +117,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import thread_count
-from .errors import (CoincidentCenters, MissingRegime, RegimeViolation, SingularSystem,
-                     SphericalPole, ZeroImpedance)
-from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_memory, block_view,
-                       pair_distances, row_block_pass, row_blocks)
+from .errors import (CoincidentCenters, MissingRegime, NonUnitDirection, RegimeViolation,
+                     SingularSystem, SphericalPole, ZeroImpedance)
+from .geometry import (IncidentWave, ScattererCloud, _require_memory, block_view, pair_distances,
+                       row_block_pass, row_blocks)
 from .kernels import UNIT_TOL, farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
@@ -199,12 +203,6 @@ def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
                      in zip(lam.tolist(), radii.tolist(), areas.tolist())], dtype=complex)
 
 
-def _strip_sizes(n: int):
-    """The row blocks of B's strips and their entry counts."""
-    blocks = row_blocks(n, min_rows=STRIP_ROWS)
-    return blocks, [(i1 - i0) * (n - i0) for i0, i1 in blocks]
-
-
 def _tail_degree(x: float, max_degree: int) -> int | None:
     """The least L <= max_degree whose tail sum_{l>L} (2l+1) x^(2l)/((2l+1)!!)^2
     is below FACTOR_TAIL, else None."""
@@ -229,18 +227,19 @@ def _factor_frame(centers: np.ndarray):
     return rel, np.sqrt(np.einsum("ij,ij->i", rel, rel))
 
 
-def _factor_degree(centers: np.ndarray, kappa: float, entries: int) -> int | None:
+def _factor_degree(r: np.ndarray, kappa: float, entries: int) -> int | None:
     """The degree L of Im B's factor, None where the strips keep Im B.
 
-    entries is the strips' entry count. (L+1)^2 complex columns, twice H's
-    bytes, must take fewer than the imaginary halves of the strips,
-    16 M (L+1)^2 < 8 entries, and L is the least degree whose tail is below
-    FACTOR_TAIL at x = kappa R, R = max |z_m - c|.
+    r holds the radii |z_m - c| of _factor_frame and entries is the strips'
+    entry count. (L+1)^2 complex columns, twice H's bytes, must take fewer
+    than the imaginary halves of the strips, 16 M (L+1)^2 < 8 entries, and L
+    is the least degree whose tail is below FACTOR_TAIL at x = kappa R,
+    R = max r_m.
     """
-    max_degree = math.isqrt((entries - 1) // (2 * len(centers))) - 1
+    max_degree = math.isqrt((entries - 1) // (2 * len(r))) - 1
     if max_degree < 0:
         return None
-    return _tail_degree(kappa * float(_factor_frame(centers)[1].max()), max_degree)
+    return _tail_degree(kappa * float(r.max()), max_degree)
 
 
 def _factor_rows(n: int) -> int:
@@ -251,18 +250,18 @@ def _factor_rows(n: int) -> int:
     return max(STRIP_ROWS, math.ceil(n / 8))
 
 
-def _fill_factor(H: np.ndarray, centers: np.ndarray, kappa: float, L: int):
+def _fill_factor(H: np.ndarray, rel: np.ndarray, r: np.ndarray, kappa: float, L: int):
     """H[m, (l, mu)] = w_mu Re F[m, (l, mu)] for mu >= 0 and -w_mu Im F[m, (l, mu)]
     for mu < 0, F[m, (l, mu)] = j_l(kappa r_m) Y_l^mu(xhat_m), x_m = z_m - c,
     with w_mu = 1 for mu = 0 and sqrt 2 otherwise, so that H H^T = Re(F F^H)
-    (see the module docstring). It is computed in blocks of _factor_rows rows,
-    with cos(mu phi) or sin(|mu| phi) in place of e^{i mu phi}.
+    (see the module docstring); rel and r are _factor_frame's x_m and r_m. It
+    is computed in blocks of _factor_rows rows, with cos(mu phi) or
+    sin(|mu| phi) in place of e^{i mu phi}.
 
     The columns run from the highest degree down: the inner products of H's
     rows then add the small terms first and the l = 0 term, nearly all of
     j_0, last, which keeps their rounding near one ulp of 1/(4 pi).
     """
-    rel, r = _factor_frame(centers)
     rho = np.hypot(rel[:, 0], rel[:, 1])
     ls, ms = _degrees_orders(L)
     # each column's place among the L + 1 cosines of m phi, m >= 0, and the L
@@ -288,20 +287,28 @@ class _PackedSymmetric:
     """An n x n complex symmetric matrix stored once, as the row strips of
     row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on.
 
-    strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n.
-    With factor_degree None the strips are complex and hold B. With a degree
-    L they are real and hold Re B; factor is H, n x (L+1)^2 real harmonics of
-    8 n (L+1)^2 bytes, and off the diagonal Im B = -kappa H H^T;
-    diagonal() is the diagonal given. The constructor raises
-    InsufficientMemory if the strips, H and one block of H's scratch do not
-    fit in the memory available, else allocates them uninitialised.
+    strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n,
+    allocated uninitialised for the caller to fill; diagonal() is the
+    diagonal given. Without centers, or where _factor_degree of the centers'
+    frame and kappa is None, the strips are complex and hold B and factor is
+    None. With a degree L the strips are real and hold Re B, and the
+    constructor computes factor, H, n x (L+1)^2 real harmonics of
+    8 n (L+1)^2 bytes, with Im B = -kappa H H^T off the diagonal. Before it
+    allocates anything it raises InsufficientMemory if the strips, H and one
+    block of H's scratch do not fit in the memory available.
     """
 
-    def __init__(self, diagonal: np.ndarray, factor_degree: int | None = None):
+    def __init__(self, diagonal: np.ndarray, centers: np.ndarray | None = None,
+                 kappa: float = 0.0):
         n = len(diagonal)
-        blocks, sizes = _strip_sizes(n)
-        dtype = complex if factor_degree is None else float
-        K = 0 if factor_degree is None else n_coeffs(factor_degree)
+        blocks = row_blocks(n, min_rows=STRIP_ROWS)
+        sizes = [(i1 - i0) * (n - i0) for i0, i1 in blocks]
+        degree = None
+        if centers is not None:
+            rel, r = _factor_frame(centers)
+            degree = _factor_degree(r, kappa, sum(sizes))
+        dtype = complex if degree is None else float
+        K = 0 if degree is None else n_coeffs(degree)
         scratch = 0 if K == 0 else FACTOR_SCRATCH * min(n, _factor_rows(n)) * (K + 16)
         _require_memory(np.dtype(dtype).itemsize * sum(sizes) + 8 * n * K + scratch,
                         f"M = {n}", "the matrix")
@@ -309,19 +316,17 @@ class _PackedSymmetric:
         self.shape, self.strips = (n, n), {}
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
-        self.factor = None if factor_degree is None else np.empty((n, K))
         self._diagonal = np.array(diagonal, dtype=complex)
         self._diagonal.setflags(write=False)
-
-    def set_factor(self, centers: np.ndarray, kappa: float):
-        """Compute H, and keep what the product needs besides: kappa, and
-        i (Im B_mm + kappa (H H^T)_mm), which restores Im B_mm on the diagonal
-        where -kappa H H^T puts -kappa (H H^T)_mm."""
-        _fill_factor(self.factor, centers, kappa, math.isqrt(self.factor.shape[1]) - 1)
-        self.factor.setflags(write=False)
-        H = self.factor
-        self.kappa = kappa
-        self._im_diagonal = 1j * (self._diagonal.imag + kappa * np.einsum("ij,ij->i", H, H))
+        self.factor = None
+        if degree is not None:
+            H = self.factor = np.empty((n, K))
+            _fill_factor(H, rel, r, kappa, degree)
+            H.setflags(write=False)
+            self.kappa = kappa
+            # i (Im B_mm + kappa (H H^T)_mm) restores Im B_mm on the diagonal,
+            # where -kappa H H^T puts -kappa (H H^T)_mm
+            self._im_diagonal = 1j * (self._diagonal.imag + kappa * np.einsum("ij,ij->i", H, H))
 
     @property
     def nbytes(self) -> int:
@@ -452,7 +457,7 @@ class FarFieldGrid:
         if len(directions) != len(values):
             raise ValueError("directions/values length mismatch")
         if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > UNIT_TOL):
-            raise ValueError("far-field directions must be unit vectors")
+            raise NonUnitDirection("far-field directions must be unit vectors")
         if not (np.all(np.isfinite(directions)) and np.all(np.isfinite(values.view(float)))):
             raise ValueError("far-field data must be finite")
         directions.setflags(write=False)
@@ -495,12 +500,9 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
     diagonal = -1.0 / coeffs
     kappa = wave.kappa
-    blocks, sizes = _strip_sizes(M)
-    degree = _factor_degree(cloud.centers, kappa, sum(sizes))
-    B = _PackedSymmetric(diagonal, degree)
-    if degree is not None:
-        B.set_factor(cloud.centers, kappa)
-    strip_diagonal = diagonal if degree is None else diagonal.real
+    B = _PackedSymmetric(diagonal, cloud.centers, kappa)
+    blocks = [(i0, i0 + len(S)) for i0, S in B.strips.items()]
+    strip_diagonal = diagonal if B.factor is None else diagonal.real
     xyz = np.ascontiguousarray(cloud.centers.T)
     lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
     row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
@@ -522,14 +524,14 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             np.fill_diagonal(dist[:, r0:], 1.0)
             part = S[r0:r1]
             cos = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
-            if degree is None:
+            if B.factor is None:
                 np.sin(cos, out=part.imag)
             np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
             # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
             # it: times the reciprocal of 4 pi d
             scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
             np.multiply(cos, scale, out=part.real)
-            if degree is None:
+            if B.factor is None:
                 np.multiply(part.imag, scale, out=part.imag)
             # the leading square holds j <= i too: one mask leaves the pairs j > i
             no_pair = lower[r0:r1, :r1]
@@ -707,10 +709,9 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     iterations is None. Either way the inf-norm residual is checked against
     RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution.
     """
-    B, regime = system.matrix, system.cloud.regime
-    diagnostics = _report(system, regime) if regime is not None else None
-    q = _weyl_q(B, system.frobenius_offdiag_real)
-    charges, residual, iterations = _certified_solve(B, system.rhs, q, RESIDUAL_TOL)
+    diagnostics = invertibility_report(system) if system.cloud.regime is not None else None
+    q = _weyl_q(system.matrix, system.frobenius_offdiag_real)
+    charges, residual, iterations = _certified_solve(system.matrix, system.rhs, q, RESIDUAL_TOL)
     charges.setflags(write=False)
     return FoldyLaxSolution(charges=charges, residual_inf=residual, system=system,
                             diagnostics=diagnostics, iterations=iterations)
@@ -729,30 +730,24 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
     values = np.empty(len(directions), dtype=complex)
     # a block's kernel and exp's temporaries take about 40 bytes per direction
     # and center: blocks of PAIR_BLOCK / (16 M) directions stay near 256 KiB
-    # (3 directions at M = 2500), and wider blocks give the same bits; at
-    # least 2, since numpy takes a one-row product as a dot product, which
-    # sums in another order
-    for d0, d1 in row_blocks(len(directions), 16 * system.cloud.M, min_rows=2):
+    # (3 directions at M = 2500), and wider blocks give the same bits
+    for d0, d1 in row_blocks(len(directions), 16 * system.cloud.M):
         values[d0:d1] = (farfield_kernel(system.wave.kappa, directions[d0:d1, None, :], centers)
                          @ solution.charges)
     return FarFieldGrid(directions=directions, values=values, wave=system.wave)
 
 
 def invertibility_report(system: FoldyLaxSystem) -> InvertibilityReport:
-    """Evaluate the a-priori invertibility estimates for an assembled system.
+    """Evaluate the a-priori invertibility estimates for an assembled system,
+    from the ||Re B_n||_F and gamma of its assembly pass and the regime of
+    its cloud; solve attaches the report of a regime cloud to its solution.
 
     Raises MissingRegime if the cloud carries no regime parameters.
     """
-    if system.cloud.regime is None:
+    cloud, regime = system.cloud, system.cloud.regime
+    if regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
-    return _report(system, system.cloud.regime)
-
-
-def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport:
-    """The report from the ||Re B_n||_F and gamma of the assembly pass."""
-    cloud, frob, gamma = system.cloud, system.frobenius_offdiag_real, system.gamma
-    M = cloud.M
-    coeffs = system.coefficients
+    M, coeffs, gamma = cloud.M, system.coefficients, system.gamma
     a, s, t = regime.a, regime.s, regime.t
     exponent = (s / t) if t > 0 else 0.0
     m_hat = M * a**s  # realized M_max := M * a^s, as in the lemma statement
@@ -779,7 +774,7 @@ def _report(system: FoldyLaxSystem, regime: RegimeParams) -> InvertibilityReport
     if gamma >= 0:
         remark = (5.0 * math.pi / 3.0) * num / max_c2 > gamma / d_eff
     return InvertibilityReport(
-        frobenius_offdiag_real=frob, bound_rhs=bound_rhs,
+        frobenius_offdiag_real=system.frobenius_offdiag_real, bound_rhs=bound_rhs,
         condition_applicable=num / max_c2 > threshold, gamma=gamma,
         applicable_case=case, lemma_threshold=threshold,
         remark_gamma_condition=remark)

@@ -22,9 +22,9 @@ go in chunks of CELL_PAIRS, so a poor u costs time but never memory.
 
 A pass over the rows of an M x M matrix takes the fixed blocks of
 row_blocks, about PAIR_BLOCK entries each, so that it allocates no M x M
-temporary. A lone last row joins the block before it: numpy takes a one-row
-product as a dot product, which sums in another order, so a pass whose bits
-must not depend on the layout asks for blocks of at least two rows. Foldy-Lax
+temporary. Each block has at least two rows, a lone last row joining the
+block before it: numpy takes a one-row product as a dot product, which sums
+in another order, so a row's bits would depend on the layout. Foldy-Lax
 assembly, bound by arithmetic, deals its blocks among FOLDYLAX_THREADS
 threading.Thread workers through row_block_pass, each with scratch buffers
 allocated once per pass; passes bound by memory bandwidth are plain loops.
@@ -245,7 +245,7 @@ class ScattererCloud:
         return 2.0 * float(np.max(self.radii))
 
 
-def row_blocks(n: int, width: int | None = None, min_rows: int = 1):
+def row_blocks(n: int, width: int | None = None, min_rows: int = 2):
     """Row slices (i0, i1) of an n-row array of width (default n) columns,
     about PAIR_BLOCK entries each and at least min_rows rows. A lone last row
     joins the block before it, so the last block may have one row more than
@@ -392,37 +392,6 @@ def _min_surface_distance(centers: np.ndarray, radii: np.ndarray) -> float:
             if keep.any():
                 best = min(best, float(_gaps(xyz, radii, p[keep], q[keep]).min()))
     return best
-
-
-@dataclass(frozen=True)
-class CloudStats:
-    """Summary returned by cloud_stats."""
-
-    M: int
-    a_eff: float
-    d_eff: float
-    lambda_plus: float
-    lambda_minus: float
-
-
-def cloud_stats(cloud: ScattererCloud) -> CloudStats:
-    """M, max diameter, min surface distance, and impedance-prefactor bounds.
-
-    With regime provenance the prefactors lambda_{m,0} = lambda_m * a^beta are
-    recovered exactly and lambda_plus = max|lambda_{m,0}|,
-    lambda_minus = min|Re lambda_{m,0}|. Without a regime the raw impedances
-    are used (a^0 convention). d_eff is +inf for M = 1.
-    """
-    lam = cloud.impedances
-    if cloud.regime is not None:
-        lam = lam * cloud.regime.a**cloud.regime.beta
-    return CloudStats(
-        M=cloud.M,
-        a_eff=cloud.a_eff,
-        d_eff=cloud.d_eff,
-        lambda_plus=float(np.max(np.abs(lam))),
-        lambda_minus=float(np.min(np.abs(lam.real))),
-    )
 
 
 # numpy's SeedSequence (pool of 4 words) and PCG64 (XSL-RR 128/64) constants

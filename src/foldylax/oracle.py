@@ -549,8 +549,7 @@ def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
     weighted = [_per_degree(4.0 * np.pi * r**2 * (-1j) ** ls * jl, L) * c
                 for r, jl, c in zip(cloud.radii.tolist(), spherical_jn(L, wave.kappa * cloud.radii),
                                     solution.coefficients)]
-    # at least 2 rows, since numpy takes a one-row product as a dot product
-    for d0, d1 in row_blocks(len(directions), n_coeffs(L), min_rows=2):
+    for d0, d1 in row_blocks(len(directions), n_coeffs(L)):
         Yd, xhat = harmonic_matrix(L, directions[d0:d1]), directions[d0:d1]
         for z, w in zip(cloud.centers, weighted):
             values[d0:d1] += np.exp(-1j * wave.kappa * xhat @ z) * (Yd @ w)

@@ -672,6 +672,15 @@ class TestExitCodes:
         monkeypatch.setenv("FOLDYLAX_THREADS", "many")
         assert run(gen_args(tmp_path / "c.json")) == 2
 
+    def test_key_error_propagates(self, tmp_path, monkeypatch):
+        """io turns every missing document key into a ValueError, so a
+        KeyError out of a handler is a bug: it propagates, not exit 2."""
+        def broken(args):
+            raise KeyError("x")
+        monkeypatch.setattr(cli, "_cmd_generate", broken)
+        with pytest.raises(KeyError):
+            run(gen_args(tmp_path / "c.json"))
+
     def test_blas_threads_set_to_one(self, tmp_path, monkeypatch):
         """Whatever FOLDYLAX_THREADS is and the caller exported, the CLI sets
         every BLAS to load with one thread (tests/test_threads.py reads what
@@ -890,7 +899,7 @@ def test_every_lazy_export_resolves():
     import foldylax
     for gone in ("ScatteringCoefficient", "SurfaceDensity", "optical_theorem_residual",
                  "regime_sweep", "layer_count", "charge_bound_check", "phi",
-                 "CoincidentPoints"):
+                 "CoincidentPoints", "CloudStats", "cloud_stats"):
         assert gone not in foldylax.__all__
     for name, module in foldylax._EXPORTS.items():
         assert name in foldylax.__all__

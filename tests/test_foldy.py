@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from foldylax import (FarFieldGrid, MissingRegime,
+from foldylax import (FarFieldGrid, MissingRegime, NonUnitDirection,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       SingularSystem, SphericalPole, ZeroImpedance, assemble,
-                      coefficient, farfield, generate_grid_cloud,
-                      invertibility_report, solve)
+                      assemble_bie, bie_farfield, coefficient, farfield,
+                      generate_grid_cloud, invertibility_report, mie_reference,
+                      solve, solve_bie)
 from foldylax import foldy
 from foldylax.kernels import fibonacci_sphere
 
@@ -507,6 +508,20 @@ class TestFarField:
         with pytest.raises(ValueError):
             FarFieldGrid(directions=np.array([[0.0, 0.0, 1.0]]),
                          values=np.array([np.nan + 0j]), wave=wave)
+
+    def test_non_unit_direction_is_one_typed_error(self, wave):
+        """Every far field refuses a direction off the unit sphere with
+        NonUnitDirection: the Foldy-Lax and BIE far fields, the modal series
+        and the grid they all build."""
+        dirs = np.array([[0.0, 0.0, 1.001], [1.0, 0.0, 0.0]])
+        cloud = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
+        bie = solve_bie(assemble_bie(cloud, wave, L=2, quad_order=4))
+        for far_field in (lambda: farfield(solve(assemble(cloud, wave)), dirs),
+                          lambda: bie_farfield(bie, dirs),
+                          lambda: mie_reference(wave, 0.05, -1.0, dirs),
+                          lambda: FarFieldGrid(directions=dirs, values=np.ones(2), wave=wave)):
+            with pytest.raises(NonUnitDirection):
+                far_field()
 
     def test_grid_length_mismatch_rejected(self, wave):
         with pytest.raises(ValueError, match="^directions/values length mismatch$"):

@@ -83,10 +83,10 @@ def test_selection_rule_on_both_sides(monkeypatch):
     K = (L + 1) ** 2
     assert L == 5
     boundary = 2 * M * K
-    degree = foldy._factor_degree
-    assert degree(cloud.centers, wave.kappa, boundary + 1) == L
-    assert degree(cloud.centers, wave.kappa, boundary) is None
-    entries = sum(foldy._strip_sizes(M)[1])
+    r = foldy._factor_frame(cloud.centers)[1]
+    assert foldy._factor_degree(r, wave.kappa, boundary + 1) == L
+    assert foldy._factor_degree(r, wave.kappa, boundary) is None
+    entries = sum(S.size for S in foldy._PackedSymmetric(np.ones(M)).strips.values())
     assert entries > boundary and degree_of(assemble(cloud, wave, "general")) == L
     # kappa R = 8 needs about 30 degrees: F would outweigh the imaginary halves
     assert assemble(cloud, wave_at(cloud, 8.0), "general").matrix.factor is None
@@ -123,7 +123,7 @@ def test_re_b_diagonal_and_certificate_are_the_strip_path_bits(monkeypatch, x):
 def im_error(cloud, wave, L):
     """max over i != j of |Im B^_ij - Im B_ij| / (kappa/4pi) with H of degree L."""
     H = np.empty((cloud.M, (L + 1) ** 2))
-    foldy._fill_factor(H, cloud.centers, wave.kappa, L)
+    foldy._fill_factor(H, *foldy._factor_frame(cloud.centers), wave.kappa, L)
     im = -wave.kappa * (H @ H.T)
     ref = dense_formula(cloud, wave).imag
     off = ~np.eye(cloud.M, dtype=bool)
@@ -232,7 +232,7 @@ def test_factor_scratch_is_within_its_admission(L):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        foldy._fill_factor(H, centers, 0.1, L)
+        foldy._fill_factor(H, *foldy._factor_frame(centers), 0.1, L)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

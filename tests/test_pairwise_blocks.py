@@ -48,12 +48,18 @@ def test_block_layout_is_exercised():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 5000), width=st.integers(1, 10**6), min_rows=st.sampled_from([1, 2, 64]))
+@given(n=st.integers(1, 5000), width=st.integers(1, 10**6),
+       min_rows=st.sampled_from([None, 1, 2, 64]))
 @example(n=129, width=10**6, min_rows=64)
+@example(n=129, width=10**6, min_rows=None)
 def test_row_blocks_tile_the_rows_and_merge_a_lone_last_row(n, width, min_rows):
     """In order and without gaps; every block but the last has the common row
-    count, and the last is no lone row unless it is the only block."""
-    blocks = row_blocks(n, width, min_rows)
+    count, and the last is no lone row unless it is the only block. By
+    default a block has at least two rows."""
+    if min_rows is None:
+        blocks, min_rows = row_blocks(n, width), 2
+    else:
+        blocks = row_blocks(n, width, min_rows)
     rows = max(min_rows, PAIR_BLOCK // width)
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
