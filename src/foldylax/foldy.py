@@ -22,12 +22,13 @@ B is complex symmetric, so its Hermitian part is Re B = diag(Re B_mm) + Re B_n.
 Where every Re B_mm has one sign, Weyl's inequality (Horn & Johnson, Matrix
 Analysis, 2nd ed., CUP 2013) makes Re B definite, with sigma_min(B) >=
 (1 - q) min|Re B_mm|, when q = ||Re B_n||_F / min|Re B_mm| < 1; mixed signs
-give q = inf. _certified_solve, which oracle.solve_bie shares with its
-Neumann-series q = ||C D^-1||_F, runs restarted GMRES right-preconditioned by
-1/A_mm (Eisenstat, Elman & Schultz, SIAM J. Numer. Anal. 20, 1983) where
-1 - q > PIVOT_REL_TOL, in O(M^2) time and memory beyond B. Otherwise (a NaN q
-included), or at GMRES's iteration cap, the checked dense LU solves, its
-pivot test reading a copy with each row scaled to unit inf-norm.
+give q = inf. The packed B carries q, as oracle's operator carries its
+Neumann-series q = ||C D^-1||_F, and _certified_solve reads A.q: it runs
+restarted GMRES right-preconditioned by 1/A_mm (Eisenstat, Elman & Schultz,
+SIAM J. Numer. Anal. 20, 1983) where 1 - q > PIVOT_REL_TOL, in O(M^2) time
+and memory beyond B. Otherwise (a NaN q included), or at GMRES's iteration
+cap, the checked dense LU solves, its pivot test reading a copy with each row
+scaled to unit inf-norm.
 
 Assembly, the report and the certified solve need numpy only. scipy.linalg
 loads inside _checked_lu_solve, so only the LU fallback pays for it, and
@@ -65,13 +66,12 @@ strips' imaginary halves, the strips are real and hold Re B, and Im B is
 applied off the diagonal as -kappa H (H^T x); otherwise the strips are
 complex and hold B. The choice follows from M and kappa R alone: a cloud of
 a few thousand in a domain of fixed kappa diam takes the factor, a few
-dozen spheres keep the strips. _PackedSymmetric's constructor makes the
-choice in one step: it sizes the strips, takes L from the centers' frame,
-admits the strips, H and H's scratch against the memory available, then
-allocates them and computes H, so assemble only fills the strips. On the
-factor path B takes about 4 M^2 bytes, not 8 M^2, assembly computes cos and
-no sin, and Re B, the diagonal -1/C_m and the certificate below are the same
-bits as on the strip path.
+dozen spheres keep the strips. _PackedSymmetric's constructor builds B in
+one step: it sizes the strips, takes L from the centers' frame, admits the
+strips, H and H's scratch against the memory available, allocates them,
+computes H and fills the strips. On the factor path B takes about 4 M^2
+bytes, not 8 M^2, the fill computes cos and no sin, and Re B, the diagonal
+-1/C_m and the certificate below are the same bits as on the strip path.
 
 What the factor path applies differs from Im B by at most, entrywise and to
 first order in the unit roundoff u,
@@ -88,24 +88,24 @@ kappa, while |H_i|^T |H_j| <= |F_i| |F_j| <= 1/(4 pi), because
 sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
 take eta = 2 (L+1) u.
 
-Assembly fills each strip in place, by row sub-blocks of about FILL_BLOCK
-entries: the distances, kappa d, cos and sin, -1/(4 pi d), the coincidence
-test and the gamma mask go through two float buffers of one sub-block per
-worker, allocated once per pass, and B's entries are written straight into
-the strip. It is bound by sqrt, cos and sin, so geometry.row_block_pass deals
-its strips to FOLDYLAX_THREADS worker threads; each writes its own strip, so
-B is the same bit for bit whatever the worker count or the sub-block size.
-The last strip may have a row more than the others (row_blocks merges a lone
-last row), so the mask of pairs j > i is sized by the largest. The pass also
-yields, while each sub-block is in cache, gamma = min cos(kappa d) before
-scaling and ||Re B_n||_F from per-row sums of (Re B_ij)^2, the same mask
-zeroing j <= i. A row's sum runs over its strip's width, so its bits follow
-the strip layout, which row_blocks(M, min_rows=STRIP_ROWS) fixes from M
-alone: neither depends on the worker count. A certified solve then reads B
-only through GMRES products and its diagonal, and keeps the GMRES basis
-conjugated so that no step copies it; only the LU fallback makes a dense
-copy. farfield evaluates the kernel over blocks of a few directions, about
-256 KiB each.
+The constructor fills each strip in place, by row sub-blocks of about
+FILL_BLOCK entries: the distances, kappa d, cos and sin, -1/(4 pi d), the
+coincidence test and the gamma mask go through two float buffers of one
+sub-block per worker, allocated once per pass, and B's entries are written
+straight into the strip. It is bound by sqrt, cos and sin, so
+geometry.row_block_pass deals its strips to FOLDYLAX_THREADS worker threads;
+each writes its own strip, so B is the same bit for bit whatever the worker
+count or the sub-block size. The last strip may have a row more than the
+others (row_blocks merges a lone last row), so the mask of pairs j > i is
+sized by the largest. The pass also yields, while each sub-block is in
+cache, gamma = min cos(kappa d) before scaling and ||Re B_n||_F from per-row
+sums of (Re B_ij)^2, the same mask zeroing j <= i: with q, B's certificate.
+A row's sum runs over its strip's width, so its bits follow the strip
+layout, which row_blocks(M, min_rows=STRIP_ROWS) fixes from M alone: neither
+depends on the worker count. A certified solve then reads B only through
+GMRES products, its diagonal and q, and keeps the GMRES basis conjugated so
+that no step copies it; only the LU fallback makes a dense copy. farfield
+evaluates the kernel over blocks of a few directions, about 256 KiB each.
 """
 
 from __future__ import annotations
@@ -284,36 +284,37 @@ def _fill_factor(H: np.ndarray, rel: np.ndarray, r: np.ndarray, kappa: float, L:
 
 
 class _PackedSymmetric:
-    """An n x n complex symmetric matrix stored once, as the row strips of
-    row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on.
+    """B, n x n complex symmetric, stored once as the row strips of
+    row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on and filled by
+    the constructor (see the module docstring).
 
-    strips maps each first row i0 to its strip, rows i0:i1 by columns i0:n,
-    allocated uninitialised for the caller to fill; diagonal() is the
-    diagonal given. Without centers, or where _factor_degree of the centers'
-    frame and kappa is None, the strips are complex and hold B and factor is
-    None. With a degree L the strips are real and hold Re B, and the
-    constructor computes factor, H, n x (L+1)^2 real harmonics of
-    8 n (L+1)^2 bytes, with Im B = -kappa H H^T off the diagonal. Before it
-    allocates anything it raises InsufficientMemory if the strips, H and one
-    block of H's scratch do not fit in the memory available.
+    strips maps each first row i0 to its read-only strip, rows i0:i1 by
+    columns i0:n; diagonal() is the diagonal given, -1/C_m. Where
+    _factor_degree of the centers' frame and kappa is None, the strips are
+    complex and hold B and factor is None. With a degree L the strips are
+    real and hold Re B, and factor is H, n x (L+1)^2 real harmonics, with
+    Im B = -kappa H H^T off the diagonal. Before it allocates anything the
+    constructor raises InsufficientMemory if the strips, H and one block of
+    H's scratch do not fit in the memory available.
+
+    The fill yields the certificate: frobenius_offdiag_real = ||Re B_n||_F,
+    gamma = min cos(kappa d) over the pairs (+inf for n = 1) and Weyl's
+    ratio q = ||Re B_n||_F / min|Re B_mm|, inf for mixed signs.
     """
 
-    def __init__(self, diagonal: np.ndarray, centers: np.ndarray | None = None,
-                 kappa: float = 0.0):
+    def __init__(self, diagonal: np.ndarray, centers: np.ndarray, kappa: float):
         n = len(diagonal)
         blocks = row_blocks(n, min_rows=STRIP_ROWS)
         sizes = [(i1 - i0) * (n - i0) for i0, i1 in blocks]
-        degree = None
-        if centers is not None:
-            rel, r = _factor_frame(centers)
-            degree = _factor_degree(r, kappa, sum(sizes))
+        rel, r = _factor_frame(centers)
+        degree = _factor_degree(r, kappa, sum(sizes))
         dtype = complex if degree is None else float
         K = 0 if degree is None else n_coeffs(degree)
         scratch = 0 if K == 0 else FACTOR_SCRATCH * min(n, _factor_rows(n)) * (K + 16)
         _require_memory(np.dtype(dtype).itemsize * sum(sizes) + 8 * n * K + scratch,
                         f"M = {n}", "the matrix")
         self._buf = np.empty(sum(sizes), dtype=dtype)
-        self.shape, self.strips = (n, n), {}
+        self.shape, self.strips, self.kappa = (n, n), {}, kappa
         for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
             self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
         self._diagonal = np.array(diagonal, dtype=complex)
@@ -323,10 +324,66 @@ class _PackedSymmetric:
             H = self.factor = np.empty((n, K))
             _fill_factor(H, rel, r, kappa, degree)
             H.setflags(write=False)
-            self.kappa = kappa
             # i (Im B_mm + kappa (H H^T)_mm) restores Im B_mm on the diagonal,
             # where -kappa H H^T puts -kappa (H H^T)_mm
             self._im_diagonal = 1j * (self._diagonal.imag + kappa * np.einsum("ij,ij->i", H, H))
+        self.frobenius_offdiag_real, self.gamma = self._fill(centers, blocks)
+        d = self._diagonal.real
+        same_sign = np.all(d > 0) or np.all(d < 0)
+        self.q = self.frobenius_offdiag_real / float(np.min(np.abs(d))) if same_sign else math.inf
+
+    def _fill(self, centers: np.ndarray, blocks):
+        """Fill the strips in place and return (||Re B_n||_F, gamma)."""
+        n, kappa = self.shape[0], self.kappa
+        strip_diagonal = self._diagonal if self.factor is None else self._diagonal.real
+        xyz = np.ascontiguousarray(centers.T)
+        lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
+        row_frob2 = np.zeros(n)  # row i: the sum over j > i of (Re B_ij)^2
+
+        def fill(i0, i1, dist_buf, tmp_buf):
+            k, w = i1 - i0, n - i0
+            S = self.strips[i0]
+            step = max(1, FILL_BLOCK // w)
+            gamma = math.inf
+            for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
+                r1 = min(r0 + step, k)
+                height = r1 - r0
+                dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, height, w),
+                                      block_view(tmp_buf, height, w))
+                np.fill_diagonal(dist[:, r0:], np.inf)
+                if dist.min() < 1e-14:
+                    raise CoincidentCenters("two scatterer centers coincide")
+                # overwritten below; keeps cos, sin and division finite
+                np.fill_diagonal(dist[:, r0:], 1.0)
+                part = S[r0:r1]
+                cos = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
+                if self.factor is None:
+                    np.sin(cos, out=part.imag)
+                np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
+                # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
+                # it: times the reciprocal of 4 pi d
+                scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
+                np.multiply(cos, scale, out=part.real)
+                if self.factor is None:
+                    np.multiply(part.imag, scale, out=part.imag)
+                # the leading square holds j <= i too: one mask leaves the pairs j > i
+                no_pair = lower[r0:r1, :r1]
+                # gamma: min cos(kappa d) over j > i
+                np.copyto(cos[:, :r1], np.inf, where=no_pair)
+                gamma = min(gamma, float(cos.min()))
+                np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
+                # each row's sum of (Re B_ij)^2 over j > i, the rest zeroed
+                with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, zeroed
+                    square = np.multiply(part.real, part.real, out=cos)
+                np.copyto(square[:, :r1], 0.0, where=no_pair)
+                square.sum(axis=1, out=row_frob2[i0 + r0:i0 + r1])
+            S.setflags(write=False)
+            return gamma
+
+        # each strip writes its own part of B and of row_frob2, a row sub-block at a time
+        scratch = (float, min(self.strips[0].size, max(FILL_BLOCK, n)))  # the largest sub-block
+        gammas = row_block_pass(fill, blocks, scratch=(scratch, scratch))
+        return math.sqrt(2.0 * float(row_frob2.sum())), min(gammas)
 
     @property
     def nbytes(self) -> int:
@@ -382,10 +439,9 @@ class FoldyLaxSystem:
 
     matrix is B in packed form (see the module docstring): complex strips, or
     real strips of Re B and the real factor H of Im B. Either way it has shape,
-    nbytes, diagonal() (exactly -1/C_m) and the product with a vector,
-    and np.asarray(matrix) is the dense B. The assembly pass also yields
-    frobenius_offdiag_real = ||Re B_n||_F, for the certificate and the report,
-    and gamma = min cos(kappa |z_i - z_j|) over the pairs (+inf for one scatterer).
+    nbytes, diagonal() (exactly -1/C_m), the product with a vector and
+    np.asarray(matrix), the dense B, and it carries its certificate: q for
+    solve, frobenius_offdiag_real and gamma for the invertibility report.
     """
 
     matrix: _PackedSymmetric
@@ -393,8 +449,6 @@ class FoldyLaxSystem:
     coefficients: np.ndarray
     cloud: ScattererCloud
     wave: IncidentWave
-    frobenius_offdiag_real: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -402,24 +456,25 @@ class InvertibilityReport:
     """Quantities behind the a-priori invertibility lemma.
 
     frobenius_offdiag_real is ||Re B_n||_F for the off-diagonal matrix B_n
-    with entries Phi_kappa(z_i, z_j); bound_rhs is the counting estimate
-    sqrt(2*M*a^s)/pi * a^(-s/t) it is guaranteed to stay below on lattice
-    clouds. condition_applicable compares min Re(+/-C_m)/max|C_m|^2, the sign
-    taken from applicable_case, against the lemma threshold
-    sqrt(2*M*a^s)/(pi*d^(s/t)) with the cloud's actual minimal surface
-    distance d; for mixed signs the row-sign-flip reduction applies and the
-    numerator is min|Re C_m|.
+    with entries Phi_kappa(z_i, z_j), as the matrix carries it; bound_rhs is
+    the counting estimate sqrt(2*M*a^s)/pi * a^(-s/t). condition_applicable
+    compares min Re(+/-C_m)/max|C_m|^2, the sign taken from applicable_case,
+    against the lemma threshold sqrt(2*M*a^s)/(pi*d^(s/t)) with the cloud's
+    actual minimal surface distance d; for mixed signs the row-sign-flip
+    reduction applies and the numerator is min|Re C_m|.
     remark_gamma_condition is the alternative distance-free check
     (5*pi/3) * min Re(+/-C_m)/max|C_m|^2 > gamma/d, evaluated when
     gamma = min cos(kappa*|z_i - z_j|) >= 0 (None otherwise).
 
-    condition_applicable is the lemma's verdict against its counting
-    threshold, not a bound on ||Re B_n||_F that holds for every cloud: on the
-    jittered M = 10^4 cloud (a = 0.01, s = 2, t = 1, lambda0 = -0.5, jitter
-    0.3, seed 1) frobenius_offdiag_real = 3595.38 exceeds
-    lemma_threshold = 3518.58 while the verdict is True. solve certifies by
-    the measured ratio q = ||Re B_n||_F / min|Re B_mm|, never by this
-    verdict.
+    Neither the verdict nor bound_rhs bounds ||Re B_n||_F on every cloud:
+    the jittered M = 10^4 cloud (a = 0.01, s = 2, t = 1, lambda0 = -0.5,
+    jitter 0.3, seed 1) reads 3595.38 against lemma_threshold = 3518.58, and
+    criterion 6 checks bound_rhs only on the s = 2, t = 1 lattices at
+    a = 0.1 and 0.05: generate --a 0.03 --s 0.75 --t 1.25 --beta 0.9 --Mmax 2
+    --lambda0=-1.5 (M = 27) at kappa = 3 reads 30.143 against bound_rhs =
+    5.14867. The verdict is True on both. solve certifies by q =
+    ||Re B_n||_F / min|Re B_mm|, never by the verdict; the M = 27 cloud's
+    q = 3.001 sends it to the LU (sigma_min(B) = 7.04).
     """
 
     frobenius_offdiag_real: float
@@ -471,10 +526,10 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     """Build the packed system for a cloud and an incident plane wave.
 
     coefficients are coefficient()'s C_m, bit for bit, and B's diagonal is
-    -1/C_m. Im B is stored in the complex strips, or as its real factor H,
-    8 M (L+1)^2 bytes, where a complex F would take fewer bytes than the
-    strips' imaginary halves (the module docstring gives the rule and H's
-    error bound).
+    -1/C_m; B carries its certificate q, ||Re B_n||_F and gamma. Im B is
+    stored in the complex strips, or as its real factor H, 8 M (L+1)^2 bytes,
+    where a complex F would take fewer bytes than the strips' imaginary
+    halves (the module docstring gives the rule and H's error bound).
 
     Raises:
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
@@ -496,65 +551,11 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         raise RegimeViolation("general variant requires beta < 1 (spherical allows beta = 1)")
     if variant is Variant.SPHERICAL and not cloud.is_spherical:
         raise ValueError("spherical variant requires true spheres (no explicit areas)")
-    M = cloud.M
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
-    diagonal = -1.0 / coeffs
-    kappa = wave.kappa
-    B = _PackedSymmetric(diagonal, cloud.centers, kappa)
-    blocks = [(i0, i0 + len(S)) for i0, S in B.strips.items()]
-    strip_diagonal = diagonal if B.factor is None else diagonal.real
-    xyz = np.ascontiguousarray(cloud.centers.T)
-    lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
-    row_frob2 = np.zeros(M)  # row i: the sum over j > i of (Re B_ij)^2
-
-    def fill(i0, i1, dist_buf, tmp_buf):
-        k, w = i1 - i0, M - i0
-        S = B.strips[i0]
-        step = max(1, FILL_BLOCK // w)
-        gamma = math.inf
-        for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
-            r1 = min(r0 + step, k)
-            height = r1 - r0
-            dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, height, w),
-                                  block_view(tmp_buf, height, w))
-            np.fill_diagonal(dist[:, r0:], np.inf)
-            if dist.min() < 1e-14:
-                raise CoincidentCenters("two scatterer centers coincide")
-            # overwritten below; keeps cos, sin and division finite
-            np.fill_diagonal(dist[:, r0:], 1.0)
-            part = S[r0:r1]
-            cos = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
-            if B.factor is None:
-                np.sin(cos, out=part.imag)
-            np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
-            # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
-            # it: times the reciprocal of 4 pi d
-            scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
-            np.multiply(cos, scale, out=part.real)
-            if B.factor is None:
-                np.multiply(part.imag, scale, out=part.imag)
-            # the leading square holds j <= i too: one mask leaves the pairs j > i
-            no_pair = lower[r0:r1, :r1]
-            # gamma: min cos(kappa d) over j > i
-            np.copyto(cos[:, :r1], np.inf, where=no_pair)
-            gamma = min(gamma, float(cos.min()))
-            np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
-            # each row's sum of (Re B_ij)^2 over j > i, the rest zeroed
-            with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, zeroed
-                square = np.multiply(part.real, part.real, out=cos)
-            np.copyto(square[:, :r1], 0.0, where=no_pair)
-            square.sum(axis=1, out=row_frob2[i0 + r0:i0 + r1])
-        S.setflags(write=False)
-        return gamma
-
-    # each strip writes its own part of B and of row_frob2, a row sub-block at a time
-    scratch = (float, min(B.strips[0].size, max(FILL_BLOCK, M)))  # the largest sub-block
-    strips = row_block_pass(fill, blocks, scratch=(scratch, scratch))
-    rhs = np.asarray(plane_wave(wave.kappa, wave.theta, cloud.centers), dtype=complex).reshape(M)
+    B = _PackedSymmetric(-1.0 / coeffs, cloud.centers, wave.kappa)
+    rhs = plane_wave(wave.kappa, wave.theta, cloud.centers)
     rhs.setflags(write=False)
-    return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave,
-                          frobenius_offdiag_real=math.sqrt(2.0 * float(row_frob2.sum())),
-                          gamma=min(strips))
+    return FoldyLaxSystem(matrix=B, rhs=rhs, coefficients=coeffs, cloud=cloud, wave=wave)
 
 
 def _relative_residual(r: np.ndarray, rhs: np.ndarray, residual_tol: float) -> float:
@@ -619,13 +620,6 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     return x, _relative_residual(A @ x - rhs, rhs, residual_tol)
 
 
-def _weyl_q(B, frob_offdiag_real: float) -> float:
-    """q = ||Re B_n||_F / min|Re B_mm| where every Re B_mm has one sign, else inf."""
-    d = B.diagonal().real
-    same_sign = np.all(d > 0) or np.all(d < 0)
-    return frob_offdiag_real / float(np.min(np.abs(d))) if same_sign else math.inf
-
-
 def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
     """Restarted GMRES for B x = rhs, right-preconditioned by diag(precond).
 
@@ -678,17 +672,17 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
         r = rhs - B @ x
 
 
-def _certified_solve(A, rhs: np.ndarray, q: float, residual_tol: float):
+def _certified_solve(A, rhs: np.ndarray, residual_tol: float):
     """The solve policy of solve and oracle.solve_bie: (x, residual, iterations).
 
-    q is the caller's certificate ratio: 1 - q > PIVOT_REL_TOL certifies that
-    A right-preconditioned by 1/A_mm is nonsingular and that GMRES converges
-    (Weyl for Foldy-Lax, the Neumann series for the BIE). Then _gmres
-    solves; otherwise, a NaN q included, or when GMRES reaches
+    A.q is the operator's own certificate ratio: 1 - A.q > PIVOT_REL_TOL
+    certifies that A right-preconditioned by 1/A_mm is nonsingular and that
+    GMRES converges (Weyl for Foldy-Lax, the Neumann series for the BIE).
+    Then _gmres solves; otherwise, a NaN q included, or when GMRES reaches
     GMRES_MAXITER, the checked dense LU does and iterations is None. Either
     way the relative inf-norm residual must stay <= residual_tol.
     """
-    found = _gmres(A, rhs, 1.0 / A.diagonal()) if 1.0 - q > PIVOT_REL_TOL else None
+    found = _gmres(A, rhs, 1.0 / A.diagonal()) if 1.0 - A.q > PIVOT_REL_TOL else None
     if found is None:
         x, residual = _checked_lu_solve(A, rhs, residual_tol)
         return x, residual, None
@@ -699,8 +693,7 @@ def _certified_solve(A, rhs: np.ndarray, q: float, residual_tol: float):
 def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     """Certified GMRES, else checked dense LU; residual bound RESIDUAL_TOL.
 
-    Assembly yields ||Re B_n||_F (and gamma, for the invertibility report of
-    a regime cloud). _certified_solve takes q = ||Re B_n||_F / min|Re B_mm|
+    _certified_solve reads the matrix's q = ||Re B_n||_F / min|Re B_mm|
     (inf for mixed signs): where 1 - q > PIVOT_REL_TOL, sigma_min(B) >=
     (1 - q) min|Re B_mm| takes the place of the LU pivot test, and restarted
     GMRES preconditioned by -C_m runs to a relative residual of GMRES_TOL;
@@ -710,8 +703,7 @@ def solve(system: FoldyLaxSystem) -> FoldyLaxSolution:
     RESIDUAL_TOL. A regime cloud's invertibility report rides on the solution.
     """
     diagnostics = invertibility_report(system) if system.cloud.regime is not None else None
-    q = _weyl_q(system.matrix, system.frobenius_offdiag_real)
-    charges, residual, iterations = _certified_solve(system.matrix, system.rhs, q, RESIDUAL_TOL)
+    charges, residual, iterations = _certified_solve(system.matrix, system.rhs, RESIDUAL_TOL)
     charges.setflags(write=False)
     return FoldyLaxSolution(charges=charges, residual_inf=residual, system=system,
                             diagnostics=diagnostics, iterations=iterations)
@@ -739,15 +731,15 @@ def farfield(solution: FoldyLaxSolution, directions: np.ndarray | None = None) -
 
 def invertibility_report(system: FoldyLaxSystem) -> InvertibilityReport:
     """Evaluate the a-priori invertibility estimates for an assembled system,
-    from the ||Re B_n||_F and gamma of its assembly pass and the regime of
-    its cloud; solve attaches the report of a regime cloud to its solution.
+    from the ||Re B_n||_F and gamma its matrix carries and the regime of its
+    cloud; solve attaches the report of a regime cloud to its solution.
 
     Raises MissingRegime if the cloud carries no regime parameters.
     """
     cloud, regime = system.cloud, system.cloud.regime
     if regime is None:
         raise MissingRegime("invertibility report requires regime parameters")
-    M, coeffs, gamma = cloud.M, system.coefficients, system.gamma
+    M, coeffs, gamma = cloud.M, system.coefficients, system.matrix.gamma
     a, s, t = regime.a, regime.s, regime.t
     exponent = (s / t) if t > 0 else 0.0
     m_hat = M * a**s  # realized M_max := M * a^s, as in the lemma statement
@@ -774,7 +766,7 @@ def invertibility_report(system: FoldyLaxSystem) -> InvertibilityReport:
     if gamma >= 0:
         remark = (5.0 * math.pi / 3.0) * num / max_c2 > gamma / d_eff
     return InvertibilityReport(
-        frobenius_offdiag_real=system.frobenius_offdiag_real, bound_rhs=bound_rhs,
+        frobenius_offdiag_real=system.matrix.frobenius_offdiag_real, bound_rhs=bound_rhs,
         condition_applicable=num / max_c2 > threshold, gamma=gamma,
         applicable_case=case, lemma_threshold=threshold,
         remark_gamma_condition=remark)

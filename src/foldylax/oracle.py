@@ -45,11 +45,12 @@ here too.
 
 The self blocks are diagonal, so A = D + C with D = diag(A). A is never
 stored: a sphere pair keeps its coaxial block and direction phases
-(_BieOperator), and q = ||C D^-1||_F comes from the coaxial blocks alone,
-since U is unitary and the block factors and D depend on l only. When
-q < 1, A D^-1 = I + C D^-1 has sigma_min >= 1 - q: solve_bie hands q to
-foldy._certified_solve, the policy foldy.solve runs with its Weyl ratio, so
-GMRES right-preconditioned by D^-1 solves where 1 - q > PIVOT_REL_TOL. A
+(_BieOperator), and the operator carries q = ||C D^-1||_F, which its
+assembly takes from the coaxial blocks alone, since U is unitary and the
+block factors and D depend on l only. When q < 1, A D^-1 = I + C D^-1 has
+sigma_min >= 1 - q: solve_bie hands A to foldy._certified_solve, the policy
+foldy.solve runs on its packed B, which reads A.q, so GMRES
+right-preconditioned by D^-1 solves where 1 - q > PIVOT_REL_TOL. A
 larger q, or GMRES at its iteration cap, falls back to the checked LU, the
 only step that makes a dense copy of A. The special functions come from
 spherical, so assembly and a certified solve load no scipy.
@@ -255,7 +256,8 @@ class _BieOperator:
     indices. U = diag(i^-m) Delta^T diag(e^{-ik theta}) Delta diag(i^m e^{im phi})
     rotates d to the z-axis, and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m)
     commutes with Coax and drops out. The factors t, o, P of the blocks depend
-    on l only and are applied per sphere.
+    on l only and are applied per sphere. The certificate q = ||C D^-1||_F
+    (inf where D has a zero) comes from the coaxial blocks as they are made.
 
     The product's layout is (l, m, column, pair), m in _interleaved_orders
     (see the module docstring). Coax multiplies, for each (|m|, l'), the rows
@@ -311,7 +313,7 @@ class _BieOperator:
             for row, col in ((m, j), (j, m)):
                 x = c * t[row] * v[col]
                 q2 += float(np.einsum("pe,pe,e->", x, x, weight))
-        self.neumann_q = math.sqrt(q2) if nonsingular else math.inf
+        self.q = math.sqrt(q2) if nonsingular else math.inf
         # each block's runs of one gap: slices of its pairs, of spheres m and of spheres j
         self._blocks, offsets = [], offsets.tolist()
         for p0, p1 in row_blocks(len(first), width=(L + 1) ** 3):
@@ -428,8 +430,8 @@ class BieSystem:
     """Assembled boundary-integral system A c = rhs for a sphere cloud.
 
     matrix is A, matrix-free (_BieOperator): shape, nbytes, diagonal(), the
-    product with a vector, and np.asarray(matrix), the dense A. neumann_q =
-    ||C D^-1||_F, D = diag(A), certifies solve_bie (inf where D has a zero).
+    product with a vector, np.asarray(matrix), the dense A, and matrix.q =
+    ||C D^-1||_F, D = diag(A), inf where D has a zero, certifying solve_bie.
     """
 
     matrix: _BieOperator
@@ -437,7 +439,6 @@ class BieSystem:
     cloud: ScattererCloud
     wave: IncidentWave
     L: int
-    neumann_q: float
 
 
 @dataclass(frozen=True)
@@ -511,13 +512,13 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
                      1j * kappa * cloud.radii[:, None] ** 2 * jl)
     rhs = _incident_coeffs(wave, cloud.centers, radial, L).reshape(-1)
     rhs.setflags(write=False)
-    return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L, neumann_q=A.neumann_q)
+    return BieSystem(matrix=A, rhs=rhs, cloud=cloud, wave=wave, L=L)
 
 
 def solve_bie(system: BieSystem) -> BieSolution:
     """Certified GMRES, else checked dense LU; residual bound BIE_RESIDUAL_TOL.
 
-    foldy._certified_solve decides with q = ||C D^-1||_F: where
+    foldy._certified_solve decides with the operator's q = ||C D^-1||_F: where
     1 - q > PIVOT_REL_TOL, sigma_min(A D^-1) >= 1 - q and restarted GMRES,
     right-preconditioned by D^-1, runs to a relative residual of GMRES_TOL;
     iterations records its products with A. Otherwise, a NaN q included, or
@@ -530,8 +531,7 @@ def solve_bie(system: BieSystem) -> BieSolution:
             BIE_RESIDUAL_TOL.
         InsufficientMemory: the LU path has no room for its factors.
     """
-    x, residual, iterations = _certified_solve(system.matrix, system.rhs, system.neumann_q,
-                                               BIE_RESIDUAL_TOL)
+    x, residual, iterations = _certified_solve(system.matrix, system.rhs, BIE_RESIDUAL_TOL)
     coefficients = x.reshape(system.cloud.M, n_coeffs(system.L))
     coefficients.setflags(write=False)
     return BieSolution(coefficients=coefficients, residual_inf=residual, system=system,

@@ -50,12 +50,17 @@ def assembled_per_thread_count(monkeypatch, cloud, wave):
 class WatchedMatrix:
     """A packed matrix (B or the BIE's A), counting its products with vectors;
     any other read of its entries fails (a row, a strip, a dense copy), its
-    diagonal aside."""
+    diagonal and its certificate aside."""
 
     products = 0
 
     def __init__(self, packed):
         self._packed = packed
+
+    def __getattr__(self, name):  # q, and B's ||Re B_n||_F and gamma for the report
+        if name in ("q", "frobenius_offdiag_real", "gamma"):
+            return getattr(self._packed, name)
+        raise AttributeError(name)
 
     def __matmul__(self, other):
         assert np.ndim(other) == 1

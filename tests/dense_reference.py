@@ -1,16 +1,15 @@
 """Dense references for the quantities the program computes in one pass.
 
-foldy.assemble yields ||Re B_n||_F and gamma while it fills B,
-oracle.assemble_bie yields q = ||C D^-1||_F from the coaxial blocks of A, and
+foldy's packed B yields ||Re B_n||_F, gamma and q while it fills itself,
+oracle's operator yields q = ||C D^-1||_F from the coaxial blocks of A, and
 geometry finds d by a cell list. These functions compute the same quantities
 the direct way, from a finished dense matrix and from all pairs of centers,
-for the tests to check against and to give hand-built systems their
-certificate inputs; phi is the fundamental solution itself; pack stores a hand-built B the way assembly does, and
-bie_matrix writes the dense A block by block, each (S|R) summed from the full
-Gaunt table of translation_table, with no rotation.
+for the tests to check against; DenseMatrix stands in for the packed B with
+a hand-built matrix and the certificate read off it; phi is the fundamental
+solution itself; and bie_matrix writes the dense A block by block, each (S|R)
+summed from the full Gaunt table of translation_table, with no rotation.
 """
 
-import dataclasses
 import math
 from functools import lru_cache
 
@@ -62,21 +61,28 @@ def dense_formula(cloud, wave):
     return ref
 
 
-def pack(B: np.ndarray):
-    """A dense complex symmetric B in the packed form foldy.assemble builds."""
-    assert np.array_equal(B, B.T), "only a symmetric matrix packs"
-    packed = foldy._PackedSymmetric(B.diagonal())
-    for i0, S in packed.strips.items():
-        S[...] = B[i0:i0 + len(S), i0:]
-    return packed
+class DenseMatrix:
+    """A dense B in place of the packed one: shape, diagonal(), the product
+    with a vector and a dense copy, with the certificate read off B by scan,
+    frobenius_offdiag_real and gamma, and Weyl's ratio q = ||Re B_n||_F /
+    min|Re B_mm|, inf where the Re B_mm have mixed signs."""
 
+    def __init__(self, B: np.ndarray):
+        self._B = np.array(B, dtype=complex)
+        self.shape = self._B.shape
+        self.frobenius_offdiag_real, self.gamma = scan(self._B)
+        d = self._B.diagonal().real
+        same_sign = np.all(d > 0) or np.all(d < 0)
+        self.q = self.frobenius_offdiag_real / float(np.min(np.abs(d))) if same_sign else math.inf
 
-def with_matrix(system: foldy.FoldyLaxSystem, matrix: np.ndarray) -> foldy.FoldyLaxSystem:
-    """system with B replaced by the symmetric matrix, packed, and the
-    certificate inputs read off it."""
-    frob, gamma = scan(matrix)
-    return dataclasses.replace(system, matrix=pack(matrix), frobenius_offdiag_real=frob,
-                               gamma=gamma)
+    def diagonal(self) -> np.ndarray:
+        return self._B.diagonal()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._B @ x
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._B, dtype=dtype)
 
 
 def min_surface_distance(centers: np.ndarray, radii: np.ndarray, rows: int = 256) -> float:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -13,11 +14,11 @@ from foldylax import (FarFieldGrid, MissingRegime, NonUnitDirection,
                       assemble_bie, bie_farfield, coefficient, farfield,
                       generate_grid_cloud, invertibility_report, mie_reference,
                       solve, solve_bie)
-from foldylax import foldy
+from foldylax import foldy, oracle
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import charge_bound_check, make_cloud, make_wave, run_python
-from dense_reference import phi, scan, with_matrix
+from dense_reference import DenseMatrix, phi
 
 
 class TestCoefficient:
@@ -228,7 +229,8 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:Diagonal number")
     def test_singular_matrix_raises(self, wave):
         cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
-        bad = with_matrix(assemble(cloud, wave, "general"), np.zeros((2, 2), dtype=complex))
+        bad = dataclasses.replace(assemble(cloud, wave, "general"),
+                                  matrix=DenseMatrix(np.zeros((2, 2))))
         with pytest.raises(SingularSystem):
             solve(bad)
 
@@ -259,14 +261,21 @@ def lu_charges(system):
 
 
 def certified(system):
-    """Whether solve() certifies the system: 1 - q > PIVOT_REL_TOL for Weyl's ratio q."""
-    q = foldy._weyl_q(system.matrix, system.frobenius_offdiag_real)
-    return 1.0 - q > foldy.PIVOT_REL_TOL
+    """Whether solve() certifies the system: 1 - q > PIVOT_REL_TOL for its matrix's q."""
+    return 1.0 - system.matrix.q > foldy.PIVOT_REL_TOL
 
 
 def jittered_lattice(a=0.05, lambda0=-0.5, seed=4):
     rg = RegimeParams(a=a, s=2.0, t=1.0, beta=0.0, lambda0=lambda0)
     return generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=seed)
+
+
+def sphere_cloud_of_five():
+    """sweep_rate's first cloud: five spheres at a = 0.04."""
+    rg = RegimeParams(a=0.04, s=1.0, t=1.0, beta=0.0, M_max=0.2, lambda0=-1.0)
+    cloud = generate_grid_cloud(rg, box_side=math.inf, jitter=0.3, seed=1)
+    assert cloud.M == 5
+    return cloud
 
 
 def with_one_flipped_sign(cloud):
@@ -298,10 +307,20 @@ class TestCertifiedSolve:
         assert sol.diagnostics.applicable_case == "Mixed"
         assert np.array_equal(sol.charges, lu_charges(system))
 
+    def test_q_is_weyls_ratio(self, wave):
+        """The matrix's q is its own ||Re B_n||_F over min|Re B_mm|, as the
+        dense scan finds it, and inf where the signs are mixed."""
+        for cloud, same_sign in ((jittered_lattice(), True),
+                                 (with_one_flipped_sign(jittered_lattice()), False)):
+            B = assemble(cloud, wave, "general").matrix
+            ratio = B.frobenius_offdiag_real / float(np.min(np.abs(B.diagonal().real)))
+            assert B.q == (ratio if same_sign else math.inf)
+            assert B.q == pytest.approx(DenseMatrix(np.asarray(B)).q, rel=1e-13)
+
     def test_weak_diagonal_takes_the_lu_path(self, wave):
         cloud = make_cloud([[0, 0, 0], [1.0, 0, 0]], 0.05, -1.0)
-        weak = with_matrix(assemble(cloud, wave, "general"),
-                           np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex))
+        weak = dataclasses.replace(assemble(cloud, wave, "general"),
+                                   matrix=DenseMatrix([[0.5, 1.0], [1.0, 0.5]]))
         assert not certified(weak)
         sol = solve(weak)
         assert sol.iterations is None
@@ -311,24 +330,36 @@ class TestCertifiedSolve:
         # off-diagonal x with sqrt(2)*x just below 1: q < 1 but 1 - q is
         # within PIVOT_REL_TOL of zero, so no certificate
         x = (1.0 - 4e-15) / math.sqrt(2.0)
-        B = np.array([[1.0, x], [x, 1.0]], dtype=complex)
-        frob, _ = scan(B)
+        B = np.array([[1.0, x], [x, 1.0]])
         rhs = np.array([1.0, 2.0], dtype=complex)
-        for A in (B, -B):
-            q = foldy._weyl_q(A, frob)
-            assert 0 < 1.0 - q <= foldy.PIVOT_REL_TOL
-            assert foldy._certified_solve(A, rhs, q, foldy.RESIDUAL_TOL)[2] is None
-        assert foldy._weyl_q(B, 0.5) == 0.5
-        assert foldy._certified_solve(B, rhs, 0.5, foldy.RESIDUAL_TOL)[2] > 0
+        for A in (DenseMatrix(B), DenseMatrix(-B)):
+            assert 0 < 1.0 - A.q <= foldy.PIVOT_REL_TOL
+            assert foldy._certified_solve(A, rhs, foldy.RESIDUAL_TOL)[2] is None
+        A = DenseMatrix(B)
+        A.q = 0.5
+        assert foldy._certified_solve(A, rhs, foldy.RESIDUAL_TOL)[2] > 0
 
-    @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0])
-    def test_uncertified_q_takes_the_lu(self, q):
-        """A NaN q fails closed: the LU solves, as for q >= 1."""
-        B = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=complex)
-        rhs = np.array([1.0, 2.0], dtype=complex)
-        x, residual, iterations = foldy._certified_solve(B, rhs, q, foldy.RESIDUAL_TOL)
-        assert iterations is None and residual <= foldy.RESIDUAL_TOL
-        assert np.allclose(B @ x, rhs, rtol=1e-14, atol=0)
+    @pytest.mark.parametrize("build, solver, tol", [
+        (lambda: assemble(jittered_lattice(), make_wave(), "general"), solve,
+         foldy.RESIDUAL_TOL),
+        (lambda: assemble_bie(sphere_cloud_of_five(), make_wave(), L=6), solve_bie,
+         oracle.BIE_RESIDUAL_TOL)], ids=["foldy-lax", "bie"])
+    @pytest.mark.parametrize("q", [None, 1.0, math.inf, math.nan],
+                             ids=["own", "one", "inf", "nan"])
+    def test_solve_policy_reads_the_operators_q(self, monkeypatch, build, solver, tol, q):
+        """The operator's own q certifies GMRES; forced to 1, inf or NaN (which
+        fails closed) it sends the same system to the LU, which passes its
+        residual check."""
+        system = build()
+        assert certified(system)
+        if q is not None:
+            monkeypatch.setattr(system.matrix, "q", q)
+        sol = solver(system)
+        assert (sol.iterations is None) == (q is not None)
+        assert sol.residual_inf <= tol
+        x = sol.charges if solver is solve else sol.coefficients.reshape(-1)
+        assert np.allclose(system.matrix @ x, system.rhs, rtol=0,
+                           atol=10 * tol * np.max(np.abs(system.rhs)))
 
     def test_iteration_cap_falls_back_to_lu(self, wave, monkeypatch):
         system = assemble(jittered_lattice(), wave, "general")
@@ -376,7 +407,7 @@ def test_certificate_bounds_the_smallest_singular_value(seed, m, radius, kappa, 
                            impedances=impedances)
     assume(kappa * cloud.a_eff < 1.0)
     system = assemble(cloud, make_wave(kappa=kappa), "general")
-    B, frob = system.matrix, system.frobenius_offdiag_real
+    B, frob = system.matrix, system.matrix.frobenius_offdiag_real
     mu = float(np.min(np.abs(B.diagonal().real))) - frob
     if mu > 0:
         assert np.linalg.svd(np.asarray(B), compute_uv=False)[-1] >= mu * (1 - 1e-12)
@@ -588,6 +619,24 @@ class TestInvertibilityReport:
         c = system.coefficients
         flipped = np.min(np.abs(c.real)) / np.max(np.abs(c)) ** 2 > rep.lemma_threshold
         assert rep.condition_applicable == flipped
+
+    def test_bound_rhs_bounds_no_lattice_beyond_criterion_6(self):
+        """generate --a 0.03 --s 0.75 --t 1.25 --beta 0.9 --Mmax 2
+        --lambda0=-1.5, no jitter, at kappa = 3: an admissible lattice whose
+        verdict is True while ||Re B_n||_F = 30.143 exceeds bound_rhs =
+        5.149. Its q is 3.0, so solve takes the LU, which solves it."""
+        rg = RegimeParams(a=0.03, s=0.75, t=1.25, beta=0.9, M_max=2.0, lambda0=-1.5)
+        system = assemble(generate_grid_cloud(rg, box_side=math.inf), make_wave(kappa=3.0),
+                          "general")
+        assert system.cloud.M == 27
+        sol = solve(system)
+        rep = sol.diagnostics
+        assert rep.condition_applicable
+        assert rep.frobenius_offdiag_real > rep.bound_rhs
+        assert system.matrix.q >= 1.0
+        assert sol.iterations is None
+        ref = np.linalg.solve(np.asarray(system.matrix), system.rhs)
+        assert np.max(np.abs(sol.charges - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_gamma_definition(self, wave):
         cloud, _ = self.lattice(a=0.1)

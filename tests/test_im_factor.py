@@ -86,7 +86,7 @@ def test_selection_rule_on_both_sides(monkeypatch):
     r = foldy._factor_frame(cloud.centers)[1]
     assert foldy._factor_degree(r, wave.kappa, boundary + 1) == L
     assert foldy._factor_degree(r, wave.kappa, boundary) is None
-    entries = sum(S.size for S in foldy._PackedSymmetric(np.ones(M)).strips.values())
+    entries = sum((i1 - i0) * (M - i0) for i0, i1 in row_blocks(M, min_rows=foldy.STRIP_ROWS))
     assert entries > boundary and degree_of(assemble(cloud, wave, "general")) == L
     # kappa R = 8 needs about 30 degrees: F would outweigh the imaginary halves
     assert assemble(cloud, wave_at(cloud, 8.0), "general").matrix.factor is None
@@ -101,13 +101,13 @@ def test_selection_rule_on_both_sides(monkeypatch):
 @pytest.mark.parametrize("x", [0.25, 2.0])
 def test_re_b_diagonal_and_certificate_are_the_strip_path_bits(monkeypatch, x):
     """Re np.asarray(B) is the dense formula bit for bit, the diagonal is
-    exactly -1/C_m, and ||Re B_n||_F and gamma are the strip path's bits,
+    exactly -1/C_m, and ||Re B_n||_F, gamma and q are the strip path's bits,
     for every worker count."""
     cloud = compact_cloud()
     wave = wave_at(cloud, x)
     ref = dense_formula(cloud, wave)
     strips = strip_path(monkeypatch, cloud, wave)
-    certificate = (strips.frobenius_offdiag_real, strips.gamma)
+    certificate = (strips.matrix.frobenius_offdiag_real, strips.matrix.gamma, strips.matrix.q)
     for threads, system in assembled_per_thread_count(monkeypatch, cloud, wave):
         B = system.matrix
         assert B.factor is not None and B.strips[0].dtype == float, threads
@@ -116,7 +116,7 @@ def test_re_b_diagonal_and_certificate_are_the_strip_path_bits(monkeypatch, x):
         assert np.array_equal(dense, dense.T), threads
         assert np.array_equal(B.diagonal(), -1.0 / system.coefficients), threads
         assert np.array_equal(dense.diagonal(), ref.diagonal()), threads
-        assert (system.frobenius_offdiag_real, system.gamma) == certificate
+        assert (B.frobenius_offdiag_real, B.gamma, B.q) == certificate
         assert B.nbytes < strips.matrix.nbytes
 
 
@@ -191,10 +191,10 @@ def test_solutions_match_the_strip_path(monkeypatch):
 
 
 def test_certificate_matches_the_dense_scan():
-    system = assemble(compact_cloud(), wave_at(compact_cloud(), 2.0), "general")
-    frob, gamma = scan(np.asarray(system.matrix))
-    assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-13, abs=0)
-    assert system.gamma == pytest.approx(gamma, rel=0, abs=1e-15)
+    B = assemble(compact_cloud(), wave_at(compact_cloud(), 2.0), "general").matrix
+    frob, gamma = scan(np.asarray(B))
+    assert B.frobenius_offdiag_real == pytest.approx(frob, rel=1e-13, abs=0)
+    assert B.gamma == pytest.approx(gamma, rel=0, abs=1e-15)
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):

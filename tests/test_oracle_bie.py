@@ -294,7 +294,7 @@ class TestCertifiedSolve:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_gmres_matches_lu(self, a, m_max, L, seed):
         system = assemble_bie(grid_spheres(a, m_max, seed), make_wave(), L=L)
-        assert system.neumann_q < 0.5
+        assert system.matrix.q < 0.5
         sol = solve_bie(system)
         assert sol.iterations is not None and sol.iterations <= 10
         x = sol.coefficients.reshape(-1)
@@ -309,7 +309,7 @@ class TestCertifiedSolve:
     def test_q_at_least_one_takes_the_lu_path(self, monkeypatch):
         """The LU scales the rows of its own dense copy: no caller passes a scale."""
         system = near_touching_pair()
-        assert system.neumann_q >= 1.0
+        assert system.matrix.q >= 1.0
         scales = []
         checked_lu_solve = foldy._checked_lu_solve
 
@@ -337,7 +337,7 @@ class TestCertifiedSolve:
         A = np.asarray(system.matrix)
         d = A.diagonal()
         C = A - np.diag(d)
-        assert system.neumann_q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
+        assert system.matrix.q == pytest.approx(np.linalg.norm(C / d[None, :]), rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [1e-5, 1e-10])
     def test_small_kappa_keeps_q_finite(self, kappa):
@@ -347,7 +347,7 @@ class TestCertifiedSolve:
         cloud = grid_spheres(0.04, 0.32, 1)
         system = assemble_bie(cloud, make_wave(kappa=kappa), L=12)
         q, _ = neumann_scan(bie_matrix(cloud, make_wave(kappa=kappa), 12))
-        assert system.neumann_q == pytest.approx(q, rel=1e-12)
+        assert system.matrix.q == pytest.approx(q, rel=1e-12)
         sol = solve_bie(system)
         assert sol.iterations is not None and sol.iterations <= 10
 
@@ -411,7 +411,7 @@ class TestPackedStore:
             y = A @ x
             assert np.linalg.norm(operator @ x - y) <= 1e-14 * np.linalg.norm(y)
         q, _ = neumann_scan(A)
-        assert system.neumann_q == pytest.approx(q, rel=1e-12, abs=1e-300)
+        assert system.matrix.q == pytest.approx(q, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("a, m_max, L", [(0.01, 0.2, 6), (0.04, 0.32, 12)])
     def test_product_allocates_order_n(self, a, m_max, L):
@@ -520,7 +520,7 @@ def test_neumann_certificate_bounds_the_smallest_singular_value(seed, m, L, radi
     impedances = rng.uniform(-4.0, 4.0, m) + 1j * rng.uniform(0.0, 2.0, m)
     cloud = ScattererCloud(centers=centers, radii=np.full(m, radius), impedances=impedances)
     system = assemble_bie(cloud, make_wave(kappa=kappa), L=L)
-    q = system.neumann_q
+    q = system.matrix.q
     if q < 1:
         A = np.asarray(system.matrix)
         sigma = np.linalg.svd(A / A.diagonal()[None, :], compute_uv=False)[-1]

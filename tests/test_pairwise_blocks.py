@@ -23,7 +23,7 @@ from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
 
 from cloud_helpers import THREADS, assembled_per_thread_count, make_wave
-from dense_reference import dense_distances, dense_formula, min_surface_distance, pack, scan
+from dense_reference import dense_distances, dense_formula, min_surface_distance, scan
 
 M = 700  # several row blocks, the last one partial
 
@@ -98,8 +98,8 @@ def test_a_merged_last_strip_is_filled_like_the_others(monkeypatch, kappa_r):
         assert np.array_equal(dense.real, ref.real), threads
         if B.factor is None:  # the factor path's Im B is bounded in test_im_factor
             assert np.array_equal(dense.imag, ref.imag), threads
-        assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-13, abs=0)
-        assert system.gamma == pytest.approx(gamma, rel=0, abs=1e-15)
+        assert B.frobenius_offdiag_real == pytest.approx(frob, rel=1e-13, abs=0)
+        assert B.gamma == pytest.approx(gamma, rel=0, abs=1e-15)
 
 
 def test_a_merged_last_strip_solves(monkeypatch):
@@ -162,21 +162,45 @@ def test_strip_layout_does_not_depend_on_thread_count(monkeypatch):
         assert np.array_equal(B.diagonal(), ref.diagonal())
 
 
+def correctly_rounded_product(B, x):
+    """B @ x with each row's sum of the rounded products B_ij x_j rounded once (fsum)."""
+    x = np.asarray(x, dtype=complex)
+    re = np.concatenate([B.real * x.real, -(B.imag * x.imag)], axis=1)
+    im = np.concatenate([B.real * x.imag, B.imag * x.real], axis=1)
+    return np.array([complex(math.fsum(a), math.fsum(b)) for a, b in zip(re, im)])
+
+
 def test_packed_product_matches_the_dense_product(monkeypatch):
-    """Within 1e-15 ||(|B| |x|)||_inf over many strips; bit for bit over one."""
+    """Assembled B against the dense formula: within 1e-15 ||(|B| |x|)||_inf
+    over many strips, in both representations, and bit for bit over one.
+
+    Complex strips hold the formula's bits, and their product is compared
+    with numpy's dense one. Real strips with H (kappa R = 1) are compared
+    with the correctly rounded product of the formula: numpy's dense product
+    is itself up to 1.3e-15 ||(|B| |x|)||_inf off it there, the packed one
+    below 0.5e-15."""
     rng = np.random.default_rng(11)
-    B = dense_formula(mixed_radii_cloud(seed=4), make_wave(kappa=1.6))
+    cloud = mixed_radii_cloud(seed=4)
     xs = [rng.normal(size=M) + 1j * rng.normal(size=M), rng.normal(size=M), np.ones(M)]
     monkeypatch.setattr(geometry, "PAIR_BLOCK", 2**14)
-    packed = pack(B)
-    assert len(packed.strips) == math.ceil(M / foldy.STRIP_ROWS)
+    radius = float(foldy._factor_frame(cloud.centers)[1].max())
+    for kappa in (1.6, 1.0 / radius):
+        wave = make_wave(kappa=kappa)
+        B = dense_formula(cloud, wave)
+        packed = assemble(cloud, wave, "general").matrix
+        assert len(packed.strips) == math.ceil(M / foldy.STRIP_ROWS)
+        assert (packed.factor is None) == (kappa == 1.6)
+        for x in xs:
+            bound = 1e-15 * np.max(np.abs(B) @ np.abs(x))
+            ref = B @ x if packed.factor is None else correctly_rounded_product(B, x)
+            assert np.max(np.abs(packed @ x - ref)) <= bound
+    small = ScattererCloud(centers=cloud.centers[:50], radii=cloud.radii[:50],
+                           impedances=cloud.impedances[:50])
+    wave = make_wave(kappa=1.6)
+    packed, B = assemble(small, wave, "general").matrix, dense_formula(small, wave)
+    assert len(packed.strips) == 1 and packed.factor is None
     for x in xs:
-        bound = 1e-15 * np.max(np.abs(B) @ np.abs(x))
-        assert np.max(np.abs(packed @ x - B @ x)) <= bound
-    small = B[:50, :50]
-    assert len(pack(small).strips) == 1
-    for x in xs:
-        assert (pack(small) @ x[:50]).tobytes() == (small @ x[:50]).tobytes()
+        assert (packed @ x[:50]).tobytes() == (B @ x[:50]).tobytes()
 
 
 def test_d_eff_is_the_brute_force_minimum_for_mixed_radii(monkeypatch):
@@ -264,15 +288,16 @@ def test_validating_a_jittered_lattice_of_10_5_spheres_is_fast():
 
 
 def test_certificate_stats_do_not_depend_on_thread_count(monkeypatch):
-    """Assembly's ||Re B_n||_F and gamma are the same bits for 1, 2 and 3
-    workers and match the dense reference."""
+    """Assembly's ||Re B_n||_F, gamma and q are the same bits for 1, 2 and 3
+    workers, and the first two match the dense reference."""
     cloud, wave = mixed_radii_cloud(), make_wave(kappa=1.3)
     stats = []
     for _, system in assembled_per_thread_count(monkeypatch, cloud, wave):
-        stats.append((system.frobenius_offdiag_real, system.gamma))
+        B = system.matrix
+        stats.append((B.frobenius_offdiag_real, B.gamma, B.q))
     assert stats[1:] == stats[:-1]
     frob, gamma = scan(np.asarray(system.matrix))
-    for fused_frob, fused_gamma in stats:
+    for fused_frob, fused_gamma, _ in stats:
         assert fused_frob == pytest.approx(frob, rel=1e-13, abs=0)
         assert fused_gamma == pytest.approx(gamma, rel=0, abs=1e-15)
 
@@ -283,10 +308,10 @@ def test_certificate_stats_of_small_systems():
     for centers in ([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.3, 1.1, -0.4]]):
         cloud = ScattererCloud(centers=centers, radii=np.full(len(centers), 0.05),
                                impedances=np.full(len(centers), -1.0 + 0.5j))
-        system = assemble(cloud, wave, "general")
-        frob, gamma = scan(np.asarray(system.matrix))
-        assert system.frobenius_offdiag_real == pytest.approx(frob, rel=1e-15, abs=0)
-        assert system.gamma == pytest.approx(gamma, abs=1e-15)
+        B = assemble(cloud, wave, "general").matrix
+        frob, gamma = scan(np.asarray(B))
+        assert B.frobenius_offdiag_real == pytest.approx(frob, rel=1e-15, abs=0)
+        assert B.gamma == pytest.approx(gamma, abs=1e-15)
 
 
 def test_coincident_centers_in_the_last_block_raise(monkeypatch):
@@ -325,7 +350,7 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
 def solution_with(cloud, charges, wave):
     """A solution carrying given charges, for far-field tests that need no solve."""
     system = foldy.FoldyLaxSystem(matrix=None, rhs=None, coefficients=None, cloud=cloud,
-                                  wave=wave, frobenius_offdiag_real=math.nan, gamma=math.nan)
+                                  wave=wave)
     return foldy.FoldyLaxSolution(charges=charges, residual_inf=0.0, system=system,
                                   diagnostics=None)
 
