@@ -16,7 +16,7 @@ _EXPORTS = {
     # kernels
     "plane_wave": "kernels", "farfield_kernel": "kernels", "fibonacci_sphere": "kernels",
     # point-scatterer solver
-    "Variant": "foldy", "coefficient": "foldy",
+    "Variant": "foldy",
     "FoldyLaxSystem": "foldy", "FoldyLaxSolution": "foldy", "FarFieldGrid": "foldy",
     "InvertibilityReport": "foldy", "assemble": "foldy", "solve": "foldy",
     "farfield": "foldy", "invertibility_report": "foldy",

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import GridMismatch, RateUndetermined
 from .foldy import FarFieldGrid, Variant, assemble, farfield, solve
-from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
+from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_spheres,
+                       generate_grid_cloud)
 from .kernels import fibonacci_sphere
 from .oracle import (DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, mie_reference,
                      solve_bie)
@@ -150,6 +151,7 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
     if kind == "mie":
         if cloud.M != 1:
             raise ValueError("separation-of-variables oracle requires M = 1")
+        _require_spheres(cloud, "separation-of-variables oracle")
         grid = mie_reference(wave, float(cloud.radii[0]), complex(cloud.impedances[0]),
                              directions, L=settings.L)
         z = cloud.centers[0]

@@ -14,9 +14,10 @@ are supported:
 
 The spherical variant folds in the exact static single-layer response of a
 ball (eigenvalue r_m on constants) and carries one extra order of accuracy in
-the obstacle size; it requires true spheres. coefficient() is the one
-definition of C_m, in Python's complex arithmetic; assemble maps it over the
-obstacles. For M = 1 the solution reduces to Q_1 = -C_1 * U^i(z_1).
+the obstacle size; it requires true spheres. _coefficients is the one
+definition of C_m, in Python's complex arithmetic, over the cloud's
+impedances, radii and areas. For M = 1 the solution reduces to
+Q_1 = -C_1 * U^i(z_1).
 
 B is complex symmetric, so its Hermitian part is Re B = diag(Re B_mm) + Re B_n.
 Where every Re B_mm has one sign, Weyl's inequality (Horn & Johnson, Matrix
@@ -119,8 +120,8 @@ import numpy as np
 from ._threads import thread_count
 from .errors import (CoincidentCenters, MissingRegime, NonUnitDirection, RegimeViolation,
                      SingularSystem, SphericalPole, ZeroImpedance)
-from .geometry import (IncidentWave, ScattererCloud, _require_memory, block_view, pair_distances,
-                       row_block_pass, row_blocks)
+from .geometry import (IncidentWave, ScattererCloud, _require_memory, _require_spheres,
+                       block_view, pair_distances, row_block_pass, row_blocks)
 from .kernels import UNIT_TOL, farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
@@ -150,57 +151,30 @@ class Variant(str, enum.Enum):
     SPHERICAL = "spherical"
 
 
-def coefficient(lambda_m: complex, variant: Variant | str = Variant.GENERAL,
-                radius: float | None = None, area: float | None = None) -> complex:
-    """Scattering coefficient C_m of one obstacle, in Python's complex arithmetic.
-
-    The general variant needs a surface area (or a radius, from which the
-    sphere area 4*pi*r^2 is taken); the spherical variant needs the radius.
-
-    Raises:
-        ZeroImpedance: lambda_m == 0, C_m is zero or not finite, or -1/C_m
-            overflows.
-        SphericalPole: |-1 + lambda_m * r| < 1e-12 in the spherical variant.
-    """
-    variant = Variant(variant)
-    lam = complex(lambda_m)
-    if lam == 0:
-        raise ZeroImpedance("scattering coefficient undefined for lambda = 0")
-    if variant is Variant.SPHERICAL:
-        if radius is None:
-            raise ValueError("spherical variant requires a radius")
-        return _coefficient(lam, True, float(radius), math.nan)
-    if area is None:
-        if radius is None:
-            raise ValueError("general variant requires an area or a radius")
-        area = 4.0 * math.pi * float(radius)**2
-    return _coefficient(lam, False, math.nan, float(area))
-
-
-def _coefficient(lam: complex, spherical: bool, radius: float, area: float) -> complex:
-    """C_m of a nonzero lambda_m: the spherical variant from the radius, the
-    general one from the area."""
-    if spherical:
-        denom = -1.0 + lam * radius
-        if math.hypot(denom.real, denom.imag) < POLE_TOL:
-            raise SphericalPole(f"-1 + lambda*r = {denom:g} is numerically zero")
-        value = lam * (4.0 * math.pi * radius**2) / denom
-    else:
-        value = -lam * area
-    recip = -1.0 / value if value != 0 else math.inf  # B's diagonal entry
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)
-            and math.isfinite(recip.real) and math.isfinite(recip.imag)):
-        raise ZeroImpedance(f"degenerate scattering coefficient {value}")
-    return value
-
-
 def _coefficients(lam: np.ndarray, variant: Variant, radii: np.ndarray,
                   areas: np.ndarray) -> np.ndarray:
-    """C_m of nonzero impedances, one at a time as coefficient() computes
-    them; the first obstacle that fails raises."""
-    spherical = variant is Variant.SPHERICAL
-    return np.array([_coefficient(lam_m, spherical, r, area) for lam_m, r, area
-                     in zip(lam.tolist(), radii.tolist(), areas.tolist())], dtype=complex)
+    """C_m of each obstacle in Python's complex arithmetic, the spherical
+    variant from the radius and the general one from the area.
+
+    Raises, for the first obstacle that fails:
+        ZeroImpedance: C_m is zero or not finite, or -1/C_m overflows.
+        SphericalPole: |-1 + lambda_m * r_m| < POLE_TOL in the spherical variant.
+    """
+    values = []
+    for lam_m, r, area in zip(lam.tolist(), radii.tolist(), areas.tolist()):
+        if variant is Variant.SPHERICAL:
+            denom = -1.0 + lam_m * r
+            if math.hypot(denom.real, denom.imag) < POLE_TOL:
+                raise SphericalPole(f"-1 + lambda*r = {denom:g} is numerically zero")
+            value = lam_m * (4.0 * math.pi * r**2) / denom
+        else:
+            value = -lam_m * area
+        recip = -1.0 / value if value != 0 else math.inf  # B's diagonal entry
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)
+                and math.isfinite(recip.real) and math.isfinite(recip.imag)):
+            raise ZeroImpedance(f"degenerate scattering coefficient {value}")
+        values.append(value)
+    return np.array(values, dtype=complex)
 
 
 def _tail_degree(x: float, max_degree: int) -> int | None:
@@ -525,7 +499,7 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
              variant: Variant | str = Variant.GENERAL) -> FoldyLaxSystem:
     """Build the packed system for a cloud and an incident plane wave.
 
-    coefficients are coefficient()'s C_m, bit for bit, and B's diagonal is
+    coefficients are _coefficients' C_m, bit for bit, and B's diagonal is
     -1/C_m; B carries its certificate q, ||Re B_n||_F and gamma. Im B is
     stored in the complex strips, or as its real factor H, 8 M (L+1)^2 bytes,
     where a complex F would take fewer bytes than the strips' imaginary
@@ -535,8 +509,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
             general variant with regime beta == 1.
         CoincidentCenters: two centers numerically coincide.
-        ZeroImpedance / SphericalPole: as coefficient() raises them, for the
-            first obstacle that fails.
+        ZeroImpedance / SphericalPole: as _coefficients raises them, for
+            the first obstacle that fails.
         InsufficientMemory: the packed matrix exceeds the memory available:
             complex strips of about 8 M^2 bytes, or, where Im B takes the
             factor, real strips of about 4 M^2 bytes, H's 8 M (L+1)^2 and
@@ -549,8 +523,8 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
             f"kappa*a = {wave.kappa * cloud.a_eff:g} >= 1: outside the small-obstacle regime")
     if variant is Variant.GENERAL and cloud.regime is not None and cloud.regime.beta >= 1:
         raise RegimeViolation("general variant requires beta < 1 (spherical allows beta = 1)")
-    if variant is Variant.SPHERICAL and not cloud.is_spherical:
-        raise ValueError("spherical variant requires true spheres (no explicit areas)")
+    if variant is Variant.SPHERICAL:
+        _require_spheres(cloud, "spherical variant")
     coeffs = _coefficients(cloud.impedances, variant, cloud.radii, cloud.areas)
     B = _PackedSymmetric(-1.0 / coeffs, cloud.centers, wave.kappa)
     rhs = plane_wave(wave.kappa, wave.theta, cloud.centers)

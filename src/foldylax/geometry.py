@@ -82,6 +82,12 @@ def _require_memory(need: int, subject: str, purpose: str):
                                  f"{purpose}; {available // 2**20} MiB available")
 
 
+def _require_spheres(cloud: ScattererCloud, subject: str):
+    """Raise ValueError unless the cloud's obstacles are true spheres."""
+    if not cloud.is_spherical:
+        raise ValueError(f"{subject} requires true spheres (no explicit areas)")
+
+
 @dataclass(frozen=True)
 class RegimeParams:
     """Scaling-regime parameters (validated at construction).
@@ -168,7 +174,8 @@ class ScattererCloud:
     areas defaults to the sphere areas 4*pi*r^2; passing it explicitly marks
     the obstacles as general (non-spherical) shapes with known |dD_m|, which
     the general coefficient variant can use but the spherical variant and the
-    boundary-integral oracle cannot.
+    two oracles, the boundary-integral and the modal series, cannot
+    (_require_spheres).
     """
 
     centers: np.ndarray
@@ -195,6 +202,8 @@ class ScattererCloud:
             raise ValueError("impedances must be nonzero")
         spherical = self.areas is None
         areas = 4.0 * np.pi * radii**2 if spherical else np.array(self.areas, dtype=float).reshape(-1)
+        if not _finite(areas):
+            raise ValueError("cloud data must be finite")
         if len(areas) != len(centers) or np.any(areas <= 0):
             raise ValueError("areas must be positive, one per scatterer")
         for arr in (centers, radii, imped, areas):

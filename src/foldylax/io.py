@@ -19,8 +19,10 @@ Every regime value must be a JSON number (not a string or a bool), centers a
 list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
 a non-null areas flat lists of numbers, each within the float range (an
 integer literal such as 10**400 is not); anything else is a ValueError that
-names the key. save_cloud refuses a non-finite float, which JSON cannot
-hold.
+names the key. load_cloud also refuses, as a ValueError that names the file,
+a document nested too deeply for json to parse, and ScattererCloud a NaN or
+Infinity literal in any array. save_cloud refuses a non-finite float, which
+JSON cannot hold.
 """
 
 from __future__ import annotations
@@ -98,7 +100,10 @@ def save_cloud(path: str, cloud: ScattererCloud):
 
 def load_cloud(path: str) -> ScattererCloud:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"cloud document {path} nests too deeply to read") from None
     return cloud_from_document(doc)
 
 

@@ -76,7 +76,8 @@ import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
-from .geometry import PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, row_blocks
+from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
+                       row_blocks)
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
                         spherical_jn, spherical_yn, unit_angles)
 
@@ -492,8 +493,7 @@ def assemble_bie(cloud: ScattererCloud, wave: IncidentWave,
             workspace (_admitted_bytes) exceed the memory available.
         ResonanceGuard: any sphere too large for the wavenumber.
     """
-    if not cloud.is_spherical:
-        raise ValueError("boundary-integral oracle requires true spheres")
+    _require_spheres(cloud, "boundary-integral oracle")
     if quad_order < 1:
         raise ValueError("quadrature order must be >= 1")
     _require_memory(sum(_admitted_bytes(cloud.M, L)), f"N = {cloud.M * n_coeffs(L)} at "

@@ -224,6 +224,23 @@ class TestExitCodes:
         assert run(["compare", cloud, "--oracle", "mie",
                     "--out", tmp_path / "x"]) == 2
 
+    def test_oracles_refuse_explicit_areas_is_2(self, tmp_path, capsys):
+        """One obstacle with an explicit area is not a sphere: the modal
+        series, which auto picks for M = 1, refuses it as the BIE does."""
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps({"version": "0.1.0", "centers": [[0, 0, 0]], "radii": [0.05],
+                                     "impedance_re": [-1], "impedance_im": [0], "regime": None,
+                                     "areas": [0.5]}))
+        for oracle, subject in [("auto", "separation-of-variables oracle"),
+                                ("mie", "separation-of-variables oracle"),
+                                ("bie", "boundary-integral oracle")]:
+            capsys.readouterr()
+            assert run(["compare", cloud, "--variant", "general", "--oracle", oracle,
+                        "--out", tmp_path / "x"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {subject} requires true spheres (no explicit areas)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_singular_system_is_3(self, tmp_path):
         # engineered rank-1 system: C = 1/Phi at kappa*d = 2*pi, rhs off-range
         d, r = 2 * np.pi, 0.1
@@ -538,6 +555,8 @@ class TestExitCodes:
         (lambda doc: doc.pop("radii"), "cloud document missing keys: ['radii']"),
         (lambda doc: doc.update(impedance_im=[0.0]),  # once broadcast to every sphere
          "cloud document 'impedance_re' and 'impedance_im' must have equal lengths"),
+        (lambda doc: doc.update(areas=[math.nan] * len(doc["radii"])),  # the NaN literal
+         "cloud data must be finite"),
     ])
     def test_malformed_document_is_2(self, tmp_path, capsys, edit, message):
         cloud = tmp_path / "c.json"
@@ -548,6 +567,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_deeply_nested_document_is_2(self, tmp_path, capsys):
+        """json.load's RecursionError is a ValueError naming the file. The
+        text is written by hand: json.dumps cannot nest this deep either."""
+        cloud = tmp_path / "c.json"
+        cloud.write_text('{"version": "0.1.0", "centers": ' + "[" * 10**5 + "]" * 10**5
+                         + ', "radii": [0.05], "impedance_re": [-1], "impedance_im": [0], '
+                         '"regime": null}')
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cloud document {cloud} nests too deeply to read\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(radii=[str(r) for r in doc["radii"]]),
@@ -899,7 +931,7 @@ def test_every_lazy_export_resolves():
     import foldylax
     for gone in ("ScatteringCoefficient", "SurfaceDensity", "optical_theorem_residual",
                  "regime_sweep", "layer_count", "charge_bound_check", "phi",
-                 "CoincidentPoints", "CloudStats", "cloud_stats"):
+                 "CoincidentPoints", "CloudStats", "cloud_stats", "coefficient"):
         assert gone not in foldylax.__all__
     for name, module in foldylax._EXPORTS.items():
         assert name in foldylax.__all__

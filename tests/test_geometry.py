@@ -174,7 +174,9 @@ class TestScattererCloud:
         (np.empty((0, 3)), [], None, "^cloud must contain at least one scatterer$"),
         ([[0.0, 0.0, np.nan]], [0.1], None, "^cloud data must be finite$"),
         ([[0.0, 0.0, 0.0]], [0.0], None, "^radii must be positive$"),
-        ([[0.0, 0.0, 0.0]], [0.1], [0.0], "^areas must be positive, one per scatterer$")])
+        ([[0.0, 0.0, 0.0]], [0.1], [0.0], "^areas must be positive, one per scatterer$"),
+        ([[0.0, 0.0, 0.0]], [0.1], [np.nan], "^cloud data must be finite$"),
+        ([[0.0, 0.0, 0.0]], [0.1], [-np.inf], "^cloud data must be finite$")])
     def test_invalid_cloud_rejected(self, centers, radii, areas, message):
         with pytest.raises(ValueError, match=message):
             ScattererCloud(centers=centers, radii=radii,

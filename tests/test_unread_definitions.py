@@ -16,10 +16,7 @@ PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 SCANNED = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # module.name -> why it stays although only the tests read it
-ALLOWED = {
-    "foldy.coefficient": "the public definition of C_m for one scatterer, which "
-                         "test_foldy unit-tests; assembly computes C_m for all at once",
-}
+ALLOWED = {}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
