@@ -216,24 +216,23 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve_cloud(args):
+def _solve_cloud(args, cloud):
     import numpy as np
-    from . import foldy, io
+    from . import foldy
     from .geometry import IncidentWave
     from .kernels import fibonacci_sphere
-    cloud = io.load_cloud(args.cloud)
     wave = IncidentWave(kappa=args.kappa, theta=np.array(args.theta))
-    system = foldy.assemble(cloud, wave, args.variant)
-    sol = foldy.solve(system)
-    grid = foldy.farfield(sol, fibonacci_sphere(args.directions))
-    return cloud, wave, system, sol, grid
+    sol = foldy.solve(foldy.assemble(cloud, wave, args.variant))
+    return sol, foldy.farfield(sol, fibonacci_sphere(args.directions))
 
 
 def _cmd_solve(args) -> int:
-    from . import foldy, io
-    cloud, wave, system, sol, grid = _solve_cloud(args)
-    # before any CSV: the report of a cloud without a regime raises MissingRegime
-    rep = args.check_invertibility and (sol.diagnostics or foldy.invertibility_report(system))
+    from . import io
+    from .errors import MissingRegime
+    cloud = io.load_cloud(args.cloud)
+    if args.check_invertibility and cloud.regime is None:
+        raise MissingRegime("invertibility report requires regime parameters")
+    sol, grid = _solve_cloud(args, cloud)
     comments = _config_comments(
         args, ["cloud", "kappa", "theta", "variant", "directions"])
     io.write_charges_csv(args.out + "_charges.csv", sol.charges, comments)
@@ -241,7 +240,8 @@ def _cmd_solve(args) -> int:
                           comments)
     print(f"M={cloud.M} residual={sol.residual_inf:.3e} "
           f"wrote {args.out}_charges.csv {args.out}_farfield.csv")
-    if rep:
+    if args.check_invertibility:
+        rep = sol.diagnostics  # the report solve attaches for a regime cloud
         print(f"invertibility: case={rep.applicable_case} "
               f"condition={rep.condition_applicable}")
         print(f"  frobenius_offdiag_real={rep.frobenius_offdiag_real:.6g} "
@@ -253,9 +253,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     from . import analysis, io
-    cloud, wave, system, sol, fl_grid = _solve_cloud(args)
+    cloud = io.load_cloud(args.cloud)
+    sol, fl_grid = _solve_cloud(args, cloud)
     ref_grid, res_bie, coefficients = analysis.oracle_farfield(
-        cloud, wave, fl_grid.directions, _oracle_settings(args), fl_grid)
+        cloud, fl_grid.wave, fl_grid.directions, _oracle_settings(args), fl_grid)
     err = analysis.farfield_error(fl_grid, ref_grid)
     comments = _config_comments(
         args, ["cloud", "kappa", "theta", "variant", "directions",

@@ -40,9 +40,10 @@ symmetric storage, zspmv; Anderson et al., LAPACK Users' Guide, SIAM 1999):
 the strip of rows i0:i1 holds columns i0:M, its k x k diagonal square whole,
 and all strips share one flat buffer. The strips are the blocks of
 geometry.row_blocks with at least STRIP_ROWS rows, whatever the worker count.
-B @ x reads each strip twice, y[i0:i1] += S @ x[i0:] and
-y[i1:] += x[i0:i1] @ S[:, k:], and np.asarray(B) builds the dense matrix
-strip by strip.
+B @ x walks the strips once and reads each twice, Y[i0:i1] += S @ X[i0:] and
+Y[i1:] += S[:, k:]^T @ X[i0:i1], with X the column x for complex strips and
+the two columns Re x, Im x for real ones, and np.asarray(B) builds the dense
+matrix strip by strip.
 
 Off the diagonal Im B_ij = -sin(kappa d)/(4 pi d) = -(kappa/4pi) j_0(kappa d)
 is smooth. With x_m = z_m - c, c the middle of the centers' bounding box,
@@ -104,8 +105,8 @@ sums of (Re B_ij)^2, the same mask zeroing j <= i: with q, B's certificate.
 A row's sum runs over its strip's width, so its bits follow the strip
 layout, which row_blocks(M, min_rows=STRIP_ROWS) fixes from M alone: neither
 depends on the worker count. A certified solve then reads B only through
-GMRES products, its diagonal and q, and keeps the GMRES basis conjugated so
-that no step copies it; only the LU fallback makes a dense copy. farfield
+GMRES products, its diagonal and q, and reads the GMRES basis through views
+so that no step copies it; only the LU fallback makes a dense copy. farfield
 evaluates the kernel over blocks of a few directions, about 256 KiB each.
 """
 
@@ -330,16 +331,14 @@ class _PackedSymmetric:
                 # overwritten below; keeps cos, sin and division finite
                 np.fill_diagonal(dist[:, r0:], 1.0)
                 part = S[r0:r1]
-                cos = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
-                if self.factor is None:
-                    np.sin(cos, out=part.imag)
-                np.cos(cos, out=cos)  # cos and sin are the parts of e^{i kappa d}, bit for bit
+                kd = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
                 # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
                 # it: times the reciprocal of 4 pi d
                 scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
-                np.multiply(cos, scale, out=part.real)
                 if self.factor is None:
-                    np.multiply(part.imag, scale, out=part.imag)
+                    np.multiply(np.sin(kd, out=part.imag), scale, out=part.imag)
+                cos = np.cos(kd, out=kd)  # cos and sin are the parts of e^{i kappa d}, bit for bit
+                np.multiply(cos, scale, out=part.real)
                 # the leading square holds j <= i too: one mask leaves the pairs j > i
                 no_pair = lower[r0:r1, :r1]
                 # gamma: min cos(kappa d) over j > i
@@ -367,22 +366,19 @@ class _PackedSymmetric:
         return self._diagonal
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self.factor is None:
-            y = np.zeros(self.shape[0], dtype=complex)
-            for i0, S in self.strips.items():
-                i1 = i0 + len(S)
-                y[i0:i1] += S @ x[i0:]
-                y[i1:] += x[i0:i1] @ S[:, len(S):]
-            return y
-        # real strips times the real and imaginary parts of x side by side
+        # complex strips take x as one complex column, real strips its real
+        # and imaginary parts as two real columns
+        H = self.factor
         x = np.ascontiguousarray(x, dtype=complex)
-        X, Y = x.view(float).reshape(-1, 2), np.zeros((self.shape[0], 2))
+        X = x.reshape(-1, 1) if H is None else x.view(float).reshape(-1, 2)
+        Y = np.zeros(X.shape, dtype=X.dtype)
         for i0, S in self.strips.items():
             i1 = i0 + len(S)
             Y[i0:i1] += S @ X[i0:]
             Y[i1:] += S[:, len(S):].T @ X[i0:i1]
         y = Y.view(complex).reshape(-1)
-        H = self.factor
+        if H is None:
+            return y
         z = (H @ (H.T @ X)).view(complex).reshape(-1)  # (H H^T) x
         y += np.multiply(-1j * self.kappa, z, out=z)
         y += np.multiply(self._im_diagonal, x, out=z)
@@ -394,10 +390,8 @@ class _PackedSymmetric:
         for i0, S in self.strips.items():
             k = len(S)
             i1 = i0 + k
-            if H is None:
-                B[i0:i1, i0:] = S
-            else:
-                B.real[i0:i1, i0:] = S
+            B[i0:i1, i0:] = S
+            if H is not None:
                 im = np.matmul(H[i0:i1], H[i0:].T)
                 im *= -self.kappa
                 im[:, :k] = np.triu(im[:, :k]) + np.triu(im[:, :k], 1).T  # symmetric square
@@ -597,18 +591,17 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
 def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
     """Restarted GMRES for B x = rhs, right-preconditioned by diag(precond).
 
-    Arnoldi with classical Gram-Schmidt; the Hessenberg least squares is
-    kept triangular by Givens rotations. Stops once the true
-    residual rhs - B x falls to GMRES_TOL * ||rhs||_2 and returns (x, that
-    residual, matrix-vector count); returns None after GMRES_MAXITER products.
+    Arnoldi with classical Gram-Schmidt on the basis V as computed: the
+    projections V^H w are formed as conj(conj(w) V^T), which reads V through
+    a view, so no step copies it. The Hessenberg least squares is kept
+    triangular by Givens rotations. Stops once the true residual rhs - B x
+    falls to GMRES_TOL * ||rhs||_2 and returns (x, that residual,
+    matrix-vector count); returns None after GMRES_MAXITER products.
     """
     m = GMRES_RESTART
     bnorm = float(np.linalg.norm(rhs))
     x, r = np.zeros(len(rhs), dtype=complex), np.array(rhs, dtype=complex)
-    # the basis is stored conjugated, W = conj(V), so the projections W w need
-    # no copy; h V is conj(conj(h) W), bit for bit, since a product of exact
-    # conjugates rounds to the exact conjugate
-    W = np.empty((m + 1, len(rhs)), dtype=complex)
+    V = np.empty((m + 1, len(rhs)), dtype=complex)
     R = np.zeros((m, m), dtype=complex)
     cs, sn = np.zeros(m), np.zeros(m, dtype=complex)
     iterations = 0
@@ -618,14 +611,14 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             return x, r, iterations
         if iterations >= GMRES_MAXITER:
             return None
-        W[0] = np.conj(r / beta)
+        V[0] = r / beta
         g = np.zeros(m + 1, dtype=complex)
         g[0] = beta
         for j in range(m):
-            w = B @ (precond * W[j].conj())
+            w = B @ (precond * V[j])
             iterations += 1
-            h = W[:j + 1] @ w
-            w -= (h.conj() @ W[:j + 1]).conj()
+            h = np.conj(np.conj(w) @ V[:j + 1].T)
+            w -= h @ V[:j + 1]
             hn = float(np.linalg.norm(w))
             for i in range(j):
                 h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
@@ -637,12 +630,12 @@ def _gmres(B, rhs: np.ndarray, precond: np.ndarray):
             g[j], g[j + 1] = cs[j] * g[j], -np.conj(sn[j]) * g[j]
             if abs(g[j + 1]) <= GMRES_TOL * bnorm or hn == 0 or iterations >= GMRES_MAXITER:
                 break
-            W[j + 1] = np.conj(w / hn)
+            V[j + 1] = w / hn
         k = j + 1
         y = np.zeros(k, dtype=complex)
         for i in range(k - 1, -1, -1):  # back substitution on the triangular R
             y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
-        x += precond * (y.conj() @ W[:k]).conj()
+        x += precond * (y @ V[:k])
         r = rhs - B @ x
 
 

@@ -19,9 +19,10 @@ Every regime value must be a JSON number (not a string or a bool), centers a
 list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
 a non-null areas flat lists of numbers, each within the float range (an
 integer literal such as 10**400 is not); anything else is a ValueError that
-names the key. load_cloud also refuses, as a ValueError that names the file,
-a document nested too deeply for json to parse, and ScattererCloud a NaN or
-Infinity literal in any array. save_cloud refuses a non-finite float, which
+names the key. load_cloud also refuses, as a ValueError that names the file
+and keeps the decoder's detail, a document that is not UTF-8 JSON or that
+nests too deeply for json to parse, and ScattererCloud a NaN or Infinity
+literal in any array. save_cloud refuses a non-finite float, which
 JSON cannot hold.
 """
 
@@ -104,6 +105,8 @@ def load_cloud(path: str) -> ScattererCloud:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"cloud document {path} nests too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cloud document {path} is not JSON: {exc}") from None
     return cloud_from_document(doc)
 
 

@@ -499,9 +499,14 @@ class TestExitCodes:
         assert run(gen_args(tmp_path / "c.json")) == 4
         assert capsys.readouterr().err == "error: out of memory\n"
 
-    def test_check_invertibility_without_regime_is_2(self, tmp_path, capsys):
+    def test_check_invertibility_without_regime_is_2(self, tmp_path, monkeypatch, capsys):
+        """The refusal comes straight after the cloud is read: nothing is assembled."""
+        def assemble(*args, **kwargs):
+            raise AssertionError("assembled a cloud the report must refuse")
+
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        monkeypatch.setattr(foldy, "assemble", assemble)
         capsys.readouterr()
         assert run(["solve", cloud, "--check-invertibility", "--out", tmp_path / "x"]) == 2
         captured = capsys.readouterr()
@@ -579,6 +584,23 @@ class TestExitCodes:
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cloud document {cloud} nests too deeply to read\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("raw, detail", [
+        (b'{"version": "0.1.0", "cen',
+         "Unterminated string starting at: line 1 column 22 (char 21)"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["truncated", "empty", "utf16-bom"])
+    def test_undecodable_document_is_2(self, tmp_path, capsys, raw, detail):
+        """A JSON syntax or encoding error is a ValueError naming the file and
+        keeping the decoder's detail. The bytes are written raw."""
+        cloud = tmp_path / "c.json"
+        cloud.write_bytes(raw)
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cloud document {cloud} is not JSON: {detail}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("edit, message", [

@@ -240,7 +240,7 @@ def test_factor_scratch_is_within_its_admission(L):
 
 
 def test_certified_solve_peak_is_the_basis_plus_vectors(monkeypatch):
-    """GMRES holds its basis of GMRES_RESTART + 1 vectors, stored conjugated,
+    """GMRES holds its basis of GMRES_RESTART + 1 vectors, read through views,
     the Hessenberg factor and at most 10 vectors of M besides: no conjugated
     (j+1) x M copy of the basis, which reaches 8 vectors in the 8 products here."""
     monkeypatch.setenv("FOLDYLAX_THREADS", "2")
