@@ -31,6 +31,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 from ._threads import thread_count
 from ._version import __version__
@@ -304,7 +305,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from . import errors
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():  # each warning one line, with no source path
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.handler(args)
     except (errors.FoldylaxError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, MemoryError):  # InsufficientMemory is one

@@ -22,10 +22,6 @@ class OverlappingSpheres(FoldylaxError, ValueError):
     """Two scatterers overlap or touch (min surface distance <= 0)."""
 
 
-class CoincidentCenters(FoldylaxError, ValueError):
-    """Two scatterer centers coincide during system assembly."""
-
-
 class NonUnitDirection(FoldylaxError, ValueError):
     """Direction vector is not unit length within tolerance."""
 

@@ -91,10 +91,10 @@ sum_mu |Y_l^mu|^2 = (2l+1)/(4 pi) and sum_l (2l+1) j_l^2 = 1. The tests
 take eta = 2 (L+1) u.
 
 The constructor fills each strip in place, by row sub-blocks of about
-FILL_BLOCK entries: the distances, kappa d, cos and sin, -1/(4 pi d), the
-coincidence test and the gamma mask go through two float buffers of one
-sub-block per worker, allocated once per pass, and B's entries are written
-straight into the strip. It is bound by sqrt, cos and sin, so
+FILL_BLOCK entries: the distances and -1/(4 pi d) in the strip's real part,
+sin in its imaginary part, and kappa d, cos and the gamma mask in one float
+buffer of a sub-block per worker. ScattererCloud found every distance above
+r_i + r_j > 0, by the fill's formula. It is bound by sqrt, cos and sin, so
 geometry.row_block_pass deals its strips to FOLDYLAX_THREADS worker threads;
 each writes its own strip, so B is the same bit for bit whatever the worker
 count or the sub-block size. The last strip may have a row more than the
@@ -119,11 +119,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import thread_count
-from .errors import (CoincidentCenters, MissingRegime, NonUnitDirection, RegimeViolation,
-                     SingularSystem, SphericalPole, ZeroImpedance)
+from .errors import (MissingRegime, RegimeViolation, SingularSystem, SphericalPole,
+                     ZeroImpedance)
 from .geometry import (IncidentWave, ScattererCloud, _require_memory, _require_spheres,
                        block_view, pair_distances, row_block_pass, row_blocks)
-from .kernels import UNIT_TOL, farfield_kernel, fibonacci_sphere, plane_wave
+from .kernels import _require_unit, farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
 RESIDUAL_TOL = 1e-10
@@ -142,8 +142,8 @@ FACTOR_TAIL = 2.0**-53
 # (L+1)^2 + 16 columns wide (tracemalloc: at most 0.62 of that for L = 0..12
 # and M = 400 to 10^4)
 FACTOR_SCRATCH = 96
-# assembly fills each strip by row sub-blocks of about this many entries, in
-# two float buffers of this size per worker
+# assembly fills each strip by row sub-blocks of about this many entries,
+# with one float buffer of this size per worker
 FILL_BLOCK = 1 << 15
 
 
@@ -260,8 +260,8 @@ def _fill_factor(H: np.ndarray, rel: np.ndarray, r: np.ndarray, kappa: float, L:
 
 class _PackedSymmetric:
     """B, n x n complex symmetric, stored once as the row strips of
-    row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on and filled by
-    the constructor (see the module docstring).
+    row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on and filled by the
+    constructor from a validated cloud's centers (see the module docstring).
 
     strips maps each first row i0 to its read-only strip, rows i0:i1 by
     columns i0:n; diagonal() is the diagonal given, -1/C_m. Where
@@ -315,23 +315,18 @@ class _PackedSymmetric:
         lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
         row_frob2 = np.zeros(n)  # row i: the sum over j > i of (Re B_ij)^2
 
-        def fill(i0, i1, dist_buf, tmp_buf):
+        def fill(i0, i1, buf):
             k, w = i1 - i0, n - i0
             S = self.strips[i0]
             step = max(1, FILL_BLOCK // w)
             gamma = math.inf
             for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
                 r1 = min(r0 + step, k)
-                height = r1 - r0
-                dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, block_view(dist_buf, height, w),
-                                      block_view(tmp_buf, height, w))
-                np.fill_diagonal(dist[:, r0:], np.inf)
-                if dist.min() < 1e-14:
-                    raise CoincidentCenters("two scatterer centers coincide")
+                part, tmp = S[r0:r1], block_view(buf, r1 - r0, w)
+                dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, part.real, tmp)
                 # overwritten below; keeps cos, sin and division finite
                 np.fill_diagonal(dist[:, r0:], 1.0)
-                part = S[r0:r1]
-                kd = np.multiply(kappa, dist, out=block_view(tmp_buf, height, w))
+                kd = np.multiply(kappa, dist, out=tmp)
                 # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
                 # it: times the reciprocal of 4 pi d
                 scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
@@ -355,7 +350,7 @@ class _PackedSymmetric:
 
         # each strip writes its own part of B and of row_frob2, a row sub-block at a time
         scratch = (float, min(self.strips[0].size, max(FILL_BLOCK, n)))  # the largest sub-block
-        gammas = row_block_pass(fill, blocks, scratch=(scratch, scratch))
+        gammas = row_block_pass(fill, blocks, scratch=(scratch,))
         return math.sqrt(2.0 * float(row_frob2.sum())), min(gammas)
 
     @property
@@ -479,9 +474,8 @@ class FarFieldGrid:
         values = np.array(self.values, dtype=complex).reshape(-1)
         if len(directions) != len(values):
             raise ValueError("directions/values length mismatch")
-        if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > UNIT_TOL):
-            raise NonUnitDirection("far-field directions must be unit vectors")
-        if not (np.all(np.isfinite(directions)) and np.all(np.isfinite(values.view(float)))):
+        _require_unit(directions)
+        if not np.all(np.isfinite(values.view(float))):  # directions are unit, so finite
             raise ValueError("far-field data must be finite")
         directions.setflags(write=False)
         values.setflags(write=False)
@@ -502,7 +496,6 @@ def assemble(cloud: ScattererCloud, wave: IncidentWave,
     Raises:
         RegimeViolation: kappa * a_eff >= 1 (asymptotic regime left), or the
             general variant with regime beta == 1.
-        CoincidentCenters: two centers numerically coincide.
         ZeroImpedance / SphericalPole: as _coefficients raises them, for
             the first obstacle that fails.
         InsufficientMemory: the packed matrix exceeds the memory available:

@@ -9,7 +9,9 @@ a = max diameter:
     lambda_m = lambda0 * a^(-beta),
 
 with admissibility beta <= 1, s <= 2 - beta, s/3 <= t. d is the minimum
-surface-to-surface distance; for a single scatterer it is reported as +inf.
+surface-to-surface distance, +inf for a single scatterer; a cloud needs d > 0
+and radii in [RADIUS_MIN, COORD_MAX), so that 4 pi r^2 and the squared
+distances of centers are normal floats.
 
 d comes from a cell list (Allen & Tildesley, Computer Simulation of Liquids,
 1987), not from all M^2 pairs. The smallest gap u between centers that are
@@ -55,8 +57,9 @@ CELL_KEYS = 1 << 62  # cell keys stay below this, clear of int64 overflow
 # in lexicographic order, so each pair of neighbouring cells is visited once
 _FORWARD = [(dx, dy, dz) for dx in (0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
             if (dx, dy, dz) >= (0, 0, 0)]
-# centers and radii stay below this, so that squared distances cannot overflow
+# radii in [RADIUS_MIN, COORD_MAX) and centers below COORD_MAX: squares stay normal floats
 COORD_MAX = 1e150
+RADIUS_MIN = 1e-150
 CLOUD_BYTES_PER_SPHERE = 512  # generate_grid_cloud's peak, validation included
 
 
@@ -170,12 +173,14 @@ class IncidentWave:
 class ScattererCloud:
     """Immutable cloud of scatterers, optionally tagged with its regime.
 
-    radii are enclosing-ball radii (used for all distance bookkeeping).
-    areas defaults to the sphere areas 4*pi*r^2; passing it explicitly marks
-    the obstacles as general (non-spherical) shapes with known |dD_m|, which
-    the general coefficient variant can use but the spherical variant and the
-    two oracles, the boundary-integral and the modal series, cannot
-    (_require_spheres).
+    radii are enclosing-ball radii in [RADIUS_MIN, COORD_MAX), used for all
+    distance bookkeeping: 4*pi*r^2 is a normal float, and the overlap check
+    finds each pair's distance, by pair_distances' formula, above r_i + r_j,
+    so assembly meets only distinct centers. areas defaults to 4*pi*r^2;
+    passing it explicitly marks the obstacles as general (non-spherical)
+    shapes with known |dD_m|, which the general coefficient variant can use
+    but the spherical variant and the two oracles, the boundary-integral and
+    the modal series, cannot (_require_spheres).
     """
 
     centers: np.ndarray
@@ -196,8 +201,8 @@ class ScattererCloud:
             raise ValueError("cloud data must be finite")
         if max(np.max(np.abs(centers)), np.max(radii)) >= COORD_MAX:
             raise ValueError(f"centers and radii must stay below {COORD_MAX:g} in magnitude")
-        if np.any(radii <= 0):
-            raise ValueError("radii must be positive")
+        if np.any(radii < RADIUS_MIN):
+            raise ValueError(f"radii must lie in [{RADIUS_MIN:g}, {COORD_MAX:g})")
         if np.any(np.abs(imped) == 0):
             raise ValueError("impedances must be nonzero")
         spherical = self.areas is None

@@ -41,17 +41,17 @@ def plane_wave(kappa: float, theta, x) -> complex | np.ndarray:
     return val[()] if val.ndim == 0 else val
 
 
-def farfield_kernel(kappa: float, xhat, z) -> complex | np.ndarray:
-    """Far-field phase factor e^{-i kappa xhat.z} for observation direction xhat.
+def _require_unit(directions: np.ndarray):
+    """Raise NonUnitDirection unless each x on the last axis has | |x| - 1 | <= UNIT_TOL."""
+    if not np.all(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) <= UNIT_TOL):
+        raise NonUnitDirection("directions must be unit vectors")
 
-    Raises:
-        NonUnitDirection: if any | |xhat| - 1 | > 1e-10.
-    """
+
+def farfield_kernel(kappa: float, xhat, z) -> complex | np.ndarray:
+    """Far-field phase factor e^{-i kappa xhat.z}; raises as _require_unit does."""
     xhat = np.asarray(xhat, dtype=float)
     z = np.asarray(z, dtype=float)
-    norms = np.linalg.norm(xhat, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-        raise NonUnitDirection("observation direction must be unit length")
+    _require_unit(xhat)
     val = np.exp(-1j * kappa * _dot3(xhat, z))
     return val[()] if val.ndim == 0 else val
 

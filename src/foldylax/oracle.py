@@ -78,6 +78,7 @@ from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
 from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
                        row_blocks)
+from .kernels import _require_unit
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
                         spherical_jn, spherical_yn, unit_angles)
 
@@ -572,6 +573,8 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
     kappa = wave.kappa
     if radius <= 0 or L < 0:
         raise ValueError("need radius > 0, L >= 0")
+    directions = np.asarray(directions, dtype=float).reshape(-1, 3)
+    _require_unit(directions)  # first: a NaN direction would fail the series check
     z = kappa * radius
     j = spherical_jn(L, z)
     jp = spherical_jn(L, z, derivative=True)
@@ -581,7 +584,6 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
     if np.any(np.abs(denom) == 0) or not np.all(np.isfinite(denom)):
         raise SeriesNotConverged("modal denominator vanished (impedance resonance)")
     a_l = -(kappa * jp + impedance * j) / denom
-    directions = np.asarray(directions, dtype=float).reshape(-1, 3)
     mu = np.clip(directions @ wave.theta, -1.0, 1.0)
     values = legendre_p(L, mu) @ ((2 * np.arange(L + 1) + 1) * a_l)
     values *= -4j * np.pi / kappa

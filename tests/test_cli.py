@@ -241,6 +241,55 @@ class TestExitCodes:
                 f"error: {subject} requires true spheres (no explicit areas)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("radius, gap, area", [
+        (1e-16, 10.0, None),  # centers 1e-15 apart, d_eff = 8e-16: it solves
+        (1e-200, 3.0, 1e-3),  # (3 r)^2 underflows to 0
+        (1e-160, None, None),  # 4 pi r^2 is subnormal
+        (None, None, None)],  # generate --a 1e-300: 4 pi r^2 underflows to 0
+        ids=["tiny-cloud-solves", "squares-underflow", "subnormal-area", "area-underflows"])
+    def test_radius_floor(self, tmp_path, capsys, radius, gap, area):
+        """Radii lie in [1e-150, 1e150): a cloud at that scale solves with
+        no warning, and a radius whose square underflows is refused where the
+        cloud is built, with no file written."""
+        cloud = tmp_path / "c.json"
+        if radius is None:
+            argv = gen_args(cloud, a=1e-300, s=0)
+        else:
+            centers = [[0.0, 0.0, 0.0]] + ([] if gap is None else [[gap * radius, 0.0, 0.0]])
+            m = len(centers)
+            cloud.write_text(json.dumps({
+                "version": "0.1.0", "centers": centers, "radii": [radius] * m,
+                "impedance_re": [-1.0] * m, "impedance_im": [0.0] * m, "regime": None,
+                "areas": None if area is None else [area] * m}))
+            argv = ["solve", cloud, "--out", tmp_path / "x"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        captured = capsys.readouterr()
+        if radius == 1e-16:
+            assert (code, captured.err) == (0, "")
+            assert float(captured.out.split("residual=")[1].split()[0]) <= 1e-10
+        else:
+            assert (code, captured.err) == (2, "error: radii must lie in [1e-150, 1e+150)\n")
+            assert not list(tmp_path.glob("x*")) and cloud.exists() == (radius is not None)
+
+    def test_warning_is_one_line(self, tmp_path):
+        """A Python warning reaches stderr as one line, with no source path:
+        here the BIE oracle's, for Im lambda < 0, which the paper admits."""
+        cloud = tmp_path / "c.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, complex(-1, -0.5)))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldylax.cli", "compare", str(cloud), "--variant",
+             "spherical", "--L", "4", "--directions", "8", "--out", str(tmp_path / "x")],
+            env=dict(os.environ, FOLDYLAX_THREADS="1", PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "warning: Im(lambda) < 0: well-posedness is not guaranteed; proceeding "
+            "(the solve certifies q = ||C D^-1||_F < 1 or falls back to LU)\n")
+
     def test_singular_system_is_3(self, tmp_path):
         # engineered rank-1 system: C = 1/Phi at kappa*d = 2*pi, rhs off-range
         d, r = 2 * np.pi, 0.1

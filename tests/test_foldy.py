@@ -543,18 +543,20 @@ class TestFarField:
                          values=np.array([np.nan + 0j]), wave=wave)
 
     def test_non_unit_direction_is_one_typed_error(self, wave):
-        """Every far field refuses a direction off the unit sphere with
-        NonUnitDirection: the Foldy-Lax and BIE far fields, the modal series
-        and the grid they all build."""
-        dirs = np.array([[0.0, 0.0, 1.001], [1.0, 0.0, 0.0]])
+        """Every far field refuses a direction off the unit sphere, NaN
+        included, with NonUnitDirection: the Foldy-Lax and BIE far fields, the
+        modal series and the grid they all build."""
         cloud = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
         bie = solve_bie(assemble_bie(cloud, wave, L=2, quad_order=4))
-        for far_field in (lambda: farfield(solve(assemble(cloud, wave)), dirs),
-                          lambda: bie_farfield(bie, dirs),
-                          lambda: mie_reference(wave, 0.05, -1.0, dirs),
-                          lambda: FarFieldGrid(directions=dirs, values=np.ones(2), wave=wave)):
-            with pytest.raises(NonUnitDirection):
-                far_field()
+        for bad in ([0.0, 0.0, 1.001], [np.nan, 0.0, 0.0]):
+            dirs = np.array([bad, [1.0, 0.0, 0.0]])
+            for far_field in (lambda: farfield(solve(assemble(cloud, wave)), dirs),
+                              lambda: bie_farfield(bie, dirs),
+                              lambda: mie_reference(wave, 0.05, -1.0, dirs),
+                              lambda: FarFieldGrid(directions=dirs, values=np.ones(2),
+                                                   wave=wave)):
+                with pytest.raises(NonUnitDirection):
+                    far_field()
 
     def test_grid_length_mismatch_rejected(self, wave):
         with pytest.raises(ValueError, match="^directions/values length mismatch$"):

@@ -173,14 +173,27 @@ class TestScattererCloud:
     @pytest.mark.parametrize("centers, radii, areas, message", [
         (np.empty((0, 3)), [], None, "^cloud must contain at least one scatterer$"),
         ([[0.0, 0.0, np.nan]], [0.1], None, "^cloud data must be finite$"),
-        ([[0.0, 0.0, 0.0]], [0.0], None, "^radii must be positive$"),
+        ([[0.0, 0.0, 0.0]], [0.0], None, r"^radii must lie in \[1e-150, 1e\+150\)$"),
         ([[0.0, 0.0, 0.0]], [0.1], [0.0], "^areas must be positive, one per scatterer$"),
         ([[0.0, 0.0, 0.0]], [0.1], [np.nan], "^cloud data must be finite$"),
-        ([[0.0, 0.0, 0.0]], [0.1], [-np.inf], "^cloud data must be finite$")])
+        ([[0.0, 0.0, 0.0]], [0.1], [-np.inf], "^cloud data must be finite$"),
+        ([[0.0, 0.0, 0.0]], [1e-160], None, r"^radii must lie in \[1e-150, 1e\+150\)$"),
+        ([[0.0, 0.0, 0.0]], [np.nextafter(1e-150, 0)], [1e-3],
+         r"^radii must lie in \[1e-150, 1e\+150\)$")])
     def test_invalid_cloud_rejected(self, centers, radii, areas, message):
         with pytest.raises(ValueError, match=message):
             ScattererCloud(centers=centers, radii=radii,
                            impedances=np.full(len(radii), -1.0 + 0j), areas=areas)
+
+    @pytest.mark.parametrize("areas", [None, [1e-3, 1e-3]])
+    def test_radius_floor_is_admitted(self, areas):
+        """Two spheres of radius RADIUS_MIN with centers three radii apart:
+        4 pi r^2 and the squared distance of the centers are normal floats."""
+        r = geometry.RADIUS_MIN
+        cloud = ScattererCloud(centers=[[0.0, 0.0, 0.0], [3 * r, 0.0, 0.0]], radii=[r, r],
+                               impedances=[-1.0, -1.0], areas=areas)
+        assert cloud.d_eff > 0 and (3 * r) ** 2 >= np.finfo(float).tiny
+        assert cloud.areas.min() >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("centers, radius, message", [
         ([[0, 0, 0], [0.125, 0, 0]], 0.025, r"M <= M_max \* a\^\(-s\)$"),

@@ -62,6 +62,8 @@ def test_farfield_kernel_rejects_non_unit():
         farfield_kernel(1.0, np.array([[0.0, 0.0, 1.1]]), z)
     with pytest.raises(NonUnitDirection):
         farfield_kernel(1.0, np.array([[0.0, 0.0, 1.0 + 1e-9]]), z)
+    with pytest.raises(NonUnitDirection):  # NaN fails every comparison
+        farfield_kernel(1.0, np.array([[np.nan, 0.0, 0.0]]), z)
     # 1e-10 unit tolerance admits roundoff-level deviations
     farfield_kernel(1.0, np.array([[0.0, 0.0, 1.0 + 1e-11]]), z)
 

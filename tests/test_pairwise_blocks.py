@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 # the import's allocations out of every tracemalloc window below
 import scipy.linalg  # noqa: F401
 
-from foldylax import (CoincidentCenters, RegimeParams, ScattererCloud, assemble, farfield,
-                      farfield_kernel, fibonacci_sphere, generate_grid_cloud,
-                      invertibility_report, solve)
+from foldylax import (RegimeParams, ScattererCloud, assemble, farfield, farfield_kernel,
+                      fibonacci_sphere, generate_grid_cloud, invertibility_report, solve)
 from foldylax import foldy, geometry
 from foldylax._threads import thread_count
 from foldylax.geometry import PAIR_BLOCK, row_blocks
@@ -314,29 +313,16 @@ def test_certificate_stats_of_small_systems():
         assert B.gamma == pytest.approx(gamma, abs=1e-15)
 
 
-def test_coincident_centers_in_the_last_block_raise(monkeypatch):
-    cloud = mixed_radii_cloud()
-    centers = np.array(cloud.centers)
-    centers[M - 1] = centers[M - 2]
-    # construction refuses the overlap, so swap the centers in afterwards
-    object.__setattr__(cloud, "centers", centers)
-    assert row_blocks(M)[-1][0] <= M - 2  # the last strip holds the pair
-    for threads in THREADS:
-        monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
-        with pytest.raises(CoincidentCenters):
-            assemble(cloud, make_wave(), "general")
-
-
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """No per-strip temporaries: the packed B, each worker's scratch (two float
-    buffers of one row sub-block, FILL_BLOCK entries each) and at most 256 KiB
-    per worker besides."""
+    """No per-strip temporaries: the packed B, each worker's scratch (one float
+    buffer of one row sub-block, FILL_BLOCK entries) and at most 256 KiB per
+    worker besides."""
     cloud = mixed_radii_cloud()
     blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         workers = min(threads, len(blocks))
-        scratch = workers * 2 * 8 * foldy.FILL_BLOCK
+        scratch = workers * 8 * foldy.FILL_BLOCK
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
