@@ -21,7 +21,7 @@ from .errors import GridMismatch, RateUndetermined
 from .foldy import FarFieldGrid, Variant, assemble, farfield, solve
 from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_spheres,
                        generate_grid_cloud)
-from .kernels import fibonacci_sphere
+from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 from .oracle import (DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, mie_reference,
                      solve_bie)
 
@@ -138,8 +138,8 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
     Returns (grid, residual_bie, coefficients), coefficients the BIE
     solution's (M, (L+1)^2) array; residual is nan and coefficients None for
     the analytic routes. For an off-origin single sphere the
-    separation-of-variables reference is translated exactly:
-    Uinf -> e^{i kappa (theta - xhat).z} Uinf.
+    separation-of-variables reference is translated exactly, by plane_wave
+    and farfield_kernel: Uinf -> e^{i kappa theta.z} e^{-i kappa xhat.z} Uinf.
     """
     kind = settings.kind
     if kind == "auto":
@@ -156,10 +156,8 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
                              directions, L=settings.L)
         z = cloud.centers[0]
         if np.any(z != 0.0):
-            shift = np.exp(1j * wave.kappa * (float(wave.theta @ z)
-                                              - np.asarray(directions) @ z))
-            grid = FarFieldGrid(directions=grid.directions,
-                                values=grid.values * shift, wave=wave)
+            grid = dataclasses.replace(grid, values=grid.values * (
+                plane_wave(wave.kappa, wave.theta, z) * farfield_kernel(wave.kappa, directions, z)))
         return grid, float("nan"), None
     sol = solve_bie(assemble_bie(cloud, wave, L=settings.L,
                                  quad_order=settings.quad_order))

@@ -121,9 +121,9 @@ import numpy as np
 from ._threads import thread_count
 from .errors import (MissingRegime, RegimeViolation, SingularSystem, SphericalPole,
                      ZeroImpedance)
-from .geometry import (IncidentWave, ScattererCloud, _require_memory, _require_spheres,
-                       block_view, pair_distances, row_block_pass, row_blocks)
-from .kernels import _require_unit, farfield_kernel, fibonacci_sphere, plane_wave
+from .geometry import (UNIT_TOL, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
+                       _require_unit, block_view, pair_distances, row_block_pass, row_blocks)
+from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
 RESIDUAL_TOL = 1e-10
@@ -349,8 +349,8 @@ class _PackedSymmetric:
             return gamma
 
         # each strip writes its own part of B and of row_frob2, a row sub-block at a time
-        scratch = (float, min(self.strips[0].size, max(FILL_BLOCK, n)))  # the largest sub-block
-        gammas = row_block_pass(fill, blocks, scratch=(scratch,))
+        entries = min(self.strips[0].size, max(FILL_BLOCK, n))  # the largest sub-block
+        gammas = row_block_pass(fill, blocks, entries)
         return math.sqrt(2.0 * float(row_frob2.sum())), min(gammas)
 
     @property
@@ -474,7 +474,7 @@ class FarFieldGrid:
         values = np.array(self.values, dtype=complex).reshape(-1)
         if len(directions) != len(values):
             raise ValueError("directions/values length mismatch")
-        _require_unit(directions)
+        _require_unit(directions, UNIT_TOL)
         if not np.all(np.isfinite(values.view(float))):  # directions are unit, so finite
             raise ValueError("far-field data must be finite")
         directions.setflags(write=False)

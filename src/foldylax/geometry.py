@@ -28,10 +28,10 @@ temporary. Each block has at least two rows, a lone last row joining the
 block before it: numpy takes a one-row product as a dot product, which sums
 in another order, so a row's bits would depend on the layout. Foldy-Lax
 assembly, bound by arithmetic, deals its blocks among FOLDYLAX_THREADS
-threading.Thread workers through row_block_pass, each with scratch buffers
-allocated once per pass; passes bound by memory bandwidth are plain loops.
-The block layout never depends on the worker count, and each block's result
-is its own, so no pass's result does either.
+threading.Thread workers through row_block_pass, each with one float
+scratch buffer allocated once per pass; passes bound by memory bandwidth
+are plain loops. The block layout never depends on the worker count, and
+each block's result is its own, so no pass's result does either.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import thread_count
-from .errors import CapacityExceeded, InsufficientMemory, OverlappingSpheres, RegimeViolation
+from .errors import (CapacityExceeded, InsufficientMemory, NonUnitDirection, OverlappingSpheres,
+                     RegimeViolation)
 
 DEFAULT_KAPPA_MAX = 2.0 * np.pi
 _REL_TOL = 1e-12
-THETA_UNIT_TOL = 1e-14
+THETA_UNIT_TOL = 1e-14  # | |x| - 1 | bound of an incident direction
+UNIT_TOL = 1e-10  # | |x| - 1 | bound of a far-field direction
 # row-block passes take blocks of about this many pairs or matrix entries
 PAIR_BLOCK = 1 << 17
 CELL_PAIRS = 1 << 14  # candidate pairs per chunk of the cell-list search
@@ -83,6 +85,12 @@ def _require_memory(need: int, subject: str, purpose: str):
         # need rounds up, available down: a refusal never reads "needs 0 MiB"
         raise InsufficientMemory(f"{subject} needs {math.ceil(need / 2**20)} MiB for "
                                  f"{purpose}; {available // 2**20} MiB available")
+
+
+def _require_unit(directions: np.ndarray, tol: float):
+    """Raise NonUnitDirection unless | |x| - 1 | <= tol for each x on the last axis; NaN fails."""
+    if not np.all(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) <= tol):
+        raise NonUnitDirection("directions must be unit vectors")
 
 
 def _require_spheres(cloud: ScattererCloud, subject: str):
@@ -152,7 +160,7 @@ class RegimeParams:
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Plane wave exp(i*kappa*x.theta); theta must be unit to 1e-14."""
+    """Plane wave exp(i*kappa*x.theta); NaN, +-inf or non-unit theta raises NonUnitDirection."""
 
     kappa: float
     theta: np.ndarray
@@ -163,10 +171,7 @@ class IncidentWave:
         object.__setattr__(self, "theta", theta)
         if not (0 < self.kappa <= DEFAULT_KAPPA_MAX):
             raise ValueError(f"kappa must lie in (0, {DEFAULT_KAPPA_MAX}]")
-        if abs(np.linalg.norm(theta) - 1.0) > THETA_UNIT_TOL:
-            raise ValueError("theta must be unit length to 1e-14")
-        if not _finite(theta):
-            raise ValueError("theta must be finite")
+        _require_unit(theta, THETA_UNIT_TOL)
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,10 @@ class ScattererCloud:
     distance bookkeeping: 4*pi*r^2 is a normal float, and the overlap check
     finds each pair's distance, by pair_distances' formula, above r_i + r_j,
     so assembly meets only distinct centers. areas defaults to 4*pi*r^2;
-    passing it explicitly marks the obstacles as general (non-spherical)
-    shapes with known |dD_m|, which the general coefficient variant can use
-    but the spherical variant and the two oracles, the boundary-integral and
-    the modal series, cannot (_require_spheres).
+    passing it explicitly, as normal floats (a subnormal one has lost digits),
+    marks the obstacles as general shapes with known |dD_m|, which the general
+    coefficient variant can use but the spherical variant and the two oracles,
+    the boundary-integral and the modal series, cannot (_require_spheres).
     """
 
     centers: np.ndarray
@@ -209,8 +214,8 @@ class ScattererCloud:
         areas = 4.0 * np.pi * radii**2 if spherical else np.array(self.areas, dtype=float).reshape(-1)
         if not _finite(areas):
             raise ValueError("cloud data must be finite")
-        if len(areas) != len(centers) or np.any(areas <= 0):
-            raise ValueError("areas must be positive, one per scatterer")
+        if len(areas) != len(centers) or np.any(areas < np.finfo(float).tiny):
+            raise ValueError("areas must be positive normal floats, one per scatterer")
         for arr in (centers, radii, imped, areas):
             arr.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -276,14 +281,14 @@ def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def row_block_pass(body, blocks, scratch=()):
+def row_block_pass(body, blocks, entries: int):
     """Apply body to each row block (i0, i1) of blocks on thread_count()
     threads, the caller's among them; return its results in block order.
 
-    body(i0, i1, *bufs) handles rows i0:i1. scratch lists (dtype, entries)
-    pairs: each worker allocates one flat buffer of each once per call, and
-    body views a prefix with block_view. The blocks are dealt round-robin to
-    the workers, for a body bound by arithmetic (numpy releases the GIL inside
+    body(i0, i1, buf) handles rows i0:i1: buf is a flat float scratch buffer
+    of the given entries, which each worker allocates once per call, and body
+    views a prefix with block_view. The blocks are dealt round-robin to the
+    workers, for a body bound by arithmetic (numpy releases the GIL inside
     ufunc loops); body must not depend on the order in which blocks run. An
     exception raised by body is raised here once every worker has stopped,
     the first worker's first.
@@ -292,8 +297,8 @@ def row_block_pass(body, blocks, scratch=()):
     results = [None] * len(blocks)
 
     def run(w):
-        bufs = [np.empty(entries, dtype) for dtype, entries in scratch]
-        results[w::workers] = [body(i0, i1, *bufs) for i0, i1 in blocks[w::workers]]
+        buf = np.empty(entries)
+        results[w::workers] = [body(i0, i1, buf) for i0, i1 in blocks[w::workers]]
 
     errors = [None] * workers
 

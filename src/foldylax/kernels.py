@@ -11,6 +11,8 @@ of its system. Far fields are normalized by
     u_s(x) ~ exp(i*kappa*|x|) / (4*pi*|x|) * Uinf(xhat),
 
 so the far-field kernel attached to a point source at z is exp(-i*kappa*xhat.z).
+plane_wave and farfield_kernel are the package's one evaluation of these phases;
+the unit rule for directions is geometry._require_unit.
 All functions broadcast over leading axes; points are 3-vectors on the last axis.
 """
 
@@ -18,10 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonUnitDirection
-from .geometry import _require_memory
+from .geometry import UNIT_TOL, _require_memory, _require_unit
 
-UNIT_TOL = 1e-10
 # a run's peak bytes per direction, its grids and their CSV text (measured
 # on 10^6 directions: 468 for solve, 513 for compare at L = 12)
 DIRECTION_BYTES = 640
@@ -41,17 +41,11 @@ def plane_wave(kappa: float, theta, x) -> complex | np.ndarray:
     return val[()] if val.ndim == 0 else val
 
 
-def _require_unit(directions: np.ndarray):
-    """Raise NonUnitDirection unless each x on the last axis has | |x| - 1 | <= UNIT_TOL."""
-    if not np.all(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) <= UNIT_TOL):
-        raise NonUnitDirection("directions must be unit vectors")
-
-
 def farfield_kernel(kappa: float, xhat, z) -> complex | np.ndarray:
-    """Far-field phase factor e^{-i kappa xhat.z}; raises as _require_unit does."""
+    """Far-field phase factor e^{-i kappa xhat.z}; each xhat must be unit to UNIT_TOL."""
     xhat = np.asarray(xhat, dtype=float)
     z = np.asarray(z, dtype=float)
-    _require_unit(xhat)
+    _require_unit(xhat, UNIT_TOL)
     val = np.exp(-1j * kappa * _dot3(xhat, z))
     return val[()] if val.ndim == 0 else val
 

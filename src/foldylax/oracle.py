@@ -76,9 +76,9 @@ import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
-from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
-                       row_blocks)
-from .kernels import _require_unit
+from .geometry import (PAIR_BLOCK, UNIT_TOL, IncidentWave, ScattererCloud, _require_memory,
+                       _require_spheres, _require_unit, row_blocks)
+from .kernels import farfield_kernel, plane_wave
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
                         spherical_jn, spherical_yn, unit_angles)
 
@@ -473,9 +473,10 @@ def _incident_coeffs(wave: IncidentWave, centers: np.ndarray, radial: np.ndarray
     Local expansion about each center: e^{i kappa y.theta} =
     4 pi sum i^l j_l(kappa|y|) Y_lm(yhat) conj(Y_lm(theta)); radial[m, l] is
     (d/dnu + lambda_m) j_l(kappa|y|) on sphere m. The harmonics at theta are
-    the same for every sphere and are evaluated once.
+    the same for every sphere and are evaluated once; the phases are
+    plane_wave's at the centers, the Foldy-Lax right-hand side bit for bit.
     """
-    phase = np.exp(1j * wave.kappa * (centers @ wave.theta))
+    phase = plane_wave(wave.kappa, wave.theta, centers)
     Yt = harmonic_matrix(L, wave.theta.reshape(1, 3))[0]
     scale = _per_degree(4.0 * np.pi * (1j ** np.arange(L + 1)) * radial, L)
     return -phase[:, None] * scale * np.conj(Yt)
@@ -541,7 +542,8 @@ def solve_bie(system: BieSystem) -> BieSolution:
 
 def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
     """Far field of the solved layer densities on a direction grid, evaluated
-    over blocks of directions: the harmonics of one block at a time."""
+    over blocks of directions: the harmonics and the farfield_kernel phases
+    of one block at a time, summed over the spheres in cloud order."""
     system = solution.system
     cloud, wave, L = system.cloud, system.wave, system.L
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
@@ -550,10 +552,10 @@ def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
     weighted = [_per_degree(4.0 * np.pi * r**2 * (-1j) ** ls * jl, L) * c
                 for r, jl, c in zip(cloud.radii.tolist(), spherical_jn(L, wave.kappa * cloud.radii),
                                     solution.coefficients)]
-    for d0, d1 in row_blocks(len(directions), n_coeffs(L)):
-        Yd, xhat = harmonic_matrix(L, directions[d0:d1]), directions[d0:d1]
-        for z, w in zip(cloud.centers, weighted):
-            values[d0:d1] += np.exp(-1j * wave.kappa * xhat @ z) * (Yd @ w)
+    for d0, d1 in row_blocks(len(directions), n_coeffs(L) + cloud.M):
+        Yd, xhat = harmonic_matrix(L, directions[d0:d1]), directions[d0:d1, None, :]
+        for phase, w in zip(farfield_kernel(wave.kappa, xhat, cloud.centers).T, weighted):
+            values[d0:d1] += phase * (Yd @ w)
         del Yd  # before the next block's harmonics are computed
     return FarFieldGrid(directions=directions, values=values, wave=wave)
 
@@ -574,7 +576,7 @@ def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
     if radius <= 0 or L < 0:
         raise ValueError("need radius > 0, L >= 0")
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
-    _require_unit(directions)  # first: a NaN direction would fail the series check
+    _require_unit(directions, UNIT_TOL)  # first: a NaN direction would fail the series check
     z = kappa * radius
     j = spherical_jn(L, z)
     jp = spherical_jn(L, z, derivative=True)

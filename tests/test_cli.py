@@ -241,6 +241,19 @@ class TestExitCodes:
                 f"error: {subject} requires true spheres (no explicit areas)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    def test_subnormal_explicit_area_is_2(self, tmp_path, capsys):
+        """An explicit area of 1e-320 is read as a subnormal, 1.1e-5 low, and
+        would give a wrong C_m; it is refused, as 0 is."""
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps({"version": "0.1.0", "centers": [[0, 0, 0]], "radii": [0.01],
+                                     "impedance_re": [-1e30], "impedance_im": [0],
+                                     "regime": None, "areas": [1e-320]}))
+        capsys.readouterr()
+        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: areas must be positive normal floats, one per scatterer\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     @pytest.mark.parametrize("radius, gap, area", [
         (1e-16, 10.0, None),  # centers 1e-15 apart, d_eff = 8e-16: it solves
         (1e-200, 3.0, 1e-3),  # (3 r)^2 underflows to 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldylax import (CapacityExceeded, IncidentWave, OverlappingSpheres,
+from foldylax import (CapacityExceeded, IncidentWave, NonUnitDirection, OverlappingSpheres,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       generate_grid_cloud)
 from foldylax import geometry
@@ -174,12 +174,15 @@ class TestScattererCloud:
         (np.empty((0, 3)), [], None, "^cloud must contain at least one scatterer$"),
         ([[0.0, 0.0, np.nan]], [0.1], None, "^cloud data must be finite$"),
         ([[0.0, 0.0, 0.0]], [0.0], None, r"^radii must lie in \[1e-150, 1e\+150\)$"),
-        ([[0.0, 0.0, 0.0]], [0.1], [0.0], "^areas must be positive, one per scatterer$"),
+        ([[0.0, 0.0, 0.0]], [0.1], [0.0],
+         "^areas must be positive normal floats, one per scatterer$"),
         ([[0.0, 0.0, 0.0]], [0.1], [np.nan], "^cloud data must be finite$"),
         ([[0.0, 0.0, 0.0]], [0.1], [-np.inf], "^cloud data must be finite$"),
         ([[0.0, 0.0, 0.0]], [1e-160], None, r"^radii must lie in \[1e-150, 1e\+150\)$"),
         ([[0.0, 0.0, 0.0]], [np.nextafter(1e-150, 0)], [1e-3],
-         r"^radii must lie in \[1e-150, 1e\+150\)$")])
+         r"^radii must lie in \[1e-150, 1e\+150\)$"),
+        ([[0.0, 0.0, 0.0]], [0.1], [1e-320],
+         "^areas must be positive normal floats, one per scatterer$")])
     def test_invalid_cloud_rejected(self, centers, radii, areas, message):
         with pytest.raises(ValueError, match=message):
             ScattererCloud(centers=centers, radii=radii,
@@ -245,8 +248,10 @@ class TestIncidentWave:
         IncidentWave(kappa=2 * math.pi, theta=np.array([0.0, 0.0, 1.0]))
 
     def test_nan_theta_rejected(self):
-        with pytest.raises(ValueError, match="^theta must be finite$"):
-            IncidentWave(kappa=1.0, theta=np.array([0.0, 0.0, np.nan]))
+        """NaN and +-inf fail the one unit check, with its one message."""
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonUnitDirection, match="^directions must be unit vectors$"):
+                IncidentWave(kappa=1.0, theta=np.array([0.0, 0.0, bad]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -253,21 +253,19 @@ class TestFarField:
                               * np.exp(-1j * kappa * ys @ xhat) * vals)
             assert grid.values[i] == pytest.approx(acc, rel=1e-11)
 
-    def test_blocks_bit_identical_to_one_product(self, tilted_wave):
-        """Blocks of directions give the bits of the whole grid's harmonic
-        matrix, a lone last direction included."""
+    def test_blocks_bit_identical_to_one_product(self, tilted_wave, monkeypatch):
+        """Blocks of directions give the bits of one block holding the whole
+        grid, a lone last direction included."""
         cloud = make_cloud([[0, 0, 0], [0.7, -0.2, 0.3], [-0.4, 0.5, 0.1]], 0.08, -1.1 + 0.2j)
         L = 4
         sol = solve_bie(assemble_bie(cloud, tilted_wave, L=L))
-        rows = geometry.PAIR_BLOCK // n_coeffs(L)  # directions per block
-        for n_dirs in (2 * rows + rows // 2, 2 * rows + 1, 1):
-            dirs = fibonacci_sphere(n_dirs)
-            Y, ref = harmonic_matrix(L, dirs), np.zeros(n_dirs, dtype=complex)
-            for r, center, c in zip(cloud.radii.tolist(), cloud.centers, sol.coefficients):
-                weight = oracle._per_degree(4.0 * np.pi * r**2 * (-1j) ** np.arange(L + 1)
-                                            * oracle.spherical_jn(L, tilted_wave.kappa * r), L)
-                ref += np.exp(-1j * tilted_wave.kappa * dirs @ center) * (Y @ (weight * c))
-            assert np.array_equal(bie_farfield(sol, dirs).values, ref), n_dirs
+        rows = geometry.PAIR_BLOCK // (n_coeffs(L) + cloud.M)  # directions per block
+        grids = [fibonacci_sphere(n) for n in (2 * rows + rows // 2, 2 * rows + 1, 1)]
+        blocked = [bie_farfield(sol, dirs).values for dirs in grids]
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", 1 << 40)
+        for dirs, values in zip(grids, blocked):
+            assert len(geometry.row_blocks(len(dirs), n_coeffs(L) + cloud.M)) == 1
+            assert np.array_equal(values, bie_farfield(sol, dirs).values), len(dirs)
 
     def test_grid_tagged_with_wave(self, wave):
         cloud = make_cloud([[0, 0, 0]], 0.1, -1.0)
@@ -280,6 +278,22 @@ def grid_spheres(a, m_max, seed):
     """The spherical clouds of the compare and sweep benchmark workloads."""
     regime = RegimeParams(a=a, s=1.0, t=1.0, beta=0.0, M_max=m_max, lambda0=-1.0)
     return generate_grid_cloud(regime, box_side=math.inf, jitter=0.3, seed=seed)
+
+
+def test_incident_phases_are_the_foldy_lax_rhs():
+    """The BIE's incident data take their phases e^{i kappa z_m.theta} from
+    the Foldy-Lax right-hand side, bit for bit: on the compare workload's
+    seed-1 cloud at theta = (0.6, 0, 0.8) the product centers @ theta rounds
+    one phase differently."""
+    cloud, wave = grid_spheres(0.04, 0.32, 1), make_wave(theta=(0.6, 0.0, 0.8))
+    phase = foldy.assemble(cloud, wave).rhs
+    assert np.any(np.exp(1j * wave.kappa * (cloud.centers @ wave.theta)) != phase)
+    L = 3
+    radial = np.linspace(0.5, 2.0, cloud.M * (L + 1)).reshape(cloud.M, L + 1)
+    scale = oracle._per_degree(4.0 * np.pi * (1j ** np.arange(L + 1)) * radial, L)
+    Yt = harmonic_matrix(L, wave.theta.reshape(1, 3))[0]
+    assert np.array_equal(oracle._incident_coeffs(wave, cloud.centers, radial, L),
+                          -phase[:, None] * scale * np.conj(Yt))
 
 
 def near_touching_pair():
