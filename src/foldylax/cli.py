@@ -71,9 +71,12 @@ def _direction_arg(text: str):
         raise argparse.ArgumentTypeError("expected X,Y,Z") from None
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected X,Y,Z")
-    norm = math.hypot(*parts)
-    if norm == 0.0 or not math.isfinite(norm):
+    if not all(map(math.isfinite, parts)) or not any(parts):
         raise argparse.ArgumentTypeError("direction must be finite and nonzero")
+    # scaled exactly, by a power of two, so the norm is neither subnormal nor inf
+    exponent = math.frexp(max(map(abs, parts)))[1]
+    parts = [math.ldexp(p, -exponent) for p in parts]
+    norm = math.hypot(*parts)
     return tuple(p / norm for p in parts)
 
 

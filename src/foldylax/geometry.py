@@ -129,7 +129,7 @@ class RegimeParams:
             (0 < self.d_min < math.inf, "0 < d_min < inf"),
             (self.d_min <= self.d_max < math.inf, "d_min <= d_max < inf"),
             (abs(self.lambda0) > 0 and _finite([self.lambda0.real, self.lambda0.imag]),
-             "|lambda0| > 0"),
+             "0 < |lambda0| < inf"),
             (self.s <= 2 - self.beta + _REL_TOL, "s <= 2 - beta"),
             (self.s / 3 <= self.t + _REL_TOL, "s/3 <= t"),
         ]

@@ -15,15 +15,17 @@ Cloud document schema (JSON):
                        "lambda0_re","lambda0_im"},
      "areas": null | [...]}
 
-Every regime value must be a JSON number (not a string or a bool), centers a
-list of [x, y, z] lists of numbers, and radii, impedance_re, impedance_im and
-a non-null areas flat lists of numbers, each within the float range (an
-integer literal such as 10**400 is not); anything else is a ValueError that
-names the key. load_cloud also refuses, as a ValueError that names the file
-and keeps the decoder's detail, a document that is not UTF-8 JSON or that
-nests too deeply for json to parse, and ScattererCloud a NaN or Infinity
-literal in any array. save_cloud refuses a non-finite float, which
-JSON cannot hold.
+The keys are exactly the schema's ("areas" may be left out). Every regime
+value must be a JSON number (not a string or a bool), centers a list of
+[x, y, z] lists of numbers, and radii, impedance_re, impedance_im and a
+non-null areas flat lists of numbers; anything else, an unknown key too, is
+a ValueError that names the key. load_cloud reads every number as a float,
+so one too large for a double reads as +-inf however it is spelled (1e400
+or a 401-digit integer), and ScattererCloud and RegimeParams refuse it as
+non-finite, as they do a NaN or Infinity literal. load_cloud also refuses,
+as a ValueError that names the file and keeps the decoder's detail, a
+document that is not UTF-8 JSON or that nests too deeply for json to parse.
+save_cloud refuses a non-finite float, which JSON cannot hold.
 """
 
 from __future__ import annotations
@@ -102,30 +104,32 @@ def save_cloud(path: str, cloud: ScattererCloud):
 def load_cloud(path: str) -> ScattererCloud:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)
         except RecursionError:
             raise ValueError(f"cloud document {path} nests too deeply to read") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"cloud document {path} is not JSON: {exc}") from None
-    return cloud_from_document(doc)
+    return _cloud_from_document(doc)
 
 
-def _require_keys(doc, keys: str, what: str):
+def _require_keys(doc, keys: str, what: str, optional: str = ""):
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     missing = set(keys.split()) - set(doc)
     if missing:
         raise ValueError(f"{what} missing keys: {sorted(missing)}")
+    unknown = set(doc) - set(keys.split()) - set(optional.split())
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
 _REGIME_NUMBERS = "a s t beta M_max d_min d_max lambda0_re lambda0_im"
 
 
 def _all_numbers(values) -> bool:
-    """Every item is a JSON number: an int or a float, and not a bool. Checks
+    """Every item is a JSON number, which load_cloud decodes as a float. Checks
     each distinct type once, so a long list costs one pass in C."""
-    return all(issubclass(t, (int, float)) and not issubclass(t, bool)
-               for t in set(map(type, values)))
+    return set(map(type, values)) <= {float}
 
 
 def _number_array(doc: dict, key: str, width: int | None = None) -> np.ndarray:
@@ -147,41 +151,23 @@ def _number_array(doc: dict, key: str, width: int | None = None) -> np.ndarray:
             else type(v) is list and len(v) == width and _all_numbers(v)))
         raise ValueError(f"cloud document {key!r} must be a list of {what}; "
                          f"item {i} is {json.dumps(values[i])}")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an integer literal beyond the float range
-        i = next(i for i, v in enumerate(values) if not _float_range(v))
-        raise ValueError(f"cloud document {key!r} must be a list of {what} within the "
-                         f"float range; item {i} is not") from None
+    return np.array(values, dtype=float)
 
 
-def _float_range(value) -> bool:
-    """value, a JSON number or a list of them, converts to float without overflow."""
-    try:
-        np.array(value, dtype=float)
-    except OverflowError:
-        return False
-    return True
-
-
-def cloud_from_document(doc: dict) -> ScattererCloud:
-    _require_keys(doc, "version centers radii impedance_re impedance_im regime", "cloud document")
+def _cloud_from_document(doc) -> ScattererCloud:
+    """The cloud of a document as load_cloud decodes it, every number a float."""
+    _require_keys(doc, "version centers radii impedance_re impedance_im regime",
+                  "cloud document", optional="areas")
     regime, r = None, doc["regime"]
     if r is not None:
         _require_keys(r, _REGIME_NUMBERS, "cloud document regime")
-        v = {}
         for key in _REGIME_NUMBERS.split():
             if not _all_numbers([r[key]]):
                 raise ValueError(f"cloud document regime {key!r} must be a JSON number, "
                                  f"not {json.dumps(r[key])}")
-            try:
-                v[key] = float(r[key])
-            except OverflowError:  # an integer literal beyond the float range
-                raise ValueError(f"cloud document regime {key!r} must be a JSON number "
-                                 f"within the float range") from None
-        regime = RegimeParams(a=v["a"], s=v["s"], t=v["t"], beta=v["beta"],
-                              M_max=v["M_max"], d_min=v["d_min"], d_max=v["d_max"],
-                              lambda0=complex(v["lambda0_re"], v["lambda0_im"]))
+        regime = RegimeParams(a=r["a"], s=r["s"], t=r["t"], beta=r["beta"],
+                              M_max=r["M_max"], d_min=r["d_min"], d_max=r["d_max"],
+                              lambda0=complex(r["lambda0_re"], r["lambda0_im"]))
     re, im = _number_array(doc, "impedance_re"), _number_array(doc, "impedance_im")
     if len(re) != len(im):
         raise ValueError("cloud document 'impedance_re' and 'impedance_im' must have "

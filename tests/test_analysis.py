@@ -151,6 +151,16 @@ class TestOracleFarfield:
                                          OracleSettings(L=6, quad_order=12))
         assert res2 <= 1e-9 and len(dens2) == 2
 
+    def test_mie_translates_an_off_origin_sphere(self):
+        """The Mie route's reference, computed at the origin and translated to
+        the sphere's center, agrees with the BIE route solved in place."""
+        single = make_cloud([[0.3, -0.2, 0.5]], 0.05, -2.0 + 0.5j)
+        wave = make_wave(kappa=2.0, theta=(0.6, 0.0, 0.8))
+        dirs = fibonacci_sphere(32)
+        mie, _, _ = oracle_farfield(single, wave, dirs, OracleSettings(kind="mie", L=12))
+        bie, _, _ = oracle_farfield(single, wave, dirs, OracleSettings(kind="bie", L=12))
+        assert np.max(np.abs(mie.values - bie.values)) < 1e-12 * np.max(np.abs(bie.values))
+
     def test_mie_requires_single(self, wave):
         pair = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
         with pytest.raises(ValueError):

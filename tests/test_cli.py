@@ -604,18 +604,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: cloud document regime {key!r} must be a JSON number, not {shown}\n")
 
+    # an integer literal beyond the float range reads as +-inf, as 1e400 does
+    OVERFLOWS = [
+        pytest.param(lambda doc: doc["regime"].update(a=10**400),
+                     "regime admissibility violated: 0 < a < inf", id="regime a 10**400"),
+        pytest.param(lambda doc: doc["radii"].__setitem__(2, 10**400),
+                     "cloud data must be finite", id="radii 10**400"),
+        pytest.param(lambda doc: doc["centers"][1].__setitem__(0, -10**400),
+                     "cloud data must be finite", id="centers -10**400"),
+        pytest.param(lambda doc: doc.update(areas=[10**400] * len(doc["radii"])),
+                     "cloud data must be finite", id="areas 10**400"),
+    ]
+
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["regime"].update(a=10**400),
-         "cloud document regime 'a' must be a JSON number within the float range"),
-        (lambda doc: doc["radii"].__setitem__(2, 10**400),
-         "cloud document 'radii' must be a list of JSON numbers within the float range; "
-         "item 2 is not"),
-        (lambda doc: doc["centers"][1].__setitem__(0, -10**400),
-         "cloud document 'centers' must be a list of lists of 3 JSON numbers within the "
-         "float range; item 1 is not"),
-        (lambda doc: doc.update(areas=[10**400] * len(doc["radii"])),
-         "cloud document 'areas' must be a list of JSON numbers within the float range; "
-         "item 0 is not"),
+        *OVERFLOWS,
+        (lambda doc: doc.update(area=[0.5] * len(doc["radii"])),  # misspelled "areas"
+         "cloud document has unknown keys: ['area']"),
+        (lambda doc: doc["regime"].update(jitter=0.3),
+         "cloud document regime has unknown keys: ['jitter']"),
         (lambda doc: doc["regime"].pop("s"), "cloud document regime missing keys: ['s']"),
         (lambda doc: doc.update(regime=[1, 2]),
          "cloud document regime must be a JSON object, not list"),
@@ -634,6 +640,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", OVERFLOWS)
+    def test_overflow_reads_as_inf_however_spelled(self, tmp_path, capsys, edit, message):
+        """+-10**400 and +-1e400 in the same place: the same error, and no CSV."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud)) == 0
+        doc = json.loads(cloud.read_text())
+        edit(doc)
+        text = json.dumps(doc)
+        for spelled in (text, text.replace(str(10**400), "1e400")):
+            cloud.write_text(spelled)
+            capsys.readouterr()
+            assert run(["solve", cloud, "--out", tmp_path / "x"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert "1e400" in spelled and str(10**400) not in spelled
 
     def test_deeply_nested_document_is_2(self, tmp_path, capsys):
         """json.load's RecursionError is a ValueError naming the file. The
@@ -836,16 +858,18 @@ class TestSolveCommand:
                     "--out", tmp_path / "r"]) == 0
 
     def test_theta_of_any_finite_nonzero_size(self, tmp_path):
-        """Directions whose squares overflow or underflow normalize to the
-        default's bits, so the files match the default's byte for byte."""
+        """Directions whose squares overflow or underflow, or whose norm is
+        subnormal, normalize to the bits of a unit-sized multiple, so the
+        files match its files byte for byte, the # config: line included."""
         cloud = tmp_path / "c.json"
         run(gen_args(cloud, a=0.1))
-        assert run(["solve", cloud, "--out", tmp_path / "ref"]) == 0
-        for i, theta in enumerate(["0,0,1e200", "0,0,1e-200"]):
-            assert run(["solve", cloud, "--theta", theta, "--out", tmp_path / f"r{i}"]) == 0
+        for i, (theta, same) in enumerate([("0,0,1e200", "0,0,1"), ("0,0,1e-200", "0,0,1"),
+                                           ("5e-324,5e-324,0", "1,1,0")]):
+            for name, t in ((f"r{i}", theta), (f"ref{i}", same)):
+                assert run(["solve", cloud, "--theta", t, "--out", tmp_path / name]) == 0
             for suffix in ("_charges.csv", "_farfield.csv"):
                 assert (Path(f"{tmp_path / f'r{i}'}{suffix}").read_bytes()
-                        == Path(f"{tmp_path / 'ref'}{suffix}").read_bytes())
+                        == Path(f"{tmp_path / f'ref{i}'}{suffix}").read_bytes())
 
     @pytest.mark.parametrize("theta", ["0,0,inf", "nan,0,1", "0,0,0"])
     def test_theta_not_finite_and_nonzero_is_2(self, tmp_path, capsys, theta):

@@ -64,6 +64,12 @@ class TestRegimeParams:
         with pytest.raises((RegimeViolation, ValueError)):
             std_regime(**bad)
 
+    @pytest.mark.parametrize("part", [math.inf, math.nan])
+    def test_nonfinite_lambda0_names_its_rule(self, part):
+        with pytest.raises(RegimeViolation, match=r"^regime admissibility violated: "
+                                                  r"0 < \|lambda0\| < inf$"):
+            std_regime(lambda0=complex(part, 0.0))
+
 
 class TestGenerateGridCloud:
     def test_single_sphere_at_origin(self):

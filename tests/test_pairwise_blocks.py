@@ -4,6 +4,7 @@ number of worker threads."""
 
 import math
 import os
+import threading
 import time
 import tracemalloc
 
@@ -409,6 +410,30 @@ def test_thread_count_defaults_to_the_cpus_available(monkeypatch):
         monkeypatch.setenv("FOLDYLAX_THREADS", bad)
         with pytest.raises(ValueError, match="FOLDYLAX_THREADS"):
             thread_count()
+
+
+@pytest.mark.parametrize("raising, raised", [((1,), 1), ((0, 1), 0)],
+                         ids=["worker 1", "workers 0 and 1"])
+def test_row_block_pass_raises_a_workers_exception(monkeypatch, raising, raised):
+    """A worker's exception is raised in the caller once every worker has
+    stopped, worker 0's first, and no worker thread is left running."""
+    monkeypatch.setenv("FOLDYLAX_THREADS", "2")
+    started = threading.active_count()
+    worker_1_ran = threading.Event()
+
+    def body(i0, i1, buf):  # two one-row blocks: worker w runs block (w, w + 1)
+        if i0 == 1:
+            worker_1_ran.set()
+        else:
+            assert worker_1_ran.wait(10)
+        if i0 in raising:
+            raise ValueError(i0)
+        return i0
+
+    with pytest.raises(ValueError) as info:
+        geometry.row_block_pass(body, [(0, 1), (1, 2)], 1)
+    assert info.value.args == (raised,)
+    assert threading.active_count() == started
 
 
 def test_report_read_off_the_matrix_matches_distance_formulas():
