@@ -59,13 +59,16 @@ def fit_rate(a_values, errors, predicted_slope: float, scales=None) -> RateFit:
     samples at or below NOISE_FLOOR * scale; scales, one per sample, default
     to 1 (an absolute floor).
 
-    Raises RateUndetermined when fewer than two samples clear the floor.
+    Raises ValueError when a_values, errors and a given scales differ in
+    length, RateUndetermined when fewer than two samples clear the floor.
     """
     a_values = tuple(float(a) for a in a_values)
     errors = tuple(float(e) for e in errors)
+    scales = [1.0] * len(errors) if scales is None else [float(s) for s in scales]
+    if not len(a_values) == len(errors) == len(scales):
+        raise ValueError("a_values, errors and scales must have equal lengths")
     if len(a_values) < 3:
         raise ValueError("rate fit needs at least 3 samples")
-    scales = [1.0] * len(errors) if scales is None else [float(s) for s in scales]
     usable = [(math.log(a), math.log(e))
               for a, e, scale in zip(a_values, errors, scales) if e > NOISE_FLOOR * scale]
     if len(usable) < 2:
@@ -112,6 +115,8 @@ class OracleSettings:
     def __post_init__(self):
         if self.kind not in ("auto", "mie", "bie", "fl"):
             raise ValueError("oracle kind must be auto|mie|bie|fl")
+        if self.L < 0:
+            raise ValueError("oracle degree L must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -257,10 +257,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     from . import analysis, io
-    cloud = io.load_cloud(args.cloud)
+    cloud, settings = io.load_cloud(args.cloud), _oracle_settings(args)
     sol, fl_grid = _solve_cloud(args, cloud)
     ref_grid, res_bie, coefficients = analysis.oracle_farfield(
-        cloud, fl_grid.wave, fl_grid.directions, _oracle_settings(args), fl_grid)
+        cloud, fl_grid.wave, fl_grid.directions, settings, fl_grid)
     err = analysis.farfield_error(fl_grid, ref_grid)
     comments = _config_comments(
         args, ["cloud", "kappa", "theta", "variant", "directions",

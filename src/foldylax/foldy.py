@@ -93,7 +93,7 @@ take eta = 2 (L+1) u.
 The constructor fills each strip in place, by row sub-blocks of about
 FILL_BLOCK entries: the distances and -1/(4 pi d) in the strip's real part,
 sin in its imaginary part, and kappa d, cos and the gamma mask in one float
-buffer of a sub-block per worker. ScattererCloud found every distance above
+buffer of a sub-block per strip. ScattererCloud found every distance above
 r_i + r_j > 0, by the fill's formula. It is bound by sqrt, cos and sin, so
 geometry.row_block_pass deals its strips to FOLDYLAX_THREADS worker threads;
 each writes its own strip, so B is the same bit for bit whatever the worker
@@ -122,7 +122,7 @@ from ._threads import thread_count
 from .errors import (MissingRegime, RegimeViolation, SingularSystem, SphericalPole,
                      ZeroImpedance)
 from .geometry import (UNIT_TOL, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
-                       _require_unit, block_view, pair_distances, row_block_pass, row_blocks)
+                       _require_unit, pair_distances, row_block_pass, row_blocks)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
@@ -143,7 +143,7 @@ FACTOR_TAIL = 2.0**-53
 # and M = 400 to 10^4)
 FACTOR_SCRATCH = 96
 # assembly fills each strip by row sub-blocks of about this many entries,
-# with one float buffer of this size per worker
+# in one float buffer of a sub-block per strip
 FILL_BLOCK = 1 << 15
 
 
@@ -315,14 +315,14 @@ class _PackedSymmetric:
         lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
         row_frob2 = np.zeros(n)  # row i: the sum over j > i of (Re B_ij)^2
 
-        def fill(i0, i1, buf):
+        def fill(i0, i1):
             k, w = i1 - i0, n - i0
             S = self.strips[i0]
             step = max(1, FILL_BLOCK // w)
-            gamma = math.inf
+            buf, gamma = np.empty(min(step, k) * w), math.inf
             for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
                 r1 = min(r0 + step, k)
-                part, tmp = S[r0:r1], block_view(buf, r1 - r0, w)
+                part, tmp = S[r0:r1], buf[:(r1 - r0) * w].reshape(r1 - r0, w)
                 dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, part.real, tmp)
                 # overwritten below; keeps cos, sin and division finite
                 np.fill_diagonal(dist[:, r0:], 1.0)
@@ -349,8 +349,7 @@ class _PackedSymmetric:
             return gamma
 
         # each strip writes its own part of B and of row_frob2, a row sub-block at a time
-        entries = min(self.strips[0].size, max(FILL_BLOCK, n))  # the largest sub-block
-        gammas = row_block_pass(fill, blocks, entries)
+        gammas = row_block_pass(fill, blocks)
         return math.sqrt(2.0 * float(row_frob2.sum())), min(gammas)
 
     @property
@@ -561,11 +560,9 @@ def _checked_lu_solve(A, rhs: np.ndarray, residual_tol: float):
     _require_memory(17 * n * n, f"{n}x{n} system", "its LU factors")
     dense = np.array(A)
     row_norms = np.empty(n)
-    blocks = row_blocks(n)
-    buf = np.empty(max(i1 - i0 for i0, i1 in blocks) * n)
-    for i0, i1 in blocks:
+    for i0, i1 in row_blocks(n):
         rows = dense[i0:i1]
-        norms = np.abs(rows, out=block_view(buf, i1 - i0, n)).sum(axis=1, out=row_norms[i0:i1])
+        norms = np.abs(rows).sum(axis=1, out=row_norms[i0:i1])
         bad = np.flatnonzero(~(norms > 0))
         if bad.size:
             raise SingularSystem(f"row {i0 + bad[0]} of the system is zero or NaN")

@@ -28,10 +28,10 @@ temporary. Each block has at least two rows, a lone last row joining the
 block before it: numpy takes a one-row product as a dot product, which sums
 in another order, so a row's bits would depend on the layout. Foldy-Lax
 assembly, bound by arithmetic, deals its blocks among FOLDYLAX_THREADS
-threading.Thread workers through row_block_pass, each with one float
-scratch buffer allocated once per pass; passes bound by memory bandwidth
-are plain loops. The block layout never depends on the worker count, and
-each block's result is its own, so no pass's result does either.
+threading.Thread workers through row_block_pass, and each block allocates
+its own scratch; passes bound by memory bandwidth are plain loops. The
+block layout never depends on the worker count, and each block's result is
+its own, so no pass's result does either.
 """
 
 from __future__ import annotations
@@ -276,18 +276,11 @@ def row_blocks(n: int, width: int | None = None, min_rows: int = 2):
     return blocks
 
 
-def block_view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The leading rows*cols entries of a flat scratch buffer as a (rows, cols) array."""
-    return buf[:rows * cols].reshape(rows, cols)
-
-
-def row_block_pass(body, blocks, entries: int):
+def row_block_pass(body, blocks):
     """Apply body to each row block (i0, i1) of blocks on thread_count()
     threads, the caller's among them; return its results in block order.
 
-    body(i0, i1, buf) handles rows i0:i1: buf is a flat float scratch buffer
-    of the given entries, which each worker allocates once per call, and body
-    views a prefix with block_view. The blocks are dealt round-robin to the
+    body(i0, i1) handles rows i0:i1. The blocks are dealt round-robin to the
     workers, for a body bound by arithmetic (numpy releases the GIL inside
     ufunc loops); body must not depend on the order in which blocks run. An
     exception raised by body is raised here once every worker has stopped,
@@ -295,23 +288,18 @@ def row_block_pass(body, blocks, entries: int):
     """
     workers = min(thread_count(), len(blocks))
     results = [None] * len(blocks)
-
-    def run(w):
-        buf = np.empty(entries)
-        results[w::workers] = [body(i0, i1, buf) for i0, i1 in blocks[w::workers]]
-
     errors = [None] * workers
 
-    def guarded(w):
+    def run(w):
         try:
-            run(w)
+            results[w::workers] = [body(i0, i1) for i0, i1 in blocks[w::workers]]
         except BaseException as exc:  # re-raised below, in the caller's thread
             errors[w] = exc
 
-    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    guarded(0)  # the caller's thread is worker 0
+    run(0)  # the caller's thread is worker 0
     for thread in threads:
         thread.join()
     for exc in errors:
@@ -510,7 +498,7 @@ def generate_grid_cloud(regime: RegimeParams, box_side: float,
     lo, hi = idx.min(axis=0), idx.max(axis=0)
     centers = (idx - (lo + hi) / 2.0) * pitch
     extent = (hi - lo) * pitch + a + jitter * d_nom
-    if np.any(extent > box_side * (1 + _REL_TOL)):
+    if not np.all(extent <= box_side * (1 + _REL_TOL)):
         raise CapacityExceeded(
             f"cloud extent {extent.max():g} exceeds box_side {box_side:g}")
     if jitter > 0:

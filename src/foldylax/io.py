@@ -15,17 +15,18 @@ Cloud document schema (JSON):
                        "lambda0_re","lambda0_im"},
      "areas": null | [...]}
 
-The keys are exactly the schema's ("areas" may be left out). Every regime
-value must be a JSON number (not a string or a bool), centers a list of
-[x, y, z] lists of numbers, and radii, impedance_re, impedance_im and a
-non-null areas flat lists of numbers; anything else, an unknown key too, is
-a ValueError that names the key. load_cloud reads every number as a float,
-so one too large for a double reads as +-inf however it is spelled (1e400
-or a 401-digit integer), and ScattererCloud and RegimeParams refuse it as
-non-finite, as they do a NaN or Infinity literal. load_cloud also refuses,
-as a ValueError that names the file and keeps the decoder's detail, a
-document that is not UTF-8 JSON or that nests too deeply for json to parse.
-save_cloud refuses a non-finite float, which JSON cannot hold.
+The keys are exactly the schema's ("areas" may be left out). version must be
+a JSON string, every regime value a JSON number (not a string or a bool),
+centers a list of [x, y, z] lists of numbers, and radii, impedance_re,
+impedance_im and a non-null areas flat lists of numbers; anything else, an
+unknown key too, is a ValueError that names the key. load_cloud reads every
+number as a float, so one too large for a double reads as +-inf however it
+is spelled (1e400 or a 401-digit integer), and ScattererCloud and
+RegimeParams refuse it as non-finite, as they do a NaN or Infinity literal.
+load_cloud also refuses, as a ValueError that names the file and keeps the
+decoder's detail, a document that is not UTF-8 JSON or that nests too deeply
+for json to parse. save_cloud refuses a non-finite float, which JSON cannot
+hold.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def _cloud_from_document(doc) -> ScattererCloud:
     """The cloud of a document as load_cloud decodes it, every number a float."""
     _require_keys(doc, "version centers radii impedance_re impedance_im regime",
                   "cloud document", optional="areas")
+    if type(doc["version"]) is not str:
+        raise ValueError(f"cloud document 'version' must be a JSON string, "
+                         f"not {json.dumps(doc['version'])}")
     regime, r = None, doc["regime"]
     if r is not None:
         _require_keys(r, _REGIME_NUMBERS, "cloud document regime")

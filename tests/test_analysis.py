@@ -85,6 +85,14 @@ class TestRateFit:
         with pytest.raises(RateUndetermined, match="^1 of 3 "):
             fit_rate([0.2, 0.1, 0.05], [1e-3, 1e-13, 1e-12], 3.0)
 
+    @pytest.mark.parametrize("errs, scales", [
+        ([1e-3, 2.5e-4], None), ([1e-3, 2.5e-4], [1.0]), ([1e-3, 2.5e-4, 6.25e-5], [1.0, 1.0])])
+    def test_unequal_lengths_are_refused(self, errs, scales):
+        """zip would drop the third radius: a slope from two samples, or a
+        RateUndetermined that blames the noise floor."""
+        with pytest.raises(ValueError, match="^a_values, errors and scales must have equal"):
+            fit_rate([0.04, 0.02, 0.01], errs, 2.0, scales)
+
     def test_floor_is_relative_to_the_scales(self):
         """Errors a^3 under a reference far field of size a^2: all below the
         absolute floor 1e-11, all above 1e-11 of their scale."""

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from foldylax import cli, errors, foldy, geometry, oracle
+from foldylax import analysis, cli, errors, foldy, geometry, oracle
 from foldylax.cli import main
 from foldylax.geometry import IncidentWave
 from foldylax.io import load_cloud, save_cloud
@@ -189,6 +189,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: regime admissibility violated: {name}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_nan_box_side_is_2(self, tmp_path, capsys, command):
+        """No extent fits in a box of side NaN: no cloud and no study."""
+        out = tmp_path / ("c.json" if command == "generate" else "s.csv")
+        argv = (["generate", "--a", 0.04] if command == "generate" else
+                ["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1, "--Mmax", 0.2])
+        assert run([*argv, "--box-side", "nan", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cloud extent ") and err.endswith(" exceeds box_side nan\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, name", [
         (["--a", "0.05", "--t", "inf"], "0 <= t < inf"),
@@ -630,6 +641,10 @@ class TestExitCodes:
          "cloud document 'impedance_re' and 'impedance_im' must have equal lengths"),
         (lambda doc: doc.update(areas=[math.nan] * len(doc["radii"])),  # the NaN literal
          "cloud data must be finite"),
+        (lambda doc: doc.update(version=None),
+         "cloud document 'version' must be a JSON string, not null"),
+        (lambda doc: doc.update(version=[1, 2]),
+         "cloud document 'version' must be a JSON string, not [1.0, 2.0]"),  # ints read as floats
     ])
     def test_malformed_document_is_2(self, tmp_path, capsys, edit, message):
         cloud = tmp_path / "c.json"
@@ -917,6 +932,25 @@ class TestCompareCommand:
         _, lines = read_csv(tmp_path / "cmp_density.csv")
         assert lines[0] == "sphere,l,m,re,im"
         assert len(lines) == 1 + 2 * 49  # two spheres, (6+1)^2 rows each
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_negative_L_is_refused_before_the_solve(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        """--L -1 names the oracle's degree, and no Foldy-Lax solve runs first."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.1)) == 0
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the oracle's settings must be checked before the solve")
+
+        monkeypatch.setattr(foldy, "solve", no_solve)
+        monkeypatch.setattr(analysis, "solve", no_solve)
+        argv = (["compare", cloud] if command == "compare" else
+                ["sweep", "--a-values", "0.2,0.1,0.05", "--s", 0])
+        capsys.readouterr()
+        assert run([*argv, "--L", -1, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == "error: oracle degree L must be >= 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_mie_vs_fl_error_printed(self, tmp_path, capsys):
         cloud = tmp_path / "one.json"

@@ -334,6 +334,47 @@ def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
         assert peak <= system.matrix.nbytes + scratch + workers * 2**18, threads
 
 
+def lattice_cloud(shape, seed=0):
+    """A jittered unit lattice of spheres of radius 0.05."""
+    rng = np.random.default_rng(seed)
+    centers = np.indices(shape).reshape(3, -1).T.astype(float)
+    return ScattererCloud(centers=centers + rng.uniform(-0.1, 0.1, size=centers.shape),
+                          radii=np.full(len(centers), 0.05),
+                          impedances=np.full(len(centers), -1.0 + 0.2j))
+
+
+def test_fill_bits_do_not_depend_on_the_sub_block_size(monkeypatch):
+    """B's strips, q and gamma are the same bits for FILL_BLOCK = 16, 300 and
+    2^15, on 1 and 2 workers. M = 400 takes the factor path and M = 8 the
+    complex strips. At 16 every row of M = 400 is wider than FILL_BLOCK, so
+    each sub-block is one row, and the peak holds B, each worker's one row
+    of max(FILL_BLOCK, M) floats and at most 256 KiB per worker besides."""
+    cases = [(lattice_cloud((8, 10, 5)), make_wave(kappa=0.05, theta=(1.0, 2.0, -0.5))),
+             (lattice_cloud((2, 2, 2)), make_wave(kappa=2.0, theta=(1.0, 2.0, -0.5)))]
+    for cloud, wave in cases:
+        m = cloud.M
+        blocks = row_blocks(m, min_rows=foldy.STRIP_ROWS)
+        seen = set()
+        for fill_block in (1 << 15, 300, 16):
+            monkeypatch.setattr(foldy, "FILL_BLOCK", fill_block)
+            for threads in (1, 2):
+                monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    B = assemble(cloud, wave, "general").matrix
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert (B.factor is None) == (m == 8)
+                seen.add((tuple(S.tobytes() for S in B.strips.values()), B.q, B.gamma))
+                if fill_block == 16:
+                    workers = min(threads, len(blocks))
+                    assert peak <= (B.nbytes + workers * 8 * max(fill_block, m)
+                                    + workers * 2**18), (m, threads)
+        assert len(seen) == 1, m
+
+
 def solution_with(cloud, charges, wave):
     """A solution carrying given charges, for far-field tests that need no solve."""
     system = foldy.FoldyLaxSystem(matrix=None, rhs=None, coefficients=None, cloud=cloud,
@@ -421,7 +462,7 @@ def test_row_block_pass_raises_a_workers_exception(monkeypatch, raising, raised)
     started = threading.active_count()
     worker_1_ran = threading.Event()
 
-    def body(i0, i1, buf):  # two one-row blocks: worker w runs block (w, w + 1)
+    def body(i0, i1):  # two one-row blocks: worker w runs block (w, w + 1)
         if i0 == 1:
             worker_1_ran.set()
         else:
@@ -431,7 +472,7 @@ def test_row_block_pass_raises_a_workers_exception(monkeypatch, raising, raised)
         return i0
 
     with pytest.raises(ValueError) as info:
-        geometry.row_block_pass(body, [(0, 1), (1, 2)], 1)
+        geometry.row_block_pass(body, [(0, 1), (1, 2)])
     assert info.value.args == (raised,)
     assert threading.active_count() == started
 
