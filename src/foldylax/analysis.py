@@ -187,13 +187,12 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
     variant = Variant(variant)
     directions = fibonacci_sphere(settings.n_directions)
     records, scales = [], []
-    for a in a_values:
-        regime = dataclasses.replace(template, a=a)
+    for regime in [dataclasses.replace(template, a=a) for a in a_values]:
         cloud = generate_grid_cloud(regime, box_side=box_side, jitter=jitter, seed=seed)
         fl_sol = solve(assemble(cloud, wave, variant))
         fl_grid = farfield(fl_sol, directions)
         ref_grid, res_bie, _ = oracle_farfield(cloud, wave, directions, settings, fl_grid)
-        records.append(StudyRecord(a=a, M=cloud.M, d=cloud.d_eff,
+        records.append(StudyRecord(a=regime.a, M=cloud.M, d=cloud.d_eff,
                                    error=farfield_error(fl_grid, ref_grid),
                                    residual_fl=fl_sol.residual_inf,
                                    residual_bie=res_bie))

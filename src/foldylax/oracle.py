@@ -55,20 +55,19 @@ larger q, or GMRES at its iteration cap, falls back to the checked LU, the
 only step that makes a dense copy of A. The special functions come from
 spherical, so assembly and a certified solve load no scipy.
 
-A product with A runs over blocks of pairs in one layout, (l, m, column,
-pair) with pairs innermost and orders interleaved 0, 1, -1, 2, -2, ...: Delta
-degree by degree as a real GEMM on its (2l+1)^2 block, the phases row by
-row, and Coax entry by entry over all pairs of the block. The pairs are
-ordered by their gap j - m, so gathering the sources and scattering the sums
-are slices over spheres. The work buffers of one block and two per-sphere
-buffers are allocated with the operator; a product allocates O(N).
+Assembly is one pass over the pairs, ordered by their gap j - m, in blocks of
+about PAIR_BLOCK coaxial entries; a product walks those blocks in one layout,
+(l, m, column, pair), pairs innermost, orders interleaved 0, 1, -1, 2, -2, ...:
+Delta degree by degree as a real GEMM on its (2l+1)^2 block, the phases row by
+row, and Coax entry by entry over all pairs of the block. In a run of one gap
+the spheres are consecutive, so gathering and scattering are slices. A product
+allocates O(N): one block's and two per-sphere work buffers come with A.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,7 +95,7 @@ def _hankel(L: int, z, derivative: bool = False) -> np.ndarray:
     """h_l = j_l + i y_l (or h_l'), l = 0..L, on the trailing axis.
 
     Raises SeriesNotConverged where y_l overflows: it grows like
-    (2l-1)!!/z^(l+1) as z -> 0, so a small enough kappa has no finite h_l."""
+    (2l-1)!!/z^(l+1), so too high an L or too small a kappa has no finite h_l."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = spherical_yn(L, z, derivative)
     if not np.all(np.isfinite(y)):
@@ -106,7 +105,7 @@ def _hankel(L: int, z, derivative: bool = False) -> np.ndarray:
 
 def _overflow(L: int, z) -> SeriesNotConverged:
     return SeriesNotConverged(f"spherical_yn overflows by degree {L} at kappa times a radius "
-                              f"or a distance = {float(np.min(z)):.3g}: kappa is too small "
+                              f"or a distance = {float(np.min(z)):.3g}: lower L or raise kappa "
                               "for the boundary-integral oracle")
 
 
@@ -215,8 +214,9 @@ def _admitted_bytes(M: int, L: int):
     two phase rows, and per unknown D, t, o and the right-hand side; then the
     Gaunt table with its quadrature, Delta, and eight complex arrays of a
     block of pairs, (L+1)^3 entries per pair. Those hold assembly's
-    temporaries and the product's buffers (_buffers): 8(L+1)^2 entries per
-    pair of a block, and 2(L+1)(2L+1) per sphere."""
+    temporaries and the product's buffers (_buffers): 8(L+1)^2 <= 8(E+1)
+    entries for each of a block's PAIR_BLOCK // (E+1) pairs (at least 2), and
+    2(L+1)(2L+1) per sphere."""
     E, pairs, width = (L + 1) * (L + 2) * (2 * L + 3) // 6, M * (M - 1) // 2, (L + 1) ** 3
     return (16 * pairs * (E + 1 + 2 * (2 * L + 1)) + 64 * M * n_coeffs(L),
             48 * (2 * L + 1) * E + 24 * (L + 1) * (2 * L + 3) ** 2
@@ -258,16 +258,16 @@ class _BieOperator:
     indices. U = diag(i^-m) Delta^T diag(e^{-ik theta}) Delta diag(i^m e^{im phi})
     rotates d to the z-axis, and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m)
     commutes with Coax and drops out. The factors t, o, P of the blocks depend
-    on l only and are applied per sphere. The certificate q = ||C D^-1||_F
-    (inf where D has a zero) comes from the coaxial blocks as they are made.
+    on l only and are applied per sphere. One pass over the blocks of
+    row_blocks(pairs, width=E + 1) makes each block's coaxial entries and
+    phases, its share of the certificate q = ||C D^-1||_F (inf where D has a
+    zero), and its runs of one gap, and the product walks those blocks.
 
     The product's layout is (l, m, column, pair), m in _interleaved_orders
     (see the module docstring). Coax multiplies, for each (|m|, l'), the rows
     (l, +-m), l >= |m|, by its entries l = |m|..L. Column 0 of a pair takes
-    o_j x_j to row m, column 1 P o_m x_m to row j. Within a gap j - m the
-    sources and the targets of a run of pairs are consecutive spheres. The
-    work buffers live in the operator, so two products of one operator must
-    not run at the same time.
+    o_j x_j to row m, column 1 P o_m x_m to row j. The work buffers live in
+    the operator, so two products of one operator must not run at the same time.
     """
 
     def __init__(self, centers: np.ndarray, kappa: float, L: int, diagonal: np.ndarray,
@@ -285,8 +285,7 @@ class _BieOperator:
         ls, ms = _degrees_orders(L)
         self._rows = (ls, 2 * np.abs(ms) - (ms > 0))  # (l, m) -> (l, position of m)
         counts = np.arange(M - 1, 0, -1)  # pairs of gap j - m = 1..M-1
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        first = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+        first = np.arange(M * (M - 1) // 2) - np.repeat(np.cumsum(counts) - counts, counts)
         second = first + np.repeat(np.arange(1, M), counts)
         self._pairs = first, second
         E = table.shape[1]
@@ -299,7 +298,7 @@ class _BieOperator:
         t = np.abs(trace)[:, el]
         v = np.abs(outgoing / diagonal)[:, elp] if nonsingular else np.zeros_like(t)
         weight = np.where(em > 0, 2.0, 1.0)
-        q2 = 0.0
+        q2, self._blocks = 0.0, []
         for p0, p1 in row_blocks(len(first), width=E + 1):
             m, j = first[p0:p1], second[p0:p1]
             d = centers[m] - centers[j]
@@ -315,17 +314,12 @@ class _BieOperator:
             for row, col in ((m, j), (j, m)):
                 x = c * t[row] * v[col]
                 q2 += float(np.einsum("pe,pe,e->", x, x, weight))
+            # the block's runs of one gap: slices of its pairs, of spheres m and of spheres j
+            ends = np.flatnonzero(np.diff(j - m, prepend=0, append=0)).tolist()
+            self._blocks.append((p0, p1, [(slice(a, b), slice(m[a], m[a] + b - a),
+                                           slice(j[a], j[a] + b - a))
+                                          for a, b in zip(ends, ends[1:])]))
         self.q = math.sqrt(q2) if nonsingular else math.inf
-        # each block's runs of one gap: slices of its pairs, of spheres m and of spheres j
-        self._blocks, offsets = [], offsets.tolist()
-        for p0, p1 in row_blocks(len(first), width=(L + 1) ** 3):
-            runs = []
-            for gap in range(bisect_right(offsets, p0), bisect_right(offsets, p1 - 1) + 1):
-                lo, hi = max(p0, offsets[gap - 1]), min(p1, offsets[gap])
-                m0 = lo - offsets[gap - 1]
-                runs.append((slice(lo - p0, hi - p0), slice(m0, m0 + hi - lo),
-                             slice(m0 + gap, m0 + gap + hi - lo)))
-            self._blocks.append((p0, p1, runs))
         width = max((p1 - p0 for p0, p1, _ in self._blocks), default=0)
         self._work = np.zeros(4 * (L + 1) ** 2 * 2 * width, dtype=complex)  # see _buffers
         self._spheres = np.zeros((2, L + 1, K, M), dtype=complex)  # sources, then sums
@@ -377,12 +371,11 @@ class _BieOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # numpy buffers a ufunc whose contiguous core is shorter than its buffer
         # size, up to that many elements per operand and call; the cores here are
-        # one block's pairs, so a small buffer keeps the product allocation-free
-        bufsize = np.setbufsize(UFUNC_BUFSIZE)
-        try:
+        # one block's pairs, so a small buffer keeps the product allocation-free,
+        # and leaving the errstate context restores the caller's size
+        with np.errstate():
+            np.setbufsize(UFUNC_BUFSIZE)
             return self._product(x)
-        finally:
-            np.setbufsize(bufsize)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         M, nc = self._trace.shape

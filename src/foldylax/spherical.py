@@ -13,13 +13,13 @@ for harmonics up to polar degree 2*n-1 and azimuthal order < 2*n.
 
 The special functions the oracles need are computed here with numpy alone,
 each for all degrees 0..L at once (trailing axis), by standard recurrences:
-spherical Bessel j_l by its power series below SERIES_MAX_Z and Miller's
-downward recurrence above, y_l by upward recurrence, derivatives by
-f_l' = f_{l-1} - (l+1) f_l / z, Legendre polynomials by Bonnet's recurrence,
-Gauss-Legendre nodes by Newton's method on them, and the harmonics from
-fully normalized associated Legendre functions (Holmes & Featherstone,
-J. Geodesy 76, 2002). The tests check them against scipy.special and
-numpy.polynomial.
+spherical Bessel j_l by its power series below SERIES_MAX_Z, Miller's
+downward recurrence from there up to the degree and upward recurrence above
+it, y_l by upward recurrence, derivatives by f_l' = f_{l-1} - (l+1) f_l / z,
+Legendre polynomials by Bonnet's recurrence, Gauss-Legendre nodes by Newton's
+method on them, and the harmonics from fully normalized associated Legendre
+functions (Holmes & Featherstone, J. Geodesy 76, 2002). The tests check them
+against scipy.special and numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -151,18 +151,21 @@ def spherical_jn(L: int, z, derivative: bool = False) -> np.ndarray:
 
     Below SERIES_MAX_Z the power series
     j_l = z^l/(2l+1)!! sum_k (-z^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1)).
-    Above it Miller's downward recurrence from a degree N past both L and z,
-    where j_N/y_N is below roundoff, N set by each element's own z so that no
-    value depends on the other arguments, normalized by sin z/z or by
-    j_1 = (j_0 - cos z)/z, whichever is larger, so that a zero of sin z cannot
-    amplify roundoff; j_0 and j_1 are then taken from those closed forms.
+    From there up to max(L, 1) Miller's downward recurrence from a degree N
+    past both L and z, where j_N/y_N is below roundoff, N set by each element's
+    own z so that no value depends on the other arguments, normalized by sin z/z
+    or by j_1 = (j_0 - cos z)/z, whichever is larger, so that a zero of sin z
+    cannot amplify roundoff; j_0 and j_1 are then taken from those closed forms.
+    Above max(L, 1) each degree is below z, and the upward recurrence is stable.
     """
     z = np.asarray(z, dtype=float)
     top = max(L, 1)
     out = np.empty(z.shape + (top + 1,))
-    small = z < SERIES_MAX_Z
+    small, large = z < SERIES_MAX_Z, z > top
     out[small] = _jn_series(top, z[small])
-    out[~small] = _jn_miller(top, z[~small])
+    out[~small & ~large] = _jn_miller(top, z[~small & ~large])
+    j0 = np.sin(z[large]) / z[large]
+    out[large] = _upward(j0, (j0 - np.cos(z[large])) / z[large], z[large], top)
     return _derivative(out, z, L) if derivative else out[..., :L + 1]
 
 
@@ -202,13 +205,18 @@ def spherical_yn(L: int, z, derivative: bool = False) -> np.ndarray:
     z.shape + (L+1,). Upward recurrence from y_0 = -cos z/z and
     y_1 = (y_0 - sin z)/z, which is stable because y_l grows with l."""
     z = np.asarray(z, dtype=float)
-    top = max(L, 1)
+    y0 = -np.cos(z) / z
+    out = _upward(y0, (y0 - np.sin(z)) / z, z, max(L, 1))
+    return _derivative(out, z, L) if derivative else out[..., :L + 1]
+
+
+def _upward(f0, f1, z: np.ndarray, top: int) -> np.ndarray:
+    """f_0..f_top from f_0 and f_1 by f_{l+1} = (2l+1)/z f_l - f_{l-1}."""
     out = np.empty(z.shape + (top + 1,))
-    out[..., 0] = -np.cos(z) / z
-    out[..., 1] = (out[..., 0] - np.sin(z)) / z
+    out[..., 0], out[..., 1] = f0, f1
     for l in range(1, top):
         out[..., l + 1] = (2 * l + 1) / z * out[..., l] - out[..., l - 1]
-    return _derivative(out, z, L) if derivative else out[..., :L + 1]
+    return out
 
 
 def _derivative(f: np.ndarray, z: np.ndarray, L: int) -> np.ndarray:

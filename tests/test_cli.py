@@ -159,11 +159,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: expected non-negative integer\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("kappa", ["1e-15", "1e-20"])
-    def test_bie_kappa_too_small_is_3(self, tmp_path, capsys, kappa):
+    @pytest.mark.parametrize("kappa, L", [("1e-15", 12), ("1e-20", 12), ("1", 60)],
+                             ids=["1e-15", "1e-20", "L60"])
+    def test_bie_kappa_too_small_is_3(self, tmp_path, capsys, kappa, L):
         """compare_bie's cloud: y_l of the translation overflows (y_24 below
-        kappa*d ~ 1e-11, y_12 of the spheres below kappa*r ~ 1e-21). The oracle
-        refuses, naming the overflow, with no RuntimeWarning and no CSV."""
+        kappa*d ~ 1e-11, y_12 of the spheres below kappa*r ~ 1e-21, y_120 at
+        kappa*d ~ 0.09). The oracle refuses, naming the overflow and both
+        remedies, with no RuntimeWarning and no CSV."""
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud, a=0.04, s=1.0, lambda0="-1",
                             extra=["--Mmax", 0.32, "--jitter", 0.3, "--seed", 1])) == 0
@@ -171,10 +173,11 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
-                        "--L", 12, "--kappa", kappa, "--out", tmp_path / "x"]) == 3
+                        "--L", L, "--kappa", kappa, "--out", tmp_path / "x"]) == 3
+        oracle._coaxial_table.cache_clear()  # L = 60's table takes 75 MB
         captured = capsys.readouterr()
         assert captured.err.startswith("error: spherical_yn overflows by degree ")
-        assert "kappa is too small for the boundary-integral oracle" in captured.err
+        assert "lower L or raise kappa for the boundary-integral oracle" in captured.err
         assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("a, s, m_max, name", [
@@ -952,6 +955,23 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "error: oracle degree L must be >= 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("distance", [1e9, 1e20])
+    def test_bie_on_spheres_far_apart_is_0(self, tmp_path, distance):
+        """j_n of the translation at kappa*d far above 2L comes from the upward
+        recurrence; Miller's would start at a degree of about kappa*d, which
+        ran past a minute at 1e9 and overflowed its int cast at 1e20."""
+        cloud = tmp_path / "far.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [distance, 0, 0]], 0.02, -1.0))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "foldylax.cli", "compare", str(cloud), "--variant",
+             "spherical", "--oracle", "bie", "--L", "6", "--directions", "8",
+             "--out", str(tmp_path / "x")],
+            env=dict(os.environ, FOLDYLAX_THREADS="1", PYTHONPATH=src),
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("sup_error=")
+
     def test_mie_vs_fl_error_printed(self, tmp_path, capsys):
         cloud = tmp_path / "one.json"
         save_cloud(cloud, make_cloud([[0, 0, 0]], 0.05, -1.0))
@@ -1017,6 +1037,22 @@ class TestSweepCommand:
         assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,
                     "--Mmax", 0.2, "--variant", "spherical", "--oracle", "bie",
                     "--L", 4, "--quad-order", 0, "--out", tmp_path / "s.csv"]) == 2
+
+    @pytest.mark.parametrize("a_values", ["0.04,nan,0.01", "0.04,0.02,-0.01"])
+    def test_bad_later_radius_is_refused_before_any_solve(self, tmp_path, monkeypatch,
+                                                          capsys, a_values):
+        """Every radius's regime is checked before the first solve: NaN passes
+        the strictly-decreasing test, as every comparison with it is false."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("every radius must be checked before the first solve")
+
+        monkeypatch.setattr(analysis, "solve", no_solve)
+        capsys.readouterr()
+        assert run(["sweep", "--a-values", a_values, "--s", 1, "--Mmax", 0.2,
+                    "--variant", "spherical", "--oracle", "bie", "--L", 4,
+                    "--out", tmp_path / "s.csv"]) == 2
+        assert capsys.readouterr().err == "error: regime admissibility violated: 0 < a < inf\n"
+        assert not list(tmp_path.iterdir())
 
 
 def test_subcommands_import_only_numpy(tmp_path):

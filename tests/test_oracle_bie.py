@@ -405,12 +405,21 @@ class TestPackedStore:
         return ScattererCloud(centers=centers, radii=rng.uniform(0.03, 0.05, m),
                               impedances=impedances)
 
-    @pytest.mark.parametrize("m, L", [(1, 12), (2, 12), (8, 12), (20, 6)])
-    def test_matches_the_dense_matrix(self, tilted_wave, m, L):
+    @pytest.mark.parametrize("m, L, block", [(1, 12, None), (2, 12, None), (8, 12, None),
+                                             (20, 6, None), (12, 3, 5)],
+                             ids=["1-12", "2-12", "8-12", "20-6", "12-3-split"])
+    def test_matches_the_dense_matrix(self, tilted_wave, monkeypatch, m, L, block):
+        """block pairs a block, where given: the 11 pairs of gap 1 then span
+        three blocks, and the third also starts gap 2."""
         cloud = self.cloud(m)
+        if block:
+            coaxial = (L + 1) * (L + 2) * (2 * L + 3) // 6
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block * (coaxial + 1))
         system = assemble_bie(cloud, tilted_wave, L=L)
         A = bie_matrix(cloud, tilted_wave, L)
         operator = system.matrix
+        if block:  # 66 pairs, the lone last one joining the block before it
+            assert [p1 - p0 for p0, p1, _ in operator._blocks] == [5] * 12 + [6]
         dense = np.asarray(operator)
         assert operator.shape == A.shape and dense.dtype == A.dtype
         assert_subblocks_close(dense, A, m, L, 1e-12)

@@ -60,10 +60,13 @@ def test_jn_derivative_to_the_scale_of_its_recurrence():
 
 
 def test_hn_over_translation_distances():
-    L, z = 24, TRANSLATION_Z
-    h = spherical.spherical_jn(L, z) + 1j * spherical.spherical_yn(L, z)
-    ref = scipy_table(spherical_jn, L, z) + 1j * scipy_table(spherical_yn, L, z)
-    assert relative(h, ref) <= TOL
+    """Up to kappa*d = 1e12 too, where j_n comes from the upward recurrence:
+    Miller's would start at a degree of about kappa*d."""
+    L = 24
+    for z in (TRANSLATION_Z, np.geomspace(0.05, 1e12, 400)):
+        h = spherical.spherical_jn(L, z) + 1j * spherical.spherical_yn(L, z)
+        ref = scipy_table(spherical_jn, L, z) + 1j * scipy_table(spherical_yn, L, z)
+        assert relative(h, ref) <= TOL
 
 
 def test_miller_rescales_where_the_recurrence_would_overflow():
