@@ -1,9 +1,9 @@
 """FOLDYLAX_THREADS, parsed in one place.
 
 The value is the worker count of Foldy-Lax assembly's strip fill
-(geometry.row_block_pass) and the thread count of scipy's BLAS in the dense
-LU (foldy._checked_lu_solve). numpy's BLAS is not among them: the CLI loads
-it with one thread. Unset or empty, the value is the number of CPUs this
+(foldy._PackedSymmetric._fill) and the thread count of scipy's BLAS in the
+dense LU (foldy._checked_lu_solve). numpy's BLAS is not among them: the CLI
+loads it with one thread. Unset or empty, the value is the number of CPUs this
 process may run on. This module imports the standard library only.
 """
 

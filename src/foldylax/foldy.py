@@ -37,9 +37,9 @@ the LU runs scipy's BLAS on FOLDYLAX_THREADS threads (_set_lu_threads).
 
 B is stored once, packed by row strips (in the spirit of LAPACK's packed
 symmetric storage, zspmv; Anderson et al., LAPACK Users' Guide, SIAM 1999):
-the strip of rows i0:i1 holds columns i0:M, its k x k diagonal square whole,
-and all strips share one flat buffer. The strips are the blocks of
-geometry.row_blocks with at least STRIP_ROWS rows, whatever the worker count.
+the strip of rows i0:i1 is one array of columns i0:M, its k x k diagonal
+square whole. The strips are the blocks of geometry.row_blocks with at least
+STRIP_ROWS rows, whatever the worker count.
 B @ x walks the strips once and reads each twice, Y[i0:i1] += S @ X[i0:] and
 Y[i1:] += S[:, k:]^T @ X[i0:i1], with X the column x for complex strips and
 the two columns Re x, Im x for real ones, and np.asarray(B) builds the dense
@@ -92,21 +92,25 @@ take eta = 2 (L+1) u.
 
 The constructor fills each strip in place, by row sub-blocks of about
 FILL_BLOCK entries: the distances and -1/(4 pi d) in the strip's real part,
-sin in its imaginary part, and kappa d, cos and the gamma mask in one float
-buffer of a sub-block per strip. ScattererCloud found every distance above
-r_i + r_j > 0, by the fill's formula. It is bound by sqrt, cos and sin, so
-geometry.row_block_pass deals its strips to FOLDYLAX_THREADS worker threads;
-each writes its own strip, so B is the same bit for bit whatever the worker
-count or the sub-block size. The last strip may have a row more than the
-others (row_blocks merges a lone last row), so the mask of pairs j > i is
-sized by the largest. The pass also yields, while each sub-block is in
-cache, gamma = min cos(kappa d) before scaling and ||Re B_n||_F from per-row
-sums of (Re B_ij)^2, the same mask zeroing j <= i: with q, B's certificate.
-A row's sum runs over its strip's width, so its bits follow the strip
-layout, which row_blocks(M, min_rows=STRIP_ROWS) fixes from M alone: neither
-depends on the worker count. A certified solve then reads B only through
-GMRES products, its diagonal and q, and reads the GMRES basis through views
-so that no step copies it; only the LU fallback makes a dense copy. farfield
+sin in its imaginary part, and kappa d, cos and the gamma mask in a float
+scratch. ScattererCloud found every distance above r_i + r_j > 0, by the
+fill's formula. The fill is bound by sqrt, cos and sin (numpy releases the
+GIL inside them), so it deals its strips round-robin to FOLDYLAX_THREADS
+threading.Thread workers, the caller's thread among them, and each worker
+fills every strip of its share through one scratch of max(FILL_BLOCK, M)
+floats, or M^2 where that is fewer. Each strip is written by one worker
+alone, so B is the same bit for bit whatever the worker count or the
+sub-block size. The last strip may have a row more than the others
+(row_blocks merges a lone last row), so the mask of pairs j > i is sized by
+the largest. While each sub-block is in cache the fill also writes, per
+row, min cos(kappa d) before scaling and the sum of (Re B_ij)^2, the same
+mask leaving the pairs j > i; gamma is the least of the first and
+||Re B_n||_F comes from the second: with q, B's certificate. A row's sum
+runs over its strip's width, so its bits follow the strip layout, which
+row_blocks(M, min_rows=STRIP_ROWS) fixes from M alone: neither depends on
+the worker count. A certified solve then reads B only through GMRES
+products, its diagonal and q, and reads the GMRES basis through views so
+that no step copies it; only the LU fallback makes a dense copy. farfield
 evaluates the kernel over blocks of a few directions, about 256 KiB each.
 """
 
@@ -114,6 +118,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +127,7 @@ from ._threads import thread_count
 from .errors import (MissingRegime, RegimeViolation, SingularSystem, SphericalPole,
                      ZeroImpedance)
 from .geometry import (UNIT_TOL, IncidentWave, ScattererCloud, _require_memory, _require_spheres,
-                       _require_unit, pair_distances, row_block_pass, row_blocks)
+                       _require_unit, pair_distances, row_blocks)
 from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
 from .spherical import _degrees_orders, _legendre_columns, n_coeffs, spherical_jn
 
@@ -142,8 +147,7 @@ FACTOR_TAIL = 2.0**-53
 # (L+1)^2 + 16 columns wide (tracemalloc: at most 0.62 of that for L = 0..12
 # and M = 400 to 10^4)
 FACTOR_SCRATCH = 96
-# assembly fills each strip by row sub-blocks of about this many entries,
-# in one float buffer of a sub-block per strip
+# assembly fills each strip by row sub-blocks of about this many entries
 FILL_BLOCK = 1 << 15
 
 
@@ -263,8 +267,8 @@ class _PackedSymmetric:
     row_blocks(n, min_rows=STRIP_ROWS) from the diagonal on and filled by the
     constructor from a validated cloud's centers (see the module docstring).
 
-    strips maps each first row i0 to its read-only strip, rows i0:i1 by
-    columns i0:n; diagonal() is the diagonal given, -1/C_m. Where
+    strips maps each first row i0 to its read-only strip, an array of rows
+    i0:i1 by columns i0:n; diagonal() is the diagonal given, -1/C_m. Where
     _factor_degree of the centers' frame and kappa is None, the strips are
     complex and hold B and factor is None. With a degree L the strips are
     real and hold Re B, and factor is H, n x (L+1)^2 real harmonics, with
@@ -288,10 +292,8 @@ class _PackedSymmetric:
         scratch = 0 if K == 0 else FACTOR_SCRATCH * min(n, _factor_rows(n)) * (K + 16)
         _require_memory(np.dtype(dtype).itemsize * sum(sizes) + 8 * n * K + scratch,
                         f"M = {n}", "the matrix")
-        self._buf = np.empty(sum(sizes), dtype=dtype)
-        self.shape, self.strips, self.kappa = (n, n), {}, kappa
-        for (i0, i1), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
-            self.strips[i0] = self._buf[start:start + size].reshape(i1 - i0, n - i0)
+        self.shape, self.kappa = (n, n), kappa
+        self.strips = {i0: np.empty((i1 - i0, n - i0), dtype) for i0, i1 in blocks}
         self._diagonal = np.array(diagonal, dtype=complex)
         self._diagonal.setflags(write=False)
         self.factor = None
@@ -302,59 +304,80 @@ class _PackedSymmetric:
             # i (Im B_mm + kappa (H H^T)_mm) restores Im B_mm on the diagonal,
             # where -kappa H H^T puts -kappa (H H^T)_mm
             self._im_diagonal = 1j * (self._diagonal.imag + kappa * np.einsum("ij,ij->i", H, H))
-        self.frobenius_offdiag_real, self.gamma = self._fill(centers, blocks)
+        self._fill(centers, blocks)
         d = self._diagonal.real
         same_sign = np.all(d > 0) or np.all(d < 0)
         self.q = self.frobenius_offdiag_real / float(np.min(np.abs(d))) if same_sign else math.inf
 
     def _fill(self, centers: np.ndarray, blocks):
-        """Fill the strips in place and return (||Re B_n||_F, gamma)."""
+        """Fill the strips in place and set frobenius_offdiag_real and gamma.
+
+        The strips are dealt round-robin to thread_count() workers, the
+        caller's thread worker 0. An exception raised by a worker is raised
+        here once every worker has stopped, worker 0's first.
+        """
         n, kappa = self.shape[0], self.kappa
         strip_diagonal = self._diagonal if self.factor is None else self._diagonal.real
         xyz = np.ascontiguousarray(centers.T)
         lower = np.tri(max(i1 - i0 for i0, i1 in blocks), dtype=bool)
-        row_frob2 = np.zeros(n)  # row i: the sum over j > i of (Re B_ij)^2
+        # row i, over j > i: the sum of (Re B_ij)^2, and the least cos(kappa d)
+        row_frob2, row_gamma = np.empty(n), np.empty(n)
+        workers = min(thread_count(), len(blocks))
+        errors = [None] * workers
 
-        def fill(i0, i1):
-            k, w = i1 - i0, n - i0
-            S = self.strips[i0]
-            step = max(1, FILL_BLOCK // w)
-            buf, gamma = np.empty(min(step, k) * w), math.inf
-            for r0 in range(0, k, step):  # rows r0:r1 of the strip, rows i0+r0:i0+r1 of B
-                r1 = min(r0 + step, k)
-                part, tmp = S[r0:r1], buf[:(r1 - r0) * w].reshape(r1 - r0, w)
-                dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, part.real, tmp)
-                # overwritten below; keeps cos, sin and division finite
-                np.fill_diagonal(dist[:, r0:], 1.0)
-                kd = np.multiply(kappa, dist, out=tmp)
-                # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division computes
-                # it: times the reciprocal of 4 pi d
-                scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist), out=dist)
-                if self.factor is None:
-                    np.multiply(np.sin(kd, out=part.imag), scale, out=part.imag)
-                cos = np.cos(kd, out=kd)  # cos and sin are the parts of e^{i kappa d}, bit for bit
-                np.multiply(cos, scale, out=part.real)
-                # the leading square holds j <= i too: one mask leaves the pairs j > i
-                no_pair = lower[r0:r1, :r1]
-                # gamma: min cos(kappa d) over j > i
-                np.copyto(cos[:, :r1], np.inf, where=no_pair)
-                gamma = min(gamma, float(cos.min()))
-                np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
-                # each row's sum of (Re B_ij)^2 over j > i, the rest zeroed
-                with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf, zeroed
-                    square = np.multiply(part.real, part.real, out=cos)
-                np.copyto(square[:, :r1], 0.0, where=no_pair)
-                square.sum(axis=1, out=row_frob2[i0 + r0:i0 + r1])
-            S.setflags(write=False)
-            return gamma
+        def fill(worker):
+            try:
+                # a sub-block holds at most max(FILL_BLOCK, n) entries and n * n: a larger
+                # buffer, once freed, raises malloc's mmap threshold and keeps later ones resident
+                scratch = np.empty(min(max(FILL_BLOCK, n), n * n))
+                for i0, i1 in blocks[worker::workers]:
+                    k, w = i1 - i0, n - i0
+                    S = self.strips[i0]
+                    step = max(1, FILL_BLOCK // w)
+                    for r0 in range(0, k, step):  # rows r0:r1 of the strip, i0+r0:i0+r1 of B
+                        r1 = min(r0 + step, k)
+                        part, tmp = S[r0:r1], scratch[:(r1 - r0) * w].reshape(r1 - r0, w)
+                        dist = pair_distances(xyz, i0 + r0, i0 + r1, i0, part.real, tmp)
+                        # overwritten below; keeps cos, sin and division finite
+                        np.fill_diagonal(dist[:, r0:], 1.0)
+                        kd = np.multiply(kappa, dist, out=tmp)
+                        # -e^{i kappa d}/(4 pi d), as numpy's complex-by-real division
+                        # computes it: times the reciprocal of 4 pi d
+                        scale = np.divide(-1.0, np.multiply(4.0 * np.pi, dist, out=dist),
+                                          out=dist)
+                        if self.factor is None:
+                            np.multiply(np.sin(kd, out=part.imag), scale, out=part.imag)
+                        cos = np.cos(kd, out=kd)  # the parts of e^{i kappa d}, bit for bit
+                        np.multiply(cos, scale, out=part.real)
+                        # the leading square holds j <= i too: one mask leaves the pairs j > i
+                        no_pair = lower[r0:r1, :r1]
+                        np.copyto(cos[:, :r1], np.inf, where=no_pair)
+                        cos.min(axis=1, out=row_gamma[i0 + r0:i0 + r1])
+                        np.fill_diagonal(part[:, r0:], strip_diagonal[i0 + r0:i0 + r1])
+                        with np.errstate(over="ignore"):  # B_mm past 1e154 squares to inf
+                            square = np.multiply(part.real, part.real, out=cos)
+                        np.copyto(square[:, :r1], 0.0, where=no_pair)
+                        square.sum(axis=1, out=row_frob2[i0 + r0:i0 + r1])
+                    S.setflags(write=False)
+            except BaseException as exc:  # re-raised below, in the caller's thread
+                errors[worker] = exc
 
-        # each strip writes its own part of B and of row_frob2, a row sub-block at a time
-        gammas = row_block_pass(fill, blocks)
-        return math.sqrt(2.0 * float(row_frob2.sum())), min(gammas)
+        threads = [threading.Thread(target=fill, args=(worker,)) for worker in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        fill(0)
+        for thread in threads:
+            thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        self.frobenius_offdiag_real = math.sqrt(2.0 * float(row_frob2.sum()))
+        self.gamma = float(row_gamma.min())
 
     @property
     def nbytes(self) -> int:
-        return self._buf.nbytes + (0 if self.factor is None else self.factor.nbytes)
+        return sum(S.nbytes for S in self.strips.values()) + (
+            0 if self.factor is None else self.factor.nbytes)
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal

@@ -26,24 +26,18 @@ A pass over the rows of an M x M matrix takes the fixed blocks of
 row_blocks, about PAIR_BLOCK entries each, so that it allocates no M x M
 temporary. Each block has at least two rows, a lone last row joining the
 block before it: numpy takes a one-row product as a dot product, which sums
-in another order, so a row's bits would depend on the layout. Foldy-Lax
-assembly, bound by arithmetic, deals its blocks among FOLDYLAX_THREADS
-threading.Thread workers through row_block_pass, and each block allocates
-its own scratch; passes bound by memory bandwidth are plain loops. The
-block layout never depends on the worker count, and each block's result is
-its own, so no pass's result does either.
+in another order, so a row's bits would depend on the layout. The layout
+depends on the row count and width alone, never on a worker count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import thread_count
 from .errors import (CapacityExceeded, InsufficientMemory, NonUnitDirection, OverlappingSpheres,
                      RegimeViolation)
 
@@ -274,38 +268,6 @@ def row_blocks(n: int, width: int | None = None, min_rows: int = 2):
     if len(blocks) > 1 and blocks[-1][0] == n - 1:
         blocks[-2:] = [(blocks[-2][0], n)]
     return blocks
-
-
-def row_block_pass(body, blocks):
-    """Apply body to each row block (i0, i1) of blocks on thread_count()
-    threads, the caller's among them; return its results in block order.
-
-    body(i0, i1) handles rows i0:i1. The blocks are dealt round-robin to the
-    workers, for a body bound by arithmetic (numpy releases the GIL inside
-    ufunc loops); body must not depend on the order in which blocks run. An
-    exception raised by body is raised here once every worker has stopped,
-    the first worker's first.
-    """
-    workers = min(thread_count(), len(blocks))
-    results = [None] * len(blocks)
-    errors = [None] * workers
-
-    def run(w):
-        try:
-            results[w::workers] = [body(i0, i1) for i0, i1 in blocks[w::workers]]
-        except BaseException as exc:  # re-raised below, in the caller's thread
-            errors[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)  # the caller's thread is worker 0
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def pair_distances(xyz: np.ndarray, i0: int, i1: int, j0: int, out: np.ndarray,

@@ -211,15 +211,15 @@ def _interleaved_orders(L: int) -> np.ndarray:
 def _admitted_bytes(M: int, L: int):
     """(operator, workspace) bytes, as assemble_bie admits them: per sphere
     pair E = (L+1)(L+2)(2L+3)/6 coaxial entries, its two sphere indices and
-    two phase rows, and per unknown D, t, o and the right-hand side; then the
-    Gaunt table with its quadrature, Delta, and eight complex arrays of a
-    block of pairs, (L+1)^3 entries per pair. Those hold assembly's
-    temporaries and the product's buffers (_buffers): 8(L+1)^2 <= 8(E+1)
-    entries for each of a block's PAIR_BLOCK // (E+1) pairs (at least 2), and
-    2(L+1)(2L+1) per sphere."""
+    two phase rows, and per unknown D, t, o and the right-hand side; then each
+    pair's offset and distance, the Gaunt table with its quadrature, Delta,
+    and eight complex arrays of a block of pairs, (L+1)^3 entries per pair.
+    Those hold assembly's temporaries and the product's buffers (_buffers):
+    8(L+1)^2 <= 8(E+1) entries for each of a block's PAIR_BLOCK // (E+1)
+    pairs (at least 2), and 2(L+1)(2L+1) per sphere."""
     E, pairs, width = (L + 1) * (L + 2) * (2 * L + 3) // 6, M * (M - 1) // 2, (L + 1) ** 3
     return (16 * pairs * (E + 1 + 2 * (2 * L + 1)) + 64 * M * n_coeffs(L),
-            48 * (2 * L + 1) * E + 24 * (L + 1) * (2 * L + 3) ** 2
+            32 * pairs + 48 * (2 * L + 1) * E + 24 * (L + 1) * (2 * L + 3) ** 2
             + 128 * min(pairs * width, max(PAIR_BLOCK, width)))
 
 
@@ -258,10 +258,13 @@ class _BieOperator:
     indices. U = diag(i^-m) Delta^T diag(e^{-ik theta}) Delta diag(i^m e^{im phi})
     rotates d to the z-axis, and (S|R)(d) = U^H Coax(|d|) U, where diag(i^-m)
     commutes with Coax and drops out. The factors t, o, P of the blocks depend
-    on l only and are applied per sphere. One pass over the blocks of
-    row_blocks(pairs, width=E + 1) makes each block's coaxial entries and
-    phases, its share of the certificate q = ||C D^-1||_F (inf where D has a
-    zero), and its runs of one gap, and the product walks those blocks.
+    on l only and are applied per sphere. Every pair's offset and distance
+    come first, and h_2L at the closest pair, the first to overflow, is
+    checked before the Gaunt table and Delta are built. One pass over the
+    blocks of row_blocks(pairs, width=E + 1) makes each block's coaxial
+    entries and phases, its share of the certificate q = ||C D^-1||_F (inf
+    where D has a zero), and its runs of one gap, and the product walks
+    those blocks.
 
     The product's layout is (l, m, column, pair), m in _interleaved_orders
     (see the module docstring). Coax multiplies, for each (|m|, l'), the rows
@@ -274,6 +277,13 @@ class _BieOperator:
                  trace: np.ndarray, outgoing: np.ndarray):
         """diagonal, trace and outgoing are per sphere and degree, (M, L + 1)."""
         M, nc, K = len(centers), n_coeffs(L), 2 * L + 1
+        counts = np.arange(M - 1, 0, -1)  # pairs of gap j - m = 1..M-1
+        first = np.arange(M * (M - 1) // 2) - np.repeat(np.cumsum(counts) - counts, counts)
+        second = first + np.repeat(np.arange(1, M), counts)
+        offsets = centers[first] - centers[second]
+        distances = np.linalg.norm(offsets, axis=1)
+        if M > 1:  # h_2L overflows first at the closest pair: find out before the tables
+            _hankel(2 * L, kappa * distances.min())
         table, (el, elp, em) = _coaxial_table(L)
         orders = _interleaved_orders(L)
         delta = _rotation_factor(L)
@@ -284,9 +294,6 @@ class _BieOperator:
         self._trace, self._outgoing = _per_degree(trace, L), _per_degree(outgoing, L)
         ls, ms = _degrees_orders(L)
         self._rows = (ls, 2 * np.abs(ms) - (ms > 0))  # (l, m) -> (l, position of m)
-        counts = np.arange(M - 1, 0, -1)  # pairs of gap j - m = 1..M-1
-        first = np.arange(M * (M - 1) // 2) - np.repeat(np.cumsum(counts) - counts, counts)
-        second = first + np.repeat(np.arange(1, M), counts)
         self._pairs = first, second
         E = table.shape[1]
         self._coax = np.empty((E, len(first)), dtype=complex)
@@ -301,8 +308,7 @@ class _BieOperator:
         q2, self._blocks = 0.0, []
         for p0, p1 in row_blocks(len(first), width=E + 1):
             m, j = first[p0:p1], second[p0:p1]
-            d = centers[m] - centers[j]
-            dist = np.linalg.norm(d, axis=1)
+            d, dist = offsets[p0:p1], distances[p0:p1]
             coax = _hankel(2 * L, kappa * dist) @ table
             if not np.all(np.isfinite(coax)):  # a finite h_2L times the table may not be
                 raise _overflow(2 * L, kappa * dist)

@@ -174,10 +174,30 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run(["compare", cloud, "--variant", "spherical", "--oracle", "bie",
                         "--L", L, "--kappa", kappa, "--out", tmp_path / "x"]) == 3
-        oracle._coaxial_table.cache_clear()  # L = 60's table takes 75 MB
         captured = capsys.readouterr()
         assert captured.err.startswith("error: spherical_yn overflows by degree ")
         assert "lower L or raise kappa for the boundary-integral oracle" in captured.err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_bie_overflow_is_3_before_the_tables(self, tmp_path):
+        """compare_bie's cloud at L = 60: h_120 overflows at the closest pair,
+        which the oracle checks before it builds the Gaunt table (75 MB), so
+        the process exits 3 at a peak RSS below 100 MB."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.04, s=1.0, lambda0="-1",
+                            extra=["--Mmax", 0.32, "--jitter", 0.3, "--seed", 1])) == 0
+        argv = ["compare", str(cloud), "--variant", "spherical", "--oracle", "bie", "--L",
+                "60", "--directions", "8", "--out", str(tmp_path / "x")]
+        code = ("import resource; from foldylax.cli import main; "
+                f"code = main({argv!r}); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); raise SystemExit(code)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, FOLDYLAX_THREADS="1", PYTHONPATH=src),
+                              timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: spherical_yn overflows by degree 120 ")
+        assert int(proc.stdout.split()[-1]) < 100 * 1024  # KiB
         assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("a, s, m_max, name", [
@@ -388,7 +408,7 @@ class TestExitCodes:
         assert run(["compare", cloud, "--oracle", "bie",
                     "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
-            "error: N = 67600 at L = 12 needs 1081 MiB for the boundary-integral operator "
+            "error: N = 67600 at L = 12 needs 1084 MiB for the boundary-integral operator "
             "and its workspace; 512 MiB available\n")
 
     def test_insufficient_memory_is_4(self, tmp_path, monkeypatch, capsys):

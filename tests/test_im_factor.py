@@ -198,17 +198,17 @@ def test_certificate_matches_the_dense_scan():
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """The real strips, H, each worker's one float buffer of one row
-    sub-block (FILL_BLOCK entries), the scratch of one block of H (an
-    eighth of its rows, at least STRIP_ROWS, by (L+1)^2 + 16 columns) and at
-    most 256 KiB per worker besides."""
+    """The real strips, H, each worker's one scratch (max(FILL_BLOCK, M)
+    floats), the scratch of one block of H (an eighth of its rows, at least
+    STRIP_ROWS, by (L+1)^2 + 16 columns) and at most 256 KiB per worker
+    besides."""
     cloud = compact_cloud()
     wave = wave_at(cloud, 1.0)
     blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         workers = min(threads, len(blocks))
-        scratch = workers * 8 * foldy.FILL_BLOCK
+        scratch = workers * 8 * max(foldy.FILL_BLOCK, M)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -437,10 +437,11 @@ class TestPackedStore:
         assert system.matrix.q == pytest.approx(q, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("a, m_max, L", [(0.01, 0.2, 6), (0.04, 0.32, 12)])
-    def test_product_allocates_order_n(self, a, m_max, L):
+    def test_product_allocates_order_n(self, monkeypatch, a, m_max, L):
         """sweep_rate's M = 20 at L = 6 and compare_bie's cloud: a product
         allocates at most 8 vectors of length N, since its work buffers come
-        with the operator, and it leaves numpy's ufunc buffer size as it was."""
+        with the operator, and it leaves numpy's ufunc buffer size as it was,
+        also where it raises."""
         A = assemble_bie(grid_spheres(a, m_max, 1), make_wave(), L=L).matrix
         x = np.exp(0.37j * np.arange(A.shape[0]))
         A @ x  # first-use allocations land outside the window
@@ -452,6 +453,15 @@ class TestPackedStore:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 8 * A.shape[0]
+        assert np.getbufsize() == bufsize
+
+        def translate(*args):
+            assert np.getbufsize() == oracle.UFUNC_BUFSIZE
+            raise ValueError("translate")
+
+        monkeypatch.setattr(A, "_translate", translate)
+        with pytest.raises(ValueError, match="translate"):
+            A @ x
         assert np.getbufsize() == bufsize
 
     def test_solve_allocates_order_n_beyond_the_store(self):

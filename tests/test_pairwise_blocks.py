@@ -315,15 +315,14 @@ def test_certificate_stats_of_small_systems():
 
 
 def test_assemble_peak_is_matrix_plus_scratch(monkeypatch):
-    """No per-strip temporaries: the packed B, each worker's scratch (one float
-    buffer of one row sub-block, FILL_BLOCK entries) and at most 256 KiB per
-    worker besides."""
+    """No per-strip temporaries: the packed B, each worker's one scratch
+    (max(FILL_BLOCK, M) floats) and at most 256 KiB per worker besides."""
     cloud = mixed_radii_cloud()
     blocks = row_blocks(M)
     for threads in THREADS:
         monkeypatch.setenv("FOLDYLAX_THREADS", str(threads))
         workers = min(threads, len(blocks))
-        scratch = workers * 8 * foldy.FILL_BLOCK
+        scratch = workers * 8 * max(foldy.FILL_BLOCK, M)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -453,28 +452,56 @@ def test_thread_count_defaults_to_the_cpus_available(monkeypatch):
             thread_count()
 
 
-@pytest.mark.parametrize("raising, raised", [((1,), 1), ((0, 1), 0)],
+@pytest.mark.parametrize("raising, raised", [((262,), 262), ((0, 262), 0)],
                          ids=["worker 1", "workers 0 and 1"])
-def test_row_block_pass_raises_a_workers_exception(monkeypatch, raising, raised):
-    """A worker's exception is raised in the caller once every worker has
-    stopped, worker 0's first, and no worker thread is left running."""
+def test_fill_raises_a_workers_exception(monkeypatch, raising, raised):
+    """A fill worker's exception is raised by assemble once every worker has
+    stopped, worker 0's first, and no worker thread is left running. M = 500
+    on two threads has two strips, rows 0:262 and 262:500, one per worker."""
     monkeypatch.setenv("FOLDYLAX_THREADS", "2")
+    cloud = mixed_radii_cloud(500)
+    assert row_blocks(500, min_rows=foldy.STRIP_ROWS) == [(0, 262), (262, 500)]
     started = threading.active_count()
     worker_1_ran = threading.Event()
 
-    def body(i0, i1):  # two one-row blocks: worker w runs block (w, w + 1)
-        if i0 == 1:
+    def pair_distances(xyz, i0, i1, j0, out, tmp):  # j0 is the strip's first row
+        if j0 == 262:
             worker_1_ran.set()
         else:
             assert worker_1_ran.wait(10)
-        if i0 in raising:
-            raise ValueError(i0)
-        return i0
+        if j0 in raising:
+            raise ValueError(j0)
+        return geometry.pair_distances(xyz, i0, i1, j0, out, tmp)
 
+    monkeypatch.setattr(foldy, "pair_distances", pair_distances)
     with pytest.raises(ValueError) as info:
-        geometry.row_block_pass(body, [(0, 1), (1, 2)])
+        assemble(cloud, make_wave(), "general")
     assert info.value.args == (raised,)
     assert threading.active_count() == started
+
+
+def test_each_fill_worker_keeps_one_scratch(monkeypatch):
+    """M = 2500 on two threads: every sub-block of every strip is computed in
+    its worker's one scratch, so at most two buffers appear. M = 8's scratch
+    holds no more than B's 64 entries: a freed buffer of FILL_BLOCK floats
+    would raise malloc's mmap threshold for the rest of the run."""
+    monkeypatch.setenv("FOLDYLAX_THREADS", "2")
+    rg = RegimeParams(a=0.02, s=2.0, t=1.0, beta=0.0, lambda0=-0.5)
+    cloud = generate_grid_cloud(rg, box_side=math.inf)
+    assert cloud.M == 2500
+    bases = []  # kept alive, so that no two buffers share an id
+
+    def pair_distances(xyz, i0, i1, j0, out, tmp):
+        bases.append(tmp.base)
+        return geometry.pair_distances(xyz, i0, i1, j0, out, tmp)
+
+    monkeypatch.setattr(foldy, "pair_distances", pair_distances)
+    assemble(cloud, make_wave(), "general")
+    assert len(bases) > len(row_blocks(2500, min_rows=foldy.STRIP_ROWS))
+    assert len({id(base) for base in bases}) <= 2
+    bases.clear()
+    assemble(lattice_cloud((2, 2, 2)), make_wave(kappa=2.0), "general")
+    assert bases and all(base.size <= 64 for base in bases)
 
 
 def test_report_read_off_the_matrix_matches_distance_formulas():
