@@ -24,7 +24,6 @@ _EXPORTS = {
     "SphereSpectra": "oracle", "sphere_operator_spectra": "oracle",
     "BieSystem": "oracle", "assemble_bie": "oracle", "solve_bie": "oracle",
     "bie_farfield": "oracle",
-    "mie_reference": "oracle",
     # analysis
     "OracleSettings": "analysis", "RateFit": "analysis", "fit_rate": "analysis",
     "farfield_error": "analysis", "convergence_study": "analysis",

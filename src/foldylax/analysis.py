@@ -1,5 +1,10 @@
 """Far-field comparison and convergence-rate studies.
 
+The reference is the boundary-integral (BIE) solver at every M, which
+acceptance criterion 8 pins to the modal (Mie) series at M = 1. Each
+comparison checks its degree L against a second solve at L - 2
+(_truncation_check).
+
 The error metric is the sup norm over a shared direction grid. Rates are
 fitted by least squares on (log a, log error); errors at or below the noise
 floor, 1e-11 of the reference far field's max|U_ref|, are excluded from the
@@ -13,19 +18,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, RateUndetermined
+from .errors import GridMismatch, RateUndetermined, SeriesNotConverged
 from .foldy import FarFieldGrid, Variant, assemble, farfield, solve
-from .geometry import (IncidentWave, RegimeParams, ScattererCloud, _require_spheres,
-                       generate_grid_cloud)
-from .kernels import farfield_kernel, fibonacci_sphere, plane_wave
-from .oracle import (DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, mie_reference,
-                     solve_bie)
+from .geometry import IncidentWave, RegimeParams, ScattererCloud, generate_grid_cloud
+from .kernels import fibonacci_sphere
+from .oracle import DEFAULT_L, DEFAULT_QUAD_ORDER, assemble_bie, bie_farfield, solve_bie
 
 NOISE_FLOOR = 1e-11  # relative to max|U_ref|
+TRUNCATION_TOL = 1e-3  # tau, relative to the error it may reach
 
 
 def farfield_error(grid_a: FarFieldGrid, grid_b: FarFieldGrid) -> float:
@@ -98,25 +103,23 @@ def predicted_slope(regime: RegimeParams, variant: Variant | str) -> float:
 
 @dataclass(frozen=True)
 class OracleSettings:
-    """Which reference far field to compare against, and at what resolution.
+    """Which reference far field to compare against, and at what resolution:
+    'bie', the coupled boundary-integral solver at degree L >= 2, checked
+    against a second solve at L - 2, or 'fl', the point-scatterer solution
+    itself (zero error, a plumbing check). quad_order >= 1 changes no result."""
 
-    kind 'auto' selects the separation-of-variables reference for M = 1 and
-    the coupled boundary-integral solver otherwise; 'fl' echoes the
-    point-scatterer solution itself (exact zero error, a plumbing check).
-    Its blocks are exact, so quad_order only has to be >= 1; it does not
-    change the result.
-    """
-
-    kind: str = "auto"
+    kind: str = "bie"
     L: int = DEFAULT_L
     quad_order: int = DEFAULT_QUAD_ORDER
     n_directions: int = 200
 
     def __post_init__(self):
-        if self.kind not in ("auto", "mie", "bie", "fl"):
-            raise ValueError("oracle kind must be auto|mie|bie|fl")
-        if self.L < 0:
-            raise ValueError("oracle degree L must be >= 0")
+        if self.kind not in ("bie", "fl"):
+            raise ValueError("oracle kind must be bie|fl")
+        if self.L < 2:
+            raise ValueError("oracle degree L must be >= 2")
+        if self.quad_order < 1:
+            raise ValueError("quadrature order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,7 @@ class StudyRecord:
 class ConvergenceStudy:
     records: tuple
     fit: RateFit
+    tau_ratio: float  # the largest of the rows' tau over what it was checked against
 
 
 def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
@@ -142,31 +146,38 @@ def oracle_farfield(cloud: ScattererCloud, wave: IncidentWave, directions,
 
     Returns (grid, residual_bie, coefficients), coefficients the BIE
     solution's (M, (L+1)^2) array; residual is nan and coefficients None for
-    the analytic routes. For an off-origin single sphere the
-    separation-of-variables reference is translated exactly, by plane_wave
-    and farfield_kernel: Uinf -> e^{i kappa theta.z} e^{-i kappa xhat.z} Uinf.
+    the 'fl' echo.
     """
-    kind = settings.kind
-    if kind == "auto":
-        kind = "mie" if cloud.M == 1 else "bie"
-    if kind == "fl":
+    if settings.kind == "fl":
         if fl_grid is None:
             raise ValueError("oracle 'fl' needs the point-scatterer grid")
         return fl_grid, float("nan"), None
-    if kind == "mie":
-        if cloud.M != 1:
-            raise ValueError("separation-of-variables oracle requires M = 1")
-        _require_spheres(cloud, "separation-of-variables oracle")
-        grid = mie_reference(wave, float(cloud.radii[0]), complex(cloud.impedances[0]),
-                             directions, L=settings.L)
-        z = cloud.centers[0]
-        if np.any(z != 0.0):
-            grid = dataclasses.replace(grid, values=grid.values * (
-                plane_wave(wave.kappa, wave.theta, z) * farfield_kernel(wave.kappa, directions, z)))
-        return grid, float("nan"), None
     sol = solve_bie(assemble_bie(cloud, wave, L=settings.L,
                                  quad_order=settings.quad_order))
     return bie_farfield(sol, directions), sol.residual_inf, sol.coefficients
+
+
+def _truncation_check(cloud: ScattererCloud, ref_grid: FarFieldGrid, error: float,
+                      settings: OracleSettings, row: str):
+    """(tau, tau / reach): tau = max over the grid of |U_L - U_{L-2}|, the BIE
+    far field ref_grid against a second solve at L - 2, an estimate of the
+    truncation error, not a bound; reach = max(error, NOISE_FLOOR * max|U_ref|).
+    Raises SeriesNotConverged, naming row, where tau > TRUNCATION_TOL * reach.
+    Both are nan for the 'fl' echo, which has no degree."""
+    if settings.kind == "fl":
+        return float("nan"), float("nan")
+    with warnings.catch_warnings():  # the solve at L has warned about this cloud
+        warnings.simplefilter("ignore")
+        coarse = solve_bie(assemble_bie(cloud, ref_grid.wave, L=settings.L - 2,
+                                        quad_order=settings.quad_order))
+    tau = float(np.max(np.abs(ref_grid.values - bie_farfield(coarse, ref_grid.directions).values)))
+    reach = max(error, NOISE_FLOOR * float(np.max(np.abs(ref_grid.values))))
+    if tau > TRUNCATION_TOL * reach:  # then tau > TRUNCATION_TOL * error too
+        raise SeriesNotConverged(
+            f"{row}: the boundary-integral oracle at L = {settings.L} is too coarse: its "
+            f"truncation estimate tau = max|U_L - U_(L-2)| = {tau:.3e} exceeds "
+            f"{TRUNCATION_TOL:g} of the error {error:.3e}; raise L")
+    return tau, tau / reach if tau else 0.0
 
 
 def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
@@ -186,18 +197,19 @@ def convergence_study(template: RegimeParams, a_values, wave: IncidentWave,
         raise ValueError("a_values must be strictly decreasing, length >= 3")
     variant = Variant(variant)
     directions = fibonacci_sphere(settings.n_directions)
-    records, scales = [], []
+    records, scales, ratios = [], [], []
     for regime in [dataclasses.replace(template, a=a) for a in a_values]:
         cloud = generate_grid_cloud(regime, box_side=box_side, jitter=jitter, seed=seed)
         fl_sol = solve(assemble(cloud, wave, variant))
         fl_grid = farfield(fl_sol, directions)
         ref_grid, res_bie, _ = oracle_farfield(cloud, wave, directions, settings, fl_grid)
-        records.append(StudyRecord(a=regime.a, M=cloud.M, d=cloud.d_eff,
-                                   error=farfield_error(fl_grid, ref_grid),
+        error = farfield_error(fl_grid, ref_grid)
+        ratios.append(_truncation_check(cloud, ref_grid, error, settings, f"a={regime.a:g}")[1])
+        records.append(StudyRecord(a=regime.a, M=cloud.M, d=cloud.d_eff, error=error,
                                    residual_fl=fl_sol.residual_inf,
                                    residual_bie=res_bie))
         scales.append(float(np.max(np.abs(ref_grid.values))))
     fit = fit_rate([r.a for r in records], [r.error for r in records],
                    predicted_slope(template, variant), scales)
-    return ConvergenceStudy(records=tuple(records), fit=fit)
+    return ConvergenceStudy(records=tuple(records), fit=fit, tau_ratio=max(ratios))
 

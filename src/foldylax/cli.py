@@ -5,9 +5,10 @@ field for a stored cloud), compare (solve plus reference far field and sup
 error), sweep (convergence study over a radius list).
 
 Exit codes: 0 success, 2 invalid input or regime, 3 numerical failure
-(singular system, unconverged series, a sweep whose rate fit has fewer than
-two errors above the noise floor), 4 too little memory: a memory guard's
-refusal (README.md lists what each admits) or a MemoryError none foresaw.
+(singular system, overflowing series, too coarse an oracle degree L, a sweep
+whose rate fit has fewer than two errors above the noise floor), 4 too little
+memory: a memory guard's refusal (README.md lists what each admits) or a
+MemoryError none foresaw.
 
 numpy's BLAS runs on one thread, whatever FOLDYLAX_THREADS is and whatever
 the caller exported: its level-2 products are too small to split, and one
@@ -137,9 +138,10 @@ def _add_wave_flags(p):
 
 
 def _add_oracle_flags(p):
-    p.add_argument("--oracle", choices=("auto", "mie", "bie", "fl"), default="auto",
-                   help="reference solver (default auto)")
-    p.add_argument("--L", type=int, default=12, help="harmonic truncation degree")
+    p.add_argument("--oracle", choices=("bie", "fl"), default="bie",
+                   help="reference solver (default bie)")
+    p.add_argument("--L", type=int, default=12,
+                   help="harmonic truncation degree, >= 2: checked against a solve at L-2")
     p.add_argument("--quad-order", type=int, default=24,
                    help="surface quadrature order, >= 1 (the BIE oracle's "
                         "blocks are exact and ignore it)")
@@ -226,8 +228,9 @@ def _solve_cloud(args, cloud):
     from .geometry import IncidentWave
     from .kernels import fibonacci_sphere
     wave = IncidentWave(kappa=args.kappa, theta=np.array(args.theta))
+    directions = fibonacci_sphere(args.directions)  # refused before any assembly
     sol = foldy.solve(foldy.assemble(cloud, wave, args.variant))
-    return sol, foldy.farfield(sol, fibonacci_sphere(args.directions))
+    return sol, foldy.farfield(sol, directions)
 
 
 def _cmd_solve(args) -> int:
@@ -262,6 +265,7 @@ def _cmd_compare(args) -> int:
     ref_grid, res_bie, coefficients = analysis.oracle_farfield(
         cloud, fl_grid.wave, fl_grid.directions, settings, fl_grid)
     err = analysis.farfield_error(fl_grid, ref_grid)
+    tau, _ = analysis._truncation_check(cloud, ref_grid, err, settings, args.cloud)
     comments = _config_comments(
         args, ["cloud", "kappa", "theta", "variant", "directions",
                "oracle", "L", "quad-order"])
@@ -272,7 +276,7 @@ def _cmd_compare(args) -> int:
     if coefficients is not None:
         io.write_density_csv(args.out + "_density.csv", coefficients, comments)
     print(f"sup_error={err:.17g} residual_fl={sol.residual_inf:.3e} "
-          f"residual_oracle={res_bie:.3e}")
+          f"residual_oracle={res_bie:.3e} tau={tau:.3e}")
     return EXIT_OK
 
 
@@ -294,7 +298,7 @@ def _cmd_sweep(args) -> int:
                     residual_bie=r.residual_bie) for r in study.records]
     io.write_study_csv(args.out, records, study.fit, comments)
     print(f"slope={study.fit.slope:.4f} predicted={study.fit.predicted_slope:g} "
-          f"r2={study.fit.r_squared:.6f} wrote {args.out}")
+          f"r2={study.fit.r_squared:.6f} tau_ratio={study.tau_ratio:.3e} wrote {args.out}")
     return EXIT_OK
 
 

@@ -47,8 +47,8 @@ class ResonanceGuard(FoldylaxError, ValueError):
 
 
 class SeriesNotConverged(FoldylaxError, ArithmeticError):
-    """Truncated series failed its tail-magnitude convergence check, or its
-    terms overflow."""
+    """A reference too coarse for its degree by its truncation estimate, or
+    series terms that overflow."""
 
 
 class RateUndetermined(FoldylaxError, ArithmeticError):

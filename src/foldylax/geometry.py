@@ -178,8 +178,8 @@ class ScattererCloud:
     so assembly meets only distinct centers. areas defaults to 4*pi*r^2;
     passing it explicitly, as normal floats (a subnormal one has lost digits),
     marks the obstacles as general shapes with known |dD_m|, which the general
-    coefficient variant can use but the spherical variant and the two oracles,
-    the boundary-integral and the modal series, cannot (_require_spheres).
+    coefficient variant can use but the spherical variant and the
+    boundary-integral oracle cannot (_require_spheres).
     """
 
     centers: np.ndarray

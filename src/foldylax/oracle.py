@@ -40,8 +40,8 @@ they expand is
                  sum_{l,m'} (-i)^l j_l(kappa r_m) c^{(m)}_{lm'} Y_lm'(xhat),
 
 matching the e^{i kappa r}/(4 pi r) normalization used everywhere else.
-A separation-of-variables reference for one sphere (mie_reference) lives
-here too.
+It is the reference of every comparison; at M = 1 it is the
+separation-of-variables (Mie) series, to which acceptance criterion 8 pins it.
 
 The self blocks are diagonal, so A = D + C with D = diag(A). A is never
 stored: a sphere pair keeps its coaxial block and direction phases
@@ -75,8 +75,8 @@ import numpy as np
 
 from .errors import ResonanceGuard, SeriesNotConverged
 from .foldy import FarFieldGrid, _certified_solve
-from .geometry import (PAIR_BLOCK, UNIT_TOL, IncidentWave, ScattererCloud, _require_memory,
-                       _require_spheres, _require_unit, row_blocks)
+from .geometry import (PAIR_BLOCK, IncidentWave, ScattererCloud, _require_memory,
+                       _require_spheres, row_blocks)
 from .kernels import farfield_kernel, plane_wave
 from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legendre_p, n_coeffs,
                         spherical_jn, spherical_yn, unit_angles)
@@ -84,7 +84,6 @@ from .spherical import (_degrees_orders, gauss_legendre, harmonic_matrix, legend
 BIE_RESIDUAL_TOL = 1e-9
 DEFAULT_L = 12
 DEFAULT_QUAD_ORDER = 24
-SERIES_TAIL_TOL = 1e-12
 UFUNC_BUFSIZE = 64  # numpy's ufunc buffer, in elements, during a BIE product
 # interior-resonance guard: diameter * kappa below (4 pi / 3)^(1/3) * pi,
 # which keeps kappa*r safely under the first Dirichlet sphere resonance pi
@@ -556,42 +555,5 @@ def bie_farfield(solution: BieSolution, directions: np.ndarray) -> FarFieldGrid:
         for phase, w in zip(farfield_kernel(wave.kappa, xhat, cloud.centers).T, weighted):
             values[d0:d1] += phase * (Yd @ w)
         del Yd  # before the next block's harmonics are computed
-    return FarFieldGrid(directions=directions, values=values, wave=wave)
-
-
-def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
-                  directions: np.ndarray, L: int = DEFAULT_L) -> FarFieldGrid:
-    """Separation-of-variables far field for one impedance sphere at the origin.
-
-    Uinf(xhat) = (-4*pi*i/kappa) * sum_l (2l+1) a_l P_l(xhat.theta) with
-    a_l = -(kappa j_l'(z) + lambda j_l(z)) / (kappa h_l'(z) + lambda h_l(z)),
-    z = kappa*radius.
-
-    Raises:
-        SeriesNotConverged: the degree-L tail is above 1e-12 of the result,
-            or a modal denominator vanished.
-    """
-    kappa = wave.kappa
-    if radius <= 0 or L < 0:
-        raise ValueError("need radius > 0, L >= 0")
-    directions = np.asarray(directions, dtype=float).reshape(-1, 3)
-    _require_unit(directions, UNIT_TOL)  # first: a NaN direction would fail the series check
-    z = kappa * radius
-    j = spherical_jn(L, z)
-    jp = spherical_jn(L, z, derivative=True)
-    h = _hankel(L, z)
-    hp = _hankel(L, z, derivative=True)
-    denom = kappa * hp + impedance * h
-    if np.any(np.abs(denom) == 0) or not np.all(np.isfinite(denom)):
-        raise SeriesNotConverged("modal denominator vanished (impedance resonance)")
-    a_l = -(kappa * jp + impedance * j) / denom
-    mu = np.clip(directions @ wave.theta, -1.0, 1.0)
-    values = legendre_p(L, mu) @ ((2 * np.arange(L + 1) + 1) * a_l)
-    values *= -4j * np.pi / kappa
-    tail = float((2 * L + 1) * abs(a_l[L]) * 4.0 * np.pi / kappa)
-    ref = float(np.max(np.abs(values)))
-    if not np.isfinite(ref) or tail > SERIES_TAIL_TOL * max(ref, 1e-300):
-        raise SeriesNotConverged(
-            f"degree-{L} tail {tail:g} above {SERIES_TAIL_TOL:g} of |Uinf| ~ {ref:g}")
     return FarFieldGrid(directions=directions, values=values, wave=wave)
 

@@ -1,14 +1,21 @@
 """Brute-force quadrature references that the closed forms in foldylax.oracle
-are checked against, and the energy identity that far fields are checked
-against. Written independently of the package's formulas."""
+are checked against, the separation-of-variables (Mie) far field of one
+sphere that the boundary-integral solver is checked against at M = 1, and
+the energy identity that far fields are checked against. Written
+independently of the package's formulas."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from foldylax.spherical import harmonic_matrix, sphere_quadrature
+from foldylax.errors import SeriesNotConverged
+from foldylax.foldy import FarFieldGrid
+from foldylax.geometry import UNIT_TOL, IncidentWave, _require_unit
+from foldylax.oracle import DEFAULT_L, _hankel
+from foldylax.spherical import harmonic_matrix, legendre_p, sphere_quadrature, spherical_jn
 
 CHUNK = 512
+SERIES_TAIL_TOL = 1e-12
 
 
 def coupling_block(kappa, lam_m, center_m, radius_m, center_j, radius_j, L, order):
@@ -131,3 +138,41 @@ def optical_theorem_residual(evaluate, wave, quad_order: int = 32) -> OpticalThe
     forward = complex(np.asarray(evaluate(wave.theta.reshape(1, 3))).reshape(()))
     extinction = float(16.0 * np.pi**2 / wave.kappa * forward.imag)
     return OpticalTheoremCheck(scattered=scattered, extinction=extinction)
+
+
+def mie_reference(wave: IncidentWave, radius: float, impedance: complex,
+                  directions: np.ndarray, L: int = DEFAULT_L) -> FarFieldGrid:
+    """Separation-of-variables far field for one impedance sphere at the origin.
+
+    Uinf(xhat) = (-4*pi*i/kappa) * sum_l (2l+1) a_l P_l(xhat.theta) with
+    a_l = -(kappa j_l'(z) + lambda j_l(z)) / (kappa h_l'(z) + lambda h_l(z)),
+    z = kappa*radius.
+
+    Raises:
+        SeriesNotConverged: the degree-L tail is above 1e-12 of the result,
+            or a modal denominator vanished.
+    """
+    kappa = wave.kappa
+    if radius <= 0 or L < 0:
+        raise ValueError("need radius > 0, L >= 0")
+    directions = np.asarray(directions, dtype=float).reshape(-1, 3)
+    _require_unit(directions, UNIT_TOL)  # first: a NaN direction would fail the series check
+    z = kappa * radius
+    j = spherical_jn(L, z)
+    jp = spherical_jn(L, z, derivative=True)
+    h = _hankel(L, z)
+    hp = _hankel(L, z, derivative=True)
+    denom = kappa * hp + impedance * h
+    if np.any(np.abs(denom) == 0) or not np.all(np.isfinite(denom)):
+        raise SeriesNotConverged("modal denominator vanished (impedance resonance)")
+    a_l = -(kappa * jp + impedance * j) / denom
+    mu = np.clip(directions @ wave.theta, -1.0, 1.0)
+    values = legendre_p(L, mu) @ ((2 * np.arange(L + 1) + 1) * a_l)
+    values *= -4j * np.pi / kappa
+    tail = float((2 * L + 1) * abs(a_l[L]) * 4.0 * np.pi / kappa)
+    ref = float(np.max(np.abs(values)))
+    if not np.isfinite(ref) or tail > SERIES_TAIL_TOL * max(ref, 1e-300):
+        raise SeriesNotConverged(
+            f"degree-{L} tail {tail:g} above {SERIES_TAIL_TOL:g} of |Uinf| ~ {ref:g}")
+    return FarFieldGrid(directions=directions, values=values, wave=wave)
+

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldylax import (FarFieldGrid, GridMismatch, InvertibilityReport, OracleSettings,
-                      RegimeParams, assemble, convergence_study, farfield, farfield_error,
-                      fit_rate, generate_grid_cloud, oracle_farfield, predicted_slope, solve)
-from foldylax.errors import RateUndetermined
+                      RegimeParams, assemble, assemble_bie, bie_farfield, convergence_study,
+                      farfield, farfield_error, farfield_kernel, fit_rate, generate_grid_cloud,
+                      oracle_farfield, plane_wave, predicted_slope, solve, solve_bie)
+from foldylax.errors import RateUndetermined, SeriesNotConverged
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import WatchedMatrix, charge_bound_check, make_cloud, make_wave
+from quadrature_oracles import mie_reference
 
 
 def grid_of(values, wave, n=None):
@@ -149,31 +151,32 @@ class TestPredictedSlope:
 
 class TestOracleFarfield:
     def test_auto_dispatch(self, wave):
+        """The default oracle, the BIE, serves every M: one sphere gets its
+        residual and densities as a pair does."""
         dirs = fibonacci_sphere(16)
-        single = make_cloud([[0, 0, 0]], 0.05, -1.0)
-        _, res, dens = oracle_farfield(single, wave, dirs,
-                                       OracleSettings(L=6, quad_order=12))
-        assert math.isnan(res) and dens is None
-        pair = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
-        _, res2, dens2 = oracle_farfield(pair, wave, dirs,
-                                         OracleSettings(L=6, quad_order=12))
-        assert res2 <= 1e-9 and len(dens2) == 2
+        for centers in ([[0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]):
+            cloud = make_cloud(centers, 0.05, -1.0)
+            _, res, dens = oracle_farfield(cloud, wave, dirs, OracleSettings(L=6, quad_order=12))
+            assert res <= 1e-9 and len(dens) == len(centers)
 
     def test_mie_translates_an_off_origin_sphere(self):
-        """The Mie route's reference, computed at the origin and translated to
-        the sphere's center, agrees with the BIE route solved in place."""
-        single = make_cloud([[0.3, -0.2, 0.5]], 0.05, -2.0 + 0.5j)
+        """The BIE, solved in place off the origin, agrees with the modal
+        series at the origin translated exactly to the sphere's center:
+        Uinf -> e^{i kappa theta.z} e^{-i kappa xhat.z} Uinf."""
+        z, r, lam = np.array([0.3, -0.2, 0.5]), 0.05, -2.0 + 0.5j
         wave = make_wave(kappa=2.0, theta=(0.6, 0.0, 0.8))
         dirs = fibonacci_sphere(32)
-        mie, _, _ = oracle_farfield(single, wave, dirs, OracleSettings(kind="mie", L=12))
-        bie, _, _ = oracle_farfield(single, wave, dirs, OracleSettings(kind="bie", L=12))
-        assert np.max(np.abs(mie.values - bie.values)) < 1e-12 * np.max(np.abs(bie.values))
+        mie = (mie_reference(wave, r, lam, dirs, L=12).values
+               * plane_wave(wave.kappa, wave.theta, z) * farfield_kernel(wave.kappa, dirs, z))
+        bie, _, _ = oracle_farfield(make_cloud([z], r, lam), wave, dirs, OracleSettings(L=12))
+        assert np.max(np.abs(mie - bie.values)) < 1e-12 * np.max(np.abs(bie.values))
 
-    def test_mie_requires_single(self, wave):
-        pair = make_cloud([[0, 0, 0], [0.5, 0, 0]], 0.05, -1.0)
-        with pytest.raises(ValueError):
-            oracle_farfield(pair, wave, fibonacci_sphere(8),
-                            OracleSettings(kind="mie"))
+    def test_mie_requires_single(self):
+        """No kind names the modal series any more, nor auto, which picked it
+        for M = 1: the BIE serves every M."""
+        for kind in ("mie", "auto"):
+            with pytest.raises(ValueError, match="^oracle kind must be bie\\|fl$"):
+                OracleSettings(kind=kind)
 
     def test_fl_echo_needs_grid(self, wave):
         single = make_cloud([[0, 0, 0]], 0.05, -1.0)
@@ -189,6 +192,16 @@ class TestOracleFarfield:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             OracleSettings(kind="exact")
+
+    @pytest.mark.parametrize("kind", ["bie", "fl"])
+    def test_degree_below_two_and_quad_order_below_one_rejected(self, kind):
+        """L < 2 has no L - 2 to check the BIE against."""
+        for L in (-1, 0, 1):
+            with pytest.raises(ValueError, match="^oracle degree L must be >= 2$"):
+                OracleSettings(kind=kind, L=L)
+        with pytest.raises(ValueError, match="^quadrature order must be >= 1$"):
+            OracleSettings(kind=kind, quad_order=0)
+        assert OracleSettings(kind=kind, L=2, quad_order=1).L == 2
 
 
 class TestConvergenceStudy:
@@ -208,6 +221,28 @@ class TestConvergenceStudy:
         assert st_out.fit.slope == pytest.approx(3.0, abs=0.35)
         errs = [r.error for r in st_out.records]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_rows_record_their_truncation_estimate(self, wave):
+        """tau_ratio is the largest of the rows' tau over their errors, tau the
+        max|U_L - U_{L-2}| of the BIE far fields, recomputed here."""
+        rg = RegimeParams(a=0.1, s=0.0, t=1.0, beta=0.0, lambda0=-1.0)
+        dirs = fibonacci_sphere(20)
+        study = convergence_study(rg, [0.2, 0.1, 0.05], wave, "spherical",
+                                  OracleSettings(L=4, n_directions=len(dirs)))
+        ratios = []
+        for r in study.records:
+            cloud = generate_grid_cloud(dataclasses.replace(rg, a=r.a), box_side=math.inf)
+            fine, coarse = (bie_farfield(solve_bie(assemble_bie(cloud, wave, L=L)), dirs).values
+                            for L in (4, 2))
+            ratios.append(np.max(np.abs(fine - coarse)) / r.error)
+        assert 0 < study.tau_ratio == max(ratios) <= 1e-3
+
+    def test_coarse_degree_names_its_row(self, wave):
+        """At L = 2, tau of the first row, a = 0.2, is 0.6 of its error."""
+        rg = RegimeParams(a=0.1, s=0.0, t=1.0, beta=0.0, lambda0=-1.0)
+        with pytest.raises(SeriesNotConverged, match=r"^a=0\.2: .* at L = 2 is too coarse"):
+            convergence_study(rg, [0.2, 0.1, 0.05], wave, "spherical",
+                              OracleSettings(L=2, n_directions=20))
 
     def test_noise_floor_tolerated(self, wave):
         """fl oracle yields exact zeros, below the floor: the rate is

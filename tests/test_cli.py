@@ -91,7 +91,7 @@ REGIME_FLAGS = {"--s": _floats(0, 1), "--t": _floats(0.5, 2), "--beta": _floats(
 WAVE_FLAGS = {"--kappa": _floats(0.1, 6), "--theta": _csv(_floats(-1, 1), 3),
               "--variant": st.sampled_from(["general", "spherical"]),
               "--directions": st.integers(1, 20).map(str)}
-ORACLE_FLAGS = {"--oracle": st.sampled_from(["auto", "mie", "bie", "fl"]),
+ORACLE_FLAGS = {"--oracle": st.sampled_from(["bie", "fl"]),
                 "--L": st.integers(0, 4).map(str), "--quad-order": st.integers(1, 8).map(str)}
 A_VALUES = st.lists(st.floats(0.1, 0.5), min_size=3, max_size=4).map(
     lambda a: ",".join(map(repr, sorted(a, reverse=True))))
@@ -140,6 +140,14 @@ def assert_whole_csv(path):
             cells = line.count(",")
             continue
         assert cells is not None and line.count(",") == cells, (path.name, line)
+
+
+def no_solve(monkeypatch):
+    """Make any Foldy-Lax solve fail the test."""
+    def called(*args, **kwargs):
+        raise AssertionError("the oracle's settings must be checked before the solve")
+    monkeypatch.setattr(foldy, "solve", called)
+    monkeypatch.setattr(analysis, "solve", called)
 
 
 class TestExitCodes:
@@ -252,27 +260,31 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(f"{message}\n")
         assert not out.exists()
 
-    def test_mie_oracle_multi_sphere_is_2(self, tmp_path):
+    def test_mie_oracle_multi_sphere_is_2(self, tmp_path, capsys):
+        """The modal series is no oracle of the CLI's, nor auto, which picked
+        it for M = 1: the BIE serves every M."""
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud, a=0.1)) == 0
-        assert run(["compare", cloud, "--oracle", "mie",
-                    "--out", tmp_path / "x"]) == 2
+        for oracle_kind in ("mie", "auto"):
+            capsys.readouterr()
+            assert exit_code(["compare", cloud, "--oracle", oracle_kind,
+                              "--out", tmp_path / "x"]) == 2
+            assert f"invalid choice: '{oracle_kind}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_oracles_refuse_explicit_areas_is_2(self, tmp_path, capsys):
-        """One obstacle with an explicit area is not a sphere: the modal
-        series, which auto picks for M = 1, refuses it as the BIE does."""
+        """One obstacle with an explicit area is not a sphere: the BIE, the
+        default oracle at every M, refuses it."""
         cloud = tmp_path / "c.json"
         cloud.write_text(json.dumps({"version": "0.1.0", "centers": [[0, 0, 0]], "radii": [0.05],
                                      "impedance_re": [-1], "impedance_im": [0], "regime": None,
                                      "areas": [0.5]}))
-        for oracle, subject in [("auto", "separation-of-variables oracle"),
-                                ("mie", "separation-of-variables oracle"),
-                                ("bie", "boundary-integral oracle")]:
+        for oracle_flag in ([], ["--oracle", "bie"]):
             capsys.readouterr()
-            assert run(["compare", cloud, "--variant", "general", "--oracle", oracle,
+            assert run(["compare", cloud, "--variant", "general", *oracle_flag,
                         "--out", tmp_path / "x"]) == 2
             assert capsys.readouterr().err == (
-                f"error: {subject} requires true spheres (no explicit areas)\n")
+                "error: boundary-integral oracle requires true spheres (no explicit areas)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_subnormal_explicit_area_is_2(self, tmp_path, capsys):
@@ -415,7 +427,8 @@ class TestExitCodes:
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud)) == 0  # M = 400
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 1024)
-        assert run(["solve", cloud, "--out", tmp_path / "x"]) == 4
+        # one direction, 640 bytes, fits; the grid is admitted before the matrix
+        assert run(["solve", cloud, "--directions", 1, "--out", tmp_path / "x"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: M = 400 needs 2 MiB for the matrix") and "Traceback" not in err
         assert not (tmp_path / "x_charges.csv").exists()
@@ -472,6 +485,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "x_charges.csv").exists()
         assert not (tmp_path / "x_farfield.csv").exists()
+
+    @staticmethod
+    def no_assembly(monkeypatch):
+        """Make any Foldy-Lax assembly fail the test."""
+        def called(*args, **kwargs):
+            raise AssertionError("the direction grid must be refused first")
+        monkeypatch.setattr(foldy, "assemble", called)
 
     @staticmethod
     def no_bie_work(monkeypatch):
@@ -552,15 +572,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_directions_without_room_are_4(self, tmp_path, monkeypatch, capsys, command):
         """The direction grid is admitted before it is built, at DIRECTION_BYTES
-        per direction, after the Foldy-Lax matrix and before any CSV."""
+        per direction, before the Foldy-Lax matrix is assembled."""
         cloud = tmp_path / "pair.json"
         save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
         monkeypatch.setattr(geometry, "_available_bytes", lambda: 2**28)
+        self.no_assembly(monkeypatch)
         capsys.readouterr()
         assert run([command, cloud, "--directions", 10**6, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
             "error: a grid of 1000000 directions needs 611 MiB for its far fields and "
             "their CSV text; 256 MiB available\n")
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_no_directions_is_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        cloud = tmp_path / "pair.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0], [0.6, 0, 0]], 0.04, -1.0))
+        self.no_assembly(monkeypatch)
+        capsys.readouterr()
+        assert run([command, cloud, "--directions", 0, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == "error: need at least one direction\n"
         assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("patch", ["", "import foldylax.geometry as g; "
@@ -795,7 +826,7 @@ class TestExitCodes:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=command_lines())
-    @example(argv=["compare", "single.json", "--L=-1"])  # the Mie series at L < 0
+    @example(argv=["compare", "single.json", "--L=1"])  # no L - 2 to check the BIE against
     def test_fuzzed_command_line_is_0_2_3_or_4(self, capsys, tiny_clouds, argv):
         """Random flags of the four subcommands on tiny clouds: the CLI exits
         0, 2, 3 or 4 and prints no traceback. A failed run writes nothing; a
@@ -959,21 +990,54 @@ class TestCompareCommand:
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     def test_negative_L_is_refused_before_the_solve(self, tmp_path, monkeypatch, capsys,
                                                    command):
-        """--L -1 names the oracle's degree, and no Foldy-Lax solve runs first."""
+        """--L -1, 0 and 1 name the oracle's degree, which needs an L - 2 to be
+        checked against, and no Foldy-Lax or BIE work runs first."""
         cloud = tmp_path / "c.json"
         assert run(gen_args(cloud, a=0.1)) == 0
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the oracle's settings must be checked before the solve")
-
-        monkeypatch.setattr(foldy, "solve", no_solve)
-        monkeypatch.setattr(analysis, "solve", no_solve)
+        no_solve(monkeypatch)
+        TestExitCodes.no_bie_work(monkeypatch)
         argv = (["compare", cloud] if command == "compare" else
                 ["sweep", "--a-values", "0.2,0.1,0.05", "--s", 0])
-        capsys.readouterr()
-        assert run([*argv, "--L", -1, "--out", tmp_path / "x"]) == 2
-        assert capsys.readouterr().err == "error: oracle degree L must be >= 0\n"
+        for L in (-1, 0, 1):
+            capsys.readouterr()
+            assert run([*argv, "--L", L, "--out", tmp_path / "x"]) == 2
+            assert capsys.readouterr().err == "error: oracle degree L must be >= 2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_coarse_degree_is_3(self, tmp_path, capsys):
+        """compare_bie's cloud (M = 8): at L = 2 the truncation estimate tau is
+        0.63 of the error, which 1e-3 refuses; at L = 3 it is 1.2e-4."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.04, s=1.0, lambda0="-1",
+                            extra=["--Mmax", 0.32, "--jitter", 0.3, "--seed", 1])) == 0
+        argv = ["compare", cloud, "--variant", "spherical", "--oracle", "bie",
+                "--directions", 50, "--out", tmp_path / "x"]
+        capsys.readouterr()
+        assert run([*argv, "--L", 2]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cloud}: the boundary-integral oracle at L = 2 is too "
+                              "coarse: its truncation estimate tau = max|U_L - U_(L-2)| = ")
+        tau, error = (float(err.split(key)[1].split()[0].rstrip(";"))
+                      for key in (" = max|U_L - U_(L-2)| = ", "of the error "))
+        assert 0.5 < tau / error < 0.8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert run([*argv, "--L", 3]) == 0
+        out = capsys.readouterr().out
+        tau, error = (float(out.split(key)[1].split()[0]) for key in ("tau=", "sup_error="))
+        assert 5e-5 < tau / error < 1e-3
+
+    def test_one_sphere_coarse_degree_is_3(self, tmp_path, capsys):
+        """One sphere (r = 0.05, lambda = -1, kappa = 1) goes through the BIE
+        and its truncation check too: L = 2 exits 3, L = 3 passes."""
+        cloud = tmp_path / "one.json"
+        save_cloud(cloud, make_cloud([[0, 0, 0]], 0.05, -1.0))
+        argv = ["compare", cloud, "--variant", "spherical", "--directions", 16,
+                "--out", tmp_path / "x"]
+        capsys.readouterr()
+        assert run([*argv, "--L", 2]) == 3
+        assert "truncation estimate tau" in capsys.readouterr().err
+        assert run([*argv, "--L", 3]) == 0
+        assert float(capsys.readouterr().out.split("residual_oracle=")[1].split()[0]) <= 1e-9
 
     @pytest.mark.parametrize("distance", [1e9, 1e20])
     def test_bie_on_spheres_far_apart_is_0(self, tmp_path, distance):
@@ -993,6 +1057,8 @@ class TestCompareCommand:
         assert proc.stdout.startswith("sup_error=")
 
     def test_mie_vs_fl_error_printed(self, tmp_path, capsys):
+        """One sphere against the default oracle, the BIE, which is the modal
+        series at M = 1; tau, its truncation estimate, is printed too."""
         cloud = tmp_path / "one.json"
         save_cloud(cloud, make_cloud([[0, 0, 0]], 0.05, -1.0))
         assert run(["compare", cloud, "--variant", "spherical",
@@ -1000,6 +1066,7 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         sup = float(out.split("sup_error=")[1].split()[0])
         assert 0 < sup < 5e-3  # O(a^3) truncation gap at a = 0.1
+        assert 0 <= float(out.split("tau=")[1].split()[0]) <= 1e-3 * sup
 
 
 class TestSweepCommand:
@@ -1014,7 +1081,9 @@ class TestSweepCommand:
         assert lines[4] == "slope,intercept,r2,predicted"
         slope = float(lines[5].split(",")[0])
         assert slope == pytest.approx(3.0, abs=0.4)
-        assert "slope=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert printed.startswith("slope=")
+        assert 0 <= float(printed.split("tau_ratio=")[1].split()[0]) <= 1e-3
 
     def test_coarse_quad_order_keeps_the_rate(self, tmp_path, capsys):
         """The BIE oracle ignores --quad-order, so q < L+1 cannot alias it."""
@@ -1053,10 +1122,34 @@ class TestSweepCommand:
         assert float(lines[5].split(",")[0]) == pytest.approx(3.0, abs=1e-3)
         assert "slope=2.9999" in capsys.readouterr().out
 
-    def test_quad_order_below_one_is_2(self, tmp_path):
-        assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1,
-                    "--Mmax", 0.2, "--variant", "spherical", "--oracle", "bie",
-                    "--L", 4, "--quad-order", 0, "--out", tmp_path / "s.csv"]) == 2
+    def test_quad_order_below_one_is_2(self, tmp_path, monkeypatch, capsys):
+        """Refused by the oracle's settings, for either kind, before any solve."""
+        cloud = tmp_path / "c.json"
+        assert run(gen_args(cloud, a=0.1)) == 0
+        no_solve(monkeypatch)
+        sweep = ["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1, "--Mmax", 0.2,
+                 "--variant", "spherical", "--L", 4]
+        for argv in ([*sweep, "--oracle", "bie", "--quad-order", 0],
+                     [*sweep, "--oracle", "fl", "--quad-order", 0],
+                     ["compare", cloud, "--oracle", "bie", "--quad-order", 0],
+                     ["compare", cloud, "--oracle", "fl", "--quad-order", -5]):
+            capsys.readouterr()
+            assert run([*argv, "--out", tmp_path / "s.csv"]) == 2
+            assert capsys.readouterr().err == "error: quadrature order must be >= 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_coarse_degree_is_3_and_names_its_row(self, tmp_path, capsys):
+        """sweep_rate's settings at L = 2: the first row, a = 0.04 (M = 5), has
+        tau at 0.62 of its error; no study CSV is written."""
+        out = tmp_path / "study.csv"
+        capsys.readouterr()
+        assert run(["sweep", "--a-values", "0.04,0.02,0.01", "--s", 1, "--Mmax", 0.2,
+                    "--jitter", 0.3, "--seed", 1, "--variant", "spherical", "--oracle", "bie",
+                    "--L", 2, "--quad-order", 12, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a=0.04: the boundary-integral oracle at L = 2 "
+                                       "is too coarse: its truncation estimate tau = ")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("a_values", ["0.04,nan,0.01", "0.04,0.02,-0.01"])
     def test_bad_later_radius_is_refused_before_any_solve(self, tmp_path, monkeypatch,

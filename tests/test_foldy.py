@@ -12,13 +12,13 @@ from foldylax import (FarFieldGrid, MissingRegime, NonUnitDirection,
                       RegimeParams, RegimeViolation, ScattererCloud,
                       SingularSystem, SphericalPole, ZeroImpedance, assemble,
                       assemble_bie, bie_farfield, farfield,
-                      generate_grid_cloud, invertibility_report, mie_reference,
-                      solve, solve_bie)
+                      generate_grid_cloud, invertibility_report, solve, solve_bie)
 from foldylax import foldy, oracle
 from foldylax.kernels import fibonacci_sphere
 
 from cloud_helpers import charge_bound_check, make_cloud, make_wave, run_python
 from dense_reference import DenseMatrix, phi
+from quadrature_oracles import mie_reference
 
 
 def one_coefficient(lam, variant, radius, area=math.nan) -> complex:
